@@ -124,9 +124,16 @@ def _validate(p, max_order, entries, check_counts):
                         f"duplicate isomorphism class: {bucket[i][0]} and {bucket[j][0]}")
 
 
-@functools.lru_cache(maxsize=None)
 def build_catalog(p: int, max_order: int = None) -> PGroupCatalog:
-    """Validated catalog from the bundled table; cached per (p, max_order)."""
+    """Validated catalog from the bundled table; cached per (p, max_order),
+    with max_order None meaning default_max_order(p)."""
+    if max_order is None:
+        max_order = default_max_order(p)
+    return _cached_catalog(p, max_order)
+
+
+@functools.lru_cache(maxsize=None)
+def _cached_catalog(p, max_order):
     return catalog_from_dataset(p, max_order, _load_bundled(), check_counts=True)
 
 

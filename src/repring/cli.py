@@ -17,7 +17,8 @@ import json
 import sys
 
 from .config import default_seed
-from .errors import CorpusUnreadable, RepringError
+from .errors import CorpusUnreadable, InvalidPrime, RepringError
+from .gf import _is_prime
 from .report import analyze_report, lattice_report, to_canonical_json
 from .verify import run_verify
 
@@ -30,15 +31,21 @@ def _emit(report, json_path=None):
             fh.write(data + b"\n")
 
 
+def _prime(p):
+    if not _is_prime(p):
+        raise InvalidPrime(f"p = {p} is not prime")
+    return p
+
+
 def cmd_analyze(args) -> int:
-    report = analyze_report(args.group, args.p,
+    report = analyze_report(args.group, _prime(args.p),
                             max_p_order=args.max_p_order, seed=args.seed)
     _emit(report, args.json)
     return 0
 
 
 def cmd_lattice(args) -> int:
-    _emit(lattice_report(args.p, args.max_order))
+    _emit(lattice_report(_prime(args.p), args.max_order))
     return 0
 
 
@@ -49,9 +56,9 @@ def _parse_primes(raw):
         primes = tuple(int(tok) for tok in raw.split(",") if tok.strip())
     except ValueError:
         raise CorpusUnreadable(f"bad prime list {raw!r}") from None
-    if not primes or any(p < 2 for p in primes):
+    if not primes:
         raise CorpusUnreadable(f"bad prime list {raw!r}")
-    return primes
+    return tuple(_prime(p) for p in primes)
 
 
 def cmd_verify(args) -> int:

@@ -69,6 +69,10 @@ class ChopStalled(RepringError):
     module = "meataxe"
 
 
+class MalformedModule(RepringError):
+    module = "meataxe"
+
+
 class NonSplitCharPoly(RepringError):
     module = "brauer"
 
@@ -106,4 +110,8 @@ class PreconditionViolated(RepringError):
 # -- command line ---------------------------------------------------------
 
 class CorpusUnreadable(RepringError):
+    module = "cli"
+
+
+class InvalidPrime(RepringError):
     module = "cli"

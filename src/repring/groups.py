@@ -306,6 +306,8 @@ def trivial_group() -> PermGroup:
 
 
 def cyclic_group(n: int) -> PermGroup:
+    if n < 1:
+        raise InvalidGroupSpec(f"cyclic order must be positive, got {n}")
     if n == 1:
         return trivial_group()
     shift = tuple((i + 1) % n for i in range(n))

@@ -4,12 +4,13 @@ Three flavours live here:
   * generic Gaussian elimination over any exact field whose elements
     support +, -, *, / and == 0 (Fraction, Cyc);
   * elimination over GF fields where elements are int codes and the
-    field object supplies the arithmetic;
+    field object supplies the arithmetic, all of it built on one
+    incremental row-echelon basis, `Echelon`;
   * integer Smith normal form.
-All routines are pure and deterministic.
+All routines are deterministic, and all but `Echelon` are pure.
 """
 
-from fractions import Fraction
+import bisect
 
 
 # ---------------------------------------------------------------------
@@ -116,18 +117,6 @@ def gf_matmul(F, A, B):
     return out
 
 
-def gf_mat_vec(F, A, v):
-    add, mul = F.add, F.mul
-    out = []
-    for row in A:
-        acc = 0
-        for a, b in zip(row, v):
-            if a and b:
-                acc = add(acc, mul(a, b))
-        out.append(acc)
-    return out
-
-
 def gf_vec_mat(F, v, A):
     add, mul = F.add, F.mul
     n = len(A)
@@ -151,37 +140,65 @@ def gf_identity(n):
     return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
 
 
-def gf_rref(F, rows):
-    rows = [list(r) for r in rows]
-    if not rows:
-        return rows, []
-    ncols = len(rows[0])
-    add, mul, neg, inv = F.add, F.mul, F.neg, F.inv
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        pr = None
-        for i in range(r, len(rows)):
-            if rows[i][c]:
-                pr = i
-                break
-        if pr is None:
-            continue
-        rows[r], rows[pr] = rows[pr], rows[r]
-        ip = inv(rows[r][c])
+class Echelon:
+    """Incremental row-echelon basis of a subspace of F^n.
+
+    The rows are kept fully reduced and sorted by pivot column, so
+    (rows, pivots) is at every moment the rref of what was added.
+    """
+
+    __slots__ = ("F", "rows", "pivots")
+
+    def __init__(self, F):
+        self.F = F
+        self.rows = []
+        self.pivots = []
+
+    def __len__(self):
+        return len(self.rows)
+
+    def _clear(self, v, c, row):
+        """v minus v[c] times row, where row has a 1 in column c."""
+        add, mul = self.F.add, self.F.mul
+        f = self.F.neg(v[c])
+        return [add(a, mul(f, b)) if b else a for a, b in zip(v, row)]
+
+    def reduce(self, v):
+        """Residue of v: zero exactly when v lies in the span."""
+        v = list(v)
+        for c, row in zip(self.pivots, self.rows):
+            if v[c]:
+                v = self._clear(v, c, row)
+        return v
+
+    def add(self, v) -> bool:
+        """Extend the span by v; True if v was independent of it."""
+        u = self.reduce(v)
+        c = next((j for j, x in enumerate(u) if x), None)
+        if c is None:
+            return False
+        ip = self.F.inv(u[c])
         if ip != 1:
-            rows[r] = [mul(ip, v) for v in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][c]:
-                f = neg(rows[i][c])
-                ri, rr = rows[i], rows[r]
-                rows[i] = [add(ri[j], mul(f, rr[j])) if rr[j] else ri[j]
-                           for j in range(ncols)]
-        pivots.append(c)
-        r += 1
-        if r == len(rows):
-            break
-    return rows, pivots
+            u = [self.F.mul(ip, x) for x in u]
+        rows = self.rows
+        for i, row in enumerate(rows):
+            if row[c]:
+                rows[i] = self._clear(row, c, u)
+        k = bisect.bisect(self.pivots, c)
+        self.pivots.insert(k, c)
+        rows.insert(k, u)
+        return True
+
+
+def gf_rref(F, rows):
+    """Reduced row echelon form over F: (nonzero rref rows, pivot columns).
+
+    Zero rows are dropped, so there is one row per pivot.
+    """
+    ech = Echelon(F)
+    for row in rows:
+        ech.add(row)
+    return ech.rows, ech.pivots
 
 
 def gf_rank(F, rows) -> int:
@@ -227,18 +244,6 @@ def gf_mat_inv(F, A):
     if pivots != list(range(n)):
         raise ZeroDivisionError("matrix is singular")
     return [row[n:] for row in red]
-
-
-def gf_row_span_contains(F, basis_rref, pivots, v):
-    """Membership test against a precomputed rref row space."""
-    v = list(v)
-    for r, c in enumerate(pivots):
-        if v[c]:
-            f = F.neg(v[c])
-            row = basis_rref[r]
-            v = [F.add(v[j], F.mul(f, row[j])) if row[j] else v[j]
-                 for j in range(len(v))]
-    return not any(v)
 
 
 def gf_charpoly(F, M):
@@ -380,6 +385,3 @@ def int_mat_rank_mod_p(M, p):
     F = gf_field(p, 1)
     return gf_rank(F, [[v % p for v in row] for row in M])
 
-
-def fraction_matrix(M):
-    return [[Fraction(v) for v in row] for row in M]

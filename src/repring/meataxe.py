@@ -11,21 +11,24 @@ Norton's criterion when f(z) has minimal nullity (one spin on each side
 of the duality).  Isomorphism of simples is decided by standard-basis
 comparison seeded at a one-dimensional eigenspace, which at the same
 time certifies absolute irreducibility over the working field.
+
+Both rest on one breadth-first `spin`, which keeps its subspace as a
+linalg `Echelon`; sub- and quotient actions are read off that echelon.
 """
 
 import random
 
 from .config import CHOP_RESEEDS, CHOP_RETRY
-from .errors import ChopStalled
+from .errors import ChopStalled, MalformedModule
 from .gf import factor_poly, poly_deg
 from .groups import PermGroup, perm_mul
 from .linalg import (
+    Echelon,
     gf_charpoly,
     gf_identity,
     gf_mat_inv,
     gf_matmul,
     gf_right_kernel,
-    gf_rref,
     gf_transpose,
     gf_vec_mat,
 )
@@ -41,7 +44,9 @@ class Module:
         self.dim = dim
         self.mats = [tuple(tuple(row) for row in m) for m in mats]
         for m in self.mats:
-            assert len(m) == dim and all(len(r) == dim for r in m)
+            if len(m) != dim or any(len(r) != dim for r in m):
+                raise MalformedModule(
+                    f"action matrix is not {dim} x {dim}")
 
     def word_matrix(self, word):
         out = gf_identity(self.dim)
@@ -93,84 +98,63 @@ def random_recipe(rng: random.Random, ngens: int, F):
 
 
 def spin(F, seeds, mats, dim):
-    """Row span of the smallest subspace through seeds closed under mats.
+    """Smallest subspace through seeds closed under mats.
 
-    Returns (rref rows, pivot columns).
+    Returns (Echelon of the subspace, spanning vectors): the seeds and
+    images that were independent when met, breadth-first in generator
+    order, kept as they are rather than reduced.
     """
-    echelon = []  # (pivot col, row), kept sorted by pivot col
-
-    def sift(u):
-        u = list(u)
-        for pc, row in echelon:
-            if u[pc]:
-                f = F.neg(u[pc])
-                u = [F.add(u[j], F.mul(f, row[j])) if row[j] else u[j]
-                     for j in range(dim)]
-        pc = next((j for j, x in enumerate(u) if x), None)
-        if pc is None:
-            return None
-        ip = F.inv(u[pc])
-        if ip != 1:
-            u = [F.mul(ip, x) for x in u]
-        echelon.append((pc, u))
-        echelon.sort(key=lambda t: t[0])
-        return u
-
-    queue = []
-    for s in seeds:
-        r = sift(s)
-        if r is not None:
-            queue.append(r)
-    qi = 0
-    while qi < len(queue) and len(echelon) < dim:
-        u = queue[qi]
-        qi += 1
+    ech = Echelon(F)
+    basis = [list(s) for s in seeds if ech.add(s)]
+    i = 0
+    while i < len(basis) and len(ech) < dim:
+        u = basis[i]
+        i += 1
         for m in mats:
-            r = sift(gf_vec_mat(F, u, m))
-            if r is not None:
-                queue.append(r)
-    if len(echelon) == dim:
-        return gf_identity(dim), list(range(dim))
-    return gf_rref(F, [row for _, row in echelon])
+            w = gf_vec_mat(F, u, m)
+            if ech.add(w):
+                basis.append(w)
+    return ech, basis
 
 
-def submodule_action(module: Module, basis, pivots) -> Module:
-    """Restrict the action to the row space of an rref basis."""
+def submodule_action(module: Module, ech: Echelon) -> Module:
+    """Restrict the action to the span of an invariant echelon."""
     F = module.F
     mats = []
     for m in module.mats:
         rows = []
-        for b in basis:
+        for b in ech.rows:
             u = gf_vec_mat(F, b, m)
-            rows.append([u[p] for p in pivots])
+            rows.append([u[p] for p in ech.pivots])
         mats.append(rows)
-    return Module(F, len(basis), mats)
+    return Module(F, len(ech), mats)
 
 
-def quotient_action(module: Module, basis, pivots) -> Module:
-    """Action on the quotient by the row space of an rref basis."""
-    F = module.F
-    dim = module.dim
-    rest = [c for c in range(dim) if c not in pivots]
+def quotient_action(module: Module, ech: Echelon) -> Module:
+    """Action on the quotient by the span of an invariant echelon."""
+    pivots = set(ech.pivots)
+    rest = [c for c in range(module.dim) if c not in pivots]
     mats = []
     for m in module.mats:
         rows = []
         for c in rest:
-            u = list(m[c])
-            for r, p in enumerate(pivots):
-                if u[p]:
-                    f = F.neg(u[p])
-                    brow = basis[r]
-                    u = [F.add(u[j], F.mul(f, brow[j])) if brow[j] else u[j]
-                         for j in range(dim)]
+            u = ech.reduce(m[c])
             rows.append([u[j] for j in rest])
         mats.append(rows)
-    return Module(F, len(rest), mats)
+    return Module(module.F, len(rest), mats)
 
 
 def _kernel_rows(F, mat):
     """Basis of {v : v * mat = 0}, echelonized."""
     return gf_right_kernel(F, gf_transpose(mat))
+
+
+def _eigenspace(F, z, lam):
+    """Basis of {v : v * z = lam * v}, echelonized."""
+    theta = [list(row) for row in z]
+    for i in range(len(theta)):
+        theta[i][i] = F.sub(theta[i][i], lam)
+    return _kernel_rows(F, theta)
 
 
 def _poly_of_matrix(F, poly, mat, dim):
@@ -202,9 +186,9 @@ def chop(module: Module, rng: random.Random):
     F = module.F
     dim = module.dim
 
-    def split(basis, pivots):
-        sub = submodule_action(module, basis, pivots)
-        quot = quotient_action(module, basis, pivots)
+    def split(ech):
+        sub = submodule_action(module, ech)
+        quot = quotient_action(module, ech)
         return chop(sub, rng) + chop(quot, rng)
 
     for _ in range(CHOP_RETRY):
@@ -216,23 +200,24 @@ def chop(module: Module, rng: random.Random):
             kernel = _kernel_rows(F, theta)
             if not kernel:
                 continue
-            basis, pivots = spin(F, [kernel[0]], module.mats, dim)
-            if len(basis) < dim:
-                return split(basis, pivots)
+            ech, _ = spin(F, [kernel[0]], module.mats, dim)
+            if len(ech) < dim:
+                return split(ech)
             if len(kernel) == poly_deg(factor):
                 # Norton: one full spin on each side certifies irreducibility
                 tmats = [gf_transpose(m) for m in module.mats]
                 wkernel = gf_right_kernel(F, theta)
-                tbasis, _tp = spin(F, [wkernel[0]], tmats, dim)
-                if len(tbasis) < dim:
-                    perp = gf_right_kernel(F, tbasis)
-                    pbasis, ppivots = gf_rref(F, perp)
-                    return split(pbasis, ppivots)
+                tech, _ = spin(F, [wkernel[0]], tmats, dim)
+                if len(tech) < dim:
+                    perp = Echelon(F)
+                    for v in gf_right_kernel(F, tech.rows):
+                        perp.add(v)
+                    return split(perp)
                 return [module]
             for v in kernel[1:]:
-                basis, pivots = spin(F, [v], module.mats, dim)
-                if len(basis) < dim:
-                    return split(basis, pivots)
+                ech, _ = spin(F, [v], module.mats, dim)
+                if len(ech) < dim:
+                    return split(ech)
     raise ChopStalled(
         f"no certificate after {CHOP_RETRY} algebra elements (dim {dim})")
 
@@ -253,11 +238,7 @@ def find_id_recipe(module: Module, rng: random.Random):
             if poly_deg(factor) != 1:
                 continue
             lam = F.neg(factor[0])
-            theta = [list(row) for row in z]
-            for i in range(dim):
-                theta[i][i] = F.sub(theta[i][i], lam)
-            kernel = _kernel_rows(F, theta)
-            if len(kernel) == 1:
+            if len(_eigenspace(F, z, lam)) == 1:
                 return recipe, lam
     raise ChopStalled(
         f"no identification element after {CHOP_RETRY} tries (dim {dim})")
@@ -270,43 +251,12 @@ def standard_form(module: Module, recipe, lam):
     forms under a shared (recipe, lam) are identical.
     """
     F = module.F
-    dim = module.dim
-    z = module.recipe_matrix(recipe)
-    theta = [list(row) for row in z]
-    for i in range(dim):
-        theta[i][i] = F.sub(theta[i][i], lam)
-    kernel = _kernel_rows(F, theta)
+    kernel = _eigenspace(F, module.recipe_matrix(recipe), lam)
     if len(kernel) != 1:
         return None
-    # breadth-first spin in fixed generator order, keeping the vectors
-    # themselves (not residues) so the basis is canonical
-    basis = [kernel[0]]
-    echelon = []
-
-    def independent(u):
-        u = list(u)
-        for pc, row in echelon:
-            if u[pc]:
-                f = F.neg(u[pc])
-                u = [F.add(u[j], F.mul(f, row[j])) if row[j] else u[j]
-                     for j in range(dim)]
-        pc = next((j for j, x in enumerate(u) if x), None)
-        if pc is None:
-            return False
-        ip = F.inv(u[pc])
-        echelon.append((pc, [F.mul(ip, x) for x in u] if ip != 1 else u))
-        return True
-
-    independent(kernel[0])
-    i = 0
-    while i < len(basis) and len(basis) < dim:
-        u = basis[i]
-        i += 1
-        for m in module.mats:
-            w = gf_vec_mat(F, u, m)
-            if len(basis) < dim and independent(w):
-                basis.append(w)
-    if len(basis) != dim:
+    # the spanning vectors themselves (not residues) make the basis canonical
+    _, basis = spin(F, kernel, module.mats, module.dim)
+    if len(basis) != module.dim:
         return None  # not spanning: module was not irreducible
     binv = gf_mat_inv(F, basis)
     forms = []

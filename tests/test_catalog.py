@@ -4,6 +4,7 @@ import pytest
 
 from repring.catalog import (
     ClosedSet,
+    _cached_catalog,
     build_catalog,
     catalog_from_dataset,
     enumerate_closed_sets,
@@ -34,6 +35,11 @@ def test_catalog_sizes():
     assert build_catalog(3, 9).labels == ["1", "C3", "C9", "C3^2"]
     assert len(build_catalog(3, 27)) == 9
     assert build_catalog(5, 25).labels == ["1", "C5", "C25", "C5^2"]
+
+
+def test_catalog_cache_key_normalizes_default_order():
+    assert build_catalog(2) is build_catalog(2, 16)
+    assert build_catalog(3) is build_catalog(3, 27)
 
 
 def test_catalog_missing_prime():
@@ -187,8 +193,8 @@ def test_validation_catches_corruption():
 
 
 def test_catalog_deterministic():
-    a = build_catalog.__wrapped__(2, 8)
-    b = build_catalog.__wrapped__(2, 8)
+    a = _cached_catalog.__wrapped__(2, 8)
+    b = _cached_catalog.__wrapped__(2, 8)
     assert a.labels == b.labels
     assert a.embed == b.embed
     assert [g.elements for _, g in a.entries] == [g.elements for _, g in b.entries]

@@ -219,6 +219,22 @@ def test_verify_bad_prime_list(capsys):
 
 # -- error surface ------------------------------------------------------
 
+@pytest.mark.parametrize("argv, err_type", [
+    (("analyze", "S4", "--p", "0"), "InvalidPrime"),
+    (("analyze", "S4", "--p", "1"), "InvalidPrime"),
+    (("analyze", "S4", "--p", "4"), "InvalidPrime"),
+    (("verify", "--p", "4"), "InvalidPrime"),
+    (("verify", "--p", "2,9"), "InvalidPrime"),
+    (("lattice", "--p", "4"), "InvalidPrime"),
+    (("analyze", "C0", "--p", "2"), "InvalidGroupSpec"),
+])
+def test_bad_input_is_one_json_error(capsys, argv, err_type):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert len(err.splitlines()) == 1
+    assert json.loads(err)["error"]["type"] == err_type
+
+
 def test_unknown_group_spec(capsys):
     code, _, err = run_cli(capsys, "analyze", "ZZZ9", "--p", "2")
     assert code == 2

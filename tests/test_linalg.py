@@ -6,12 +6,12 @@ from hypothesis import given, settings, strategies as st
 from repring.cyclo import Cyc
 from repring.gf import gf_field, poly_eval
 from repring.linalg import (
+    Echelon,
     gf_charpoly,
     gf_identity,
     gf_matmul,
     gf_rank,
     gf_right_kernel,
-    gf_row_span_contains,
     gf_rref,
     gf_solve,
     gf_transpose,
@@ -81,10 +81,34 @@ def test_gf_solve_and_kernel():
 
 def test_gf_row_span_membership():
     F = gf_field(2, 1)
-    rows = [[1, 0, 1], [0, 1, 1]]
-    red, piv = gf_rref(F, rows)
-    assert gf_row_span_contains(F, red, piv, [1, 1, 0])
-    assert not gf_row_span_contains(F, red, piv, [1, 1, 1])
+    ech = Echelon(F)
+    assert ech.add([1, 0, 1]) and ech.add([0, 1, 1])
+    assert not any(ech.reduce([1, 1, 0]))
+    assert any(ech.reduce([1, 1, 1]))
+    assert not ech.add([1, 1, 0])
+    assert ech.add([1, 1, 1])
+    assert len(ech) == 3 and ech.rows == gf_identity(3)
+
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([(2, 1), (3, 1), (2, 2), (5, 1)]),
+       st.integers(min_value=1, max_value=5),
+       st.integers(min_value=1, max_value=5), st.data())
+def test_echelon_is_rref_of_what_was_added(pd, n, m, data):
+    F = gf_field(*pd)
+    elt = st.integers(min_value=0, max_value=F.q - 1)
+    rows = [[data.draw(elt) for _ in range(m)] for _ in range(n)]
+    ech = Echelon(F)
+    added = sum(ech.add(r) for r in rows)
+    assert added == len(ech) == len(ech.pivots)
+    assert ech.pivots == sorted(set(ech.pivots))
+    for i, (c, row) in enumerate(zip(ech.pivots, ech.rows)):
+        assert not any(row[:c]) and row[c] == 1
+        assert all(other[c] == 0 for k, other in enumerate(ech.rows) if k != i)
+    assert all(not any(ech.reduce(r)) for r in rows)
+    # the rref of a row space does not depend on the order of its rows
+    assert gf_rref(F, rows[::-1]) == (ech.rows, ech.pivots)
 
 
 def _naive_charpoly(F, M):

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from repring.errors import ChopStalled
+from repring.errors import ChopStalled, MalformedModule
 from repring.gf import gf_field
 from repring.groups import (
     alternating_group,
@@ -142,11 +142,12 @@ def test_spin_socle_of_cyclic_group():
     G = cyclic_group(4)
     F = gf_field(2, 1)
     M = regular_module(G, F)
-    basis, pivots = spin(F, [[1, 1, 1, 1]], M.mats, 4)
-    assert basis == [[1, 1, 1, 1]] and pivots == [0]
-    sub = submodule_action(M, basis, pivots)
+    ech, basis = spin(F, [[1, 1, 1, 1]], M.mats, 4)
+    assert ech.rows == [[1, 1, 1, 1]] and ech.pivots == [0]
+    assert basis == [[1, 1, 1, 1]]
+    sub = submodule_action(M, ech)
     assert sub.dim == 1 and sub.mats == [((1,),)]
-    quot = quotient_action(M, basis, pivots)
+    quot = quotient_action(M, ech)
     assert quot.dim == 3
 
 
@@ -155,8 +156,11 @@ def test_spin_of_basis_vector_is_full():
     G = cyclic_group(4)
     F = gf_field(2, 1)
     M = regular_module(G, F)
-    basis, _ = spin(F, [[1, 0, 0, 0]], M.mats, 4)
-    assert len(basis) == 4
+    ech, basis = spin(F, [[1, 0, 0, 0]], M.mats, 4)
+    assert len(ech) == 4 and ech.pivots == [0, 1, 2, 3]
+    # the spanning vectors are the raw images, breadth-first: g^0..g^3
+    assert sorted(basis, reverse=True) == [[1, 0, 0, 0], [0, 1, 0, 0],
+                                           [0, 0, 1, 0], [0, 0, 0, 1]]
 
 
 def test_standard_form_separates_a4_linears():
@@ -182,8 +186,8 @@ def test_quotient_action_is_representation():
     G = symmetric_group(3)
     F = gf_field(3, 1)
     M = regular_module(G, F)
-    basis, pivots = spin(F, [[1] * 6], M.mats, 6)
-    quot = quotient_action(M, basis, pivots)
+    ech, _ = spin(F, [[1] * 6], M.mats, 6)
+    quot = quotient_action(M, ech)
     for i, a in enumerate(G.gens):
         for j, b in enumerate(G.gens):
             lhs = gf_matmul(F, quot.mats[i], quot.mats[j])
@@ -202,5 +206,5 @@ def test_standard_form_none_when_eigenspace_too_big():
 
 def test_module_rejects_bad_shapes():
     F = gf_field(2, 1)
-    with pytest.raises(AssertionError):
+    with pytest.raises(MalformedModule):
         Module(F, 2, [[[1, 0]]])
