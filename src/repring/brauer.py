@@ -14,6 +14,7 @@ from math import gcd
 from .config import default_seed
 from .cyclo import Cyc
 from .errors import (
+    InvariantViolated,
     NonIntegralCartan,
     NonIntegralDecomposition,
     NonSplitCharPoly,
@@ -24,7 +25,7 @@ from .gf import gf_field, multiplicative_order, poly_roots
 from .groups import PermGroup, p_part
 from .lift import BrauerLift
 from .linalg import gf_charpoly, mat_inv, smith_normal_form
-from .meataxe import chop_regular
+from .meataxe import simple_modules
 
 
 def splitting_field(G: PermGroup, p: int):
@@ -56,11 +57,16 @@ class SimpleModule:
         self.dim = module.dim
         self.phi = tuple(phi)
         # head multiplicity; equals dim because the identification
-        # element found during dedup certifies End = ground field
+        # element simple_modules found for it certifies End = ground field
         self.multiplicity_in_regular = module.dim
 
     def __repr__(self):
         return f"SimpleModule({self.name}, dim={self.dim})"
+
+
+def _require(ok, message):
+    if not ok:
+        raise InvariantViolated("brauer", message)
 
 
 def _phi_value(lift, F, mat):
@@ -100,7 +106,7 @@ class BrauerData:
         inv_map = G.inverse_class_map()
         self._inv_pos = tuple(self._pos[inv_map[ci]] for ci in self.pregular)
 
-        modules, counts = chop_regular(G, self.F, seed)
+        modules = simple_modules(G, self.F, seed, len(self.pregular))
         rows = [tuple(_phi_value(self.lift, self.F,
                                  mod.element_matrix(G, x))
                       for x in self.class_reps)
@@ -111,11 +117,13 @@ class BrauerData:
         self.simples = tuple(
             SimpleModule(f"S{k + 1}", k, modules[i], rows[i])
             for k, i in enumerate(order))
-        self.composition_multiplicities = tuple(counts[i] for i in order)
         self.phi = tuple(s.phi for s in self.simples)
+        self._phi_inv = None
+        # the regular character is |G| at the identity class, 0 elsewhere
+        self.composition_multiplicities = tuple(self.decompose(
+            [G.order] + [0] * (len(self.pregular) - 1)))
         self.Phi = self._projective_characters()
         self.cartan = self._cartan_matrix()
-        self._phi_inv = None
         self._check_invariants()
 
     # -- construction helpers
@@ -164,31 +172,40 @@ class BrauerData:
 
     def _check_invariants(self):
         G, n = self.G, len(self.simples)
-        assert n == len(self.pregular)
+        _require(n == len(self.pregular),
+                 f"{n} simples for {len(self.pregular)} p-regular classes")
         one = Cyc.from_rational(1)
         first = self.simples[0]
-        assert first.dim == 1 and all(v == one for v in first.phi)
+        _require(first.dim == 1 and all(v == one for v in first.phi),
+                 "first simple is not the trivial module")
         for s in self.simples:
-            assert s.phi[0] == s.dim  # value at the identity class
+            _require(s.phi[0] == s.dim,  # value at the identity class
+                     f"{s.name}: Brauer character at 1 is not its dimension")
         # dim P_S from Phi at the identity, and mass formula
         proj_dims = [self.Phi[t][0].as_rational() for t in range(n)]
-        assert all(d is not None and d.denominator == 1 for d in proj_dims)
+        _require(all(d is not None and d.denominator == 1
+                     for d in proj_dims),
+                 "a projective dimension is not an integer")
         self.projective_dims = tuple(int(d) for d in proj_dims)
-        assert sum(pd * s.dim
-                   for pd, s in zip(self.projective_dims, self.simples)) \
-            == G.order
+        _require(sum(pd * s.dim
+                     for pd, s in zip(self.projective_dims, self.simples))
+                 == G.order,
+                 "sum of dim P_S * dim S is not |G|")
         # composition multiplicity of S in kG equals sum_T dim T * c_{T,S}
         for s in range(n):
             expect = sum(self.simples[t].dim * self.cartan[t][s]
                          for t in range(n))
-            assert self.composition_multiplicities[s] == expect
+            _require(self.composition_multiplicities[s] == expect,
+                     f"multiplicity of {self.simples[s].name} in kG is "
+                     f"{self.composition_multiplicities[s]}, but "
+                     f"sum_T dim T * c_(T,S) is {expect}")
 
     # -- derived data
 
     def elementary_divisors(self):
         """Nonzero Smith normal form divisors of the Cartan matrix."""
         divs = smith_normal_form([list(r) for r in self.cartan])
-        assert all(divs)
+        _require(all(divs), "Cartan matrix is singular")
         return tuple(divs)
 
     def centralizer_p_parts(self):

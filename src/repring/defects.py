@@ -17,6 +17,7 @@ from .cyclo import Cyc
 from .errors import (
     CatalogTooSmall,
     DefectNotZeroInQuotient,
+    InvariantViolated,
     NotDefectZero,
     PreconditionViolated,
 )
@@ -263,7 +264,10 @@ def sp_dimension(G: PermGroup, p: int, P: int, report: DefectReport,
     for q in sorted(report.catalog.down_set(P).members - {P}):
         pool.extend(genk_basis(G, p, q, report, seed))
     lower_rank = gf_rank(bd.F, [list(u.coeffs) for u in pool])
-    assert len(upper) - lower_rank == direct
+    if len(upper) - lower_rank != direct:
+        raise InvariantViolated(
+            "defects", f"S_P by rank is {len(upper) - lower_rank}, "
+            f"by class count {direct}")
     return direct
 
 

@@ -73,6 +73,12 @@ class MalformedModule(RepringError):
     module = "meataxe"
 
 
+class ClosureSaturated(RepringError):
+    """Tensor closure found no new simple short of the expected count."""
+
+    module = "meataxe"
+
+
 class NonSplitCharPoly(RepringError):
     module = "brauer"
 
@@ -105,6 +111,17 @@ class CatalogTooSmall(RepringError):
 
 class PreconditionViolated(RepringError):
     module = "defects"
+
+
+# -- cross-checks --------------------------------------------------------
+
+class InvariantViolated(RepringError):
+    """Two routes to the same number disagree; module names the check's
+    subsystem."""
+
+    def __init__(self, module, message):
+        super().__init__(message)
+        self.module = module
 
 
 # -- command line ---------------------------------------------------------

@@ -12,16 +12,21 @@ of the duality).  Isomorphism of simples is decided by standard-basis
 comparison seeded at a one-dimensional eigenspace, which at the same
 time certifies absolute irreducibility over the working field.
 
-Both rest on one breadth-first `spin`, which keeps its subspace as a
-linalg `Echelon`; sub- and quotient actions are read off that echelon.
+The simples of kG are found by tensor closure of the natural permutation
+module (`simple_modules`), never by chopping the |G|-dimensional regular
+module.
+
+Chop and standard forms rest on one breadth-first `spin`, which keeps
+its subspace as a linalg `Echelon`; sub- and quotient actions are read
+off that echelon.
 """
 
 import random
 
 from .config import CHOP_RESEEDS, CHOP_RETRY
-from .errors import ChopStalled, MalformedModule
+from .errors import ChopStalled, ClosureSaturated, MalformedModule
 from .gf import factor_poly, poly_deg
-from .groups import PermGroup, perm_mul
+from .groups import PermGroup
 from .linalg import (
     Echelon,
     gf_charpoly,
@@ -73,16 +78,33 @@ class Module:
         return self.word_matrix(group.words[tuple(g)])
 
 
-def regular_module(G: PermGroup, F) -> Module:
-    """Right translation of G on its own group algebra over F."""
-    n = G.order
+def natural_module(G: PermGroup, F) -> Module:
+    """The permutation module of G over F: e_i * g = e_{g[i]}."""
+    n = G.degree
     mats = []
     for g in G.gens:
         m = [[0] * n for _ in range(n)]
-        for i, h in enumerate(G.elements):
-            m[i][G.index_of(perm_mul(h, g))] = 1
+        for i, j in enumerate(g):
+            m[i][j] = 1
         mats.append(m)
     return Module(F, n, mats)
+
+
+def tensor_product(a: Module, b: Module) -> Module:
+    """a (x) b under the diagonal action: Kronecker product per generator."""
+    F = a.F
+    zero = [0] * b.dim
+    mats = []
+    for ma, mb in zip(a.mats, b.mats):
+        rows = []
+        for ra in ma:
+            for rb in mb:
+                row = []
+                for x in ra:
+                    row.extend([F.mul(x, y) for y in rb] if x else zero)
+                rows.append(row)
+        mats.append(rows)
+    return Module(F, a.dim * b.dim, mats)
 
 
 def random_recipe(rng: random.Random, ngens: int, F):
@@ -266,44 +288,61 @@ def standard_form(module: Module, recipe, lam):
     return tuple(forms)
 
 
-def dedup_simples(factors, rng: random.Random):
-    """Group isomorphic factors.  Returns (representatives, counts)."""
-    reps = []
-    counts = []
-    ids = []
-    forms = []
-    for f in factors:
-        hit = None
-        for i, r in enumerate(reps):
-            if r.dim != f.dim:
-                continue
-            sf = standard_form(f, ids[i][0], ids[i][1])
-            if sf is not None and sf == forms[i]:
-                hit = i
+def _tensor_closure(G: PermGroup, F, rng: random.Random, count):
+    simples = []
+    ids = []  # (recipe, eigenvalue, standard form) of each simple
+
+    def absorb(module):
+        """Chop module; record and return its factors not seen before."""
+        new = []
+        for f in chop(module, rng):
+            if len(simples) == count:
                 break
-        if hit is None:
-            rid = find_id_recipe(f, rng)
-            reps.append(f)
-            counts.append(1)
-            ids.append(rid)
-            forms.append(standard_form(f, rid[0], rid[1]))
-        else:
-            counts[hit] += 1
-    return reps, counts
+            if any(s.dim == f.dim and standard_form(f, recipe, lam) == form
+                   for s, (recipe, lam, form) in zip(simples, ids)):
+                continue
+            recipe, lam = find_id_recipe(f, rng)
+            simples.append(f)
+            ids.append((recipe, lam, standard_form(f, recipe, lam)))
+            new.append(f)
+        return new
+
+    natural = absorb(natural_module(G, F))
+    # tensoring with the trivial module gives nothing new
+    factors = [t for t in natural
+               if t.dim > 1 or any(m != ((1,),) for m in t.mats)]
+    pending = list(natural)
+    while len(simples) < count:
+        if not pending:
+            raise ClosureSaturated(
+                f"tensor closure saturated at {len(simples)} of {count} "
+                "simples")
+        s = pending.pop(0)
+        for t in factors:
+            if len(simples) < count:
+                pending += absorb(tensor_product(s, t))
+    return simples
 
 
-def chop_regular(G: PermGroup, F, seed) -> tuple:
-    """(pairwise non-isomorphic simples of kG, multiplicities in the
-    regular module's composition series); deterministic per seed, with
-    automatic reseeding if a random stream stalls.
+def simple_modules(G: PermGroup, F, seed, count) -> list:
+    """The count pairwise non-isomorphic simple FG-modules.
+
+    Every simple module is a composition factor of a tensor power of a
+    faithful module (Steinberg 1962), and the natural permutation module
+    is faithful.  So the search chops the natural module, then the
+    tensor product of each new simple with each factor of the natural
+    module, keeping factors whose standard form is new, until count
+    simples are known (the number of p-regular classes, by Brauer).
+    Deterministic per seed, reseeding if a random stream stalls; a
+    closure that stops short of count raises ClosureSaturated.
     """
     base = f"meataxe:{F.p}:{F.d}:{seed}:{G.key()!r}"
     last = None
     for attempt in range(CHOP_RESEEDS):
         rng = random.Random(f"{base}:{attempt}")
         try:
-            factors = chop(regular_module(G, F), rng)
-            return dedup_simples(factors, rng)
+            return _tensor_closure(G, F, rng, count)
         except ChopStalled as exc:
             last = exc
-    raise ChopStalled(f"chop failed after {CHOP_RESEEDS} reseeds: {last}")
+    raise ChopStalled(
+        f"simple-module search failed after {CHOP_RESEEDS} reseeds: {last}")

@@ -18,6 +18,8 @@ from .defects import (
     sp_dimension,
     u_element,
 )
+from .errors import InvalidPrime
+from .gf import _is_prime
 from .groups import PermGroup, parse_group_spec, perm_order
 from .linalg import int_mat_rank_mod_p
 
@@ -29,12 +31,20 @@ def to_canonical_json(report) -> bytes:
                       separators=(",", ":")).encode("ascii")
 
 
+def require_prime(p):
+    """p itself, or InvalidPrime when p is not a prime number."""
+    if not _is_prime(p):
+        raise InvalidPrime(f"p = {p} is not prime")
+    return p
+
+
 def _cyc_row(values):
     return [v.to_json() for v in values]
 
 
 def analyze_report(spec, p: int, max_p_order=None, seed=None) -> dict:
     """Full evaluation of one group at one prime as a plain dict."""
+    require_prime(p)
     if seed is None:
         seed = default_seed()
     if max_p_order is None:
@@ -136,6 +146,7 @@ def _maximal_members(catalog, members):
 
 def lattice_report(p: int, max_order=None) -> dict:
     """The truncated p-group poset and its lattice of closed sets."""
+    require_prime(p)
     if max_order is None:
         max_order = default_max_order(p)
     catalog = build_catalog(p, max_order)

@@ -25,7 +25,7 @@ from .defects import (
 from .errors import CorpusUnreadable, RepringError
 from .groups import cyclic_group, parse_group_spec, symmetric_group
 from .linalg import Echelon, gf_rank, int_mat_rank_mod_p
-from .report import analyze_report, to_canonical_json
+from .report import analyze_report, require_prime, to_canonical_json
 
 DEFAULT_CORPUS = (
     "C1", "C2", "C3", "C4", "C5", "C6", "C7", "C8",
@@ -327,7 +327,7 @@ def run_verify(corpus=None, primes=None, seed=None) -> dict:
     """All suites over a corpus; the result is JSON-serializable."""
     if seed is None:
         seed = default_seed()
-    primes = tuple(primes) if primes else DEFAULT_PRIMES
+    primes = tuple(require_prime(p) for p in primes or DEFAULT_PRIMES)
     specs = load_corpus(corpus)
 
     contexts = [_Context(spec, p, seed) for spec in specs for p in primes]

@@ -3,6 +3,7 @@ from fractions import Fraction
 import pytest
 
 from repring.brauer import (
+    BrauerData,
     brauer_data,
     cartan_via_endomorphisms,
     induce_class_function,
@@ -10,6 +11,7 @@ from repring.brauer import (
 )
 from repring.cyclo import Cyc
 from repring.errors import (
+    InvariantViolated,
     NonIntegralDecomposition,
     NonSplitCharPoly,
     NotSubgroup,
@@ -246,3 +248,13 @@ def test_brauer_data_memoized():
     c = brauer_data(symmetric_group(3), 2, seed=99)
     assert c is not a
     assert c.cartan == a.cartan
+
+
+def test_tampered_multiplicities_raise_invariant_violated():
+    # a fresh object, so the shared brauer_data cache is left intact
+    bd = BrauerData(symmetric_group(4), 2, 1)
+    bd.composition_multiplicities = (bd.composition_multiplicities[0] + 1,
+                                     *bd.composition_multiplicities[1:])
+    with pytest.raises(InvariantViolated) as info:
+        bd._check_invariants()
+    assert info.value.module == "brauer"

@@ -9,8 +9,9 @@ import pytest
 
 from repring.cli import main
 from repring.cyclo import Cyc
+from repring.errors import InvalidPrime
 from repring.report import analyze_report, to_canonical_json
-from repring.verify import DEFAULT_CORPUS, load_corpus
+from repring.verify import DEFAULT_CORPUS, load_corpus, run_verify
 
 
 def run_cli(capsys, *argv):
@@ -233,6 +234,13 @@ def test_bad_input_is_one_json_error(capsys, argv, err_type):
     assert code == 2 and out == ""
     assert len(err.splitlines()) == 1
     assert json.loads(err)["error"]["type"] == err_type
+
+
+def test_library_entry_points_reject_non_prime():
+    with pytest.raises(InvalidPrime):
+        analyze_report("S4", 4)
+    with pytest.raises(InvalidPrime):
+        run_verify(primes=[4])
 
 
 def test_unknown_group_spec(capsys):

@@ -26,12 +26,14 @@ OPS = {
     **{f"analyze {g} p3": ("analyze", g, 3)
        for g in ("S4", "A4", "S3xC2", "C3xC3", "A5")},
     **{f"analyze {g} p5": ("analyze", g, 5) for g in ("C5", "D10", "A5")},
+    **{f"analyze S5 p{p}": ("analyze", "S5", p) for p in (2, 3, 5)},
     "lattice p2 max8": ("lattice", 2, 8),
     "lattice p3": ("lattice", 3, None),
     "lattice p5": ("lattice", 5, None),
 }
 
-CROSS_SEED_OPS = ("analyze S4 p2", "analyze A4 p3", "analyze D10 p5")
+CROSS_SEED_OPS = ("analyze S4 p2", "analyze A4 p3", "analyze D10 p5",
+                  "analyze S5 p2")
 
 
 def report_digest(op_id, seed):

@@ -2,13 +2,16 @@ import random
 
 import pytest
 
-from repring.errors import ChopStalled, MalformedModule
+from repring import meataxe
+from repring.brauer import brauer_data
+from repring.errors import ChopStalled, ClosureSaturated, MalformedModule
 from repring.gf import gf_field
 from repring.groups import (
     alternating_group,
     cyclic_group,
     dihedral_group,
     direct_product,
+    perm_mul,
     quaternion_group,
     symmetric_group,
     trivial_group,
@@ -17,18 +20,39 @@ from repring.linalg import gf_identity, gf_matmul
 from repring.meataxe import (
     Module,
     chop,
-    chop_regular,
+    natural_module,
     quotient_action,
-    regular_module,
+    simple_modules,
     spin,
     standard_form,
     submodule_action,
 )
 
 
+def regular_module(G, F):
+    """Right translation of G on its own group algebra over F."""
+    n = G.order
+    mats = []
+    for g in G.gens:
+        m = [[0] * n for _ in range(n)]
+        for i, h in enumerate(G.elements):
+            m[i][G.index_of(perm_mul(h, g))] = 1
+        mats.append(m)
+    return Module(F, n, mats)
+
+
+def simples(G, F, seed=1):
+    count = len(G.p_regular_classes(F.p))
+    return simple_modules(G, F, seed, count)
+
+
 def dims_with_counts(G, F, seed=1):
-    reps, counts = chop_regular(G, F, seed)
-    return sorted((r.dim, c) for r, c in zip(reps, counts))
+    """(dim, multiplicity in kG) per simple: the dims from the tensor
+    closure, the multiplicities from the regular Brauer character."""
+    dims = sorted(r.dim for r in simples(G, F, seed))
+    bd = brauer_data(G, F.p, seed)
+    assert [s.dim for s in bd.simples] == dims
+    return sorted(zip(dims, bd.composition_multiplicities))
 
 
 def test_s3_mod2_factors():
@@ -84,14 +108,13 @@ def test_dimension_count_conserved():
                  (direct_product(symmetric_group(3), cyclic_group(2)),
                   gf_field(2, 1)),
                  (alternating_group(4), gf_field(3, 1))]:
-        reps, counts = chop_regular(G, F, 1)
-        assert sum(r.dim * c for r, c in zip(reps, counts)) == G.order
+        assert sum(d * c for d, c in dims_with_counts(G, F)) == G.order
 
 
 def test_representation_is_homomorphism():
     G = symmetric_group(3)
     F = gf_field(2, 2)
-    reps, _ = chop_regular(G, F, 1)
+    reps = simples(G, F)
     V = next(r for r in reps if r.dim == 2)
     for a in G.elements:
         for b in G.elements:
@@ -103,7 +126,7 @@ def test_representation_is_homomorphism():
 def test_identity_matrix_on_identity_element():
     G = symmetric_group(4)
     F = gf_field(3, 2)
-    reps, _ = chop_regular(G, F, 1)
+    reps = simples(G, F)
     ident = G.elements[G.index_of(tuple(range(4)))]
     for r in reps:
         assert r.element_matrix(G, ident) == gf_identity(r.dim)
@@ -112,25 +135,23 @@ def test_identity_matrix_on_identity_element():
 def test_same_seed_identical_output():
     G = symmetric_group(4)
     F = gf_field(2, 2)
-    a = chop_regular(G, F, 7)
-    b = chop_regular(G, F, 7)
-    assert a[1] == b[1]
-    assert all(x.mats == y.mats for x, y in zip(a[0], b[0]))
+    a = simples(G, F, 7)
+    b = simples(G, F, 7)
+    assert len(a) == len(b)
+    assert all(x.mats == y.mats for x, y in zip(a, b))
 
 
 @pytest.mark.parametrize("seed", [1, 2, 17, 123])
 def test_dims_stable_across_seeds(seed):
     G = symmetric_group(4)
     F = gf_field(2, 2)
-    reps, counts = chop_regular(G, F, seed)
-    assert sorted((r.dim, c) for r, c in zip(reps, counts)) == \
-        [(1, 8), (2, 8)]
+    assert dims_with_counts(G, F, seed) == [(1, 8), (2, 8)]
 
 
 def test_chop_returns_irreducible_input():
     G = symmetric_group(3)
     F = gf_field(2, 2)
-    reps, _ = chop_regular(G, F, 1)
+    reps = simples(G, F)
     V = next(r for r in reps if r.dim == 2)
     rng = random.Random("direct")
     out = chop(V, rng)
@@ -166,7 +187,7 @@ def test_spin_of_basis_vector_is_full():
 def test_standard_form_separates_a4_linears():
     G = alternating_group(4)
     F = gf_field(2, 2)
-    reps, _ = chop_regular(G, F, 1)
+    reps = simples(G, F)
     assert len(reps) == 3
     # a 3-cycle acts on the three linears by the three cube roots of
     # unity in F4, which are exactly the codes 1, 2, 3
@@ -179,7 +200,7 @@ def test_nonsplitting_field_stalls_identification():
     # over F2 the two 3-dim factors of k(C7) have endomorphism ring F8,
     # so no algebra element has a 1-dim eigenspace
     with pytest.raises(ChopStalled):
-        chop_regular(cyclic_group(7), gf_field(2, 1), 1)
+        simples(cyclic_group(7), gf_field(2, 1))
 
 
 def test_quotient_action_is_representation():
@@ -199,7 +220,7 @@ def test_standard_form_none_when_eigenspace_too_big():
     # identity recipe on a 2-dim module has a 2-dim eigenspace
     G = symmetric_group(3)
     F = gf_field(2, 2)
-    reps, _ = chop_regular(G, F, 1)
+    reps = simples(G, F)
     V = next(r for r in reps if r.dim == 2)
     assert standard_form(V, [(1, ())], 1) is None
 
@@ -208,3 +229,37 @@ def test_module_rejects_bad_shapes():
     F = gf_field(2, 1)
     with pytest.raises(MalformedModule):
         Module(F, 2, [[[1, 0]]])
+
+
+def test_s6_mod2_simples_and_multiplicities():
+    bd = brauer_data(symmetric_group(6), 2, 1)
+    assert [s.dim for s in bd.simples] == [1, 4, 4, 16]
+    assert bd.composition_multiplicities == bd.projective_dims
+
+
+def test_saturation_short_of_count_is_not_reseeded(monkeypatch):
+    G = symmetric_group(3)
+    F = gf_field(2, 2)
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return natural_module(*args)
+
+    monkeypatch.setattr(meataxe, "natural_module", counted)
+    with pytest.raises(ClosureSaturated):
+        simple_modules(G, F, 1, len(G.p_regular_classes(2)) + 1)
+    assert len(calls) == 1
+
+
+def test_natural_module_is_homomorphism():
+    G = symmetric_group(4)
+    F = gf_field(3, 1)
+    N = natural_module(G, F)
+    for a in G.elements:
+        ma = N.element_matrix(G, a)
+        assert [r.index(1) for r in ma] == list(a)
+        for b in G.elements:
+            lhs = gf_matmul(F, ma, N.element_matrix(G, b))
+            rhs = N.element_matrix(G, G.mul(a, b))
+            assert [list(r) for r in lhs] == [list(r) for r in rhs]
