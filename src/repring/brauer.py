@@ -351,7 +351,10 @@ def cartan_via_endomorphisms(bd: BrauerData):
                    for i in range(dt) for j in range(dt)]
             target.extend(blk)
         e = gf_solve(F, pit, target)
-        assert e is not None
+        if e is None:
+            raise InvariantViolated(
+                "brauer", f"the identity of simple {s}'s matrix block has "
+                "no preimage in kG")
         # lift to a genuine idempotent: e <- 3e^2 - 2e^3 squares the
         # radical error term each pass
         while True:
@@ -377,7 +380,10 @@ def cartan_via_endomorphisms(bd: BrauerData):
                        for bv in basis_vecs]
             r = gf_rank(F, spanned)
             num, den = r, dims[s] * dims[t]
-            assert num % den == 0
+            if num % den:
+                raise InvariantViolated(
+                    "brauer", f"rank {num} of e_{s} kG e_{t} is not a "
+                    f"multiple of {den}")
             row.append(num // den)
         out.append(row)
     return tuple(tuple(r) for r in out)

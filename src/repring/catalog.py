@@ -3,8 +3,10 @@
 The catalog lists one permutation group per isomorphism class of
 p-groups of order up to a bound, ordered by group order and then by
 bundled-table position, so that P_i embedding in P_j forces i <= j.
-Closed (downward-closed) subsets of the catalog are the lattice the rest
-of the package evaluates against.
+A prime with no bundled rows gets the p-groups of order at most p^2
+(1, C_p, C_{p^2}, C_p x C_p), built directly.  Closed (downward-closed)
+subsets of the catalog are the lattice the rest of the package
+evaluates against.
 """
 
 import functools
@@ -18,7 +20,16 @@ from .errors import (
     EnumerationBoundExceeded,
     ValidationFailed,
 )
-from .groups import PermGroup, embeds_into, is_isomorphic, is_p_power
+from .gf import _is_prime
+from .groups import (
+    PermGroup,
+    cyclic_group,
+    direct_product,
+    embeds_into,
+    is_isomorphic,
+    is_p_power,
+    trivial_group,
+)
 
 # counts of isomorphism classes the bundled table must reproduce
 _KNOWN_COUNTS = {
@@ -47,6 +58,25 @@ def _entries_from_dataset(dataset, p, max_order):
         picked.append((row["order"], pos, row["label"], G))
     picked.sort(key=lambda t: (t[0], t[1]))
     return [(label, G) for _, _, label, G in picked]
+
+
+def _entries_up_to_p_squared(p, max_order):
+    """Every p-group of order at most max_order, for max_order < p^3:
+    1, C_p, C_{p^2} and C_p x C_p, in catalog order."""
+    if not _is_prime(p):
+        raise DatasetMissing(f"no entries for p={p} in dataset")
+    if max_order >= p ** 3:
+        raise DatasetMissing(
+            f"no entries for p={p} in dataset, and groups of order "
+            f"{p ** 3} and above are not built")
+    entries = [("1", trivial_group())]
+    if max_order >= p:
+        entries.append((f"C{p}", cyclic_group(p)))
+    if max_order >= p * p:
+        entries.append((f"C{p * p}", cyclic_group(p * p)))
+        entries.append((f"C{p}^2", direct_product(cyclic_group(p),
+                                                  cyclic_group(p))))
+    return entries
 
 
 class PGroupCatalog:
@@ -140,9 +170,10 @@ def _cached_catalog(p, max_order):
 def catalog_from_dataset(p, max_order, dataset, check_counts=False) -> PGroupCatalog:
     if max_order is None:
         max_order = default_max_order(p)
-    if not any(row["p"] == p for row in dataset):
-        raise DatasetMissing(f"no entries for p={p} in dataset")
-    entries = _entries_from_dataset(dataset, p, max_order)
+    if any(row["p"] == p for row in dataset):
+        entries = _entries_from_dataset(dataset, p, max_order)
+    else:
+        entries = _entries_up_to_p_squared(p, max_order)
     _validate(p, max_order, entries, check_counts)
     n = len(entries)
     embed = [[False] * n for _ in range(n)]

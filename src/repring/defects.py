@@ -31,7 +31,10 @@ class RkElement:
     __slots__ = ("bd", "coeffs", "exact")
 
     def __init__(self, bd: BrauerData, coeffs, exact=None):
-        assert len(coeffs) == len(bd.simples)
+        if len(coeffs) != len(bd.simples):
+            raise InvariantViolated(
+                "defects", f"{len(coeffs)} coefficients for "
+                f"{len(bd.simples)} simple modules")
         self.bd = bd
         self.coeffs = tuple(coeffs)
         # pre-reduction cyclotomic vector, kept for diagnostics when the
@@ -146,7 +149,10 @@ def _indicator_check(bd: BrauerData, G, x, csize, ind_vals):
     xci = G.class_index_of(x)
     for pos, ci in enumerate(bd.pregular):
         want = csize if ci == xci else 0
-        assert ind_vals[pos] == want
+        if ind_vals[pos] != want:
+            raise InvariantViolated(
+                "defects", f"induced indicator is {ind_vals[pos]} at "
+                f"p-regular class {ci}, expected {want}")
 
 
 def cartan_image_basis(G: PermGroup, p: int, seed=None):
@@ -159,7 +165,9 @@ def cartan_image_basis(G: PermGroup, p: int, seed=None):
                 if G.centralizer(bd.class_reps[k]).order % p != 0]
     gammas = [gamma_element(G, p, bd.class_reps[k], seed) for k in zero_pos]
 
-    assert gf_rank(F, [list(g.coeffs) for g in gammas]) == len(gammas)
+    if gf_rank(F, [list(g.coeffs) for g in gammas]) != len(gammas):
+        raise InvariantViolated(
+            "defects", "defect-zero gamma elements are linearly dependent")
 
     # each reduced Cartan column equals the Phi-weighted sum of gammas
     for t in range(n):
@@ -170,7 +178,10 @@ def cartan_image_basis(G: PermGroup, p: int, seed=None):
             w = bd.lift.reduce(bd.Phi[t][k])
             for s in range(n):
                 acc[s] = F.add(acc[s], F.mul(w, g.coeffs[s]))
-        assert tuple(acc) == col
+        if tuple(acc) != col:
+            raise InvariantViolated(
+                "defects", f"reduced Cartan column {t} is not the "
+                "Phi-weighted sum of the gammas")
 
     # the reduced Cartan image of v_x = Ind_<x>^G(|x| 1_x) is |C| gamma_x
     for k, g in zip(zero_pos, gammas):
@@ -184,7 +195,10 @@ def cartan_image_basis(G: PermGroup, p: int, seed=None):
         _indicator_check(bd, G, x, csize, ind)
         coeffs = bd.decompose(ind, require_integral=False)
         lhs = tuple(bd.lift.reduce(c) for c in coeffs)
-        assert lhs == g.scale(bd.lift.reduce_rational(Fraction(csize))).coeffs
+        if lhs != g.scale(bd.lift.reduce_rational(Fraction(csize))).coeffs:
+            raise InvariantViolated(
+                "defects", "reduced Cartan image of the induced indicator "
+                "is not |C_G(x)| gamma_x")
     return gammas
 
 
@@ -249,7 +263,10 @@ def genk_basis(G: PermGroup, p: int, P: int, report: DefectReport,
         if cat.embed[r.catalog_index][P]:
             out.append(u_element(G, p, r.rep, report, seed))
     bd = brauer_data(G, p, seed)
-    assert gf_rank(bd.F, [list(u.coeffs) for u in out]) == len(out)
+    if gf_rank(bd.F, [list(u.coeffs) for u in out]) != len(out):
+        raise InvariantViolated(
+            "defects", f"U elements under catalog entry {P} are linearly "
+            "dependent")
     return out
 
 
@@ -284,11 +301,16 @@ def filtration_table(G: PermGroup, p: int, catalog: PGroupCatalog,
     total = 0
     for j in range(len(catalog)):
         step = sp_dimension(G, p, j, report, seed)
-        if step:
-            assert catalog.embed[j][sylow_idx]
+        if step and not catalog.embed[j][sylow_idx]:
+            raise InvariantViolated(
+                "defects", f"S_P is nonzero at {catalog.label(j)}, which "
+                "does not embed in the Sylow subgroup")
         total += step
         out.append(total)
-    assert total == len(G.p_regular_classes(p))
+    if total != len(G.p_regular_classes(p)):
+        raise InvariantViolated(
+            "defects", f"filtration ends at {total}, not at the number "
+            "of p-regular classes")
     return tuple(out)
 
 
@@ -361,7 +383,10 @@ def closed_set_dimension(G: PermGroup, p: int, closed,
     expect = sum(1 for r in report.rows
                  if any(report.catalog.embed[r.catalog_index][j]
                         for j in closed.members))
-    assert rank == expect
+    if rank != expect:
+        raise InvariantViolated(
+            "defects", f"closed-set span has rank {rank}, class count "
+            f"{expect}")
     return rank
 
 

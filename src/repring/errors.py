@@ -124,11 +124,13 @@ class InvariantViolated(RepringError):
         self.module = module
 
 
+# -- reports -------------------------------------------------------------
+
+class InvalidPrime(RepringError):
+    module = "report"
+
+
 # -- command line ---------------------------------------------------------
 
 class CorpusUnreadable(RepringError):
-    module = "cli"
-
-
-class InvalidPrime(RepringError):
     module = "cli"

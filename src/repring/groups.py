@@ -1,4 +1,4 @@
-"""Finite permutation groups, small and brute-force honest.
+"""Finite permutation groups, small and exact.
 
 Permutations on n points are tuples of 0-based images.  Products compose
 left to right: (a * b)(i) = b[a[i]], i.e. apply a first.  With row
@@ -8,10 +8,17 @@ transposition bookkeeping is needed downstream.
 Everything is deterministic: elements are kept in lexicographic order,
 conjugacy classes are sorted by (element order, class size, smallest
 representative), and all searches scan in that canonical order.
+
+Isomorphism and embedding tests work on element indices.  A group that
+takes part in one (at most ISO_ORDER_BOUND elements) builds, once, a
+Cayley table over ``elements`` with its element orders and greedy
+generating sequence, and keeps it together with its isomorphism
+fingerprint; the backtracking search then does integer lookups only and
+repeated tests against the same group recompute nothing.
 """
 
 import json
-from math import gcd
+from math import gcd, lcm
 
 from .config import ISO_ORDER_BOUND, ORDER_BOUND
 from .errors import (
@@ -78,6 +85,8 @@ class PermGroup:
         self.identity = tuple(range(degree))
         self._closure()
         self._classes = None
+        self._table = None
+        self._fp = None
 
     def _closure(self):
         ident = self.identity
@@ -415,84 +424,157 @@ def parse_group_spec(spec) -> PermGroup:
 
 
 # ---------------------------------------------------------------------
-# isomorphism and embedding, by bounded backtracking
+# isomorphism and embedding, by bounded backtracking over element indices
+
+
+class CayleyTable:
+    """A group in index form: element i is ``G.elements[i]``.
+
+    ``mul[i][j]`` is the index of elements[i] * elements[j], ``orders[i]``
+    the order of element i and ``identity`` the identity's index.
+    ``by_order`` maps an element order to its indices in ascending order.
+    ``gens``/``sizes`` are the greedy generating sequence: each generator
+    is the first index outside the span of the earlier ones, and
+    ``sizes[t]`` is the order of the span of ``gens[:t + 1]``.
+    """
+
+    def __init__(self, G: PermGroup):
+        index = G._index
+        n = G.order
+        self.identity = ident = index[G.identity]
+        # column j holds i -> index(x_i * y_j).  The closure's words are in
+        # breadth-first order, so y_j = y_k * gens[t] with column k built.
+        right = {}
+        cols = [None] * n
+        for e, w in G.words.items():
+            if not w:
+                cols[index[e]] = list(range(n))
+                continue
+            t = w[-1]
+            g = G.gens[t]
+            if t not in right:
+                right[t] = [index[perm_mul(x, g)] for x in G.elements]
+            rt = right[t]
+            parent = cols[index[perm_mul(e, perm_inv(g))]]
+            cols[index[e]] = [rt[c] for c in parent]
+        self.mul = mul = tuple(zip(*cols))
+
+        orders = []
+        for i in range(n):
+            k, x = 1, i
+            while x != ident:
+                x = mul[x][i]
+                k += 1
+            orders.append(k)
+        self.orders = tuple(orders)
+        self.by_order = {}
+        for i, o in enumerate(orders):
+            self.by_order.setdefault(o, []).append(i)
+
+        self.gens, self.sizes = [], []
+        span = {ident}
+        for x in range(n):
+            if len(span) == n:
+                break
+            if x in span:
+                continue
+            self.gens.append(x)
+            span = self.span(self.gens, n)
+            self.sizes.append(len(span))
+
+    def span(self, gens, bound):
+        """Indices of the subgroup generated by ``gens``, by breadth-first
+        search; stops early once more than ``bound`` are found."""
+        mul = self.mul
+        seen = {self.identity}
+        frontier = [self.identity]
+        while frontier and len(seen) <= bound:
+            nxt = []
+            for e in frontier:
+                row = mul[e]
+                for g in gens:
+                    h = row[g]
+                    if h not in seen:
+                        seen.add(h)
+                        nxt.append(h)
+            frontier = nxt
+        return seen
+
+
+def _cayley(G: PermGroup) -> CayleyTable:
+    """G's index layer, built on first use and kept on G.  Callers have
+    checked |G| <= ISO_ORDER_BOUND, which bounds the table's size."""
+    if G._table is None:
+        G._table = CayleyTable(G)
+    return G._table
 
 
 def _fingerprint(G: PermGroup):
-    orders = sorted(perm_order(g) for g in G.elements)
-    classes = G.conjugacy_classes()
-    return (
-        G.order,
-        G.exponent(),
-        tuple(orders),
-        tuple(sorted(len(c) for c in classes)),
-        G.center().order,
-        G.derived_subgroup().order,
-        len(classes),
-    )
+    if G._fp is None:
+        orders = _cayley(G).orders
+        classes = G.conjugacy_classes()
+        G._fp = (
+            G.order,
+            lcm(*orders),
+            tuple(sorted(orders)),
+            tuple(sorted(len(c) for c in classes)),
+            G.center().order,
+            G.derived_subgroup().order,
+            len(classes),
+        )
+    return G._fp
 
 
-def _generating_sequence(G: PermGroup):
-    """Greedy minimal generating sequence with prefix subgroup sizes."""
-    gens = []
-    sizes = []
-    current = {G.identity}
-    for x in G.elements:
-        if x in current:
-            continue
-        gens.append(x)
-        current = set(PermGroup(G.degree, gens).elements)
-        sizes.append(len(current))
-        if len(current) == G.order:
-            break
-    return gens, sizes
+def _extends_to_hom(P: CayleyTable, pgens, Q: CayleyTable, qimages) -> bool:
+    """Does pgens[t] -> qimages[t] extend to a homomorphism P -> Q?
 
-
-def _extends_to_hom(P: PermGroup, pgens, Q: PermGroup, qimages):
-    """Does pgens -> qimages extend to an injective homomorphism P -> Q?"""
-    word_group = PermGroup(P.degree, pgens)
-    if word_group.order != P.order:
-        return False
-    images = {}
-    for e, w in word_group.words.items():
-        img = Q.identity
-        for t in w:
-            img = perm_mul(img, qimages[t])
-        images[e] = img
-    if len(set(images.values())) != P.order:
-        return False
-    for a in P.elements:
-        fa = images[a]
-        for b in P.elements:
-            if images[perm_mul(a, b)] != perm_mul(fa, images[b]):
-                return False
+    pgens generate P.  Walks P breadth-first from the identity, giving each
+    element the image of the first word that reaches it.  The map is a
+    homomorphism exactly when f(a * g_t) = f(a) * q_t on every edge, since
+    every element of a finite group is a word in the generators.  When the
+    images generate a subgroup of order |P|, as the search has checked, the
+    homomorphism is onto it and hence injective.
+    """
+    pmul, qmul = P.mul, Q.mul
+    image = [None] * len(pmul)
+    image[P.identity] = Q.identity
+    frontier = [P.identity]
+    while frontier:
+        nxt = []
+        for a in frontier:
+            row, frow = pmul[a], qmul[image[a]]
+            for g, q in zip(pgens, qimages):
+                b, fb = row[g], frow[q]
+                if image[b] is None:
+                    image[b] = fb
+                    nxt.append(b)
+                elif image[b] != fb:
+                    return False
+        frontier = nxt
     return True
 
 
 def _search_embedding(P: PermGroup, Q: PermGroup) -> bool:
-    pgens, psizes = _generating_sequence(P)
-    pords = [perm_order(g) for g in pgens]
-    qclasses = Q.conjugacy_classes()
-
-    def candidates(i, chosen):
-        if i == 0:
-            # conjugating an embedding moves the first image within its class
-            return [c[0] for c in qclasses if perm_order(c[0]) == pords[0]]
-        return [g for g in Q.elements if perm_order(g) == pords[i]]
+    TP, TQ = _cayley(P), _cayley(Q)
+    pgens, psizes = TP.gens, TP.sizes
+    if not pgens:
+        return True
+    pords = [TP.orders[g] for g in pgens]
+    # conjugating an embedding moves the first image within its class
+    firsts = [Q._index[c[0]] for c in Q.conjugacy_classes()]
+    firsts = [g for g in firsts if TQ.orders[g] == pords[0]]
 
     def backtrack(i, chosen):
         if i == len(pgens):
-            return _extends_to_hom(P, pgens, Q, chosen)
-        for g in candidates(i, chosen):
-            trial = PermGroup(Q.degree, chosen + [g])
-            if trial.order != psizes[i]:
+            return _extends_to_hom(TP, pgens, TQ, chosen)
+        for g in firsts if i == 0 else TQ.by_order.get(pords[i], ()):
+            trial = chosen + [g]
+            if len(TQ.span(trial, psizes[i])) != psizes[i]:
                 continue
-            if backtrack(i + 1, chosen + [g]):
+            if backtrack(i + 1, trial):
                 return True
         return False
 
-    if not pgens:
-        return True
     return backtrack(0, [])
 
 
@@ -516,8 +598,6 @@ def embeds_into(P: PermGroup, Q: PermGroup) -> bool:
     if Q.order > ISO_ORDER_BOUND:
         raise OrderBoundExceeded(
             f"embedding test beyond bound {ISO_ORDER_BOUND}")
-    p_orders = {perm_order(g) for g in P.elements}
-    q_orders = {perm_order(g) for g in Q.elements}
-    if not p_orders <= q_orders:
+    if not _cayley(P).by_order.keys() <= _cayley(Q).by_order.keys():
         return False
     return _search_embedding(P, Q)

@@ -178,7 +178,7 @@ def suite_genk_basis(contexts, seed):
 
 def suite_sp_dimension(contexts, seed):
     """Class counting and rank difference give the same S_P dimension
-    (asserted inside sp_dimension), and the dimensions sum to the
+    (checked inside sp_dimension), and the dimensions sum to the
     dimension of kR_k(G)."""
     s = _Suite(6, "sp-dimension")
     for ctx in contexts:

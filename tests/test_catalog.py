@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -15,6 +16,7 @@ from repring.errors import (
     CatalogMismatch,
     DatasetMissing,
     EnumerationBoundExceeded,
+    OrderBoundExceeded,
     ValidationFailed,
 )
 from repring.groups import alternating_group, cyclic_group, symmetric_group
@@ -43,8 +45,38 @@ def test_catalog_cache_key_normalizes_default_order():
 
 
 def test_catalog_missing_prime():
+    # no bundled rows for p = 7: every 7-group of order at most 49 is built
+    assert build_catalog(7, 7).labels == ["1", "C7"]
+    cat = build_catalog(7)
+    assert cat.labels == ["1", "C7", "C49", "C7^2"]
+    assert [[int(e) for e in row] for row in cat.embed] == [
+        [1, 1, 1, 1],
+        [0, 1, 1, 1],
+        [0, 0, 1, 0],
+        [0, 0, 0, 1],
+    ]
     with pytest.raises(DatasetMissing):
-        build_catalog(7, 7)
+        build_catalog(7, 343)  # order 7^3 would need the groups of order 343
+    with pytest.raises(DatasetMissing):
+        build_catalog(4)  # not a prime
+    with pytest.raises(OrderBoundExceeded):
+        build_catalog(17)  # C289 against C17^2 is past ISO_ORDER_BOUND
+
+
+# sha256 of the full embedding matrix, one "0"/"1" string per row joined
+# by newlines; no golden report covers the 23-entry p = 2 matrix
+EMBED_SHA256 = {
+    (2, 16): "c8c5f53a14211bb9cd94f4dfcfc23a25507fd43a66d260f911e8ba0bf918b7fe",
+    (3, 27): "0a0c0fd895f1bcf1e96379ea829a00adc1534a30a616c2bf136c6d93d42c915e",
+}
+
+
+@pytest.mark.parametrize("p,max_order", sorted(EMBED_SHA256))
+def test_embedding_matrix_pinned(p, max_order):
+    cat = build_catalog(p, max_order)
+    text = "\n".join("".join("1" if e else "0" for e in row)
+                     for row in cat.embed)
+    assert hashlib.sha256(text.encode()).hexdigest() == EMBED_SHA256[p, max_order]
 
 
 def test_embed_matrix_order_and_axioms():

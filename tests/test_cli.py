@@ -46,6 +46,38 @@ def test_analyze_c3_p3(capsys):
     assert r["filtration"][-1] == 1
 
 
+# No bundled rows for p = 7; the catalog is 1, C7, C49, C7^2.  S3: 7 does
+# not divide 6, so kS3 is semisimple (simples 1, 1, 2, Cartan = I) and all
+# three classes have defect zero.  D14 = C7:C2: the simples are the two
+# linear characters of C2, each PIM is uniserial of length 7 alternating
+# the two, so Cartan [[4, 3], [3, 4]]; the identity has defect C7 and the
+# reflections (centralizer of order 2) have defect zero.  PSL(2,7) on the
+# 7 points of the Fano plane: the simples are Sym^0, 2, 4, 6 of the
+# natural module (dims 1, 3, 5, 7); the Steinberg module is projective and
+# the principal block has Brauer tree 1 - 5 - 3 - (exceptional, m = 2);
+# only the identity has defect C7.
+PSL27 = json.dumps({"degree": 7, "generators": [[2, 3, 4, 5, 6, 7, 1],
+                                                [1, 2, 5, 4, 3, 7, 6]]})
+
+
+@pytest.mark.parametrize("spec, dims, cartan, divisors, sp", [
+    ("S3", [1, 1, 2], [[1, 0, 0], [0, 1, 0], [0, 0, 1]], [1, 1, 1],
+     {"1": 3}),
+    ("D14", [1, 1], [[4, 3], [3, 4]], [1, 7], {"1": 1, "C7": 1}),
+    (PSL27, [1, 3, 5, 7],
+     [[2, 0, 1, 0], [0, 3, 1, 0], [1, 1, 2, 0], [0, 0, 0, 1]], [1, 1, 1, 7],
+     {"1": 3, "C7": 1}),
+], ids=["S3", "D14", "PSL(2,7)"])
+def test_analyze_prime_without_bundled_rows(capsys, spec, dims, cartan,
+                                            divisors, sp):
+    r = analyze_json(capsys, "analyze", spec, "--p", "7", "--seed", "1")
+    assert r["simple_dimensions"] == dims
+    assert r["cartan"] == cartan
+    assert sorted(r["elementary_divisors"]) == divisors
+    assert sorted(r["sp_dims"]) == ["1", "C49", "C7", "C7^2"]
+    assert {k: v for k, v in r["sp_dims"].items() if v} == sp
+
+
 def test_analyze_trivial_group(capsys):
     r = analyze_json(capsys, "analyze", "C1", "--p", "2", "--seed", "1")
     assert r["cartan"] == [[1]]
@@ -237,8 +269,9 @@ def test_bad_input_is_one_json_error(capsys, argv, err_type):
 
 
 def test_library_entry_points_reject_non_prime():
-    with pytest.raises(InvalidPrime):
+    with pytest.raises(InvalidPrime) as info:
         analyze_report("S4", 4)
+    assert info.value.module == "report"
     with pytest.raises(InvalidPrime):
         run_verify(primes=[4])
 

@@ -2,10 +2,12 @@ from fractions import Fraction
 
 import pytest
 
-from repring.brauer import brauer_data
+from repring.brauer import brauer_data, induce_class_function
 from repring.catalog import build_catalog
 from repring.cyclo import Cyc
 from repring.defects import (
+    RkElement,
+    _indicator_check,
     _u_from,
     cartan_image_basis,
     closed_set_dimension,
@@ -22,6 +24,7 @@ from repring.defects import (
 )
 from repring.errors import (
     CatalogTooSmall,
+    InvariantViolated,
     NotDefectZero,
     PreconditionViolated,
 )
@@ -370,3 +373,20 @@ def test_rk_element_exact_is_optional():
     g = gamma_element(symmetric_group(3), 2, (1, 2, 0))
     assert g.exact is not None
     assert all(isinstance(c, Cyc) for c in g.exact)
+
+
+def test_tampered_inputs_raise_invariant_violated():
+    G = symmetric_group(3)
+    bd = brauer_data(G, 2)
+    x = (1, 2, 0)  # a 3-cycle: centralizer C3, defect zero at p = 2
+    cyc = G.generated_subgroup([x])
+    vals = {h: Cyc.coerce(3 if h == x else 0) for h in cyc.elements}
+    ind = induce_class_function(G, cyc, vals, class_indices=bd.pregular)
+    _indicator_check(bd, G, x, 3, ind)
+    tampered = [v + 1 if k == 0 else v for k, v in enumerate(ind)]
+    with pytest.raises(InvariantViolated) as info:
+        _indicator_check(bd, G, x, 3, tampered)
+    assert info.value.module == "defects"
+    with pytest.raises(InvariantViolated) as info:
+        RkElement(bd, (1,) * (len(bd.simples) + 1))
+    assert info.value.module == "defects"

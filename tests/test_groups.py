@@ -1,6 +1,8 @@
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
+from repring.catalog import build_catalog
+from repring.config import ISO_ORDER_BOUND
 from repring.errors import InvalidGroupSpec, MalformedPermutation, NotNormal
 from repring.groups import (
     PermGroup,
@@ -260,3 +262,55 @@ def test_class_sizes_divide_order(data):
         # class size * centralizer size = group order
         assert len(c) * G.centralizer(c[0]).order == G.order
     assert total == G.order
+
+
+# -- isomorphism and embedding properties ---------------------------------
+
+@st.composite
+def small_groups(draw):
+    """Groups on at most 6 points small enough for isomorphism tests."""
+    n = draw(st.integers(min_value=1, max_value=6))
+    gens = draw(st.lists(st.permutations(range(n)), max_size=3))
+    G = PermGroup(n, [tuple(g) for g in gens])
+    assume(G.order <= ISO_ORDER_BOUND)
+    return G
+
+
+def relabel(G, sigma):
+    """G with each point i renamed sigma[i]."""
+    inv = perm_inv(sigma)
+    return PermGroup(G.degree,
+                     [perm_mul(perm_mul(inv, g), sigma) for g in G.gens])
+
+
+@settings(max_examples=40, deadline=None)
+@given(small_groups(), st.data())
+def test_isomorphic_to_relabelled_copy(G, data):
+    sigma = tuple(data.draw(st.permutations(range(G.degree))))
+    H = relabel(G, sigma)
+    assert H.order == G.order
+    assert is_isomorphic(G, H) and is_isomorphic(H, G)
+
+
+@settings(max_examples=40, deadline=None)
+@given(small_groups(), st.data())
+def test_generated_subgroups_embed(G, data):
+    gens = data.draw(st.lists(st.sampled_from(G.elements), max_size=3))
+    sigma = tuple(data.draw(st.permutations(range(G.degree))))
+    H = G.generated_subgroup(gens)
+    assert embeds_into(H, G)
+    assert embeds_into(relabel(H, sigma), G)
+
+
+@settings(max_examples=10, deadline=None)
+@given(st.data())
+def test_isomorphism_is_symmetric_on_catalog_buckets(data):
+    cat = build_catalog(data.draw(st.sampled_from((2, 3, 5, 7))))
+    copies = [relabel(G, tuple(data.draw(st.permutations(range(G.degree)))))
+              for G in map(cat.group, range(len(cat)))]
+    for i, A in enumerate(copies):
+        for j in range(len(cat)):
+            B = cat.group(j)
+            if A.order == B.order:
+                assert is_isomorphic(A, B) == is_isomorphic(B, A) == (i == j)
+
