@@ -6,13 +6,13 @@ multiplicative order of p mod m.  Character values are exact
 cyclotomic numbers, never floats.
 """
 
-from repring.brauer import brauer_data
+from repring.brauer import BrauerData
 from repring.groups import symmetric_group
 
 G = symmetric_group(4)
 
 for p in (2, 3):
-    bd = brauer_data(G, p, seed=1)
+    bd = BrauerData(G, p, seed=1)
     print(f"== S4 at p = {p}")
     print(f"   splitting field GF({bd.F.p}^{bd.F.d}) = GF({bd.F.q}), "
           f"conductor {bd.m}")

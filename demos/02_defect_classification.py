@@ -7,6 +7,7 @@ reduced Cartan image; their coefficients are reductions of exact
 p-local rationals.
 """
 
+from repring.brauer import BrauerData
 from repring.catalog import build_catalog
 from repring.defects import cartan_image_basis, defect_classification
 from repring.groups import parse_group_spec
@@ -14,20 +15,21 @@ from repring.groups import parse_group_spec
 for spec, p in [("S4", 2), ("A4", 2), ("S3xC2", 2), ("S3", 3)]:
     G = parse_group_spec(spec)
     catalog = build_catalog(p)
-    report = defect_classification(G, p, catalog)
+    bd = BrauerData(G, p, seed=1)
+    analysis = defect_classification(bd, catalog)
 
     print(f"== {spec} at p = {p}")
-    for row in report.rows:
+    for row in analysis.rows:
         o = G.element_order(row.rep)
         tag = "  <- defect zero" if row.defect_zero else ""
         print(f"   class of order-{o} element: defect "
               f"{catalog.label(row.catalog_index)}{tag}")
 
-    gammas = cartan_image_basis(G, p, seed=1)
+    gammas = cartan_image_basis(bd)
     if gammas:
-        print(f"   gamma vectors over GF({gammas[0].bd.F.q}) "
+        print(f"   gamma vectors over GF({bd.F.q}) "
               "(one per defect-zero class):")
-        for r, g in zip(report.defect_zero_rows(), gammas):
+        for r, g in zip(analysis.defect_zero_rows(), gammas):
             exact = [str(v) for v in g.exact]
             print(f"     class {r.class_index}: codes {list(g.coeffs)}, "
                   f"exact {exact}")

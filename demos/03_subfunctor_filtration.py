@@ -6,6 +6,7 @@ catalog entry P gives an increasing family of subspaces; the jumps
 S_P are indexed by the defect types that actually occur.
 """
 
+from repring.brauer import BrauerData
 from repring.catalog import build_catalog
 from repring.defects import (
     defect_classification,
@@ -18,11 +19,11 @@ from repring.groups import parse_group_spec
 G = parse_group_spec("S4")
 p = 2
 catalog = build_catalog(p)
-report = defect_classification(G, p, catalog)
+analysis = defect_classification(BrauerData(G, p, seed=1), catalog)
 
 print("== U_x vectors for S4 at p = 2")
-for row in report.rows:
-    u = u_element(G, p, row.rep, report, seed=1)
+for row in analysis.rows:
+    u = u_element(analysis, row.rep)
     o = G.element_order(row.rep)
     print(f"   order-{o} class, defect {catalog.label(row.catalog_index)}: "
           f"U = {list(u.coeffs)}")
@@ -30,7 +31,7 @@ for row in report.rows:
 print()
 print("== S_P dimensions (nonzero only)")
 for j in range(len(catalog)):
-    d = sp_dimension(G, p, j, report, seed=1)
+    d = sp_dimension(analysis, j)
     if d:
         print(f"   S_{catalog.label(j)}(S4) has dimension {d}")
 
@@ -39,7 +40,8 @@ print("== filtration rows (cumulative dimension over the catalog)")
 for spec, prime in [("S4", 2), ("A4", 2), ("S3", 3), ("C8", 2)]:
     H = parse_group_spec(spec)
     cat = build_catalog(prime)
-    row = filtration_table(H, prime, cat, seed=1)
+    row = filtration_table(
+        defect_classification(BrauerData(H, prime, seed=1), cat))
     print(f"   {spec} p={prime}: {list(row)}   "
           f"(catalog: {', '.join(cat.labels)})")
 

@@ -7,6 +7,7 @@ principal, together with the dimension each closed set cuts out of
 kR_k(A4).
 """
 
+from repring.brauer import BrauerData
 from repring.catalog import (
     build_catalog,
     enumerate_closed_sets,
@@ -35,10 +36,10 @@ print(f"\n== lattice operations on down({cat.label(3)}), down({cat.label(4)})")
 print(f"   join {join.labels()}, meet {meet.labels()}, A <= B: {leq}")
 
 G = parse_group_spec("A4")
-report = defect_classification(G, 2, cat)
+analysis = defect_classification(BrauerData(G, 2, seed=1), cat)
 print("\n== dimension of each closed-set subfunctor evaluated at A4")
 for C in sets:
-    d = closed_set_dimension(G, 2, C, report, seed=1)
+    d = closed_set_dimension(analysis, C)
     print(f"   {{{', '.join(C.labels())}}}: {d}")
 
 # A4 has three 2-regular classes: the identity (defect C2^2) and two

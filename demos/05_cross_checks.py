@@ -8,7 +8,7 @@ Three of the package's strongest consistency checks, run directly:
  3. byte-identical reports under a fixed seed.
 """
 
-from repring.brauer import brauer_data, cartan_via_endomorphisms
+from repring.brauer import BrauerData, cartan_via_endomorphisms
 from repring.catalog import build_catalog
 from repring.defects import product_group_check
 from repring.groups import cyclic_group, parse_group_spec, symmetric_group
@@ -16,7 +16,7 @@ from repring.report import analyze_report, to_canonical_json
 
 print("== Cartan matrix, two ways")
 for spec, p in [("S3", 2), ("S4", 2), ("A4", 3), ("Q8", 2)]:
-    bd = brauer_data(parse_group_spec(spec), p, seed=1)
+    bd = BrauerData(parse_group_spec(spec), p, seed=1)
     via_pairing = [list(r) for r in bd.cartan]
     via_hom = [list(r) for r in cartan_via_endomorphisms(bd)]
     status = "agree" if via_pairing == via_hom else "DISAGREE"

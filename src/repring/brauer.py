@@ -93,7 +93,9 @@ def _phi_sort_key(m, row):
 class BrauerData:
     """All modular character data of one group at one prime."""
 
-    def __init__(self, G: PermGroup, p: int, seed):
+    def __init__(self, G: PermGroup, p: int, seed=None):
+        if seed is None:
+            seed = default_seed()
         self.G = G
         self.p = p
         self.seed = seed
@@ -119,6 +121,7 @@ class BrauerData:
             for k, i in enumerate(order))
         self.phi = tuple(s.phi for s in self.simples)
         self._phi_inv = None
+        self._structure = None
         # the regular character is |G| at the identity class, 0 elsewhere
         self.composition_multiplicities = tuple(self.decompose(
             [G.order] + [0] * (len(self.pregular) - 1)))
@@ -226,6 +229,23 @@ class BrauerData:
                 raise SingularPhi("Brauer characters are dependent") from exc
         return self._phi_inv
 
+    def structure_constants(self):
+        """table[s][t][u]: multiplicity of S_u in S_s (x) S_t, reduced mod
+        p, from decomposing the pointwise product of Brauer characters.
+        The product is commutative, so only t >= s is decomposed."""
+        if self._structure is None:
+            n = len(self.simples)
+            table = [[None] * n for _ in range(n)]
+            for s in range(n):
+                for t in range(s, n):
+                    vals = [self.phi[s][i] * self.phi[t][i]
+                            for i in range(len(self.pregular))]
+                    ints = self.decompose(vals)  # integral by Brauer theory
+                    table[s][t] = table[t][s] = tuple(
+                        self.lift.reduce_rational(Fraction(c)) for c in ints)
+            self._structure = tuple(tuple(row) for row in table)
+        return self._structure
+
     def decompose(self, values, require_integral=True):
         """Coefficients of a class function on p-regular classes in the
         Brauer character basis.  values is a row over the p-regular
@@ -255,18 +275,6 @@ class BrauerData:
         ci = self.G.class_index_of(x)
         k = self._pos[ci]
         return tuple(self.phi[s][k] for s in range(len(self.simples)))
-
-
-_CACHE = {}
-
-
-def brauer_data(G: PermGroup, p: int, seed=None) -> BrauerData:
-    if seed is None:
-        seed = default_seed()
-    key = (G.key(), p, seed)
-    if key not in _CACHE:
-        _CACHE[key] = BrauerData(G, p, seed)
-    return _CACHE[key]
 
 
 def induce_class_function(G: PermGroup, H: PermGroup, values,

@@ -16,7 +16,6 @@ import argparse
 import json
 import sys
 
-from .config import default_seed
 from .errors import CorpusUnreadable, RepringError
 from .report import analyze_report, lattice_report, to_canonical_json
 from .verify import run_verify
@@ -106,8 +105,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "seed", None) is None and hasattr(args, "seed"):
-        args.seed = default_seed()
     try:
         return args.fn(args)
     except RepringError as exc:

@@ -8,6 +8,8 @@ default; explicit function/CLI arguments override both.
 
 import os
 
+from .errors import InvalidSeed
+
 DEFAULT_SEED = 1
 
 # group enumeration refuses to run past this many elements
@@ -36,7 +38,7 @@ def default_seed() -> int:
     try:
         return int(raw)
     except ValueError:
-        return DEFAULT_SEED
+        raise InvalidSeed(f"{SEED_ENV}={raw!r} is not an integer") from None
 
 
 def default_max_order(p: int) -> int:

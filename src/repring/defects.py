@@ -6,13 +6,17 @@ elements gamma_{G,x} of the reduced Cartan image; general classes carry
 U_x, built by inducing an inflated gamma from R_x C_G(R_x).  Spans of
 the U_x over prefixes of the p-group catalog give the dimensions of the
 subquotient functors evaluated at G.
+
+An Analysis holds one group's Brauer data, catalog and defect rows at
+one prime and seed; the functions below take it and keep what they
+derive (U per class, genk bases, quotient Brauer data) on it, not in
+module-level caches.
 """
 
 from fractions import Fraction
 
-from .brauer import BrauerData, brauer_data, induce_class_function
+from .brauer import BrauerData, induce_class_function
 from .catalog import PGroupCatalog
-from .config import default_seed
 from .cyclo import Cyc
 from .errors import (
     CatalogTooSmall,
@@ -81,15 +85,22 @@ class DefectRow:
         self.defect_zero = sylow.order == 1
 
 
-class DefectReport:
-    """Defect data for every p-regular class of one group."""
+class Analysis:
+    """One group at one prime and seed: its Brauer data, the catalog,
+    the defect row of every p-regular class, and what is derived from
+    them (U per class, genk bases, Brauer data of quotients)."""
 
-    def __init__(self, G, p, catalog, rows):
-        self.G = G
-        self.p = p
+    def __init__(self, bd: BrauerData, catalog: PGroupCatalog, rows):
+        self.bd = bd
+        self.G = bd.G
+        self.p = bd.p
         self.catalog = catalog
         self.rows = tuple(rows)
         self._by_class = {r.class_index: r for r in self.rows}
+        self._u = {}
+        self._genk = {}
+        # U of a defect-zero class quotients by 1, which gives G back
+        self._quotients = {self.G.key(): bd}
 
     def row_of(self, x) -> DefectRow:
         ci = self.G.class_index_of(x)
@@ -103,14 +114,23 @@ class DefectReport:
     def defect_zero_rows(self):
         return [r for r in self.rows if r.defect_zero]
 
+    def quotient_data(self, Hbar: PermGroup) -> BrauerData:
+        """Brauer data of a quotient R_x C_G(R_x) / R_x met while building
+        U, built once per distinct quotient."""
+        key = Hbar.key()
+        if key not in self._quotients:
+            self._quotients[key] = BrauerData(Hbar, self.p, self.bd.seed)
+        return self._quotients[key]
 
-def defect_classification(G: PermGroup, p: int,
-                          catalog: PGroupCatalog) -> DefectReport:
+
+def defect_classification(bd: BrauerData,
+                          catalog: PGroupCatalog) -> Analysis:
     """Assign each p-regular class the catalog index of the isomorphism
     type of a Sylow p-subgroup of its centralizer."""
+    G, p = bd.G, bd.p
     classes = G.conjugacy_classes()
     rows = []
-    for pos, ci in enumerate(G.p_regular_classes(p)):
+    for pos, ci in enumerate(bd.pregular):
         rep = classes[ci][0]
         R = G.centralizer(rep).sylow_subgroup(p)
         j = catalog.index_of_isomorphic(R)
@@ -120,13 +140,13 @@ def defect_classification(G: PermGroup, p: int,
                 f"{G.describe()} is not in the catalog "
                 f"(p={p}, max order {catalog.max_order})")
         rows.append(DefectRow(pos, ci, rep, R, j))
-    return DefectReport(G, p, catalog, rows)
+    return Analysis(bd, catalog, rows)
 
 
-def gamma_element(G: PermGroup, p: int, x, seed=None) -> RkElement:
+def gamma_element(bd: BrauerData, x) -> RkElement:
     """gamma_{G,x} for a defect-zero x: coefficient at S is the
     reduction of Phi_S(x^-1) / |C_G(x)|."""
-    bd = brauer_data(G, p, seed)
+    G, p = bd.G, bd.p
     x = tuple(x)
     ci = G.class_index_of(x)
     if ci not in bd._pos:
@@ -155,15 +175,14 @@ def _indicator_check(bd: BrauerData, G, x, csize, ind_vals):
                 f"p-regular class {ci}, expected {want}")
 
 
-def cartan_image_basis(G: PermGroup, p: int, seed=None):
+def cartan_image_basis(bd: BrauerData):
     """{gamma_{G,x} : x defect zero}, with the reduced-Cartan-image
     identities verified along the way."""
-    bd = brauer_data(G, p, seed)
-    F = bd.F
+    G, p, F = bd.G, bd.p, bd.F
     n = len(bd.simples)
     zero_pos = [k for k in range(n)
                 if G.centralizer(bd.class_reps[k]).order % p != 0]
-    gammas = [gamma_element(G, p, bd.class_reps[k], seed) for k in zero_pos]
+    gammas = [gamma_element(bd, bd.class_reps[k]) for k in zero_pos]
 
     if gf_rank(F, [list(g.coeffs) for g in gammas]) != len(gammas):
         raise InvariantViolated(
@@ -202,8 +221,9 @@ def cartan_image_basis(G: PermGroup, p: int, seed=None):
     return gammas
 
 
-def _u_from(G: PermGroup, p: int, bd: BrauerData, x, R, seed=None):
+def _u_from(a: Analysis, x, R):
     """The U_x pipeline with an explicit Sylow subgroup R of C_G(x)."""
+    G, p, bd = a.G, a.p, a.bd
     CR = G.centralizer_of_subgroup(R)
     H = G.generated_subgroup(list(R.gens) + list(CR.gens))
     Hbar, proj = H.quotient_group(R)
@@ -212,8 +232,8 @@ def _u_from(G: PermGroup, p: int, bd: BrauerData, x, R, seed=None):
         raise DefectNotZeroInQuotient(
             f"image of x in {H.describe()}/{R.describe()} has positive "
             "defect; the Sylow subgroup R was not correct")
-    gq = gamma_element(Hbar, p, xbar, seed)
-    bdq = brauer_data(Hbar, p, seed)
+    bdq = a.quotient_data(Hbar)
+    gq = gamma_element(bdq, xbar)
     # inflate: the class function of gamma on H, through the projection
     vals = {}
     for h in H.elements:
@@ -228,59 +248,46 @@ def _u_from(G: PermGroup, p: int, bd: BrauerData, x, R, seed=None):
     return RkElement(bd, tuple(bd.lift.reduce(c) for c in coeffs))
 
 
-_U_CACHE = {}
-
-
-def u_element(G: PermGroup, p: int, x, report: DefectReport,
-              seed=None) -> RkElement:
+def u_element(a: Analysis, x) -> RkElement:
     """U_x: induced inflation of the defect-zero gamma over R_x C_G(R_x).
 
-    Uses the report's Sylow subgroup when x is the stored representative
+    Uses the analysis' Sylow subgroup when x is the stored representative
     and recomputes one otherwise; the result is independent of both
-    choices.  Results for stored representatives are memoized per class,
+    choices.  Results for stored representatives are kept per class,
     since span computations ask for the same vectors repeatedly.
     """
-    if seed is None:
-        seed = default_seed()
-    bd = brauer_data(G, p, seed)
     x = tuple(x)
-    row = report.row_of(x)
-    if x == row.rep:
-        key = (G.key(), p, row.class_index, seed)
-        if key not in _U_CACHE:
-            _U_CACHE[key] = _u_from(G, p, bd, x, row.sylow, seed).coeffs
-        return RkElement(bd, _U_CACHE[key])
-    R = G.centralizer(x).sylow_subgroup(p)
-    return _u_from(G, p, bd, x, R, seed)
+    row = a.row_of(x)
+    if x != row.rep:
+        return _u_from(a, x, a.G.centralizer(x).sylow_subgroup(a.p))
+    if row.class_index not in a._u:
+        a._u[row.class_index] = _u_from(a, x, row.sylow)
+    return a._u[row.class_index]
 
 
-def genk_basis(G: PermGroup, p: int, P: int, report: DefectReport,
-               seed=None):
+def genk_basis(a: Analysis, P: int):
     """{U_x : defect of x embeds into catalog entry P}; a basis."""
-    cat = report.catalog
-    out = []
-    for r in report.rows:
-        if cat.embed[r.catalog_index][P]:
-            out.append(u_element(G, p, r.rep, report, seed))
-    bd = brauer_data(G, p, seed)
-    if gf_rank(bd.F, [list(u.coeffs) for u in out]) != len(out):
-        raise InvariantViolated(
-            "defects", f"U elements under catalog entry {P} are linearly "
-            "dependent")
-    return out
+    if P not in a._genk:
+        embed = a.catalog.embed
+        basis = tuple(u_element(a, r.rep) for r in a.rows
+                      if embed[r.catalog_index][P])
+        if gf_rank(a.bd.F, [list(u.coeffs) for u in basis]) != len(basis):
+            raise InvariantViolated(
+                "defects", f"U elements under catalog entry {P} are "
+                "linearly dependent")
+        a._genk[P] = basis
+    return a._genk[P]
 
 
-def sp_dimension(G: PermGroup, p: int, P: int, report: DefectReport,
-                 seed=None) -> int:
+def sp_dimension(a: Analysis, P: int) -> int:
     """dim S_P(G) = number of classes with defect isomorphic to P,
     cross-checked as a rank difference of spanning sets."""
-    direct = sum(1 for r in report.rows if r.catalog_index == P)
-    bd = brauer_data(G, p, seed)
-    upper = genk_basis(G, p, P, report, seed)
+    direct = sum(1 for r in a.rows if r.catalog_index == P)
+    upper = genk_basis(a, P)
     pool = []
-    for q in sorted(report.catalog.down_set(P).members - {P}):
-        pool.extend(genk_basis(G, p, q, report, seed))
-    lower_rank = gf_rank(bd.F, [list(u.coeffs) for u in pool])
+    for q in sorted(a.catalog.down_set(P).members - {P}):
+        pool.extend(genk_basis(a, q))
+    lower_rank = gf_rank(a.bd.F, [list(u.coeffs) for u in pool])
     if len(upper) - lower_rank != direct:
         raise InvariantViolated(
             "defects", f"S_P by rank is {len(upper) - lower_rank}, "
@@ -288,11 +295,10 @@ def sp_dimension(G: PermGroup, p: int, P: int, report: DefectReport,
     return direct
 
 
-def filtration_table(G: PermGroup, p: int, catalog: PGroupCatalog,
-                     seed=None):
+def filtration_table(a: Analysis):
     """Cumulative dim over the catalog prefix order; ends at the number
     of p-regular classes, increasing only under the Sylow subgroup."""
-    report = defect_classification(G, p, catalog)
+    G, p, catalog = a.G, a.p, a.catalog
     sylow_idx = catalog.index_of_isomorphic(G.sylow_subgroup(p))
     if sylow_idx is None:
         raise CatalogTooSmall(
@@ -300,7 +306,7 @@ def filtration_table(G: PermGroup, p: int, catalog: PGroupCatalog,
     out = []
     total = 0
     for j in range(len(catalog)):
-        step = sp_dimension(G, p, j, report, seed)
+        step = sp_dimension(a, j)
         if step and not catalog.embed[j][sylow_idx]:
             raise InvariantViolated(
                 "defects", f"S_P is nonzero at {catalog.label(j)}, which "
@@ -321,7 +327,7 @@ def rk_multiply(a: RkElement, b: RkElement) -> RkElement:
     bd = a.bd
     F = bd.F
     n = len(bd.simples)
-    table = _structure_constants(bd)
+    table = bd.structure_constants()
     out = [0] * n
     for s in range(n):
         if not a.coeffs[s]:
@@ -337,27 +343,6 @@ def rk_multiply(a: RkElement, b: RkElement) -> RkElement:
     return RkElement(bd, tuple(out))
 
 
-_STRUCTURE = {}
-
-
-def _structure_constants(bd: BrauerData):
-    key = (bd.G.key(), bd.p, bd.seed)
-    if key not in _STRUCTURE:
-        n = len(bd.simples)
-        table = []
-        for s in range(n):
-            row = []
-            for t in range(n):
-                vals = [bd.phi[s][i] * bd.phi[t][i]
-                        for i in range(len(bd.pregular))]
-                ints = bd.decompose(vals)  # integral by Brauer theory
-                row.append(tuple(bd.lift.reduce_rational(Fraction(c))
-                                 for c in ints))
-            table.append(row)
-        _STRUCTURE[key] = table
-    return _STRUCTURE[key]
-
-
 def rk_identity(bd: BrauerData) -> RkElement:
     """[k_G]: the trivial module is always first in the simple order."""
     coeffs = [0] * len(bd.simples)
@@ -371,17 +356,15 @@ def rk_basis_element(bd: BrauerData, s: int) -> RkElement:
     return RkElement(bd, tuple(coeffs))
 
 
-def closed_set_dimension(G: PermGroup, p: int, closed,
-                         report: DefectReport, seed=None) -> int:
+def closed_set_dimension(a: Analysis, closed) -> int:
     """dim of the subfunctor attached to a closed catalog subset,
     evaluated at G: rank of the union of the genk bases over members."""
-    bd = brauer_data(G, p, seed)
     pool = []
     for j in closed.sorted_members():
-        pool.extend(genk_basis(G, p, j, report, seed))
-    rank = gf_rank(bd.F, [list(u.coeffs) for u in pool])
-    expect = sum(1 for r in report.rows
-                 if any(report.catalog.embed[r.catalog_index][j]
+        pool.extend(genk_basis(a, j))
+    rank = gf_rank(a.bd.F, [list(u.coeffs) for u in pool])
+    expect = sum(1 for r in a.rows
+                 if any(a.catalog.embed[r.catalog_index][j]
                         for j in closed.members))
     if rank != expect:
         raise InvariantViolated(
@@ -402,13 +385,12 @@ def product_group_check(L: PermGroup, Q: PermGroup, p: int,
     from .groups import direct_product
     GxQ = direct_product(L, Q)
     nl = len(L.conjugacy_classes())
-    report = defect_classification(GxQ, p, catalog)
+    a = defect_classification(BrauerData(GxQ, p, seed), catalog)
     qidx = catalog.index_of_isomorphic(Q)
     if qidx is None:
         raise CatalogTooSmall(f"{Q.describe()} not in catalog")
     dim_total = len(GxQ.p_regular_classes(p))
-    dims = {j: sp_dimension(GxQ, p, j, report, seed)
-            for j in range(len(catalog))}
+    dims = {j: sp_dimension(a, j) for j in range(len(catalog))}
     expected = {j: (nl if j == qidx else 0) for j in range(len(catalog))}
     ok = dim_total == nl * 1 and dims == expected
     return {

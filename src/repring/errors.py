@@ -11,6 +11,12 @@ class RepringError(Exception):
     module = "repring"
 
 
+# -- configuration -------------------------------------------------------
+
+class InvalidSeed(RepringError):
+    module = "config"
+
+
 # -- permutation groups ------------------------------------------------
 
 class MalformedPermutation(RepringError):

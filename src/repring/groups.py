@@ -85,6 +85,7 @@ class PermGroup:
         self.identity = tuple(range(degree))
         self._closure()
         self._classes = None
+        self._class_of = None
         self._table = None
         self._fp = None
 
@@ -180,11 +181,13 @@ class PermGroup:
         return classes
 
     def class_index_of(self, x):
-        x = tuple(x)
-        for i, c in enumerate(self.conjugacy_classes()):
-            if x in c:
-                return i
-        raise ElementNotInGroup(f"{x} not in {self.describe()}")
+        if self._class_of is None:
+            self._class_of = {y: i for i, c in
+                              enumerate(self.conjugacy_classes()) for y in c}
+        i = self._class_of.get(tuple(x))
+        if i is None:
+            raise ElementNotInGroup(f"{x} not in {self.describe()}")
+        return i
 
     def p_regular_classes(self, p: int):
         """Indices into conjugacy_classes() of classes of p'-order elements."""
@@ -230,11 +233,24 @@ class PermGroup:
         return self.centralizer_of_subgroup(self)
 
     def derived_subgroup(self) -> "PermGroup":
-        comms = set()
-        for a in self.elements:
-            for b in self.elements:
-                comms.add(perm_mul(perm_inv(perm_mul(b, a)), perm_mul(a, b)))
-        return self.generated_subgroup(sorted(comms))
+        """The normal closure of the commutators of the generators
+        (Holt, Eick and O'Brien, Handbook of Computational Group Theory,
+        2005): a conjugate of a generator by a generator of G that falls
+        outside the subgroup joins the generators, until none does."""
+        gens = sorted({perm_mul(perm_inv(perm_mul(b, a)), perm_mul(a, b))
+                       for a in self.gens for b in self.gens}
+                      - {self.identity})
+        sub = self.generated_subgroup(gens)
+        queue = list(gens)
+        while queue:
+            x = queue.pop()
+            for g in self.gens:
+                c = self.conjugate(x, g)
+                if c not in sub:
+                    gens.append(c)
+                    queue.append(c)
+                    sub = self.generated_subgroup(gens)
+        return sub
 
     def sylow_subgroup(self, p: int) -> "PermGroup":
         """The canonical greedy Sylow p-subgroup.

@@ -8,9 +8,9 @@ with the same seed produce byte-identical output.
 
 import json
 
-from .brauer import brauer_data
+from .brauer import BrauerData
 from .catalog import build_catalog, enumerate_closed_sets, is_completely_prime
-from .config import default_max_order, default_seed
+from .config import default_max_order
 from .defects import (
     cartan_image_basis,
     defect_classification,
@@ -45,20 +45,17 @@ def _cyc_row(values):
 def analyze_report(spec, p: int, max_p_order=None, seed=None) -> dict:
     """Full evaluation of one group at one prime as a plain dict."""
     require_prime(p)
-    if seed is None:
-        seed = default_seed()
     if max_p_order is None:
         max_p_order = default_max_order(p)
     G = spec if isinstance(spec, PermGroup) else parse_group_spec(spec)
     spec_str = spec if isinstance(spec, str) else G.describe()
 
-    bd = brauer_data(G, p, seed)
+    bd = BrauerData(G, p, seed)
     catalog = build_catalog(p, max_p_order)
-    report = defect_classification(G, p, catalog)
-    n = len(bd.simples)
+    a = defect_classification(bd, catalog)
 
     classes = []
-    for row in report.rows:
+    for row in a.rows:
         classes.append({
             "index": row.class_index,
             "position": row.position,
@@ -71,8 +68,8 @@ def analyze_report(spec, p: int, max_p_order=None, seed=None) -> dict:
             "defect_zero": row.defect_zero,
         })
 
-    gammas = cartan_image_basis(G, p, seed)
-    zero_rows = report.defect_zero_rows()
+    gammas = cartan_image_basis(bd)
+    zero_rows = a.defect_zero_rows()
     gamma_json = [{
         "class_index": r.class_index,
         "coeffs": list(g.coeffs),
@@ -81,8 +78,8 @@ def analyze_report(spec, p: int, max_p_order=None, seed=None) -> dict:
 
     u_json = [{
         "class_index": r.class_index,
-        "coeffs": list(u_element(G, p, r.rep, report, seed).coeffs),
-    } for r in report.rows]
+        "coeffs": list(u_element(a, r.rep).coeffs),
+    } for r in a.rows]
 
     genk_dims = {}
     sp_dims = {}
@@ -90,8 +87,8 @@ def analyze_report(spec, p: int, max_p_order=None, seed=None) -> dict:
     total = 0
     for j in range(len(catalog)):
         label = catalog.label(j)
-        genk_dims[label] = len(genk_basis(G, p, j, report, seed))
-        sp_dims[label] = sp_dimension(G, p, j, report, seed)
+        genk_dims[label] = len(genk_basis(a, j))
+        sp_dims[label] = sp_dimension(a, j)
         total += sp_dims[label]
         filtration.append(total)
 
@@ -99,7 +96,7 @@ def analyze_report(spec, p: int, max_p_order=None, seed=None) -> dict:
     return {
         "schema": SCHEMA_VERSION,
         "kind": "analyze",
-        "seed": seed,
+        "seed": bd.seed,
         "group": {
             "spec": spec_str,
             "name": G.describe(),

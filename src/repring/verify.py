@@ -9,7 +9,7 @@ the runner, so one broken law still leaves a complete report.
 import json
 import os
 
-from .brauer import brauer_data, cartan_via_endomorphisms
+from .brauer import BrauerData, cartan_via_endomorphisms
 from .catalog import build_catalog, enumerate_closed_sets, is_completely_prime
 from .config import default_seed
 from .defects import (
@@ -20,7 +20,6 @@ from .defects import (
     rk_basis_element,
     rk_multiply,
     sp_dimension,
-    u_element,
 )
 from .errors import CorpusUnreadable, RepringError
 from .groups import cyclic_group, parse_group_spec, symmetric_group
@@ -71,20 +70,9 @@ def load_corpus(arg=None):
     return specs
 
 
-class _Context:
-    """Shared per (spec, p) data so suites do not recompute."""
-
-    def __init__(self, spec, p, seed):
-        self.spec = spec
-        self.p = p
-        self.G = parse_group_spec(spec)
-        self.bd = brauer_data(self.G, p, seed)
-        self.catalog = build_catalog(p)
-        self.report = defect_classification(self.G, p, self.catalog)
-        self.n = len(self.bd.simples)
-
-    def defect_zero_count(self):
-        return len(self.report.defect_zero_rows())
+def _analysis(spec, p, seed):
+    bd = BrauerData(parse_group_spec(spec), p, seed)
+    return defect_classification(bd, build_catalog(p))
 
 
 class _Suite:
@@ -109,116 +97,102 @@ class _Suite:
         }
 
 
-def suite_simple_count(contexts, seed):
+# Every suite takes (s, contexts, primes, seed) and records its checks
+# in s.  contexts holds one (spec, Analysis) pair per corpus group and
+# prime.
+
+
+def suite_simple_count(s, contexts, primes, seed):
     """Number of simple modules equals number of p-regular classes."""
-    s = _Suite(1, "simple-count")
-    for ctx in contexts:
-        s.expect(f"{ctx.spec} p={ctx.p}", ctx.n, len(ctx.bd.pregular))
-    return s
+    for spec, a in contexts:
+        s.expect(f"{spec} p={a.p}", len(a.bd.simples), len(a.bd.pregular))
 
 
-def suite_cartan_divisors(contexts, seed):
+def suite_cartan_divisors(s, contexts, primes, seed):
     """Smith divisors of the Cartan matrix are the p-parts of the
     centralizer orders of p-regular classes."""
-    s = _Suite(2, "cartan-divisors")
-    for ctx in contexts:
-        got = sorted(ctx.bd.elementary_divisors())
-        want = sorted(ctx.bd.centralizer_p_parts())
-        s.expect(f"{ctx.spec} p={ctx.p}", got, want)
+    for spec, a in contexts:
+        got = sorted(a.bd.elementary_divisors())
+        want = sorted(a.bd.centralizer_p_parts())
+        s.expect(f"{spec} p={a.p}", got, want)
     spots = [("S3", 2, [1, 2]), ("S3", 3, [1, 3]), ("S4", 2, [1, 8])]
     for spec, p, want in spots:
-        bd = brauer_data(parse_group_spec(spec), p, seed)
+        bd = BrauerData(parse_group_spec(spec), p, seed)
         s.expect(f"spot {spec} p={p}", sorted(bd.elementary_divisors()), want)
-    return s
 
 
-def suite_cartan_rank(contexts, seed):
+def suite_cartan_rank(s, contexts, primes, seed):
     """Rank of the Cartan matrix mod p counts defect-zero classes."""
-    s = _Suite(3, "cartan-rank")
-    for ctx in contexts:
-        rank = int_mat_rank_mod_p([list(r) for r in ctx.bd.cartan], ctx.p)
-        s.expect(f"{ctx.spec} p={ctx.p}", rank, ctx.defect_zero_count())
-    return s
+    for spec, a in contexts:
+        rank = int_mat_rank_mod_p([list(r) for r in a.bd.cartan], a.p)
+        s.expect(f"{spec} p={a.p}", rank, len(a.defect_zero_rows()))
 
 
-def suite_gamma_basis(contexts, seed):
+def suite_gamma_basis(s, contexts, primes, seed):
     """gamma vectors are independent, span the reduced Cartan image,
     and satisfy the induced indicator identity (checked inside
     cartan_image_basis with exact arithmetic)."""
-    s = _Suite(4, "gamma-basis")
-    for ctx in contexts:
-        gammas = cartan_image_basis(ctx.G, ctx.p, seed)
-        rank = gf_rank(ctx.bd.F, [list(g.coeffs) for g in gammas])
-        s.expect(f"{ctx.spec} p={ctx.p} count", len(gammas),
-                 ctx.defect_zero_count())
-        s.expect(f"{ctx.spec} p={ctx.p} rank", rank, len(gammas))
-    return s
+    for spec, a in contexts:
+        gammas = cartan_image_basis(a.bd)
+        rank = gf_rank(a.bd.F, [list(g.coeffs) for g in gammas])
+        s.expect(f"{spec} p={a.p} count", len(gammas),
+                 len(a.defect_zero_rows()))
+        s.expect(f"{spec} p={a.p} rank", rank, len(gammas))
 
 
-def suite_genk_basis(contexts, seed):
+def suite_genk_basis(s, contexts, primes, seed):
     """genk vectors are independent for every catalog entry, and the
     Sylow entry saturates: its span is all of kR_k(G)."""
-    s = _Suite(5, "genk-basis")
-    for ctx in contexts:
-        F = ctx.bd.F
-        for j in range(len(ctx.catalog)):
-            basis = genk_basis(ctx.G, ctx.p, j, ctx.report, seed)
+    for spec, a in contexts:
+        F, n = a.bd.F, len(a.bd.simples)
+        for j in range(len(a.catalog)):
+            basis = genk_basis(a, j)
             rank = gf_rank(F, [list(u.coeffs) for u in basis])
             if rank != len(basis):
-                s.check(f"{ctx.spec} p={ctx.p} {ctx.catalog.label(j)}",
+                s.check(f"{spec} p={a.p} {a.catalog.label(j)}",
                         False, f"rank {rank} of {len(basis)} vectors")
-        sylow_idx = ctx.catalog.index_of_isomorphic(
-            ctx.G.sylow_subgroup(ctx.p))
-        full = genk_basis(ctx.G, ctx.p, sylow_idx, ctx.report, seed)
+        sylow_idx = a.catalog.index_of_isomorphic(a.G.sylow_subgroup(a.p))
+        full = genk_basis(a, sylow_idx)
         rank = gf_rank(F, [list(u.coeffs) for u in full])
-        s.expect(f"{ctx.spec} p={ctx.p} saturation", (len(full), rank),
-                 (ctx.n, ctx.n))
-    return s
+        s.expect(f"{spec} p={a.p} saturation", (len(full), rank), (n, n))
 
 
-def suite_sp_dimension(contexts, seed):
+def suite_sp_dimension(s, contexts, primes, seed):
     """Class counting and rank difference give the same S_P dimension
     (checked inside sp_dimension), and the dimensions sum to the
     dimension of kR_k(G)."""
-    s = _Suite(6, "sp-dimension")
-    for ctx in contexts:
+    for spec, a in contexts:
         total = 0
-        for j in range(len(ctx.catalog)):
-            d = sp_dimension(ctx.G, ctx.p, j, ctx.report, seed)
-            direct = sum(1 for r in ctx.report.rows if r.catalog_index == j)
+        for j in range(len(a.catalog)):
+            d = sp_dimension(a, j)
+            direct = sum(1 for r in a.rows if r.catalog_index == j)
             if d != direct:
-                s.check(f"{ctx.spec} p={ctx.p} {ctx.catalog.label(j)}",
+                s.check(f"{spec} p={a.p} {a.catalog.label(j)}",
                         False, f"rank route {d}, class count {direct}")
             total += d
-        s.expect(f"{ctx.spec} p={ctx.p} total", total, ctx.n)
-    return s
+        s.expect(f"{spec} p={a.p} total", total, len(a.bd.simples))
 
 
-def suite_pgroup_indicator(primes, seed):
+def suite_pgroup_indicator(s, contexts, primes, seed):
     """S_P evaluated on a p-group Q is one dimensional when P is the
     isomorphism type of Q and zero otherwise."""
-    s = _Suite(7, "pgroup-indicator")
     for p in primes:
         mo = INDICATOR_MAX_ORDER.get(p)
         if mo is None:
             continue
         cat = build_catalog(p, mo)
         for qi in range(len(cat)):
-            Q = cat.group(qi)
-            report = defect_classification(Q, p, cat)
-            got = tuple(sp_dimension(Q, p, j, report, seed)
-                        for j in range(len(cat)))
+            a = defect_classification(BrauerData(cat.group(qi), p, seed), cat)
+            got = tuple(sp_dimension(a, j) for j in range(len(cat)))
             want = tuple(1 if j == qi else 0 for j in range(len(cat)))
             s.expect(f"p={p} Q={cat.label(qi)}", got, want)
-    return s
 
 
-def suite_closed_set_lattice(primes, seed):
+def suite_closed_set_lattice(s, contexts, primes, seed):
     """Closed sets are unions of principal down-sets, the order <= p*p
     poset has six closed sets, every nonempty closed set contains the
     trivial group, and principal down-sets are exactly the completely
     prime elements."""
-    s = _Suite(8, "closed-set-lattice")
     for p in primes:
         small = build_catalog(p, p * p)
         s.expect(f"p={p} order<=p^2 count",
@@ -244,37 +218,32 @@ def suite_closed_set_lattice(primes, seed):
                             f"completely_prime={is_completely_prime(C)}")
             s.check(f"p={p} mo={mo} lattice laws", True,
                     f"{len(sets)} closed sets checked")
-    return s
 
 
-def suite_ideal_property(contexts, seed):
+def suite_ideal_property(s, contexts, primes, seed):
     """Multiplying a genk basis vector by any simple class stays in the
     genk span: the span is an ideal of kR_k(G)."""
-    s = _Suite(9, "ideal-property")
-    for ctx in contexts:
-        F = ctx.bd.F
+    for spec, a in contexts:
         bad = 0
-        for j in range(len(ctx.catalog)):
-            basis = genk_basis(ctx.G, ctx.p, j, ctx.report, seed)
+        for j in range(len(a.catalog)):
+            basis = genk_basis(a, j)
             if not basis:
                 continue
-            ech = Echelon(F)
+            ech = Echelon(a.bd.F)
             for u in basis:
                 ech.add(u.coeffs)
-            for si in range(ctx.n):
-                e = rk_basis_element(ctx.bd, si)
+            for si in range(len(a.bd.simples)):
+                e = rk_basis_element(a.bd, si)
                 for u in basis:
                     if any(ech.reduce(rk_multiply(e, u).coeffs)):
                         bad += 1
-        s.expect(f"{ctx.spec} p={ctx.p} escapes", bad, 0)
-    return s
+        s.expect(f"{spec} p={a.p} escapes", bad, 0)
 
 
-def suite_product_factorization(seed):
+def suite_product_factorization(s, contexts, primes, seed):
     """On L x Q with p coprime to |L| and Q a p-group, the dimensions
     factor through the class count of L: S_Q has dimension k(L) and
     every other S_P vanishes."""
-    s = _Suite(10, "product-factorization")
     cases = [
         (cyclic_group(3), cyclic_group(2), 2),
         (cyclic_group(5), cyclic_group(2), 2),
@@ -285,26 +254,22 @@ def suite_product_factorization(seed):
         out = product_group_check(L, Q, p, build_catalog(p), seed)
         s.check(f"{L.describe()} x {Q.describe()} p={p}", out["ok"],
                 f"dim {out['dim_total']}, classes of L {out['classes_of_L']}")
-    return s
 
 
-def suite_cartan_cross_oracle(contexts, seed):
+def suite_cartan_cross_oracle(s, contexts, primes, seed):
     """The pairing route and the endomorphism-algebra route produce
     the same Cartan matrix for every corpus group of order <= 24."""
-    s = _Suite(11, "cartan-cross-oracle")
-    for ctx in contexts:
-        if ctx.G.order > 24:
+    for spec, a in contexts:
+        if a.G.order > 24:
             continue
-        via_hom = [list(r) for r in cartan_via_endomorphisms(ctx.bd)]
-        want = [list(r) for r in ctx.bd.cartan]
-        s.expect(f"{ctx.spec} p={ctx.p}", via_hom, want)
-    return s
+        via_hom = [list(r) for r in cartan_via_endomorphisms(a.bd)]
+        want = [list(r) for r in a.bd.cartan]
+        s.expect(f"{spec} p={a.p}", via_hom, want)
 
 
-def suite_determinism(primes, seed):
+def suite_determinism(s, contexts, primes, seed):
     """Identical seeds give byte-identical reports; different seeds
     give reports with identical mathematical content."""
-    s = _Suite(12, "determinism")
     specs = [("S3", 2), ("S4", 2), ("C6", 3)]
     for spec, p in specs:
         if p not in primes:
@@ -320,6 +285,37 @@ def suite_determinism(primes, seed):
         other.pop("seed")
         s.check(f"{spec} p={p} cross seed", base == other,
                 "content equal" if base == other else "content differs")
+
+
+# Criterion k is SUITES[k - 1], named after its function.
+SUITES = (
+    suite_simple_count,
+    suite_cartan_divisors,
+    suite_cartan_rank,
+    suite_gamma_basis,
+    suite_genk_basis,
+    suite_sp_dimension,
+    suite_pgroup_indicator,
+    suite_closed_set_lattice,
+    suite_ideal_property,
+    suite_product_factorization,
+    suite_cartan_cross_oracle,
+    suite_determinism,
+)
+
+
+def run_suite(criterion, contexts, primes, seed) -> _Suite:
+    """Run one suite; an exception becomes its only, failed check
+    instead of aborting the whole verification run."""
+    name = SUITES[criterion - 1].__name__
+    s = _Suite(criterion, name.replace("suite_", "").replace("_", "-"))
+    try:
+        # looked up by name, so a suite rebound on this module (patched
+        # or traced) is the one that runs
+        globals()[name](s, contexts, primes, seed)
+    except (RepringError, AssertionError, ArithmeticError) as exc:
+        s.checks = []
+        s.check("no exception", False, f"{type(exc).__name__}: {exc}")
     return s
 
 
@@ -330,27 +326,10 @@ def run_verify(corpus=None, primes=None, seed=None) -> dict:
     primes = tuple(require_prime(p) for p in primes or DEFAULT_PRIMES)
     specs = load_corpus(corpus)
 
-    contexts = [_Context(spec, p, seed) for spec in specs for p in primes]
-
-    per_context = [
-        suite_simple_count,
-        suite_cartan_divisors,
-        suite_cartan_rank,
-        suite_gamma_basis,
-        suite_genk_basis,
-        suite_sp_dimension,
-    ]
-    suites = []
-    for fn in per_context:
-        suites.append(_guarded(fn, contexts, seed))
-    suites.append(_guarded(suite_pgroup_indicator, primes, seed))
-    suites.append(_guarded(suite_closed_set_lattice, primes, seed))
-    suites.append(_guarded(suite_ideal_property, contexts, seed))
-    suites.append(_guarded(suite_product_factorization, seed))
-    suites.append(_guarded(suite_cartan_cross_oracle, contexts, seed))
-    suites.append(_guarded(suite_determinism, primes, seed))
-
-    results = [s.as_dict() for s in suites]
+    contexts = [(spec, _analysis(spec, p, seed))
+                for spec in specs for p in primes]
+    results = [run_suite(k, contexts, primes, seed).as_dict()
+               for k in range(1, len(SUITES) + 1)]
     return {
         "schema": 1,
         "kind": "verify",
@@ -360,31 +339,3 @@ def run_verify(corpus=None, primes=None, seed=None) -> dict:
         "criteria": results,
         "all_pass": all(r["pass"] for r in results),
     }
-
-
-_CRITERION_OF = {
-    "suite_simple_count": 1,
-    "suite_cartan_divisors": 2,
-    "suite_cartan_rank": 3,
-    "suite_gamma_basis": 4,
-    "suite_genk_basis": 5,
-    "suite_sp_dimension": 6,
-    "suite_pgroup_indicator": 7,
-    "suite_closed_set_lattice": 8,
-    "suite_ideal_property": 9,
-    "suite_product_factorization": 10,
-    "suite_cartan_cross_oracle": 11,
-    "suite_determinism": 12,
-}
-
-
-def _guarded(fn, *args):
-    """Run one suite; an exception becomes a failed check instead of
-    aborting the whole verification run."""
-    try:
-        return fn(*args)
-    except (RepringError, AssertionError, ArithmeticError) as exc:
-        s = _Suite(_CRITERION_OF.get(fn.__name__, 0),
-                   fn.__name__.replace("suite_", "").replace("_", "-"))
-        s.check("no exception", False, f"{type(exc).__name__}: {exc}")
-        return s

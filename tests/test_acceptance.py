@@ -9,19 +9,25 @@ exact; there are no tolerances anywhere.
 import pytest
 
 from repring import verify as V
+from repring.errors import InvariantViolated
 
 SEED = 1
 PRIMES = (2, 3)
 
+CRITERIA = ("simple-count", "cartan-divisors", "cartan-rank", "gamma-basis",
+            "genk-basis", "sp-dimension", "pgroup-indicator",
+            "closed-set-lattice", "ideal-property", "product-factorization",
+            "cartan-cross-oracle", "determinism")
+
 
 @pytest.fixture(scope="module")
 def contexts():
-    return [V._Context(spec, p, SEED)
+    return [(spec, V._analysis(spec, p, SEED))
             for spec in V.DEFAULT_CORPUS for p in PRIMES]
 
 
-def _gate(suite):
-    d = suite.as_dict()
+def _gate(criterion, contexts=()):
+    d = V.run_suite(criterion, contexts, PRIMES, SEED).as_dict()
     status = "PASS" if d["pass"] else "FAIL"
     print(f"criterion {d['criterion']:>2} {d['name']}: {status} "
           f"({len(d['checks'])} checks)")
@@ -30,54 +36,76 @@ def _gate(suite):
 
 
 def test_criterion_01_simple_count(contexts):
-    _gate(V.suite_simple_count(contexts, SEED))
+    _gate(1, contexts)
 
 
 def test_criterion_02_cartan_divisors(contexts):
-    _gate(V.suite_cartan_divisors(contexts, SEED))
+    _gate(2, contexts)
 
 
 def test_criterion_03_cartan_rank(contexts):
-    _gate(V.suite_cartan_rank(contexts, SEED))
+    _gate(3, contexts)
 
 
 def test_criterion_04_gamma_basis(contexts):
-    _gate(V.suite_gamma_basis(contexts, SEED))
+    _gate(4, contexts)
 
 
 def test_criterion_05_genk_basis(contexts):
-    _gate(V.suite_genk_basis(contexts, SEED))
+    _gate(5, contexts)
 
 
 def test_criterion_06_sp_dimension(contexts):
-    _gate(V.suite_sp_dimension(contexts, SEED))
+    _gate(6, contexts)
 
 
 def test_criterion_07_pgroup_indicator():
-    _gate(V.suite_pgroup_indicator(PRIMES, SEED))
+    _gate(7)
 
 
 def test_criterion_08_closed_set_lattice():
-    _gate(V.suite_closed_set_lattice(PRIMES, SEED))
+    _gate(8)
 
 
 def test_criterion_09_ideal_property(contexts):
-    _gate(V.suite_ideal_property(contexts, SEED))
+    _gate(9, contexts)
 
 
 def test_criterion_10_product_factorization():
-    _gate(V.suite_product_factorization(SEED))
+    _gate(10)
 
 
 def test_criterion_11_cartan_cross_oracle(contexts):
-    _gate(V.suite_cartan_cross_oracle(contexts, SEED))
+    _gate(11, contexts)
 
 
 def test_criterion_12_determinism():
-    _gate(V.suite_determinism(PRIMES, SEED))
+    _gate(12)
 
 
 def test_full_run_reports_all_pass():
     out = V.run_verify(seed=SEED)
     assert out["all_pass"] is True
     assert [c["criterion"] for c in out["criteria"]] == list(range(1, 13))
+
+
+def test_raising_suite_is_one_failed_check(monkeypatch, tmp_path):
+    def suite_cartan_rank(s, contexts, primes, seed):
+        s.check("recorded before the raise", True)
+        raise InvariantViolated("defects", "tampered")
+
+    monkeypatch.setattr(V, "suite_cartan_rank", suite_cartan_rank)
+    corpus = tmp_path / "corpus.json"
+    corpus.write_text('["C2"]')
+    out = V.run_verify(corpus=str(corpus), primes=[2], seed=SEED)
+    assert [(c["criterion"], c["name"]) for c in out["criteria"]] == \
+        list(enumerate(CRITERIA, 1))
+    assert out["criteria"][2] == {
+        "criterion": 3,
+        "name": "cartan-rank",
+        "pass": False,
+        "checks": [{"name": "no exception", "pass": False,
+                    "detail": "InvariantViolated: tampered"}],
+    }
+    assert out["all_pass"] is False
+    assert all(c["pass"] for c in out["criteria"] if c["criterion"] != 3)

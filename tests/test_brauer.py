@@ -4,7 +4,6 @@ import pytest
 
 from repring.brauer import (
     BrauerData,
-    brauer_data,
     cartan_via_endomorphisms,
     induce_class_function,
     splitting_field,
@@ -49,7 +48,7 @@ def test_splitting_fields():
 
 
 def test_s3_mod2_tables():
-    bd = brauer_data(symmetric_group(3), 2)
+    bd = BrauerData(symmetric_group(3), 2)
     assert [s.dim for s in bd.simples] == [1, 2]
     assert rational_rows(bd.phi) == [[1, 1], [2, -1]]
     assert rational_rows(bd.Phi) == [[2, 2], [2, -1]]
@@ -59,7 +58,7 @@ def test_s3_mod2_tables():
 
 
 def test_s3_mod3_tables():
-    bd = brauer_data(symmetric_group(3), 3)
+    bd = BrauerData(symmetric_group(3), 3)
     assert rational_rows(bd.phi) == [[1, 1], [1, -1]]
     assert rational_rows(bd.Phi) == [[3, 1], [3, -1]]
     assert bd.cartan == ((2, 1), (1, 2))
@@ -67,7 +66,7 @@ def test_s3_mod3_tables():
 
 
 def test_s4_mod2_tables():
-    bd = brauer_data(symmetric_group(4), 2)
+    bd = BrauerData(symmetric_group(4), 2)
     assert [s.dim for s in bd.simples] == [1, 2]
     assert rational_rows(bd.phi) == [[1, 1], [2, -1]]
     assert rational_rows(bd.Phi) == [[8, 2], [8, -1]]
@@ -77,7 +76,7 @@ def test_s4_mod2_tables():
 
 
 def test_s4_mod3_tables():
-    bd = brauer_data(symmetric_group(4), 3)
+    bd = BrauerData(symmetric_group(4), 3)
     assert [s.dim for s in bd.simples] == [1, 1, 3, 3]
     # classes in column order: 1, (12)(34), (12), (1234)
     assert rational_rows(bd.phi) == [[1, 1, 1, 1],
@@ -91,7 +90,7 @@ def test_s4_mod3_tables():
 
 
 def test_a4_mod2_tables():
-    bd = brauer_data(alternating_group(4), 2)
+    bd = BrauerData(alternating_group(4), 2)
     assert [s.dim for s in bd.simples] == [1, 1, 1]
     z = Cyc.zeta(3)
     assert list(bd.phi[1]) == [Cyc.coerce(1), z, z * z]
@@ -101,25 +100,25 @@ def test_a4_mod2_tables():
 
 
 def test_a4_mod3_tables():
-    bd = brauer_data(alternating_group(4), 3)
+    bd = BrauerData(alternating_group(4), 3)
     assert rational_rows(bd.phi) == [[1, 1], [3, -1]]
     assert bd.cartan == ((3, 0), (0, 1))
     assert bd.elementary_divisors() == (1, 3)
 
 
 def test_product_and_cyclic_tables():
-    bd = brauer_data(direct_product(symmetric_group(3), cyclic_group(2)), 2)
+    bd = BrauerData(direct_product(symmetric_group(3), cyclic_group(2)), 2)
     assert bd.cartan == ((4, 0), (0, 2))
     assert bd.elementary_divisors() == (2, 4)
-    bd = brauer_data(cyclic_group(6), 2)
+    bd = BrauerData(cyclic_group(6), 2)
     assert bd.cartan == ((2, 0, 0), (0, 2, 0), (0, 0, 2))
-    bd = brauer_data(cyclic_group(6), 3)
+    bd = BrauerData(cyclic_group(6), 3)
     assert bd.cartan == ((3, 0), (0, 3))
 
 
 @pytest.mark.parametrize("p", [2, 3, 5])
 def test_cyclic_p_cartan_is_p(p):
-    bd = brauer_data(cyclic_group(p), p)
+    bd = BrauerData(cyclic_group(p), p)
     assert bd.cartan == ((p,),)
     assert bd.elementary_divisors() == (p,)
 
@@ -139,7 +138,7 @@ CORPUS = [
 @pytest.mark.parametrize("G,p", CORPUS,
                          ids=[f"{g.name}-p{p}" for g, p in CORPUS])
 def test_structural_invariants(G, p):
-    bd = brauer_data(G, p)
+    bd = BrauerData(G, p)
     n = len(bd.simples)
     assert n == len(G.p_regular_classes(p))
     # trivial module sorts first
@@ -164,7 +163,7 @@ def test_structural_invariants(G, p):
                                  (symmetric_group(3), 5)])
 def test_coprime_order_semisimple(G, p):
     # p does not divide |G|: projectives are simple, Cartan is identity
-    bd = brauer_data(G, p)
+    bd = BrauerData(G, p)
     n = len(bd.simples)
     assert bd.cartan == tuple(tuple(1 if i == j else 0 for j in range(n))
                               for i in range(n))
@@ -172,7 +171,7 @@ def test_coprime_order_semisimple(G, p):
 
 
 def test_phi_reduces_to_trace():
-    bd = brauer_data(symmetric_group(4), 2)
+    bd = BrauerData(symmetric_group(4), 2)
     F = bd.F
     for s in bd.simples:
         for k, x in enumerate(bd.class_reps):
@@ -188,18 +187,18 @@ def test_endomorphism_route_matches_pairing_route():
                  (symmetric_group(4), 2), (symmetric_group(4), 3),
                  (alternating_group(4), 2), (alternating_group(4), 3),
                  (quaternion_group(), 2), (cyclic_group(6), 2)]:
-        bd = brauer_data(G, p)
+        bd = BrauerData(G, p)
         assert cartan_via_endomorphisms(bd) == bd.cartan
 
 
 def test_decompose_tensor_square():
-    bd = brauer_data(symmetric_group(4), 2)
+    bd = BrauerData(symmetric_group(4), 2)
     row = [bd.phi[1][i] * bd.phi[1][i] for i in range(2)]
     assert bd.decompose(row) == [2, 1]
 
 
 def test_decompose_rejects_non_integral():
-    bd = brauer_data(symmetric_group(3), 2)
+    bd = BrauerData(symmetric_group(3), 2)
     with pytest.raises(NonIntegralDecomposition):
         bd.decompose([Cyc.coerce(1), Cyc.coerce(0)])
     loose = bd.decompose([Cyc.coerce(1), Cyc.coerce(0)],
@@ -209,7 +208,7 @@ def test_decompose_rejects_non_integral():
 
 
 def test_decompose_roundtrips_projectives():
-    bd = brauer_data(symmetric_group(4), 3)
+    bd = BrauerData(symmetric_group(4), 3)
     for t, row in enumerate(bd.Phi):
         coeffs = bd.decompose(row)
         assert coeffs == list(bd.cartan[t])
@@ -241,20 +240,31 @@ def test_nonsplit_charpoly_raises():
         _phi_value(lift, F, [[0, 1], [1, 1]])
 
 
-def test_brauer_data_memoized():
-    a = brauer_data(symmetric_group(3), 2)
-    b = brauer_data(symmetric_group(3), 2)
-    assert a is b
-    c = brauer_data(symmetric_group(3), 2, seed=99)
-    assert c is not a
+def test_cartan_is_seed_independent():
+    a = BrauerData(symmetric_group(3), 2)
+    c = BrauerData(symmetric_group(3), 2, seed=99)
     assert c.cartan == a.cartan
 
 
 def test_tampered_multiplicities_raise_invariant_violated():
-    # a fresh object, so the shared brauer_data cache is left intact
     bd = BrauerData(symmetric_group(4), 2, 1)
     bd.composition_multiplicities = (bd.composition_multiplicities[0] + 1,
                                      *bd.composition_multiplicities[1:])
     with pytest.raises(InvariantViolated) as info:
         bd._check_invariants()
     assert info.value.module == "brauer"
+
+
+@pytest.mark.parametrize("G,p", [(symmetric_group(4), 3),
+                                 (alternating_group(4), 2),
+                                 (alternating_group(5), 5)])
+def test_structure_constants_decompose_every_ordered_product(G, p):
+    bd = BrauerData(G, p)
+    table = bd.structure_constants()
+    n = len(bd.simples)
+    for s in range(n):
+        for t in range(n):
+            vals = [a * b for a, b in zip(bd.phi[s], bd.phi[t])]
+            want = tuple(bd.lift.reduce_rational(Fraction(c))
+                         for c in bd.decompose(vals))
+            assert table[s][t] == want

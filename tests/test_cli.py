@@ -7,6 +7,7 @@ from fractions import Fraction
 
 import pytest
 
+from repring.brauer import BrauerData
 from repring.cli import main
 from repring.cyclo import Cyc
 from repring.errors import InvalidPrime
@@ -139,6 +140,21 @@ def test_different_seed_same_content(capsys):
     assert a == b
 
 
+def test_same_seed_reruns_the_search(monkeypatch):
+    built = []
+    original = BrauerData.__init__
+
+    def counted(self, G, p, seed=None):
+        built.append((G.order, p, seed))
+        original(self, G, p, seed)
+
+    monkeypatch.setattr(BrauerData, "__init__", counted)
+    a = to_canonical_json(analyze_report("S4", 2, seed=1))
+    b = to_canonical_json(analyze_report("S4", 2, seed=1))
+    assert a == b
+    assert built.count((24, 2, 1)) == 2
+
+
 def test_json_flag_writes_stdout_bytes(capsys, tmp_path):
     path = tmp_path / "report.json"
     _, out, _ = run_cli(capsys, "analyze", "C6", "--p", "2",
@@ -153,6 +169,18 @@ def test_env_seed_override(capsys, monkeypatch):
     # explicit flag beats the environment
     r = analyze_json(capsys, "analyze", "C2", "--p", "2", "--seed", "4")
     assert r["seed"] == 4
+
+
+def test_bad_env_seed_is_one_json_error(capsys, monkeypatch):
+    monkeypatch.setenv("REPRING_SEED", "abc")
+    code, out, err = run_cli(capsys, "analyze", "C2", "--p", "2")
+    assert code == 2 and out == ""
+    assert len(err.splitlines()) == 1
+    error = json.loads(err)["error"]
+    assert (error["module"], error["type"]) == ("config", "InvalidSeed")
+    # an explicit seed does not read the environment
+    assert analyze_json(capsys, "analyze", "C2", "--p", "2",
+                        "--seed", "4")["seed"] == 4
 
 
 # -- lattice ------------------------------------------------------------

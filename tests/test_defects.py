@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from repring.brauer import brauer_data, induce_class_function
+from repring.brauer import BrauerData, induce_class_function
 from repring.catalog import build_catalog
 from repring.cyclo import Cyc
 from repring.defects import (
@@ -49,9 +49,13 @@ def ident(G):
     return tuple(range(G.degree))
 
 
+def analysis(G, p, cat):
+    return defect_classification(BrauerData(G, p), cat)
+
+
 def test_defect_classification_s4():
     G = symmetric_group(4)
-    rep = defect_classification(G, 2, CAT2)
+    rep = analysis(G, 2, CAT2)
     got = [(r.class_index, CAT2.label(r.catalog_index), r.defect_zero)
            for r in rep.rows]
     assert got == [(0, "D8", False), (3, "1", True)]
@@ -60,7 +64,7 @@ def test_defect_classification_s4():
 
 
 def test_defect_classification_a4():
-    rep = defect_classification(alternating_group(4), 2, CAT2)
+    rep = analysis(alternating_group(4), 2, CAT2)
     labels = [CAT2.label(r.catalog_index) for r in rep.rows]
     assert labels == ["C2^2", "1", "1"]
 
@@ -72,19 +76,19 @@ def test_defect_classification_a4():
 ])
 def test_defect_of_p_group_identity_is_itself(make, label):
     Q = make()
-    rep = defect_classification(Q, 2, CAT2)
+    rep = analysis(Q, 2, CAT2)
     assert len(rep.rows) == 1
     assert CAT2.label(rep.rows[0].catalog_index) == label
 
 
 def test_catalog_too_small():
     with pytest.raises(CatalogTooSmall):
-        defect_classification(symmetric_group(4), 2, build_catalog(2, 4))
+        analysis(symmetric_group(4), 2, build_catalog(2, 4))
 
 
 def test_defect_sylow_is_of_centralizer():
     G = direct_product(symmetric_group(3), cyclic_group(2))
-    rep = defect_classification(G, 2, CAT2)
+    rep = analysis(G, 2, CAT2)
     for r in rep.rows:
         C = G.centralizer(r.rep)
         for e in r.sylow.elements:
@@ -92,70 +96,72 @@ def test_defect_sylow_is_of_centralizer():
 
 
 def test_gamma_s3_examples():
-    g = gamma_element(symmetric_group(3), 2, (1, 2, 0))
+    g = gamma_element(BrauerData(symmetric_group(3), 2), (1, 2, 0))
     assert g.coeffs == (0, 1)
     assert [v.as_rational() for v in g.exact] == \
         [Fraction(2, 3), Fraction(-1, 3)]
-    g = gamma_element(symmetric_group(3), 3, (1, 0, 2))
+    g = gamma_element(BrauerData(symmetric_group(3), 3), (1, 0, 2))
     assert g.coeffs == (2, 1)
     assert [v.as_rational() for v in g.exact] == \
         [Fraction(1, 2), Fraction(-1, 2)]
 
 
 def test_gamma_trivial_group():
-    assert gamma_element(trivial_group(), 2, (0,)).coeffs == (1,)
+    assert gamma_element(BrauerData(trivial_group(), 2), (0,)).coeffs == (1,)
 
 
 def test_gamma_rejects_positive_defect():
     with pytest.raises(NotDefectZero):
-        gamma_element(symmetric_group(4), 2, ident(symmetric_group(4)))
+        G = symmetric_group(4)
+        gamma_element(BrauerData(G, 2), ident(G))
     # p-singular element is not even p-regular
     with pytest.raises(NotDefectZero):
-        gamma_element(symmetric_group(3), 2, (1, 0, 2))
+        gamma_element(BrauerData(symmetric_group(3), 2), (1, 0, 2))
 
 
 def test_gamma_class_invariance():
     G = symmetric_group(4)
     x = (1, 2, 0, 3)
-    base = gamma_element(G, 2, x)
+    bd = BrauerData(G, 2)
+    base = gamma_element(bd, x)
     for t in G.elements:
-        assert gamma_element(G, 2, G.conjugate(x, t)).coeffs == base.coeffs
+        assert gamma_element(bd, G.conjugate(x, t)).coeffs == base.coeffs
 
 
 def test_cartan_image_basis_s3():
-    basis = cartan_image_basis(symmetric_group(3), 2)
+    basis = cartan_image_basis(BrauerData(symmetric_group(3), 2))
     assert [b.coeffs for b in basis] == [(0, 1)]
 
 
 @pytest.mark.parametrize("p", [2, 3, 5])
 def test_cartan_image_basis_empty_for_cyclic_p(p):
-    assert cartan_image_basis(cyclic_group(p), p) == []
+    assert cartan_image_basis(BrauerData(cyclic_group(p), p)) == []
 
 
 def test_cartan_image_basis_full_when_coprime():
     # p does not divide |G|: every class has defect zero
     G = symmetric_group(3)
-    basis = cartan_image_basis(G, 5)
+    bd = BrauerData(G, 5)
+    basis = cartan_image_basis(bd)
     assert len(basis) == 3
-    bd = brauer_data(G, 5)
     assert gf_rank(bd.F, [list(b.coeffs) for b in basis]) == 3
 
 
 def test_u_element_s4():
     G = symmetric_group(4)
-    rep = defect_classification(G, 2, CAT2)
-    assert u_element(G, 2, ident(G), rep).coeffs == (1, 1)
+    rep = analysis(G, 2, CAT2)
+    assert u_element(rep, ident(G)).coeffs == (1, 1)
     # trivial defect collapses the pipeline to gamma
-    u = u_element(G, 2, (1, 2, 0, 3), rep)
-    assert u.coeffs == gamma_element(G, 2, (1, 2, 0, 3)).coeffs == (0, 1)
+    u = u_element(rep, (1, 2, 0, 3))
+    assert u.coeffs == gamma_element(rep.bd, (1, 2, 0, 3)).coeffs == (0, 1)
 
 
 def test_u_element_central_p_part():
     G = direct_product(symmetric_group(3), cyclic_group(2), name="S3xC2")
-    rep = defect_classification(G, 2, CAT2)
+    rep = analysis(G, 2, CAT2)
     assert [CAT2.label(r.catalog_index) for r in rep.rows] == ["C2^2", "C2"]
-    assert u_element(G, 2, rep.rows[0].rep, rep).coeffs == (1, 1)
-    assert u_element(G, 2, rep.rows[1].rep, rep).coeffs == (0, 1)
+    assert u_element(rep, rep.rows[0].rep).coeffs == (1, 1)
+    assert u_element(rep, rep.rows[1].rep).coeffs == (0, 1)
 
 
 @pytest.mark.parametrize("make", [quaternion_group,
@@ -163,53 +169,52 @@ def test_u_element_central_p_part():
                                   lambda: cyclic_group(8)])
 def test_u_element_p_group_is_unit(make):
     Q = make()
-    rep = defect_classification(Q, 2, CAT2)
-    assert u_element(Q, 2, ident(Q), rep).coeffs == (1,)
+    rep = analysis(Q, 2, CAT2)
+    assert u_element(rep, ident(Q)).coeffs == (1,)
 
 
 def test_u_independent_of_sylow_choice():
     G = symmetric_group(4)
-    rep = defect_classification(G, 2, CAT2)
-    bd = brauer_data(G, 2)
+    rep = analysis(G, 2, CAT2)
     row = rep.rows[0]
     for t in [(1, 2, 0, 3), (1, 0, 3, 2), (3, 2, 1, 0)]:
         conj = G.generated_subgroup(
             [G.conjugate(x, t) for x in row.sylow.gens])
-        assert _u_from(G, 2, bd, row.rep, conj).coeffs == (1, 1)
+        assert _u_from(rep, row.rep, conj).coeffs == (1, 1)
 
 
 def test_u_independent_of_representative():
     G = symmetric_group(4)
-    rep = defect_classification(G, 2, CAT2)
+    rep = analysis(G, 2, CAT2)
     x = (1, 2, 0, 3)
-    base = u_element(G, 2, x, rep).coeffs
+    base = u_element(rep, x).coeffs
     for t in G.elements:
-        assert u_element(G, 2, G.conjugate(x, t), rep).coeffs == base
+        assert u_element(rep, G.conjugate(x, t)).coeffs == base
 
 
 def test_u_rejects_p_singular():
     G = symmetric_group(4)
-    rep = defect_classification(G, 2, CAT2)
+    rep = analysis(G, 2, CAT2)
     with pytest.raises(PreconditionViolated):
-        u_element(G, 2, (1, 0, 2, 3), rep)
+        u_element(rep, (1, 0, 2, 3))
 
 
 def test_genk_bases_s4():
     G = symmetric_group(4)
-    rep = defect_classification(G, 2, CAT2)
-    d8 = [u.coeffs for u in genk_basis(G, 2, 7, rep)]
+    rep = analysis(G, 2, CAT2)
+    d8 = [u.coeffs for u in genk_basis(rep, 7)]
     assert sorted(d8) == [(0, 1), (1, 1)]
-    assert [u.coeffs for u in genk_basis(G, 2, 1, rep)] == [(0, 1)]
-    assert [u.coeffs for u in genk_basis(G, 2, 0, rep)] == [(0, 1)]
+    assert [u.coeffs for u in genk_basis(rep, 1)] == [(0, 1)]
+    assert [u.coeffs for u in genk_basis(rep, 0)] == [(0, 1)]
 
 
 def test_genk_monotone_and_sylow_saturation():
     G = alternating_group(4)
-    bd = brauer_data(G, 2)
-    rep = defect_classification(G, 2, CAT2)
+    rep = analysis(G, 2, CAT2)
+    bd = rep.bd
     spans = {}
     for j in range(len(CAT2)):
-        vecs = [list(u.coeffs) for u in genk_basis(G, 2, j, rep)]
+        vecs = [list(u.coeffs) for u in genk_basis(rep, j)]
         spans[j] = vecs
     for i in range(len(CAT2)):
         for j in range(len(CAT2)):
@@ -222,14 +227,14 @@ def test_genk_monotone_and_sylow_saturation():
 
 def test_sp_dimensions_s4_a4():
     G = symmetric_group(4)
-    rep = defect_classification(G, 2, CAT2)
-    dims = {CAT2.label(j): sp_dimension(G, 2, j, rep)
+    rep = analysis(G, 2, CAT2)
+    dims = {CAT2.label(j): sp_dimension(rep, j)
             for j in range(len(CAT2))}
     assert dims == {"1": 1, "C2": 0, "C4": 0, "C2^2": 0, "C8": 0,
                     "C4xC2": 0, "C2^3": 0, "D8": 1, "Q8": 0}
     A = alternating_group(4)
-    repa = defect_classification(A, 2, CAT2)
-    dimsa = {CAT2.label(j): sp_dimension(A, 2, j, repa)
+    repa = analysis(A, 2, CAT2)
+    dimsa = {CAT2.label(j): sp_dimension(repa, j)
              for j in range(len(CAT2))}
     assert dimsa == {"1": 2, "C2": 0, "C4": 0, "C2^2": 1, "C8": 0,
                      "C4xC2": 0, "C2^3": 0, "D8": 0, "Q8": 0}
@@ -242,10 +247,10 @@ def test_sp_dimensions_s4_a4():
 ])
 def test_sp_of_p_group_is_indicator(make, p, cat):
     Q = make()
-    rep = defect_classification(Q, p, cat)
+    rep = analysis(Q, p, cat)
     own = cat.index_of_isomorphic(Q)
     for j in range(len(cat)):
-        assert sp_dimension(Q, p, j, rep) == (1 if j == own else 0)
+        assert sp_dimension(rep, j) == (1 if j == own else 0)
 
 
 def test_sp_total_is_class_count():
@@ -255,37 +260,39 @@ def test_sp_total_is_class_count():
                       (cyclic_group(6), 2, CAT2),
                       (direct_product(symmetric_group(3), cyclic_group(2)),
                        2, CAT2)]:
-        rep = defect_classification(G, p, cat)
-        total = sum(sp_dimension(G, p, j, rep) for j in range(len(cat)))
+        rep = analysis(G, p, cat)
+        total = sum(sp_dimension(rep, j) for j in range(len(cat)))
         assert total == len(G.p_regular_classes(p))
 
 
 def test_filtration_tables():
-    assert filtration_table(symmetric_group(4), 2, CAT2) == \
+    assert filtration_table(analysis(symmetric_group(4), 2, CAT2)) == \
         (1, 1, 1, 1, 1, 1, 1, 2, 2)
-    assert filtration_table(cyclic_group(2), 2, CAT2_SMALL) == (0, 1)
-    assert filtration_table(cyclic_group(3), 3, CAT3) == (0, 1, 1, 1)
+    assert filtration_table(analysis(cyclic_group(2), 2, CAT2_SMALL)) \
+        == (0, 1)
+    assert filtration_table(analysis(cyclic_group(3), 3, CAT3)) \
+        == (0, 1, 1, 1)
     # coprime order: everything sits at the trivial group
-    assert filtration_table(symmetric_group(3), 5, build_catalog(5, 25)) \
-        == (3, 3, 3, 3)
+    assert filtration_table(analysis(symmetric_group(3), 5,
+                                     build_catalog(5, 25))) == (3, 3, 3, 3)
 
 
 def test_filtration_needs_sylow_in_catalog():
     with pytest.raises(CatalogTooSmall):
-        filtration_table(symmetric_group(4), 2, CAT2_SMALL)
+        filtration_table(analysis(symmetric_group(4), 2, CAT2_SMALL))
 
 
 def test_rk_multiply_examples():
-    bd = brauer_data(symmetric_group(3), 2)
+    bd = BrauerData(symmetric_group(3), 2)
     V = rk_basis_element(bd, 1)
     assert rk_multiply(V, V).coeffs == (0, 1)
-    bd3 = brauer_data(symmetric_group(3), 3)
+    bd3 = BrauerData(symmetric_group(3), 3)
     sgn = rk_basis_element(bd3, 1)
     assert rk_multiply(sgn, sgn).coeffs == (1, 0)
 
 
 def test_rk_identity_and_commutativity():
-    bd = brauer_data(symmetric_group(4), 3)
+    bd = BrauerData(symmetric_group(4), 3)
     one = rk_identity(bd)
     elems = [rk_basis_element(bd, s) for s in range(len(bd.simples))]
     for a in elems:
@@ -295,18 +302,18 @@ def test_rk_identity_and_commutativity():
 
 
 def test_rk_context_mismatch():
-    a = rk_identity(brauer_data(symmetric_group(3), 2))
-    b = rk_identity(brauer_data(symmetric_group(3), 3))
+    a = rk_identity(BrauerData(symmetric_group(3), 2))
+    b = rk_identity(BrauerData(symmetric_group(3), 3))
     with pytest.raises(PreconditionViolated):
         rk_multiply(a, b)
 
 
 def test_genk_is_ideal():
     G = symmetric_group(4)
-    bd = brauer_data(G, 2)
-    rep = defect_classification(G, 2, CAT2)
+    rep = analysis(G, 2, CAT2)
+    bd = rep.bd
     for j in [0, 1, 7]:
-        basis = genk_basis(G, 2, j, rep)
+        basis = genk_basis(rep, j)
         span = [list(u.coeffs) for u in basis]
         r = gf_rank(bd.F, span)
         for s in range(len(bd.simples)):
@@ -317,13 +324,13 @@ def test_genk_is_ideal():
 
 def test_closed_set_dimensions_a4():
     G = alternating_group(4)
-    rep = defect_classification(G, 2, CAT2)
-    assert closed_set_dimension(G, 2, CAT2.closure([0]), rep) == 2
-    assert closed_set_dimension(G, 2, CAT2.closure([1]), rep) == 2
-    assert closed_set_dimension(G, 2, CAT2.closure([3]), rep) == 3
-    assert closed_set_dimension(G, 2, CAT2.closure([7]), rep) == 3
+    rep = analysis(G, 2, CAT2)
+    assert closed_set_dimension(rep, CAT2.closure([0])) == 2
+    assert closed_set_dimension(rep, CAT2.closure([1])) == 2
+    assert closed_set_dimension(rep, CAT2.closure([3])) == 3
+    assert closed_set_dimension(rep, CAT2.closure([7])) == 3
     # C2^2 does not embed in Q8, so the identity class never qualifies
-    assert closed_set_dimension(G, 2, CAT2.closure([8]), rep) == 2
+    assert closed_set_dimension(rep, CAT2.closure([8])) == 2
 
 
 def test_inflation_matches_direct_chop():
@@ -333,8 +340,8 @@ def test_inflation_matches_direct_chop():
     H = direct_product(symmetric_group(3), cyclic_group(2), name="S3xC2")
     R = H.generated_subgroup([(0, 1, 2, 4, 3)])
     Hbar, proj = H.quotient_group(R)
-    bh = brauer_data(H, 2)
-    bq = brauer_data(Hbar, 2)
+    bh = BrauerData(H, 2)
+    bq = BrauerData(Hbar, 2)
     assert len(bh.simples) == len(bq.simples)
     direct = [list(row) for row in bh.phi]
     inflated = []
@@ -367,17 +374,17 @@ def test_product_group_preconditions():
 
 
 def test_rk_element_exact_is_optional():
-    bd = brauer_data(symmetric_group(3), 2)
+    bd = BrauerData(symmetric_group(3), 2)
     v = rk_basis_element(bd, 0)
     assert v.exact is None
-    g = gamma_element(symmetric_group(3), 2, (1, 2, 0))
+    g = gamma_element(bd, (1, 2, 0))
     assert g.exact is not None
     assert all(isinstance(c, Cyc) for c in g.exact)
 
 
 def test_tampered_inputs_raise_invariant_violated():
     G = symmetric_group(3)
-    bd = brauer_data(G, 2)
+    bd = BrauerData(G, 2)
     x = (1, 2, 0)  # a 3-cycle: centralizer C3, defect zero at p = 2
     cyc = G.generated_subgroup([x])
     vals = {h: Cyc.coerce(3 if h == x else 0) for h in cyc.elements}

@@ -3,7 +3,12 @@ from hypothesis import assume, given, settings, strategies as st
 
 from repring.catalog import build_catalog
 from repring.config import ISO_ORDER_BOUND
-from repring.errors import InvalidGroupSpec, MalformedPermutation, NotNormal
+from repring.errors import (
+    ElementNotInGroup,
+    InvalidGroupSpec,
+    MalformedPermutation,
+    NotNormal,
+)
 from repring.groups import (
     PermGroup,
     alternating_group,
@@ -117,6 +122,20 @@ def test_derived_subgroups():
     assert symmetric_group(4).derived_subgroup().order == 12
     assert alternating_group(4).derived_subgroup().order == 4
     assert cyclic_group(6).derived_subgroup().order == 1
+
+
+@pytest.mark.parametrize("make,outside", [
+    (lambda: symmetric_group(4), (0, 1, 2, 3, 4)),  # wrong degree
+    (lambda: alternating_group(5), (1, 0, 2, 3, 4)),  # odd
+], ids=["S4", "A5"])
+def test_class_index_of_matches_scan(make, outside):
+    G = make()
+    classes = G.conjugacy_classes()
+    for x in G.elements:
+        scan = next(i for i, c in enumerate(classes) if x in c)
+        assert G.class_index_of(x) == scan
+    with pytest.raises(ElementNotInGroup):
+        G.class_index_of(outside)
 
 
 def test_sylow_subgroups():
@@ -274,6 +293,20 @@ def small_groups(draw):
     G = PermGroup(n, [tuple(g) for g in gens])
     assume(G.order <= ISO_ORDER_BOUND)
     return G
+
+
+def derived_by_all_commutators(G):
+    """G' by definition: generated by the |G|^2 commutators."""
+    comms = {perm_mul(perm_inv(perm_mul(b, a)), perm_mul(a, b))
+             for a in G.elements for b in G.elements}
+    return G.generated_subgroup(sorted(comms))
+
+
+@settings(max_examples=40, deadline=None)
+@given(small_groups())
+def test_derived_subgroup_is_normal_closure(G):
+    assert G.derived_subgroup().elements == \
+        derived_by_all_commutators(G).elements
 
 
 def relabel(G, sigma):

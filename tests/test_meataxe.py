@@ -3,7 +3,7 @@ import random
 import pytest
 
 from repring import meataxe
-from repring.brauer import brauer_data
+from repring.brauer import BrauerData
 from repring.errors import ChopStalled, ClosureSaturated, MalformedModule
 from repring.gf import gf_field
 from repring.groups import (
@@ -50,7 +50,7 @@ def dims_with_counts(G, F, seed=1):
     """(dim, multiplicity in kG) per simple: the dims from the tensor
     closure, the multiplicities from the regular Brauer character."""
     dims = sorted(r.dim for r in simples(G, F, seed))
-    bd = brauer_data(G, F.p, seed)
+    bd = BrauerData(G, F.p, seed)
     assert [s.dim for s in bd.simples] == dims
     return sorted(zip(dims, bd.composition_multiplicities))
 
@@ -232,7 +232,7 @@ def test_module_rejects_bad_shapes():
 
 
 def test_s6_mod2_simples_and_multiplicities():
-    bd = brauer_data(symmetric_group(6), 2, 1)
+    bd = BrauerData(symmetric_group(6), 2, 1)
     assert [s.dim for s in bd.simples] == [1, 4, 4, 16]
     assert bd.composition_multiplicities == bd.projective_dims
 
