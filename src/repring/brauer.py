@@ -22,7 +22,7 @@ from .errors import (
     SingularPhi,
 )
 from .gf import gf_field, multiplicative_order, poly_roots
-from .groups import PermGroup, p_part
+from .groups import PermGroup, _cayley, p_part
 from .lift import BrauerLift
 from .linalg import gf_charpoly, mat_inv, smith_normal_form
 from .meataxe import simple_modules
@@ -120,12 +120,17 @@ class BrauerData:
             SimpleModule(f"S{k + 1}", k, modules[i], rows[i])
             for k, i in enumerate(order))
         self.phi = tuple(s.phi for s in self.simples)
-        self._phi_inv = None
         self._structure = None
+        self.Phi = self._projective_characters()
+        # the inverse of the phi table: row i, column S is
+        # Phi_S(x_i^-1) |class i| / |G|, since <phi_T, Phi_S> = delta_TS
+        self._dual = tuple(
+            tuple(P[self._inv_pos[i]] * Fraction(size, G.order)
+                  for P in self.Phi)
+            for i, size in enumerate(self.class_sizes))
         # the regular character is |G| at the identity class, 0 elsewhere
         self.composition_multiplicities = tuple(self.decompose(
             [G.order] + [0] * (len(self.pregular) - 1)))
-        self.Phi = self._projective_characters()
         self.cartan = self._cartan_matrix()
         self._check_invariants()
 
@@ -219,16 +224,6 @@ class BrauerData:
             out.append(p_part(self.G.centralizer(x).order, self.p))
         return tuple(out)
 
-    def _phi_matrix_inverse(self):
-        if self._phi_inv is None:
-            try:
-                self._phi_inv = mat_inv([[self.phi[s][i]
-                                          for i in range(len(self.pregular))]
-                                         for s in range(len(self.simples))])
-            except ZeroDivisionError as exc:
-                raise SingularPhi("Brauer characters are dependent") from exc
-        return self._phi_inv
-
     def structure_constants(self):
         """table[s][t][u]: multiplicity of S_u in S_s (x) S_t, reduced mod
         p, from decomposing the pointwise product of Brauer characters.
@@ -251,7 +246,7 @@ class BrauerData:
         Brauer character basis.  values is a row over the p-regular
         classes in table order.
         """
-        inv = self._phi_matrix_inverse()
+        inv = self._dual
         n = len(self.simples)
         coeffs = []
         for s in range(n):
@@ -268,13 +263,6 @@ class BrauerData:
             else:
                 coeffs.append(total)
         return coeffs
-
-    def phi_of_element(self, x):
-        """Brauer character row evaluated at an arbitrary p-regular
-        element (looked up through its class)."""
-        ci = self.G.class_index_of(x)
-        k = self._pos[ci]
-        return tuple(self.phi[s][k] for s in range(len(self.simples)))
 
 
 def induce_class_function(G: PermGroup, H: PermGroup, values,
@@ -317,11 +305,7 @@ def cartan_via_endomorphisms(bd: BrauerData):
     G, F = bd.G, bd.F
     n = G.order
     elems = G.elements
-    index = {g: i for i, g in enumerate(elems)}
-
-    from .groups import perm_mul
-    mul_table = [[index[perm_mul(elems[i], elems[j])] for j in range(n)]
-                 for i in range(n)]
+    mul_table = _cayley(G).mul
 
     def alg_mul(a, b):
         out = [0] * n

@@ -16,17 +16,21 @@ import argparse
 import json
 import sys
 
-from .errors import CorpusUnreadable, RepringError
+from .errors import CorpusUnreadable, OutputUnwritable, RepringError
 from .report import analyze_report, lattice_report, to_canonical_json
 from .verify import run_verify
 
 
 def _emit(report, json_path=None):
     data = to_canonical_json(report)
-    sys.stdout.write(data.decode("ascii") + "\n")
+    # the file first, so a path that cannot be written leaves stdout empty
     if json_path:
-        with open(json_path, "wb") as fh:
-            fh.write(data + b"\n")
+        try:
+            with open(json_path, "wb") as fh:
+                fh.write(data + b"\n")
+        except OSError as exc:
+            raise OutputUnwritable(f"cannot write the report: {exc}") from None
+    sys.stdout.write(data.decode("ascii") + "\n")
 
 
 def cmd_analyze(args) -> int:

@@ -3,14 +3,15 @@
 A p-regular class has defect [R] where R is a Sylow p-subgroup of the
 centralizer of a representative.  Defect-zero classes carry the basis
 elements gamma_{G,x} of the reduced Cartan image; general classes carry
-U_x, built by inducing an inflated gamma from R_x C_G(R_x).  Spans of
-the U_x over prefixes of the p-group catalog give the dimensions of the
-subquotient functors evaluated at G.
+U_x, the induction to G of the gamma of x R_x in R_x C_G(R_x) / R_x,
+inflated.  By second orthogonality U_x is read off the projective
+characters of G (see _u_from), so no quotient group is built.  Spans
+of the U_x over prefixes of the p-group catalog give the dimensions of
+the subquotient functors evaluated at G.
 
 An Analysis holds one group's Brauer data, catalog and defect rows at
 one prime and seed; the functions below take it and keep what they
-derive (U per class, genk bases, quotient Brauer data) on it, not in
-module-level caches.
+derive (U per class, genk bases) on it, not in module-level caches.
 """
 
 from fractions import Fraction
@@ -25,7 +26,7 @@ from .errors import (
     NotDefectZero,
     PreconditionViolated,
 )
-from .groups import PermGroup, p_part, perm_order
+from .groups import PermGroup, p_part, perm_mul, perm_order
 from .linalg import gf_rank
 
 
@@ -88,7 +89,7 @@ class DefectRow:
 class Analysis:
     """One group at one prime and seed: its Brauer data, the catalog,
     the defect row of every p-regular class, and what is derived from
-    them (U per class, genk bases, Brauer data of quotients)."""
+    them (U per class, genk bases)."""
 
     def __init__(self, bd: BrauerData, catalog: PGroupCatalog, rows):
         self.bd = bd
@@ -99,8 +100,6 @@ class Analysis:
         self._by_class = {r.class_index: r for r in self.rows}
         self._u = {}
         self._genk = {}
-        # U of a defect-zero class quotients by 1, which gives G back
-        self._quotients = {self.G.key(): bd}
 
     def row_of(self, x) -> DefectRow:
         ci = self.G.class_index_of(x)
@@ -113,14 +112,6 @@ class Analysis:
 
     def defect_zero_rows(self):
         return [r for r in self.rows if r.defect_zero]
-
-    def quotient_data(self, Hbar: PermGroup) -> BrauerData:
-        """Brauer data of a quotient R_x C_G(R_x) / R_x met while building
-        U, built once per distinct quotient."""
-        key = Hbar.key()
-        if key not in self._quotients:
-            self._quotients[key] = BrauerData(Hbar, self.p, self.bd.seed)
-        return self._quotients[key]
 
 
 def defect_classification(bd: BrauerData,
@@ -222,30 +213,32 @@ def cartan_image_basis(bd: BrauerData):
 
 
 def _u_from(a: Analysis, x, R):
-    """The U_x pipeline with an explicit Sylow subgroup R of C_G(x)."""
+    """U_x with an explicit Sylow subgroup R of C_G(x).
+
+    Let H = R C_G(R).  By second orthogonality, gamma of the image of x
+    in H/R is, as a class function, the indicator of its class; inflated
+    to H it is the indicator of the H-conjugates of the coset xR.  Since
+    R centralizes x, the only p-regular element of xR is x, so by
+    Frobenius reciprocity U_x[S] = reduce(Phi_S(x^-1) / |C_H(x)|): the
+    gamma_{G,x} formula with C_H(x) in place of C_G(x).
+    """
     G, p, bd = a.G, a.p, a.bd
-    CR = G.centralizer_of_subgroup(R)
-    H = G.generated_subgroup(list(R.gens) + list(CR.gens))
-    Hbar, proj = H.quotient_group(R)
-    xbar = proj[tuple(x)]
-    if Hbar.centralizer(xbar).order % p == 0:
+    x = tuple(x)
+    cent = [g for g in G.elements
+            if all(perm_mul(g, r) == perm_mul(r, g) for r in R.gens)]
+    conjugates = [G.conjugate(x, k)
+                  for k in {perm_mul(r, c) for r in R.elements for c in cent}]
+    # the k in H that fix the coset xR are the preimage of the centralizer
+    # of its image in H/R, so their count over |R| is that order
+    coset = {perm_mul(x, r) for r in R.elements}
+    if sum(1 for y in conjugates if y in coset) // R.order % p == 0:
         raise DefectNotZeroInQuotient(
-            f"image of x in {H.describe()}/{R.describe()} has positive "
-            "defect; the Sylow subgroup R was not correct")
-    bdq = a.quotient_data(Hbar)
-    gq = gamma_element(bdq, xbar)
-    # inflate: the class function of gamma on H, through the projection
-    vals = {}
-    for h in H.elements:
-        if perm_order(h) % p:
-            row = bdq.phi_of_element(proj[h])
-            total = Cyc.from_rational(0)
-            for c, v in zip(gq.exact, row):
-                total = total + c * v
-            vals[h] = total
-    ind = induce_class_function(G, H, vals, class_indices=bd.pregular)
-    coeffs = bd.decompose(ind, require_integral=False)
-    return RkElement(bd, tuple(bd.lift.reduce(c) for c in coeffs))
+            f"image of x in R C_G(R)/{R.describe()} has positive defect; "
+            "the Sylow subgroup R was not correct")
+    scale = Fraction(1, conjugates.count(x))
+    inv = bd._inv_pos[a.row_of(x).position]
+    return RkElement(bd, tuple(bd.lift.reduce(P[inv] * scale)
+                               for P in bd.Phi))
 
 
 def u_element(a: Analysis, x) -> RkElement:

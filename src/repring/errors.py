@@ -140,3 +140,9 @@ class InvalidPrime(RepringError):
 
 class CorpusUnreadable(RepringError):
     module = "cli"
+
+
+class OutputUnwritable(RepringError):
+    """The --json report file could not be opened or written."""
+
+    module = "cli"

@@ -518,8 +518,11 @@ class CayleyTable:
 
 
 def _cayley(G: PermGroup) -> CayleyTable:
-    """G's index layer, built on first use and kept on G.  Callers have
-    checked |G| <= ISO_ORDER_BOUND, which bounds the table's size."""
+    """G's index layer, built on first use and kept on G.  The table has
+    |G|^2 entries, so callers keep |G| small: the isomorphism and
+    embedding tests check ISO_ORDER_BOUND, and cartan_via_endomorphisms,
+    meant for small groups, already works in the |G|-dimensional group
+    algebra."""
     if G._table is None:
         G._table = CayleyTable(G)
     return G._table

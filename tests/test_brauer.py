@@ -24,6 +24,7 @@ from repring.groups import (
     quaternion_group,
     symmetric_group,
 )
+from repring.linalg import mat_inv
 
 
 def rational_rows(rows):
@@ -156,6 +157,19 @@ def test_structural_invariants(G, p):
         sorted(bd.centralizer_p_parts())
     assert sum(pd * s.dim for pd, s in
                zip(bd.projective_dims, bd.simples)) == G.order
+
+
+@pytest.mark.parametrize("G,p", CORPUS + [(alternating_group(5), 5),
+                                          (cyclic_group(7), 3)],
+                         ids=[f"{g.name}-p{p}" for g, p in CORPUS]
+                         + ["A5-p5", "C7-p3"])
+def test_decompose_table_is_phi_table_inverse(G, p):
+    # decompose reads Phi_S(x_i^-1) |class i| / |G|; the reference is the
+    # inverse of the phi table by elimination
+    bd = BrauerData(G, p)
+    n = len(bd.simples)
+    want = mat_inv([[bd.phi[s][i] for i in range(n)] for s in range(n)])
+    assert [list(row) for row in bd._dual] == want
 
 
 @pytest.mark.parametrize("G,p", [(cyclic_group(5), 2),

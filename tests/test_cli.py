@@ -162,6 +162,17 @@ def test_json_flag_writes_stdout_bytes(capsys, tmp_path):
     assert path.read_text() == out
 
 
+def test_unwritable_json_path_is_one_json_error(capsys, tmp_path):
+    path = tmp_path / "no_such_dir" / "report.json"
+    code, out, err = run_cli(capsys, "analyze", "C2", "--p", "2",
+                             "--json", str(path))
+    assert code == 2 and out == ""
+    assert len(err.splitlines()) == 1
+    error = json.loads(err)["error"]
+    assert (error["module"], error["type"]) == ("cli", "OutputUnwritable")
+    assert not path.exists()
+
+
 def test_env_seed_override(capsys, monkeypatch):
     monkeypatch.setenv("REPRING_SEED", "31")
     r = analyze_json(capsys, "analyze", "C2", "--p", "2")

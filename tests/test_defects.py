@@ -1,9 +1,12 @@
+import json
+import os
 from fractions import Fraction
 
 import pytest
 
 from repring.brauer import BrauerData, induce_class_function
 from repring.catalog import build_catalog
+from repring.config import default_max_order
 from repring.cyclo import Cyc
 from repring.defects import (
     RkElement,
@@ -24,6 +27,7 @@ from repring.defects import (
 )
 from repring.errors import (
     CatalogTooSmall,
+    DefectNotZeroInQuotient,
     InvariantViolated,
     NotDefectZero,
     PreconditionViolated,
@@ -33,6 +37,8 @@ from repring.groups import (
     cyclic_group,
     dihedral_group,
     direct_product,
+    parse_group_spec,
+    perm_order,
     quaternion_group,
     symmetric_group,
     trivial_group,
@@ -51,6 +57,45 @@ def ident(G):
 
 def analysis(G, p, cat):
     return defect_classification(BrauerData(G, p), cat)
+
+
+def u_by_quotient(a, x, R):
+    """U_x by the definition: gamma of the image of x in the quotient
+    H/R, H = R C_G(R), inflated to H and induced to G.  The reference
+    that defects._u_from's orthogonality sum is checked against."""
+    G, p, bd = a.G, a.p, a.bd
+    CR = G.centralizer_of_subgroup(R)
+    H = G.generated_subgroup(list(R.gens) + list(CR.gens))
+    Hbar, proj = H.quotient_group(R)
+    xbar = proj[tuple(x)]
+    if Hbar.centralizer(xbar).order % p == 0:
+        raise DefectNotZeroInQuotient("image of x has positive defect")
+    bq = BrauerData(Hbar, p, bd.seed)
+    gq = gamma_element(bq, xbar)
+    vals = {}
+    for h in H.elements:
+        if perm_order(h) % p:
+            k = bq._pos[Hbar.class_index_of(proj[h])]
+            total = Cyc.from_rational(0)
+            for c, row in zip(gq.exact, bq.phi):
+                total = total + c * row[k]
+            vals[h] = total
+    ind = induce_class_function(G, H, vals, class_indices=bd.pregular)
+    coeffs = bd.decompose(ind, require_integral=False)
+    return tuple(bd.lift.reduce(c) for c in coeffs)
+
+
+def golden_analyze_cases():
+    """(group spec, p) of every analyze op in tests/golden/reports.json."""
+    path = os.path.join(os.path.dirname(os.path.abspath(__file__)),
+                        "golden", "reports.json")
+    with open(path, encoding="ascii") as fh:
+        ops = json.load(fh)
+    return [(op.split()[1], int(op.split()[2][1:])) for op in sorted(ops)
+            if op.startswith("analyze ")]
+
+
+GOLDEN_ANALYZE = golden_analyze_cases()
 
 
 def test_defect_classification_s4():
@@ -181,6 +226,24 @@ def test_u_independent_of_sylow_choice():
         conj = G.generated_subgroup(
             [G.conjugate(x, t) for x in row.sylow.gens])
         assert _u_from(rep, row.rep, conj).coeffs == (1, 1)
+
+
+@pytest.mark.parametrize("spec,p", GOLDEN_ANALYZE,
+                         ids=[f"{g}-p{p}" for g, p in GOLDEN_ANALYZE])
+def test_u_matches_quotient_route(spec, p):
+    a = analysis(parse_group_spec(spec), p,
+                 build_catalog(p, default_max_order(p)))
+    for r in a.rows:
+        assert u_element(a, r.rep).coeffs == u_by_quotient(a, r.rep, r.sylow)
+
+
+@pytest.mark.parametrize("route", [_u_from, u_by_quotient])
+def test_wrong_sylow_raises_defect_not_zero_in_quotient(route):
+    # <(0 1)> is not a Sylow 2-subgroup of C_G(1) = S4
+    G = symmetric_group(4)
+    a = analysis(G, 2, CAT2)
+    with pytest.raises(DefectNotZeroInQuotient):
+        route(a, ident(G), G.generated_subgroup([(1, 0, 2, 3)]))
 
 
 def test_u_independent_of_representative():
@@ -345,8 +408,8 @@ def test_inflation_matches_direct_chop():
     assert len(bh.simples) == len(bq.simples)
     direct = [list(row) for row in bh.phi]
     inflated = []
-    for s in range(len(bq.simples)):
-        inflated.append([bq.phi_of_element(proj[x])[s]
+    for row in bq.phi:
+        inflated.append([row[bq._pos[Hbar.class_index_of(proj[x])]]
                          for x in bh.class_reps])
     for row in inflated:
         assert direct.count(row) == 1
