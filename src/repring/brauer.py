@@ -12,7 +12,7 @@ from fractions import Fraction
 from math import gcd
 
 from .config import default_seed
-from .cyclo import Cyc
+from .cyclo import Cyc, dot
 from .errors import (
     InvariantViolated,
     NonIntegralCartan,
@@ -76,10 +76,8 @@ def _phi_value(lift, F, mat):
         raise NonSplitCharPoly(
             "characteristic polynomial does not split over "
             f"GF({F.p},{F.d}); field is not a splitting field")
-    val = Cyc.from_rational(0)
-    for code, mult in roots:
-        val = val + mult * lift.lift(code)
-    return val
+    return dot([mult for _, mult in roots],
+               [lift.lift(code) for code, _ in roots])
 
 
 def _phi_sort_key(m, row):
@@ -153,10 +151,8 @@ class BrauerData:
     def pairing(self, alpha, beta):
         """<alpha, beta> = (1/|G|) sum over p-regular x of a(x) b(x^-1),
         both given as rows over the p-regular classes."""
-        total = Cyc.from_rational(0)
-        for i, size in enumerate(self.class_sizes):
-            total = total + size * (Cyc.coerce(alpha[i])
-                                    * Cyc.coerce(beta[self._inv_pos[i]]))
+        total = dot([size * a for size, a in zip(self.class_sizes, alpha)],
+                    [beta[j] for j in self._inv_pos])
         return total * Fraction(1, self.G.order)
 
     def _cartan_matrix(self):
@@ -246,22 +242,16 @@ class BrauerData:
         Brauer character basis.  values is a row over the p-regular
         classes in table order.
         """
-        inv = self._dual
-        n = len(self.simples)
         coeffs = []
-        for s in range(n):
-            total = Cyc.from_rational(0)
-            for i in range(n):
-                total = total + Cyc.coerce(values[i]) * inv[i][s]
-            r = total.as_rational()
-            if require_integral:
-                if r is None or r.denominator != 1:
-                    raise NonIntegralDecomposition(
-                        f"coefficient of {self.simples[s].name} is "
-                        f"{total!r}")
-                coeffs.append(int(r))
-            else:
+        for s, column in enumerate(zip(*self._dual)):
+            total = dot(values, column)
+            if not require_integral:
                 coeffs.append(total)
+            elif total.den != 1 or any(total.num[1:]):
+                raise NonIntegralDecomposition(
+                    f"coefficient of {self.simples[s].name} is {total!r}")
+            else:
+                coeffs.append(total.num[0])
         return coeffs
 
 

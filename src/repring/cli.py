@@ -7,7 +7,9 @@ Three subcommands, all emitting canonical JSON on stdout:
     repring verify [--corpus default|FILE] [--p 2,3] [--seed 1]
 
 Errors are reported as one JSON object on stderr carrying the module
-that raised them, with a nonzero exit code.  The REPRING_SEED
+that raised them, with exit code 2; an unexpected exception (a bug) is
+reported the same way, naming the innermost repring module in its
+traceback.  The REPRING_SEED
 environment variable overrides the built-in default seed; an explicit
 --seed overrides both.
 """
@@ -112,15 +114,32 @@ def main(argv=None) -> int:
     try:
         return args.fn(args)
     except RepringError as exc:
-        err = {
-            "error": {
-                "module": exc.module,
-                "type": type(exc).__name__,
-                "message": str(exc),
-            }
+        return _report_error(exc, exc.module)
+    except Exception as exc:  # a bug: still one JSON error, never a traceback
+        return _report_error(exc, _innermost_module(exc.__traceback__))
+
+
+def _report_error(exc, module) -> int:
+    err = {
+        "error": {
+            "module": module,
+            "type": type(exc).__name__,
+            "message": str(exc),
         }
-        sys.stderr.write(json.dumps(err, sort_keys=True) + "\n")
-        return 2
+    }
+    sys.stderr.write(json.dumps(err, sort_keys=True) + "\n")
+    return 2
+
+
+def _innermost_module(tb):
+    """The last repring module (as "brauer", "cli", ...) in a traceback."""
+    module = "repring"
+    while tb is not None:
+        name = tb.tb_frame.f_globals.get("__name__", "")
+        if name.startswith("repring."):
+            module = name[len("repring."):]
+        tb = tb.tb_next
+    return module
 
 
 if __name__ == "__main__":

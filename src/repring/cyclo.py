@@ -1,10 +1,15 @@
 """Exact arithmetic in cyclotomic fields Q(zeta_m).
 
-A value of conductor m is stored as its unique coordinate vector over the
-power basis 1, z, ..., z^(phi(m)-1) of Q(zeta_m), with Fraction
-coefficients, arithmetic performed modulo the m-th cyclotomic polynomial.
-Values of different conductors mix by promotion to the lcm (zeta_m maps
-to zeta_M^(M/m)).  No floating point is involved anywhere.
+A value of conductor m is stored over the power basis 1, z, ...,
+z^(phi(m)-1) of Q(zeta_m) as a tuple ``num`` of integer numerators over
+one positive integer denominator ``den``, in lowest terms:
+gcd(den, *num) == 1, and zero has den == 1.  The stored form of a value
+of a given conductor is therefore unique.  Arithmetic runs on Python
+ints modulo the m-th cyclotomic polynomial and divides out one gcd per
+result.  Values of different conductors mix by promotion to the lcm
+(zeta_m maps to zeta_M^(M/m)) through a cached integer matrix.  Rational
+coordinates appear only at the edges: the constructor, ``coeffs``, JSON
+and ``inverse``.  No floating point is involved anywhere.
 """
 
 import functools
@@ -76,22 +81,81 @@ def _power_rows(m: int) -> tuple:
     return tuple(rows)
 
 
+@functools.lru_cache(maxsize=None)
+def _promotion(m: int, big: int) -> tuple:
+    """Integer matrix of Q(zeta_m) -> Q(zeta_big): row i is zeta_m^i."""
+    step = big // m
+    rows = _power_rows(big)
+    return tuple(rows[i * step] for i in range(conductor_degree(m)))
+
+
 def conductor_degree(m: int) -> int:
     return len(cyclotomic_poly(m)) - 1
+
+
+_new = object.__new__
+_set = object.__setattr__
+
+
+def _raw(m, num, den):
+    """The Cyc num/den of conductor m; num/den must be in lowest terms."""
+    v = _new(Cyc)
+    _set(v, "m", m)
+    _set(v, "num", num)
+    _set(v, "den", den)
+    return v
+
+
+def _make(m, num, den):
+    """The Cyc num/den of conductor m (den > 0), put in lowest terms."""
+    g = math.gcd(den, *num)
+    if g != 1:
+        return _raw(m, tuple([c // g for c in num]), den // g)
+    return _raw(m, tuple(num), den)
+
+
+def _mul_into(acc, an, bn, scale=1):
+    """acc += scale * an * bn, as unreduced integer polynomials."""
+    for i, x in enumerate(an):
+        if x:
+            x *= scale
+            for j, y in enumerate(bn):
+                if y:
+                    acc[i + j] += x * y
+
+
+def _reduce(m, prod, deg):
+    """A product of reduced polynomials (length 2*deg - 1) mod Phi_m: only
+    the degrees >= deg = phi(m) are rewritten, through _power_rows."""
+    out = prod[:deg]
+    rows = _power_rows(m)
+    for k in range(deg, len(prod)):
+        c = prod[k]
+        if c:
+            for j, r in enumerate(rows[k]):
+                if r:
+                    out[j] += c * r
+    return out
 
 
 class Cyc:
     """An element of Q(zeta_m) in the power basis; immutable."""
 
-    __slots__ = ("m", "coeffs")
+    __slots__ = ("m", "num", "den")
 
     def __init__(self, m, coeffs):
+        """The value whose power-basis coordinates are the rationals coeffs."""
         deg = conductor_degree(m)
-        coeffs = tuple(Fraction(c) for c in coeffs)
+        coeffs = [c if isinstance(c, (int, Fraction)) else Fraction(c)
+                  for c in coeffs]
         if len(coeffs) != deg:
             raise ValueError(f"need {deg} coefficients for conductor {m}")
-        object.__setattr__(self, "m", m)
-        object.__setattr__(self, "coeffs", coeffs)
+        # the lcm of reduced denominators leaves no common factor behind
+        den = math.lcm(*(c.denominator for c in coeffs))
+        _set(self, "m", m)
+        _set(self, "num", tuple(c.numerator * (den // c.denominator)
+                                for c in coeffs))
+        _set(self, "den", den)
 
     def __setattr__(self, *a):
         raise AttributeError("Cyc is immutable")
@@ -100,14 +164,14 @@ class Cyc:
 
     @staticmethod
     def from_rational(c, m: int = 1) -> "Cyc":
-        deg = conductor_degree(m)
-        return Cyc(m, (Fraction(c),) + (Fraction(0),) * (deg - 1))
+        if not isinstance(c, (int, Fraction)):
+            c = Fraction(c)
+        return _raw(m, (c.numerator,) + (0,) * (conductor_degree(m) - 1),
+                    c.denominator)
 
     @staticmethod
     def zeta(m: int, k: int = 1) -> "Cyc":
-        k %= m
-        row = _power_rows(m)[k]
-        return Cyc(m, row)
+        return _raw(m, _power_rows(m)[k % m], 1)
 
     @staticmethod
     def coerce(v, m: int = 1) -> "Cyc":
@@ -117,48 +181,60 @@ class Cyc:
 
     # -- structure
 
+    @property
+    def coeffs(self) -> tuple:
+        """The power-basis coordinates as Fractions."""
+        den = self.den
+        return tuple(Fraction(c, den) for c in self.num)
+
     def promote(self, big: int) -> "Cyc":
-        if big == self.m:
+        m = self.m
+        if big == m:
             return self
-        if big % self.m:
-            raise ValueError(f"{big} is not a multiple of conductor {self.m}")
-        step = big // self.m
-        deg = conductor_degree(big)
-        rows = _power_rows(big)
-        out = [Fraction(0)] * deg
-        for i, c in enumerate(self.coeffs):
+        if big % m:
+            raise ValueError(f"{big} is not a multiple of conductor {m}")
+        out = [0] * conductor_degree(big)
+        for c, row in zip(self.num, _promotion(m, big)):
             if c:
-                row = rows[i * step]
-                for j in range(deg):
-                    if row[j]:
-                        out[j] += c * row[j]
-        return Cyc(big, out)
+                for j, r in enumerate(row):
+                    if r:
+                        out[j] += c * r
+        # Z[zeta_big] meets Q(zeta_m) in Z[zeta_m]: no common factor appears
+        return _raw(big, tuple(out), self.den)
 
     def _common(self, other):
         other = Cyc.coerce(other, 1)
+        if other.m == self.m:
+            return self, other, self.m
         m = math.lcm(self.m, other.m)
         return self.promote(m), other.promote(m), m
 
     @property
     def is_zero(self) -> bool:
-        return not any(self.coeffs)
+        return not any(self.num)
 
     def as_rational(self):
         """The value as a Fraction, or None if it is irrational."""
-        if any(self.coeffs[1:]):
+        if any(self.num[1:]):
             return None
-        return self.coeffs[0]
+        return Fraction(self.num[0], self.den)
 
     # -- arithmetic
 
     def __add__(self, other):
         a, b, m = self._common(other)
-        return Cyc(m, tuple(x + y for x, y in zip(a.coeffs, b.coeffs)))
+        da, db = a.den, b.den
+        if da == db:
+            return _make(m, [x + y for x, y in zip(a.num, b.num)], da)
+        g = math.gcd(da, db)
+        fa, fb = db // g, da // g
+        return _make(m, [x * fa + y * fb for x, y in zip(a.num, b.num)],
+                     da * fa)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Cyc(self.m, tuple(-c for c in self.coeffs))
+        return _raw(self.m, tuple([-c for c in self.num]), self.den)
 
     def __sub__(self, other):
         return self + (-Cyc.coerce(other, 1))
@@ -169,38 +245,29 @@ class Cyc:
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
             # scalar: no conductor promotion needed
-            f = Fraction(other)
-            return Cyc(self.m, tuple(c * f for c in self.coeffs))
+            n = other.numerator
+            return _make(self.m, [c * n for c in self.num],
+                         self.den * other.denominator)
         a, b, m = self._common(other)
-        deg = len(a.coeffs)
-        prod = [Fraction(0)] * (2 * deg - 1)
-        for i, x in enumerate(a.coeffs):
-            if x:
-                for j, y in enumerate(b.coeffs):
-                    if y:
-                        prod[i + j] += x * y
-        rows = _power_rows(m)
-        out = [Fraction(0)] * deg
-        for k, c in enumerate(prod):
-            if c:
-                row = rows[k]
-                for j in range(deg):
-                    if row[j]:
-                        out[j] += c * row[j]
-        return Cyc(m, out)
+        deg = len(a.num)
+        prod = [0] * (2 * deg - 1)
+        _mul_into(prod, a.num, b.num)
+        return _make(m, _reduce(m, prod, deg), a.den * b.den)
 
     __rmul__ = __mul__
 
     def inverse(self) -> "Cyc":
         if self.is_zero:
             raise ZeroDivisionError("inverse of zero cyclotomic value")
-        m = self.m
-        if m == 1:
-            return Cyc(1, (Fraction(1) / self.coeffs[0],))
-        # extended Euclid in Q[x] against the (irreducible) cyclotomic poly
+        m, num = self.m, self.num
+        if not any(num[1:]):
+            s = 1 if num[0] > 0 else -1
+            return _raw(m, (s * self.den,) + num[1:], s * num[0])
+        # extended Euclid in Q[x] against the (irreducible) cyclotomic
+        # poly, on the numerator polynomial; den scales the result
         phi = [Fraction(c) for c in cyclotomic_poly(m)]
         r0, s0 = phi, []
-        r1 = list(self.coeffs)
+        r1 = [Fraction(c) for c in num]
         while r1 and r1[-1] == 0:
             r1.pop()
         s1 = [Fraction(1)]
@@ -210,10 +277,10 @@ class Cyc:
             s0, s1 = s1, _q_sub(s0, _q_mul(q, s1))
         if not r1:
             raise ZeroDivisionError("zero divisor mod cyclotomic polynomial")
-        c = r1[0]
-        deg = conductor_degree(m)
-        out = [x / c for x in s1] + [Fraction(0)] * deg
-        return Cyc(m, tuple(out[:deg]))
+        c = self.den / r1[0]
+        deg = len(num)
+        out = [x * c for x in s1] + [0] * deg
+        return Cyc(m, out[:deg])
 
     def __truediv__(self, other):
         other = Cyc.coerce(other, 1)
@@ -242,7 +309,7 @@ class Cyc:
         if not isinstance(other, Cyc):
             return NotImplemented
         a, b, _ = self._common(other)
-        return a.coeffs == b.coeffs
+        return a.den == b.den and a.num == b.num
 
     __hash__ = None
 
@@ -251,10 +318,11 @@ class Cyc:
         return (self.m,) + tuple((c.numerator, c.denominator) for c in self.coeffs)
 
     def to_json(self):
+        coeffs = self.coeffs
         return {
             "conductor": self.m,
-            "num": [c.numerator for c in self.coeffs],
-            "den": [c.denominator for c in self.coeffs],
+            "num": [c.numerator for c in coeffs],
+            "den": [c.denominator for c in coeffs],
         }
 
     @staticmethod
@@ -263,13 +331,40 @@ class Cyc:
                    [Fraction(n, d) for n, d in zip(obj["num"], obj["den"])])
 
     def __repr__(self):
+        coeffs = self.coeffs
         if self.as_rational() is not None:
-            return f"Cyc({self.coeffs[0]})"
+            return f"Cyc({coeffs[0]})"
         terms = []
-        for i, c in enumerate(self.coeffs):
+        for i, c in enumerate(coeffs):
             if c:
                 terms.append(f"{c}*z{self.m}^{i}" if i else f"{c}")
         return "Cyc(" + " + ".join(terms) + ")"
+
+
+def dot(xs, ys) -> Cyc:
+    """Sum of x * y over paired entries (each a Cyc, int or Fraction).
+
+    The products are accumulated unreduced over one running denominator,
+    then reduced mod the cyclotomic polynomial and put in lowest terms
+    once, at the lcm of all the conductors.
+    """
+    pairs = [(Cyc.coerce(x), Cyc.coerce(y)) for x, y in zip(xs, ys)]
+    m = math.lcm(1, *(a.m for a, _ in pairs), *(b.m for _, b in pairs))
+    deg = conductor_degree(m)
+    acc = [0] * (2 * deg - 1)
+    den = 1
+    for a, b in pairs:
+        d = a.den * b.den
+        scale = 1
+        if d != den:
+            g = math.gcd(den, d)
+            scale = den // g
+            if d != g:
+                grow = d // g
+                acc = [c * grow for c in acc]
+                den *= grow
+        _mul_into(acc, a.promote(m).num, b.promote(m).num, scale)
+    return _make(m, _reduce(m, acc, deg), den)
 
 
 # rational polynomial helpers for the inverse

@@ -76,6 +76,10 @@ class PermGroup:
     """A concrete finite permutation group with full element enumeration."""
 
     def __init__(self, degree: int, generators, name: str = None):
+        if (isinstance(degree, bool) or not isinstance(degree, int)
+                or degree < 1):
+            raise InvalidGroupSpec(
+                f"degree must be an integer >= 1, got {degree!r}")
         self.degree = degree
         gens = tuple(tuple(g) for g in generators)
         for g in gens:
@@ -395,12 +399,17 @@ def direct_product(a: PermGroup, b: PermGroup, name: str = None) -> PermGroup:
 
 def group_from_spec_dict(obj) -> PermGroup:
     try:
-        degree = int(obj["degree"])
-        gens = [tuple(int(v) - 1 for v in g) for g in obj["generators"]]
+        degree = obj["degree"]
+        gens = [tuple(g) for g in obj["generators"]]
         name = obj.get("name")
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError) as exc:
         raise InvalidGroupSpec(f"bad group spec object: {exc}") from None
-    return PermGroup(degree, gens, name=name)
+    for g in gens:
+        if any(isinstance(v, bool) or not isinstance(v, int) for v in g):
+            raise InvalidGroupSpec(
+                f"generator {list(g)} has a non-integer image")
+    return PermGroup(degree, [tuple(v - 1 for v in g) for g in gens],
+                     name=name)
 
 
 def parse_group_spec(spec) -> PermGroup:

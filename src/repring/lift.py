@@ -44,15 +44,17 @@ class BrauerLift:
     def reduce(self, v: Cyc) -> int:
         """Reduction to F_q: substitute the paired field root for zeta_m.
 
-        The value must be p-local: every denominator coprime to p.
+        The value must be p-local: its denominator coprime to p.
         """
         if self.m % v.m:
             raise ValueError(f"conductor {v.m} does not divide lift conductor {self.m}")
         v = v.promote(self.m)
-        F = self.F
+        F, p = self.F, self.F.p
+        if v.den % p == 0:
+            raise NotPLocal(f"denominator {v.den} divisible by p = {p}")
         out = 0
-        for i, c in enumerate(v.coeffs):
+        for c, code in zip(v.num, self.root_codes):
+            c %= p
             if c:
-                out = F.add(out, F.mul(self.reduce_rational(c),
-                                       F.pow(self.root, i)))
-        return out
+                out = F.add(out, F.mul(c, code))
+        return F.mul(out, F.inv(v.den % p))

@@ -11,6 +11,7 @@ All routines are deterministic, and all but `Echelon` are pure.
 """
 
 import bisect
+from fractions import Fraction
 
 
 # ---------------------------------------------------------------------
@@ -34,8 +35,9 @@ def mat_rref(rows):
         if pivot_row is None:
             continue
         rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
-        inv_p = rows[r][c]
-        rows[r] = [v / inv_p for v in rows[r]]
+        # one inverse per pivot; Fraction(1) keeps an int pivot exact
+        inv_p = Fraction(1) / rows[r][c]
+        rows[r] = [v * inv_p for v in rows[r]]
         for i in range(len(rows)):
             if i != r and not rows[i][c] == 0:
                 f = rows[i][c]

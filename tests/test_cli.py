@@ -299,12 +299,56 @@ def test_verify_bad_prime_list(capsys):
     (("verify", "--p", "2,9"), "InvalidPrime"),
     (("lattice", "--p", "4"), "InvalidPrime"),
     (("analyze", "C0", "--p", "2"), "InvalidGroupSpec"),
+    (("analyze", '{"degree": -1, "generators": []}', "--p", "2"),
+     "InvalidGroupSpec"),
+    (("analyze", '{"degree": 0, "generators": []}', "--p", "2"),
+     "InvalidGroupSpec"),
+    (("analyze", '{"degree": 2.5, "generators": []}', "--p", "2"),
+     "InvalidGroupSpec"),
+    (("analyze", '{"degree": true, "generators": []}', "--p", "2"),
+     "InvalidGroupSpec"),
+    (("analyze", '{"degree": 3, "generators": [[2.5, 3, 1]]}', "--p", "3"),
+     "InvalidGroupSpec"),
+    (("analyze", '{"degree": 3, "generators": [[true, 3, 2]]}', "--p", "3"),
+     "InvalidGroupSpec"),
 ])
 def test_bad_input_is_one_json_error(capsys, argv, err_type):
     code, out, err = run_cli(capsys, *argv)
     assert code == 2 and out == ""
     assert len(err.splitlines()) == 1
     assert json.loads(err)["error"]["type"] == err_type
+
+
+def test_unexpected_exception_is_one_json_error(capsys, monkeypatch):
+    def broken(*args, **kwargs):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr("repring.cli.analyze_report", broken)
+    code, out, err = run_cli(capsys, "analyze", "S4", "--p", "2")
+    assert code == 2 and out == ""
+    assert len(err.splitlines()) == 1
+    assert json.loads(err)["error"] == {
+        "module": "cli", "type": "RuntimeError", "message": "boom"}
+
+
+def test_unexpected_exception_names_innermost_module(capsys, monkeypatch):
+    def broken(*args, **kwargs):
+        raise KeyError("lost")
+
+    monkeypatch.setattr("repring.brauer.simple_modules", broken)
+    code, out, err = run_cli(capsys, "analyze", "S4", "--p", "2")
+    assert code == 2 and out == ""
+    error = json.loads(err)["error"]
+    assert (error["module"], error["type"]) == ("brauer", "KeyError")
+
+
+def test_keyboard_interrupt_is_not_caught(monkeypatch):
+    def interrupted(*args, **kwargs):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr("repring.cli.analyze_report", interrupted)
+    with pytest.raises(KeyboardInterrupt):
+        main(["analyze", "S4", "--p", "2"])
 
 
 def test_library_entry_points_reject_non_prime():

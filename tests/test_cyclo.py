@@ -1,11 +1,12 @@
+import math
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repring.cyclo import Cyc, conductor_degree, cyclotomic_poly
+from repring.cyclo import Cyc, conductor_degree, cyclotomic_poly, dot
 from repring.errors import NotPLocal
-from repring.gf import gf_field
+from repring.gf import gf_field, multiplicative_order
 from repring.lift import BrauerLift
 
 
@@ -143,3 +144,211 @@ def test_reduce_rejects_non_local():
     L = BrauerLift(F, 3)
     with pytest.raises(NotPLocal):
         L.reduce(Cyc.from_rational(Fraction(3, 2)))
+
+
+# --- Fraction-coordinate reference: one Fraction per power-basis
+# coordinate, reduced by long division by the cyclotomic polynomial
+
+
+def ref_reduce(m, poly):
+    """Remainder of a rational polynomial mod the m-th cyclotomic one."""
+    phi = cyclotomic_poly(m)  # monic
+    deg = len(phi) - 1
+    poly = list(poly) + [Fraction(0)] * max(0, deg - len(poly))
+    for k in range(len(poly) - 1, deg - 1, -1):
+        c = poly[k]
+        if c:
+            for i in range(deg + 1):
+                poly[k - deg + i] -= c * phi[i]
+    return tuple(poly[:deg])
+
+
+class RefCyc:
+    def __init__(self, m, coeffs):
+        self.m = m
+        self.coeffs = tuple(Fraction(c) for c in coeffs)
+        assert len(self.coeffs) == conductor_degree(m)
+
+    @staticmethod
+    def of(v: Cyc) -> "RefCyc":
+        return RefCyc(v.m, [Fraction(n, v.den) for n in v.num])
+
+    def promote(self, big):
+        step = big // self.m
+        poly = [Fraction(0)] * big
+        for i, c in enumerate(self.coeffs):
+            poly[i * step] = c
+        return RefCyc(big, ref_reduce(big, poly))
+
+    def _common(self, other):
+        m = math.lcm(self.m, other.m)
+        return self.promote(m), other.promote(m), m
+
+    def __add__(self, other):
+        a, b, m = self._common(other)
+        return RefCyc(m, [x + y for x, y in zip(a.coeffs, b.coeffs)])
+
+    def __sub__(self, other):
+        a, b, m = self._common(other)
+        return RefCyc(m, [x - y for x, y in zip(a.coeffs, b.coeffs)])
+
+    def __mul__(self, other):
+        if isinstance(other, (int, Fraction)):
+            return RefCyc(self.m, [c * other for c in self.coeffs])
+        a, b, m = self._common(other)
+        prod = [Fraction(0)] * (2 * len(a.coeffs) - 1)
+        for i, x in enumerate(a.coeffs):
+            for j, y in enumerate(b.coeffs):
+                prod[i + j] += x * y
+        return RefCyc(m, ref_reduce(m, prod))
+
+    def __eq__(self, other):
+        a, b, _ = self._common(other)
+        return a.coeffs == b.coeffs
+
+    def to_json(self):
+        return {"conductor": self.m,
+                "num": [c.numerator for c in self.coeffs],
+                "den": [c.denominator for c in self.coeffs]}
+
+    def reduce(self, lift):
+        """The old per-coefficient reduction through reduce_rational."""
+        F = lift.F
+        out = 0
+        for i, c in enumerate(self.promote(lift.m).coeffs):
+            if c:
+                if c.denominator % F.p == 0:
+                    raise NotPLocal(f"denominator {c.denominator}")
+                r = F.mul(c.numerator % F.p, F.inv(c.denominator % F.p))
+                out = F.add(out, F.mul(r, F.pow(lift.root, i)))
+        return out
+
+
+def assert_lowest_terms(v: Cyc):
+    assert type(v.den) is int and v.den > 0
+    assert all(type(c) is int for c in v.num)
+    assert len(v.num) == conductor_degree(v.m)
+    assert math.gcd(v.den, *v.num) == 1  # so zero has den == 1
+
+
+def assert_matches(v: Cyc, ref: RefCyc):
+    assert_lowest_terms(v)
+    assert v.m == ref.m
+    assert v.coeffs == ref.coeffs
+    assert v.to_json() == ref.to_json()
+    assert Cyc.from_json(ref.to_json()).num == v.num
+
+
+property_conductors = st.sampled_from([1, 2, 3, 4, 5, 6, 8, 12, 15])
+property_fractions = st.fractions(min_value=-4, max_value=4,
+                                  max_denominator=12)
+
+
+@st.composite
+def cyc_values(draw, m=None):
+    if m is None:
+        m = draw(property_conductors)
+    deg = conductor_degree(m)
+    # sparse vectors too, so that rational and zero values turn up
+    coeffs = draw(st.lists(st.one_of(st.just(Fraction(0)),
+                                     property_fractions),
+                           min_size=deg, max_size=deg))
+    return Cyc(m, coeffs)
+
+
+@settings(max_examples=150, deadline=None)
+@given(cyc_values(), cyc_values())
+def test_arithmetic_matches_fraction_reference(a, b):
+    ra, rb = RefCyc.of(a), RefCyc.of(b)
+    assert_matches(a, ra)
+    assert_matches(a + b, ra + rb)
+    assert_matches(a - b, ra - rb)
+    assert_matches(a * b, ra * rb)
+    assert_matches(-a, RefCyc(a.m, [-c for c in ra.coeffs]))
+    assert (a == b) == (ra == rb)
+    assert a == a + 0 and a + b - b == a
+    if not b.is_zero:
+        q = a / b
+        assert_lowest_terms(q)
+        assert RefCyc.of(q) * rb == ra
+        assert_lowest_terms(b.inverse())
+
+
+@settings(max_examples=100, deadline=None)
+@given(cyc_values(), st.one_of(st.integers(-30, 30), property_fractions))
+def test_scalar_product_matches_reference(a, c):
+    assert_matches(a * c, RefCyc.of(a) * c)
+    assert_matches(c * a, RefCyc.of(a) * c)
+    assert (a.as_rational() == c) == (a == c)
+
+
+@settings(max_examples=100, deadline=None)
+@given(cyc_values(), property_conductors)
+def test_promote_matches_reference(a, k):
+    big = a.m * k
+    up = a.promote(big)
+    assert_matches(up, RefCyc.of(a).promote(big))
+    assert up == a
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.tuples(cyc_values(),
+                          st.one_of(cyc_values(), st.integers(-5, 5))),
+                max_size=5))
+def test_dot_matches_reference(pairs):
+    xs, ys = [x for x, _ in pairs], [y for _, y in pairs]
+    total = RefCyc(1, [0])
+    for x, y in pairs:
+        total = total + RefCyc.of(x) * (RefCyc.of(y) if isinstance(y, Cyc)
+                                        else y)
+    got = dot(xs, ys)
+    assert_lowest_terms(got)
+    assert RefCyc.of(got) == total
+    # the conductor is the lcm of the operands', as a running sum gives
+    assert got.m == math.lcm(1, *(v.m for v in xs + ys
+                                  if isinstance(v, Cyc)))
+
+
+def _lift(M, p):
+    return BrauerLift(gf_field(p, multiplicative_order(p, M)), M)
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.sampled_from([(M, p) for M in (1, 2, 3, 4, 5, 6, 8, 12, 15)
+                        for p in (2, 3, 5, 7) if M % p]),
+       st.data())
+def test_lift_reduce_matches_reference(lift_at, data):
+    M, p = lift_at
+    m = data.draw(st.sampled_from([d for d in (1, 2, 3, 4, 5, 6, 8, 12, 15)
+                                   if M % d == 0]))
+    v = data.draw(cyc_values(m))
+    lift = _lift(M, p)
+    try:
+        want = RefCyc.of(v).reduce(lift)
+    except NotPLocal:
+        with pytest.raises(NotPLocal):
+            lift.reduce(v)
+    else:
+        assert lift.reduce(v) == want
+
+
+def test_lift_reduce_not_p_local_in_one_coordinate():
+    lift = _lift(15, 2)
+    v = Cyc(15, [1, 0, Fraction(1, 4)] + [0] * 5)
+    with pytest.raises(NotPLocal):
+        RefCyc.of(v).reduce(lift)
+    with pytest.raises(NotPLocal):
+        lift.reduce(v)
+    # a p-local value over the same denominators reduces
+    w = Cyc(15, [Fraction(1, 3), 0, Fraction(2, 5)] + [0] * 5)
+    assert lift.reduce(w) == RefCyc.of(w).reduce(lift)
+
+
+def test_lowest_terms_examples():
+    v = Cyc(4, [Fraction(1, 2), Fraction(3, 4)])
+    assert (v.num, v.den) == ((2, 3), 4)
+    zero = v - v
+    assert (zero.num, zero.den) == ((0, 0), 1)
+    assert (v * 4).den == 1 and (v * 4).num == (2, 3)
+    with pytest.raises(AttributeError):
+        v.coeffs = (1, 2)

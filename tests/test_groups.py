@@ -248,6 +248,14 @@ def test_parse_group_spec():
         parse_group_spec({"degree": 3, "generators": [[1, 1, 2]]})
 
 
+@pytest.mark.parametrize("degree", [-1, 0, 2.5, True, "3", None])
+def test_degree_must_be_a_positive_int(degree):
+    with pytest.raises(InvalidGroupSpec):
+        PermGroup(degree, [])
+    with pytest.raises(InvalidGroupSpec):
+        parse_group_spec({"degree": degree, "generators": []})
+
+
 def test_element_membership_errors():
     G = cyclic_group(3)
     assert (1, 2, 0) in G
