@@ -217,7 +217,7 @@ class BrauerData:
         this multiset equals the Cartan elementary divisors."""
         out = []
         for x in self.class_reps:
-            out.append(p_part(self.G.centralizer(x).order, self.p))
+            out.append(p_part(self.G.centralizer_order(x), self.p))
         return tuple(out)
 
     def structure_constants(self):
@@ -261,28 +261,24 @@ def induce_class_function(G: PermGroup, H: PermGroup, values,
 
     values maps elements of H (as tuples padded to G's degree) to Cyc.
     Returns a list over G's conjugacy classes, or over class_indices
-    when given (values then only needs keys that can actually arise as
-    conjugates landing in H):
-    (Ind f)(g) = (1/|H|) sum over t in G with t^-1 g t in H of f(t^-1 g t).
+    when given (values then only needs keys for the elements of H in
+    those classes).  Each conjugate of g arises from |C_G(g)| elements
+    t, so (Ind f)(g) = (1/|H|) sum over t in G with t^-1 g t in H of
+    f(t^-1 g t) = (|C_G(g)|/|H|) sum over the h in H that lie in the
+    class of g of f(h).
     """
-    hset = set(H.elements)
-    for h in hset:
-        if h not in G:
-            raise NotSubgroup("induction subgroup is not contained in G")
     classes = G.conjugacy_classes()
     if class_indices is None:
         class_indices = range(len(classes))
-    out = []
-    scale = Fraction(1, H.order)
-    for ci in class_indices:
-        g = classes[ci][0]
-        total = Cyc.from_rational(0)
-        for t in G.elements:
-            u = G.conjugate(g, t)
-            if u in hset:
-                total = total + Cyc.coerce(values[u])
-        out.append(total * scale)
-    return out
+    sums = {ci: Cyc.from_rational(0) for ci in class_indices}
+    for h in H.elements:
+        if h not in G:
+            raise NotSubgroup("induction subgroup is not contained in G")
+        ci = G.class_index_of(h)
+        if ci in sums:
+            sums[ci] = sums[ci] + Cyc.coerce(values[h])
+    return [sums[ci] * Fraction(G.centralizer_order(classes[ci][0]), H.order)
+            for ci in class_indices]
 
 
 def cartan_via_endomorphisms(bd: BrauerData):
@@ -349,17 +345,20 @@ def cartan_via_endomorphisms(bd: BrauerData):
                  for a, b in zip(e2, e3)]
         idems.append(e)
 
-    basis_vecs = []
-    for g in range(n):
-        v = [0] * n
-        v[g] = 1
-        basis_vecs.append(v)
+    def times_element(a, g):
+        """a * g for the group element of index g: coordinate i of a
+        moves to the index of elements[i] * elements[g]."""
+        out = [0] * n
+        for i, ai in enumerate(a):
+            out[mul_table[i][g]] = ai
+        return out
+
     out = []
     for t in range(len(dims)):
         row = []
         for s in range(len(dims)):
-            spanned = [alg_mul(alg_mul(idems[s], bv), idems[t])
-                       for bv in basis_vecs]
+            spanned = [alg_mul(times_element(idems[s], g), idems[t])
+                       for g in range(n)]
             r = gf_rank(F, spanned)
             num, den = r, dims[s] * dims[t]
             if num % den:

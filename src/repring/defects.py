@@ -143,7 +143,7 @@ def gamma_element(bd: BrauerData, x) -> RkElement:
     if ci not in bd._pos:
         raise NotDefectZero(f"element of {G.describe()} is not {p}-regular")
     k = bd._pos[ci]
-    csize = G.centralizer(x).order
+    csize = G.centralizer_order(x)
     if csize % p == 0:
         raise NotDefectZero(
             f"class has defect of order {p_part(csize, p)}, not zero")
@@ -172,7 +172,7 @@ def cartan_image_basis(bd: BrauerData):
     G, p, F = bd.G, bd.p, bd.F
     n = len(bd.simples)
     zero_pos = [k for k in range(n)
-                if G.centralizer(bd.class_reps[k]).order % p != 0]
+                if G.centralizer_order(bd.class_reps[k]) % p != 0]
     gammas = [gamma_element(bd, bd.class_reps[k]) for k in zero_pos]
 
     if gf_rank(F, [list(g.coeffs) for g in gammas]) != len(gammas):
@@ -196,7 +196,7 @@ def cartan_image_basis(bd: BrauerData):
     # the reduced Cartan image of v_x = Ind_<x>^G(|x| 1_x) is |C| gamma_x
     for k, g in zip(zero_pos, gammas):
         x = bd.class_reps[k]
-        csize = G.centralizer(x).order
+        csize = G.centralizer_order(x)
         cyc = G.generated_subgroup([x])
         o = cyc.order
         vals = {h: Cyc.coerce(o if h == x else 0) for h in cyc.elements}

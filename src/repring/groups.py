@@ -9,6 +9,15 @@ Everything is deterministic: elements are kept in lexicographic order,
 conjugacy classes are sorted by (element order, class size, smallest
 representative), and all searches scan in that canonical order.
 
+Classes, centralizers and Sylow subgroups cost no loop over pairs of
+elements.  Orbit and closure methods follow Holt, Eick and O'Brien,
+Handbook of Computational Group Theory (2005): a conjugacy class is the
+orbit of its smallest element under conjugation by the generators, a
+centralizer's order is |G| divided by the class size, and a subgroup
+given by its elements (a centralizer) or grown one element at a time
+(a Sylow subgroup) is closed from a greedy generating set of at most
+log2 of its order elements, not from all of its elements.
+
 Isomorphism and embedding tests work on element indices.  A group that
 takes part in one (at most ISO_ORDER_BOUND elements) builds, once, a
 Cayley table over ``elements`` with its element orders and greedy
@@ -44,13 +53,44 @@ def perm_inv(a):
 
 
 def perm_order(a):
-    n = 1
-    x = a
-    ident = tuple(range(len(a)))
-    while x != ident:
-        x = perm_mul(x, a)
-        n += 1
-    return n
+    """The lcm of the cycle lengths of a."""
+    seen = [False] * len(a)
+    out = 1
+    for i in range(len(a)):
+        k = 0
+        while not seen[i]:
+            seen[i] = True
+            i = a[i]
+            k += 1
+        if k:
+            out = lcm(out, k)
+    return out
+
+
+def _adjoin(span, gens, x, bound):
+    """The subgroup generated by gens and x, where span is the subgroup
+    generated by gens.  Breadth-first: the old elements are multiplied
+    on the right by x only, since span is already closed under gens, and
+    each new element by every generator.  Stops once more than bound
+    elements are found."""
+    out = set(span)
+    frontier = []
+    for h in span:
+        y = perm_mul(h, x)
+        if y not in out:
+            out.add(y)
+            frontier.append(y)
+    gens = list(gens) + [x]
+    while frontier and len(out) <= bound:
+        nxt = []
+        for e in frontier:
+            for g in gens:
+                y = perm_mul(e, g)
+                if y not in out:
+                    out.add(y)
+                    nxt.append(y)
+        frontier = nxt
+    return out
 
 
 def _check_perm(g, degree):
@@ -116,12 +156,23 @@ class PermGroup:
 
     @classmethod
     def from_elements(cls, degree: int, elements, name: str = None) -> "PermGroup":
-        """Wrap a set already known to be closed; closure is re-verified."""
+        """The group whose elements are the given set, generated by a
+        greedy generating set: each element of the sorted set outside
+        the span of the earlier generators joins them.  That span is a
+        group containing the set, so the set is closed exactly when the
+        two have the same size; otherwise NotSubgroup is raised."""
         elements = sorted(set(tuple(e) for e in elements))
-        grp = cls(degree, elements, name=name)
-        if len(grp.elements) != len(elements):
+        gens, span = [], {tuple(range(degree))}
+        for x in elements:
+            _check_perm(x, degree)
+            if x not in span:
+                span = _adjoin(span, gens, x, len(elements))
+                gens.append(x)
+                if len(span) > len(elements):
+                    break
+        if len(span) != len(elements):
             raise NotSubgroup("element set is not multiplicatively closed")
-        return grp
+        return cls(degree, gens, name=name)
 
     # -- basics
 
@@ -172,12 +223,24 @@ class PermGroup:
         (representative order, size, smallest member)."""
         if self._classes is not None:
             return self._classes
+        # the class of x is its orbit under conjugation by the generators
+        pairs = [(perm_inv(g), g) for g in self.gens]
         seen = set()
         classes = []
         for x in self.elements:
             if x in seen:
                 continue
-            orbit = {self.conjugate(x, g) for g in self.elements}
+            orbit = {x}
+            frontier = [x]
+            while frontier:
+                nxt = []
+                for y in frontier:
+                    for gi, g in pairs:
+                        z = tuple(g[y[i]] for i in gi)  # g^-1 y g
+                        if z not in orbit:
+                            orbit.add(z)
+                            nxt.append(z)
+                frontier = nxt
             seen |= orbit
             classes.append(tuple(sorted(orbit)))
         classes.sort(key=lambda c: (perm_order(c[0]), len(c), c[0]))
@@ -192,6 +255,11 @@ class PermGroup:
         if i is None:
             raise ElementNotInGroup(f"{x} not in {self.describe()}")
         return i
+
+    def centralizer_order(self, x) -> int:
+        """|C_G(x)| = |G| / |x^G|, read off the conjugacy classes."""
+        return self.order // len(
+            self.conjugacy_classes()[self.class_index_of(x)])
 
     def p_regular_classes(self, p: int):
         """Indices into conjugacy_classes() of classes of p'-order elements."""
@@ -263,22 +331,25 @@ class PermGroup:
         in canonical order whose join with the current subgroup is still
         a p-group; Sylow theory guarantees this always terminates at full
         p-part order, and the scan order makes the choice reproducible.
+        Each trial join is closed from the generators adjoined so far and
+        the new element, and abandoned once it outgrows the p-part.
         """
         target = p_part(self.order, p)
-        current = PermGroup.from_elements(self.degree, [self.identity])
-        while current.order < target:
-            extended = None
-            for x in self.elements:
-                if x in current._index or not is_p_power(perm_order(x), p):
+        candidates = [x for x in self.elements
+                      if is_p_power(perm_order(x), p)]
+        gens, span = [], {self.identity}
+        while len(span) < target:
+            for x in candidates:
+                if x in span:
                     continue
-                join = PermGroup(self.degree, list(current.elements) + [x])
-                if is_p_power(join.order, p):
-                    extended = join
+                join = _adjoin(span, gens, x, target)
+                if len(join) <= target and is_p_power(len(join), p):
+                    gens.append(x)
+                    span = join
                     break
-            if extended is None:
+            else:
                 raise RuntimeError("greedy Sylow growth stalled")  # unreachable
-            current = extended
-        return current
+        return PermGroup(self.degree, gens)
 
     def is_normal(self, sub: "PermGroup") -> bool:
         sub_set = set(sub.elements)
@@ -404,6 +475,8 @@ def group_from_spec_dict(obj) -> PermGroup:
         name = obj.get("name")
     except (KeyError, TypeError) as exc:
         raise InvalidGroupSpec(f"bad group spec object: {exc}") from None
+    if name is not None and not isinstance(name, str):
+        raise InvalidGroupSpec(f"group name must be a string, got {name!r}")
     for g in gens:
         if any(isinstance(v, bool) or not isinstance(v, int) for v in g):
             raise InvalidGroupSpec(

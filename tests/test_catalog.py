@@ -63,6 +63,20 @@ def test_catalog_missing_prime():
         build_catalog(17)  # C289 against C17^2 is past ISO_ORDER_BOUND
 
 
+def test_catalog_generated_at_p13():
+    """The four groups of order at most 13^2; classes and centers of C169
+    and C13^2 no longer cost |G|^2 conjugations."""
+    cat = build_catalog(13)
+    assert cat.labels == ["1", "C13", "C169", "C13^2"]
+    assert [cat.group(i).order for i in range(4)] == [1, 13, 169, 169]
+    assert [[int(e) for e in row] for row in cat.embed] == [
+        [1, 1, 1, 1],
+        [0, 1, 1, 1],
+        [0, 0, 1, 0],
+        [0, 0, 0, 1],
+    ]
+
+
 # sha256 of the full embedding matrix, one "0"/"1" string per row joined
 # by newlines; no golden report covers the 23-entry p = 2 matrix
 EMBED_SHA256 = {

@@ -311,12 +311,25 @@ def test_verify_bad_prime_list(capsys):
      "InvalidGroupSpec"),
     (("analyze", '{"degree": 3, "generators": [[true, 3, 2]]}', "--p", "3"),
      "InvalidGroupSpec"),
+    (("analyze", '{"degree": 2, "generators": [[2, 1]], "name": [1]}',
+      "--p", "2"), "InvalidGroupSpec"),
+    (("analyze", '{"degree": 2, "generators": [[2, 1]], "name": 7}',
+      "--p", "2"), "InvalidGroupSpec"),
 ])
 def test_bad_input_is_one_json_error(capsys, argv, err_type):
     code, out, err = run_cli(capsys, *argv)
     assert code == 2 and out == ""
     assert len(err.splitlines()) == 1
     assert json.loads(err)["error"]["type"] == err_type
+
+
+@pytest.mark.parametrize("name, shown", [
+    ("null", "group of order 2 on 2 points"), ('"swap"', "swap")])
+def test_group_name_string_or_null_is_reported(capsys, name, shown):
+    spec = f'{{"degree": 2, "generators": [[2, 1]], "name": {name}}}'
+    code, out, _ = run_cli(capsys, "analyze", spec, "--p", "2")
+    assert code == 0
+    assert json.loads(out)["group"]["name"] == shown
 
 
 def test_unexpected_exception_is_one_json_error(capsys, monkeypatch):

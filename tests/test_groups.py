@@ -1,13 +1,19 @@
+from fractions import Fraction
+from math import log2
+
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from repring.brauer import induce_class_function
 from repring.catalog import build_catalog
 from repring.config import ISO_ORDER_BOUND
+from repring.cyclo import Cyc
 from repring.errors import (
     ElementNotInGroup,
     InvalidGroupSpec,
     MalformedPermutation,
     NotNormal,
+    NotSubgroup,
 )
 from repring.groups import (
     PermGroup,
@@ -27,6 +33,7 @@ from repring.groups import (
     symmetric_group,
     trivial_group,
 )
+from repring.verify import DEFAULT_CORPUS
 
 
 def test_perm_primitives():
@@ -355,3 +362,162 @@ def test_isomorphism_is_symmetric_on_catalog_buckets(data):
             if A.order == B.order:
                 assert is_isomorphic(A, B) == is_isomorphic(B, A) == (i == j)
 
+
+# -- the group stage against direct |G|^2 algorithms ---------------------
+#
+# Each reference below is the direct algorithm, kept as an oracle:
+# classes and induction by conjugating with every element of G, element
+# orders by repeated multiplication, centralizers and Sylow joins closed
+# from all of their elements.
+
+def equivalence_corpus():
+    """(id, group): the default verify corpus, A5, S5 and every group of
+    the p = 2 and p = 3 catalogs."""
+    out = [(spec, parse_group_spec(spec)) for spec in DEFAULT_CORPUS]
+    out += [("A5", alternating_group(5)), ("S5", symmetric_group(5))]
+    for p in (2, 3):
+        cat = build_catalog(p)
+        out += [(f"p{p}-{cat.label(i)}", cat.group(i))
+                for i in range(len(cat))]
+    return out
+
+
+CORPUS = equivalence_corpus()
+over_corpus = pytest.mark.parametrize(
+    "G", [G for _, G in CORPUS], ids=[name for name, _ in CORPUS])
+
+
+def order_by_powers(a):
+    n, x = 1, a
+    while x != tuple(range(len(a))):
+        x = perm_mul(x, a)
+        n += 1
+    return n
+
+
+def classes_by_scan(G):
+    seen, classes = set(), []
+    for x in G.elements:
+        if x in seen:
+            continue
+        orbit = {G.conjugate(x, g) for g in G.elements}
+        seen |= orbit
+        classes.append(tuple(sorted(orbit)))
+    classes.sort(key=lambda c: (order_by_powers(c[0]), len(c), c[0]))
+    return classes
+
+
+def closed_from_all_elements(degree, elements):
+    return PermGroup(degree, sorted(set(elements)))
+
+
+def sylow_by_element_joins(G, p):
+    target = p_part(G.order, p)
+    current = closed_from_all_elements(G.degree, [G.identity])
+    while current.order < target:
+        for x in G.elements:
+            if x in current or not is_p_power(order_by_powers(x), p):
+                continue
+            join = closed_from_all_elements(
+                G.degree, list(current.elements) + [x])
+            if is_p_power(join.order, p):
+                current = join
+                break
+    return current
+
+
+def induce_by_conjugation(G, H, values, class_indices=None):
+    classes = G.conjugacy_classes()
+    if class_indices is None:
+        class_indices = range(len(classes))
+    hset = set(H.elements)
+    out = []
+    for ci in class_indices:
+        g = classes[ci][0]
+        total = Cyc.from_rational(0)
+        for t in G.elements:
+            u = G.conjugate(g, t)
+            if u in hset:
+                total = total + values[u]
+        out.append(total * Fraction(1, H.order))
+    return out
+
+
+@over_corpus
+def test_classes_match_scan_over_all_conjugations(G):
+    assert G.conjugacy_classes() == classes_by_scan(G)
+
+
+@over_corpus
+def test_perm_order_matches_repeated_multiplication(G):
+    for x in G.elements:
+        assert perm_order(x) == order_by_powers(x)
+
+
+@over_corpus
+def test_centralizer_order_matches_centralizer(G):
+    for c in G.conjugacy_classes():
+        x = c[-1]  # not the class's first element, which the classes key on
+        C = G.centralizer(x)
+        assert G.centralizer_order(x) == len(C.elements)
+        assert C.elements == closed_from_all_elements(
+            G.degree, [g for g in G.elements
+                       if perm_mul(g, x) == perm_mul(x, g)]).elements
+        # each greedy generator at least doubles the span
+        assert len(C.gens) <= log2(C.order)
+
+
+@over_corpus
+def test_sylow_matches_joins_of_all_elements(G):
+    for p in (2, 3, 5):
+        assert G.sylow_subgroup(p).elements == \
+            sylow_by_element_joins(G, p).elements
+
+
+@over_corpus
+def test_induction_matches_sum_over_all_conjugators(G):
+    classes = G.conjugacy_classes()
+    subgroups = [G.sylow_subgroup(2), G.sylow_subgroup(3)]
+    subgroups += [G.generated_subgroup([c[0]]) for c in classes]
+    regular = G.p_regular_classes(2)
+    for H in subgroups:
+        # any function on H induces by the same formula, class function
+        # or not, so the values depend on the element's position too
+        values = {h: Cyc.zeta(perm_order(h), i) + i
+                  for i, h in enumerate(H.elements)}
+        assert induce_class_function(G, H, values) == \
+            induce_by_conjugation(G, H, values)
+        # with class_indices, values only needs those classes' elements
+        wanted = {y for ci in regular for y in classes[ci]}
+        some = {h: v for h, v in values.items() if h in wanted}
+        assert induce_class_function(G, H, some, class_indices=regular) == \
+            induce_by_conjugation(G, H, some, class_indices=regular)
+
+
+@pytest.mark.parametrize("make, spec", [
+    (lambda G: [G.identity, G.conjugacy_classes()[3][0]], "S4"),
+    (lambda G: [g for g in G.elements if g != G.gens[0]], "S4"),
+    (lambda G: [g for g in G.elements if g != G.identity], "A4"),
+    (lambda G: list(G.conjugacy_classes()[1]), "A4"),
+    (lambda G: [G.identity] + list(G.conjugacy_classes()[-1]), "S5"),
+], ids=["identity-and-3-cycle", "S4-minus-a-generator", "no-identity",
+        "class-of-involutions", "identity-and-5-cycles"])
+def test_from_elements_rejects_sets_that_are_not_closed(make, spec):
+    G = parse_group_spec(spec)
+    with pytest.raises(NotSubgroup):
+        PermGroup.from_elements(G.degree, make(G))
+
+
+# -- known answers that needed the |G|^2 loops gone ----------------------
+
+def test_a7_p7_defect_labels():
+    """A Sylow 7-subgroup of A7 is C7 and is self-centralizing, so only
+    the identity's centralizer has 7 in its order."""
+    G = alternating_group(7)
+    cat = build_catalog(7)
+    classes = G.conjugacy_classes()
+    labels = []
+    for ci in G.p_regular_classes(7):
+        R = G.centralizer(classes[ci][0]).sylow_subgroup(7)
+        labels.append(cat.label(cat.index_of_isomorphic(R)))
+    assert labels == ["C7"] + ["1"] * 6
