@@ -24,7 +24,15 @@ from .errors import (
 from .gf import gf_field, multiplicative_order, poly_roots
 from .groups import PermGroup, _cayley, p_part
 from .lift import BrauerLift
-from .linalg import gf_charpoly, mat_inv, smith_normal_form
+from .linalg import (
+    Echelon,
+    gf_charpoly,
+    gf_rank,
+    gf_solve,
+    gf_transpose,
+    mat_inv,
+    smith_normal_form,
+)
 from .meataxe import simple_modules
 
 
@@ -281,16 +289,11 @@ def induce_class_function(G: PermGroup, H: PermGroup, values,
             for ci in class_indices]
 
 
-def cartan_via_endomorphisms(bd: BrauerData):
-    """Recompute the Cartan matrix as Hom dimensions between projective
-    isotypic summands of the regular module, via lifted idempotents.
-
-    Independent of the character-theoretic route; intended for small
-    groups (the regular algebra is |G|-dimensional).
-    """
-    G, F = bd.G, bd.F
+def _regular_algebra(G: PermGroup, F):
+    """(alg_mul, times_element) on kG, whose coordinates follow
+    G.elements: the product of two algebra elements, and an algebra
+    element times the group element of a given index."""
     n = G.order
-    elems = G.elements
     mul_table = _cayley(G).mul
 
     def alg_mul(a, b):
@@ -305,29 +308,38 @@ def cartan_via_endomorphisms(bd: BrauerData):
                     out[k] = F.add(out[k], F.mul(ai, bj))
         return out
 
+    def times_element(a, g):
+        """coordinate i of a moves to the index of elements[i] * elements[g]"""
+        out = [0] * n
+        for i, ai in enumerate(a):
+            out[mul_table[i][g]] = ai
+        return out
+
+    return alg_mul, times_element
+
+
+def _block_idempotents(bd: BrauerData, alg_mul):
+    """One idempotent e_s of kG per simple S_s: a preimage of the
+    identity of S_s's matrix block (zero on the other blocks), lifted
+    to a genuine idempotent."""
+    G, F = bd.G, bd.F
     sims = [s.module for s in bd.simples]
     dims = [s.dim for s in bd.simples]
-    width = sum(d * d for d in dims)
     # pi : kG -> sum of matrix blocks, one row per group element
     pi = []
-    for g in elems:
+    for g in G.elements:
         row = []
         for mod in sims:
-            mat = mod.element_matrix(G, g)
-            for r in mat:
+            for r in mod.element_matrix(G, g):
                 row.extend(r)
         pi.append(row)
-
-    from .linalg import gf_rank, gf_solve, gf_transpose
-
     pit = gf_transpose(pi)
     idems = []
-    for s, d in enumerate(dims):
+    for s in range(len(dims)):
         target = []
         for t, dt in enumerate(dims):
-            blk = [1 if (t == s and i == j) else 0
-                   for i in range(dt) for j in range(dt)]
-            target.extend(blk)
+            target.extend(1 if (t == s and i == j) else 0
+                          for i in range(dt) for j in range(dt))
         e = gf_solve(F, pit, target)
         if e is None:
             raise InvariantViolated(
@@ -344,23 +356,37 @@ def cartan_via_endomorphisms(bd: BrauerData):
             e = [F.add(F.mul(three, a), F.mul(mtwo, b))
                  for a, b in zip(e2, e3)]
         idems.append(e)
+    return idems
 
-    def times_element(a, g):
-        """a * g for the group element of index g: coordinate i of a
-        moves to the index of elements[i] * elements[g]."""
-        out = [0] * n
-        for i, ai in enumerate(a):
-            out[mul_table[i][g]] = ai
-        return out
 
+def cartan_via_endomorphisms(bd: BrauerData):
+    """Recompute the Cartan matrix as Hom dimensions between projective
+    isotypic summands of the regular module, via lifted idempotents:
+    c_(t,s) = dim(e_s kG e_t) / (dim S_s dim S_t).
+
+    Since e_s kG e_t = (e_s kG) e_t, each e_s kG is spanned once, from
+    the e_s g that are independent when met, and only those basis
+    vectors are multiplied by each e_t: the dimensions of the e_s kG
+    sum to |G|, so each e_t costs |G| algebra products in all.
+    Independent of the character-theoretic route; intended for small
+    groups (the regular algebra is |G|-dimensional).
+    """
+    F = bd.F
+    alg_mul, times_element = _regular_algebra(bd.G, F)
+    idems = _block_idempotents(bd, alg_mul)
+    dims = [s.dim for s in bd.simples]
+    spans = []
+    for e in idems:
+        ech = Echelon(F)
+        spans.append([v for v in (times_element(e, g)
+                                  for g in range(bd.G.order))
+                      if ech.add(v)])
     out = []
-    for t in range(len(dims)):
+    for t, et in enumerate(idems):
         row = []
-        for s in range(len(dims)):
-            spanned = [alg_mul(times_element(idems[s], g), idems[t])
-                       for g in range(n)]
-            r = gf_rank(F, spanned)
-            num, den = r, dims[s] * dims[t]
+        for s, basis in enumerate(spans):
+            num = gf_rank(F, [alg_mul(b, et) for b in basis])
+            den = dims[s] * dims[t]
             if num % den:
                 raise InvariantViolated(
                     "brauer", f"rank {num} of e_{s} kG e_{t} is not a "

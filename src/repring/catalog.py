@@ -4,9 +4,11 @@ The catalog lists one permutation group per isomorphism class of
 p-groups of order up to a bound, ordered by group order and then by
 bundled-table position, so that P_i embedding in P_j forces i <= j.
 A prime with no bundled rows gets the p-groups of order at most p^2
-(1, C_p, C_{p^2}, C_p x C_p), built directly.  Closed (downward-closed)
-subsets of the catalog are the lattice the rest of the package
-evaluates against.
+(1, C_p, C_{p^2}, C_p x C_p), built directly.  A truncation that would
+need a p-group order past the largest one listed (p times it or more)
+raises DatasetMissing rather than return a catalog that misses groups.
+Closed (downward-closed) subsets of the catalog are the lattice the
+rest of the package evaluates against.
 """
 
 import functools
@@ -60,15 +62,21 @@ def _entries_from_dataset(dataset, p, max_order):
     return [(label, G) for _, _, label, G in picked]
 
 
+def largest_order(p, dataset=None):
+    """The largest order of a p-group the catalog can list at p: the
+    largest bundled order for p (from dataset, the bundled table by
+    default), or p^2 for a prime with no bundled rows."""
+    if dataset is None:
+        dataset = _load_bundled()
+    return max((row["order"] for row in dataset if row["p"] == p),
+               default=p * p)
+
+
 def _entries_up_to_p_squared(p, max_order):
     """Every p-group of order at most max_order, for max_order < p^3:
     1, C_p, C_{p^2} and C_p x C_p, in catalog order."""
     if not _is_prime(p):
         raise DatasetMissing(f"no entries for p={p} in dataset")
-    if max_order >= p ** 3:
-        raise DatasetMissing(
-            f"no entries for p={p} in dataset, and groups of order "
-            f"{p ** 3} and above are not built")
     entries = [("1", trivial_group())]
     if max_order >= p:
         entries.append((f"C{p}", cyclic_group(p)))
@@ -170,6 +178,13 @@ def _cached_catalog(p, max_order):
 def catalog_from_dataset(p, max_order, dataset, check_counts=False) -> PGroupCatalog:
     if max_order is None:
         max_order = default_max_order(p)
+    # p-group orders are powers of p, so a catalog is complete exactly
+    # below p times the largest order it can list
+    top = largest_order(p, dataset)
+    if max_order >= p * top:
+        raise DatasetMissing(
+            f"the groups of order {p * top} are not in the catalog for "
+            f"p={p}: max_order must be below {p * top}")
     if any(row["p"] == p for row in dataset):
         entries = _entries_from_dataset(dataset, p, max_order)
     else:

@@ -54,8 +54,10 @@ class Module:
                     f"action matrix is not {dim} x {dim}")
 
     def word_matrix(self, word):
-        out = gf_identity(self.dim)
-        for t in word:
+        if not word:
+            return gf_identity(self.dim)
+        out = [list(row) for row in self.mats[word[0]]]
+        for t in word[1:]:
             out = gf_matmul(self.F, out, self.mats[t])
         return out
 
@@ -335,7 +337,13 @@ def simple_modules(G: PermGroup, F, seed, count) -> list:
     simples are known (the number of p-regular classes, by Brauer).
     Deterministic per seed, reseeding if a random stream stalls; a
     closure that stops short of count raises ClosureSaturated.
+
+    count == 1 means the identity is the only p-regular element, so G
+    is a p-group and the trivial module is its only simple; it is
+    returned at once, with no chop and no random stream.
     """
+    if count == 1:
+        return [Module(F, 1, [((1,),)] * len(G.gens))]
     base = f"meataxe:{F.p}:{F.d}:{seed}:{G.key()!r}"
     last = None
     for attempt in range(CHOP_RESEEDS):

@@ -9,7 +9,9 @@ exact; there are no tolerances anywhere.
 import pytest
 
 from repring import verify as V
+from repring.defects import rk_basis_element
 from repring.errors import InvariantViolated
+from repring.linalg import Echelon
 
 SEED = 1
 PRIMES = (2, 3)
@@ -69,6 +71,56 @@ def test_criterion_08_closed_set_lattice():
 
 def test_criterion_09_ideal_property(contexts):
     _gate(9, contexts)
+
+
+def ideal_escapes_per_entry(contexts):
+    """Reference for the ideal-property suite: every catalog entry's
+    genk basis is checked on its own, every product formed anew."""
+    out = {}
+    for spec, a in contexts:
+        bad = 0
+        for j in range(len(a.catalog)):
+            basis = V.genk_basis(a, j)
+            if not basis:
+                continue
+            ech = Echelon(a.bd.F)
+            for u in basis:
+                ech.add(u.coeffs)
+            for si in range(len(a.bd.simples)):
+                e = rk_basis_element(a.bd, si)
+                for u in basis:
+                    if any(ech.reduce(V.rk_multiply(e, u).coeffs)):
+                        bad += 1
+        out[f"{spec} p={a.p} escapes"] = bad
+    return out
+
+
+def test_ideal_property_counts_shared_bases_per_entry(contexts, monkeypatch):
+    """Entries that share a basis which is not an ideal each count its
+    escapes, as the per-entry loop does; each product is formed once."""
+    real = V.genk_basis
+
+    def genk_basis(a, j):
+        if j % 2 and len(a.bd.simples) > 1:
+            return (rk_basis_element(a.bd, 1),)
+        return real(a, j)
+
+    monkeypatch.setattr(V, "genk_basis", genk_basis)
+    want = ideal_escapes_per_entry(contexts)
+    products = []
+    real_multiply = V.rk_multiply
+
+    def rk_multiply(e, u):
+        products.append((id(e.bd), e.coeffs, u.coeffs))
+        return real_multiply(e, u)
+
+    monkeypatch.setattr(V, "rk_multiply", rk_multiply)
+    d = V.run_suite(9, contexts, PRIMES, SEED).as_dict()
+    got = {c["name"]: c["detail"] for c in d["checks"]}
+    assert got == {name: f"got {bad!r}, want 0" for name, bad in want.items()}
+    assert sum(want.values()) > 0
+    assert not d["pass"]
+    assert len(products) == len(set(products))
 
 
 def test_criterion_10_product_factorization():

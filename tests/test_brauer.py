@@ -4,6 +4,8 @@ import pytest
 
 from repring.brauer import (
     BrauerData,
+    _block_idempotents,
+    _regular_algebra,
     cartan_via_endomorphisms,
     induce_class_function,
     splitting_field,
@@ -21,10 +23,12 @@ from repring.groups import (
     cyclic_group,
     dihedral_group,
     direct_product,
+    parse_group_spec,
     quaternion_group,
     symmetric_group,
 )
-from repring.linalg import mat_inv
+from repring.linalg import gf_rank, mat_inv
+from repring.verify import DEFAULT_CORPUS
 
 
 def rational_rows(rows):
@@ -203,6 +207,36 @@ def test_endomorphism_route_matches_pairing_route():
                  (quaternion_group(), 2), (cyclic_group(6), 2)]:
         bd = BrauerData(G, p)
         assert cartan_via_endomorphisms(bd) == bd.cartan
+
+
+def cartan_all_pairs(bd):
+    """Reference for cartan_via_endomorphisms: e_s kG e_t spanned by
+    e_s g e_t for all |G| elements g, separately for every pair (s, t)."""
+    F, n = bd.F, bd.G.order
+    alg_mul, times_element = _regular_algebra(bd.G, F)
+    idems = _block_idempotents(bd, alg_mul)
+    dims = [s.dim for s in bd.simples]
+    out = []
+    for t, et in enumerate(idems):
+        row = []
+        for s, es in enumerate(idems):
+            r = gf_rank(F, [alg_mul(times_element(es, g), et)
+                            for g in range(n)])
+            assert r % (dims[s] * dims[t]) == 0
+            row.append(r // (dims[s] * dims[t]))
+        out.append(tuple(row))
+    return tuple(out)
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_endomorphism_route_matches_all_pairs_reference(p):
+    for spec in DEFAULT_CORPUS:
+        G = parse_group_spec(spec)
+        if G.order > 24:
+            continue
+        bd = BrauerData(G, p)
+        assert cartan_via_endomorphisms(bd) == cartan_all_pairs(bd) \
+            == bd.cartan, spec
 
 
 def test_decompose_tensor_square():

@@ -10,6 +10,7 @@ from repring.catalog import (
     catalog_from_dataset,
     enumerate_closed_sets,
     is_completely_prime,
+    largest_order,
     lattice_ops,
 )
 from repring.errors import (
@@ -61,6 +62,16 @@ def test_catalog_missing_prime():
         build_catalog(4)  # not a prime
     with pytest.raises(OrderBoundExceeded):
         build_catalog(17)  # C289 against C17^2 is past ISO_ORDER_BOUND
+
+
+@pytest.mark.parametrize("p,top", [(2, 16), (3, 27), (5, 25), (7, 49)])
+def test_catalog_stops_below_p_times_largest_order(p, top):
+    """A truncation that would need an order past the largest listed one
+    is an error, not a catalog silently missing those groups."""
+    assert largest_order(p) == top
+    assert build_catalog(p, p * top - 1).max_order == p * top - 1
+    with pytest.raises(DatasetMissing):
+        build_catalog(p, p * top)
 
 
 def test_catalog_generated_at_p13():

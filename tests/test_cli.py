@@ -230,7 +230,25 @@ def test_lattice_enumeration_bound(capsys):
     assert json.loads(err)["error"]["module"] == "catalog"
 
 
+def test_lattice_past_the_bundled_orders_is_one_json_error(capsys):
+    # the 15 groups of order 81 are not bundled: no 41-set lattice without them
+    code, out, err = run_cli(capsys, "lattice", "--p", "3",
+                             "--max-order", "81")
+    assert (code, out) == (2, "")
+    error = json.loads(err)["error"]
+    assert (error["module"], error["type"]) == ("catalog", "DatasetMissing")
+
+
 # -- verify -------------------------------------------------------------
+
+@pytest.mark.parametrize("p", ["5", "7"])
+def test_verify_prime_past_the_bundled_p_cubed(capsys, p):
+    """The closed-set lattice suite keeps to the orders the catalog
+    lists, so primes without bundled groups of order p^3 pass."""
+    code, out, _ = run_cli(capsys, "verify", "--p", p)
+    assert code == 0
+    assert json.loads(out)["all_pass"] is True
+
 
 def test_default_corpus_dedup():
     specs = load_corpus(None)

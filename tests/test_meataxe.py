@@ -4,6 +4,7 @@ import pytest
 
 from repring import meataxe
 from repring.brauer import BrauerData
+from repring.catalog import build_catalog
 from repring.errors import ChopStalled, ClosureSaturated, MalformedModule
 from repring.gf import gf_field
 from repring.groups import (
@@ -92,6 +93,25 @@ def test_cyclic_p_single_trivial(p):
                                   lambda: cyclic_group(8)])
 def test_2group_single_simple(make):
     assert dims_with_counts(make(), gf_field(2, 1)) == [(1, 8)]
+
+
+@pytest.mark.parametrize("p,max_order", [(2, 16), (3, 27)])
+def test_pgroup_natural_module_chops_to_trivial_factors(p, max_order):
+    """simple_modules returns the trivial module of a p-group without a
+    chop, so the chop is exercised here: the natural module of every catalog group has only trivial factors,
+    and simple_modules returns exactly the trivial module."""
+    F = gf_field(p, 1)
+    cat = build_catalog(p, max_order)
+    for i in range(len(cat)):
+        G = cat.group(i)
+        trivial = [((1,),)] * len(G.gens)
+        factors = chop(natural_module(G, F), random.Random(f"{p}:{i}"))
+        assert sum(f.dim for f in factors) == G.degree
+        assert all(f.dim == 1 and f.mats == trivial for f in factors)
+        count = len(G.p_regular_classes(p))
+        assert count == 1
+        (only,) = simple_modules(G, F, 1, count)
+        assert (only.dim, only.mats) == (1, trivial)
 
 
 def test_trivial_group():
