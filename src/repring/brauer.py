@@ -21,7 +21,7 @@ from .errors import (
     NotSubgroup,
     SingularPhi,
 )
-from .gf import gf_field, multiplicative_order, poly_roots
+from .gf import gf_field, multiplicative_order, poly_div_root
 from .groups import PermGroup, _cayley, p_part
 from .lift import BrauerLift
 from .linalg import (
@@ -78,14 +78,31 @@ def _require(ok, message):
 
 
 def _phi_value(lift, F, mat):
-    """Brauer character value: eigenvalues lifted to roots of unity."""
-    roots = poly_roots(F, gf_charpoly(F, mat))
-    if roots is None:
+    """Brauer character value: eigenvalues lifted to roots of unity.
+
+    mat is the action of a p-regular element, so its eigenvalues are
+    m-th roots of unity, the roots lift.root_codes lists.  Each is
+    divided out of the characteristic polynomial by synthetic division
+    as often as it divides; a degree left over means the polynomial
+    does not split into those roots.
+    """
+    f = gf_charpoly(F, mat)
+    mults, lifts = [], []
+    for code in lift.root_codes:
+        k = 0
+        while len(f) > 1:
+            quo, rem = poly_div_root(F, f, code)
+            if rem:
+                break
+            f, k = quo, k + 1
+        if k:
+            mults.append(k)
+            lifts.append(lift.lift(code))
+    if len(f) > 1:
         raise NonSplitCharPoly(
             "characteristic polynomial does not split over "
             f"GF({F.p},{F.d}); field is not a splitting field")
-    return dot([mult for _, mult in roots],
-               [lift.lift(code) for code, _ in roots])
+    return dot(mults, lifts)
 
 
 def _phi_sort_key(m, row):
@@ -294,18 +311,17 @@ def _regular_algebra(G: PermGroup, F):
     G.elements: the product of two algebra elements, and an algebra
     element times the group element of a given index."""
     n = G.order
-    mul_table = _cayley(G).mul
+    table = _cayley(G)
+    mul_table = table.mul
+    # left translation by element i moves coordinate j to mul[i][j], so
+    # its inverse reads coordinate k from row inv(i) of the table
+    shifts = [mul_table[row.index(table.identity)] for row in mul_table]
 
     def alg_mul(a, b):
         out = [0] * n
-        for i, ai in enumerate(a):
-            if not ai:
-                continue
-            row = mul_table[i]
-            for j, bj in enumerate(b):
-                if bj:
-                    k = row[j]
-                    out[k] = F.add(out[k], F.mul(ai, bj))
+        for ai, shift in zip(a, shifts):
+            if ai:
+                out = F.axpy(out, ai, [b[j] for j in shift])
         return out
 
     def times_element(a, g):
@@ -352,9 +368,7 @@ def _block_idempotents(bd: BrauerData, alg_mul):
             if e2 == e:
                 break
             e3 = alg_mul(e2, e)
-            three, mtwo = 3 % F.p, (-2) % F.p
-            e = [F.add(F.mul(three, a), F.mul(mtwo, b))
-                 for a, b in zip(e2, e3)]
+            e = F.axpy(F.axpy([0] * len(e), 3 % F.p, e2), (-2) % F.p, e3)
         idems.append(e)
     return idems
 

@@ -52,13 +52,12 @@ class RkElement:
 
     def __add__(self, other):
         self._check(other)
-        F = self.bd.F
-        return RkElement(self.bd, tuple(F.add(a, b) for a, b in
-                                        zip(self.coeffs, other.coeffs)))
+        return RkElement(self.bd, tuple(
+            self.bd.F.axpy(self.coeffs, 1, other.coeffs)))
 
     def scale(self, c):
-        F = self.bd.F
-        return RkElement(self.bd, tuple(F.mul(c, a) for a in self.coeffs))
+        zero = [0] * len(self.coeffs)
+        return RkElement(self.bd, tuple(self.bd.F.axpy(zero, c, self.coeffs)))
 
     def __eq__(self, other):
         return (isinstance(other, RkElement)
@@ -99,7 +98,8 @@ class Analysis:
         self.rows = tuple(rows)
         self._by_class = {r.class_index: r for r in self.rows}
         self._u = {}
-        self._genk = {}
+        self._genk = {}   # catalog entry -> (row positions, U basis)
+        self._ranks = {}  # row positions -> rank of their U vectors
 
     def row_of(self, x) -> DefectRow:
         ci = self.G.class_index_of(x)
@@ -185,9 +185,7 @@ def cartan_image_basis(bd: BrauerData):
                     for s in range(n))
         acc = [0] * n
         for k, g in zip(zero_pos, gammas):
-            w = bd.lift.reduce(bd.Phi[t][k])
-            for s in range(n):
-                acc[s] = F.add(acc[s], F.mul(w, g.coeffs[s]))
+            acc = F.axpy(acc, bd.lift.reduce(bd.Phi[t][k]), g.coeffs)
         if tuple(acc) != col:
             raise InvariantViolated(
                 "defects", f"reduced Cartan column {t} is not the "
@@ -258,18 +256,39 @@ def u_element(a: Analysis, x) -> RkElement:
     return a._u[row.class_index]
 
 
-def genk_basis(a: Analysis, P: int):
-    """{U_x : defect of x embeds into catalog entry P}; a basis."""
+def _span_rank(a: Analysis, positions) -> int:
+    """Rank of the U vectors of the defect rows at the sorted positions.
+
+    genk_basis, sp_dimension and closed_set_dimension rank the U of
+    overlapping sets of rows, so each set is ranked once per Analysis,
+    from the vectors themselves.
+    """
+    if positions not in a._ranks:
+        a._ranks[positions] = gf_rank(
+            a.bd.F, [list(u_element(a, a.rows[k].rep).coeffs)
+                     for k in positions])
+    return a._ranks[positions]
+
+
+def _genk(a: Analysis, P: int):
+    """(row positions, U basis) of the rows whose defect embeds into
+    catalog entry P, checked once to be independent."""
     if P not in a._genk:
         embed = a.catalog.embed
-        basis = tuple(u_element(a, r.rep) for r in a.rows
-                      if embed[r.catalog_index][P])
-        if gf_rank(a.bd.F, [list(u.coeffs) for u in basis]) != len(basis):
+        rows = tuple(r.position for r in a.rows
+                     if embed[r.catalog_index][P])
+        if _span_rank(a, rows) != len(rows):
             raise InvariantViolated(
                 "defects", f"U elements under catalog entry {P} are "
                 "linearly dependent")
-        a._genk[P] = basis
+        a._genk[P] = (rows, tuple(u_element(a, a.rows[k].rep)
+                                  for k in rows))
     return a._genk[P]
+
+
+def genk_basis(a: Analysis, P: int):
+    """{U_x : defect of x embeds into catalog entry P}; a basis."""
+    return _genk(a, P)[1]
 
 
 def sp_dimension(a: Analysis, P: int) -> int:
@@ -277,10 +296,10 @@ def sp_dimension(a: Analysis, P: int) -> int:
     cross-checked as a rank difference of spanning sets."""
     direct = sum(1 for r in a.rows if r.catalog_index == P)
     upper = genk_basis(a, P)
-    pool = []
+    lower = set()
     for q in sorted(a.catalog.down_set(P).members - {P}):
-        pool.extend(genk_basis(a, q))
-    lower_rank = gf_rank(a.bd.F, [list(u.coeffs) for u in pool])
+        lower.update(_genk(a, q)[0])
+    lower_rank = _span_rank(a, tuple(sorted(lower)))
     if len(upper) - lower_rank != direct:
         raise InvariantViolated(
             "defects", f"S_P by rank is {len(upper) - lower_rank}, "
@@ -328,11 +347,7 @@ def rk_multiply(a: RkElement, b: RkElement) -> RkElement:
         for t in range(n):
             if not b.coeffs[t]:
                 continue
-            w = F.mul(a.coeffs[s], b.coeffs[t])
-            for u in range(n):
-                c = table[s][t][u]
-                if c:
-                    out[u] = F.add(out[u], F.mul(w, c))
+            out = F.axpy(out, F.mul(a.coeffs[s], b.coeffs[t]), table[s][t])
     return RkElement(bd, tuple(out))
 
 
@@ -352,10 +367,10 @@ def rk_basis_element(bd: BrauerData, s: int) -> RkElement:
 def closed_set_dimension(a: Analysis, closed) -> int:
     """dim of the subfunctor attached to a closed catalog subset,
     evaluated at G: rank of the union of the genk bases over members."""
-    pool = []
+    rows = set()
     for j in closed.sorted_members():
-        pool.extend(genk_basis(a, j))
-    rank = gf_rank(a.bd.F, [list(u.coeffs) for u in pool])
+        rows.update(_genk(a, j)[0])
+    rank = _span_rank(a, tuple(sorted(rows)))
     expect = sum(1 for r in a.rows
                  if any(a.catalog.embed[r.catalog_index][j]
                         for j in closed.members))

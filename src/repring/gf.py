@@ -2,14 +2,18 @@
 
 A field element is a plain int ``0 <= code < q`` encoding its coefficient
 vector over F_p: ``code = c0 + c1*p + ... + c_{d-1}*p^(d-1)``.  The field
-object carries lookup tables (discrete log for multiplication, an
-addition table for small q), which keeps brute-force linear algebra over
-F_q fast enough in pure Python.
+object carries lookup tables: discrete logs for multiplication, and for
+addition a table when q <= 256, XOR of codes when p = 2, and Zech
+logarithms otherwise.  Its row kernel ``axpy(y, a, x)`` returns the list
+y + a*x without a method call per coordinate; the linear algebra and the
+polynomial products and divisions here are built on it, which keeps
+brute-force linear algebra over F_q fast enough in pure Python.
 
 Reproducibility: the defining modulus is the *first* monic irreducible of
 degree d in code order, and the stored primitive element is the smallest
-code of multiplicative order q-1.  Nothing here depends on hashing order
-or platform.
+code of multiplicative order q-1, found by testing g^((q-1)/r) != 1 for
+the primes r dividing q-1.  Nothing here depends on hashing order or
+platform.
 
 Polynomials over the field are little-endian tuples of codes with no
 trailing zeros; the zero polynomial is ``()``.
@@ -20,7 +24,8 @@ import random
 
 from .errors import RepringError
 
-_ADD_TABLE_MAX_Q = 256
+# addition and multiplication tables up to this q; XOR or Zech above
+_TABLE_MAX_Q = 256
 
 
 def _is_prime(n: int) -> bool:
@@ -148,8 +153,37 @@ def _pf_is_irreducible(p, f):
 # ---------------------------------------------------------------------
 
 
+def _digit_sum_table(p, d):
+    """add[a][b]: the code of the digit-wise sum mod p of d-digit codes.
+
+    XOR when p = 2; otherwise grown one top digit at a time, so a code
+    lo + size*hi adds its top digit and looks up the rest.
+    """
+    if p == 2:
+        q = 1 << d
+        return [[a ^ b for b in range(q)] for a in range(q)]
+    table = [[(a + b) % p for b in range(p)] for a in range(p)]
+    size = p
+    for _ in range(d - 1):
+        highs = [[size * ((ahi + bhi) % p) for bhi in range(p)]
+                 for ahi in range(p)]
+        table = [[h + x for h in highs[ahi] for x in table[alo]]
+                 for ahi in range(p) for alo in range(size)]
+        size *= p
+    return table
+
+
 class GF:
-    """The finite field F_{p^d} with table-driven arithmetic on int codes."""
+    """The finite field F_{p^d} with table-driven arithmetic on int codes.
+
+    ``exp[k]`` is the code of g^k for the primitive element g and
+    ``log`` its inverse (``log[0] = -1``).  Addition has one of three
+    forms, fixed at construction as the ``add`` and ``axpy`` attributes:
+    an addition table for q <= 256, XOR of codes when p = 2, and Zech
+    logarithms otherwise (1 + g^k = g^zech[k]).  ``axpy(y, a, x)``
+    returns the list y + a*x over the common length of y and x; it is
+    the one row kernel of the package's linear algebra.
+    """
 
     def __init__(self, p: int, d: int):
         if not _is_prime(p):
@@ -160,13 +194,32 @@ class GF:
         self.d = d
         self.q = q = p ** d
         self.modulus = self._find_modulus()
-        self._neg = [self._digit_neg(c) for c in range(q)]
         self.exp, self.log, self.primitive = self._build_log_tables()
-        if q <= _ADD_TABLE_MAX_Q:
-            self._add = [[self._digit_add(a, b) for b in range(q)]
-                         for a in range(q)]
+        n = q - 1
+        log = self.log
+        # exp twice over, so a sum of two logs needs no modulo
+        self._exp2 = exp2 = self.exp + self.exp
+        if p == 2:
+            self._neg = list(range(q))
         else:
-            self._add = None
+            half = n // 2  # g^half = -1
+            self._neg = [0] + [exp2[k + half] for k in log[1:]]
+        if q <= _TABLE_MAX_Q:
+            self._add = _digit_sum_table(p, d)
+            zero = [0] * q
+            self._mul = [zero] + [[0] + [exp2[ka + kb] for kb in log[1:]]
+                                  for ka in log[1:]]
+            self.add, self.axpy = self._add_by_table, self._axpy_by_table
+        elif p == 2:
+            self.add, self.axpy = int.__xor__, self._axpy_xor
+        else:
+            # 1 + c raises the lowest digit of c; a zero sum gets the
+            # index 2n, past both copies of exp, where exp2 holds zeros
+            plus_one = [c + 1 if c % p != p - 1 else c + 1 - p
+                        for c in self.exp]
+            self._zech = [log[c] if c else 2 * n for c in plus_one]
+            exp2.extend([0] * n)
+            self.add, self.axpy = self._add_zech, self._axpy_zech
 
     # -- construction helpers
 
@@ -186,27 +239,6 @@ class GF:
             code //= p
         return out
 
-    def _digit_add(self, a, b):
-        p = self.p
-        out = 0
-        mult = 1
-        for _ in range(self.d):
-            out += ((a + b) % p) * mult
-            a //= p
-            b //= p
-            mult *= p
-        return out
-
-    def _digit_neg(self, a):
-        p = self.p
-        out = 0
-        mult = 1
-        for _ in range(self.d):
-            out += ((-a) % p) * mult
-            a //= p
-            mult *= p
-        return out
-
     def _raw_mul(self, a, b):
         """Multiply two codes by honest polynomial arithmetic mod modulus."""
         p, d = self.p, self.d
@@ -222,30 +254,90 @@ class GF:
         return out
 
     def _build_log_tables(self):
-        q = self.q
+        """(exp, log, g) for the smallest code g of order q - 1.
+
+        A code c is primitive when c^((q-1)/r) != 1 for every prime r
+        dividing q - 1.  Multiplication by g is F_p-linear, so the walk
+        over its powers splits each code into a low and a high half,
+        looks up the image of each half, and adds the two images half by
+        half in a table of digit-wise sums; a prime field takes the
+        powers of g mod p directly.
+        """
+        p, d, q = self.p, self.d, self.q
         if q == 2:
             return [1], [-1, 0], 1
-        for cand in range(2, q):
-            powers = [1]
-            x = cand
-            while x != 1:
-                powers.append(x)
-                x = self._raw_mul(x, cand)
-                if len(powers) > q:
-                    raise RepringError("multiplicative order overflow")
-            if len(powers) == q - 1:
-                log = [-1] * q
-                for e, c in enumerate(powers):
-                    log[c] = e
-                return powers, log, cand
-        raise RepringError("no primitive element found")
+        n = q - 1
+        f = list(self.modulus)
+        rs = _prime_factors(n)
+        for g in range(2, q):
+            digits = self._int_digits(g, d)
+            if all(_pf_powmod(p, digits, n // r, f) != [1] for r in rs):
+                break
+        else:
+            raise RepringError("no primitive element found")
+        if d == 1:
+            exp = [pow(g, k, p) for k in range(n)]
+        else:
+            h = (d + 1) // 2
+            B = p ** h
+            add = _digit_sum_table(p, h)  # the d - h high digits fit too
+            low = [divmod(self._raw_mul(c, g), B) for c in range(B)]
+            high = [divmod(self._raw_mul(c * B, g), B)
+                    for c in range(p ** (d - h))]
+            exp = [1]
+            c = 1
+            for _ in range(n - 1):
+                c_hi, c_lo = divmod(c, B)
+                a_hi, a_lo = low[c_lo]
+                b_hi, b_lo = high[c_hi]
+                c = add[a_lo][b_lo] + B * add[a_hi][b_hi]
+                exp.append(c)
+        log = [-1] * q
+        for e, c in enumerate(exp):
+            log[c] = e
+        return exp, log, g
 
     # -- arithmetic on codes
 
-    def add(self, a, b):
-        if self._add is not None:
-            return self._add[a][b]
-        return self._digit_add(a, b)
+    def _add_by_table(self, a, b):
+        return self._add[a][b]
+
+    def _add_zech(self, a, b):
+        if not a:
+            return b
+        if not b:
+            return a
+        log = self.log
+        k = log[a]
+        return self._exp2[k + self._zech[(log[b] - k) % (self.q - 1)]]
+
+    def _axpy_by_table(self, y, a, x):
+        add, ax = self._add, self._mul[a]
+        return [add[s][ax[t]] for s, t in zip(y, x)]
+
+    def _axpy_xor(self, y, a, x):
+        if not a:
+            return list(y)
+        exp2, log = self._exp2, self.log
+        k = log[a]
+        return [s ^ exp2[k + log[t]] if t else s for s, t in zip(y, x)]
+
+    def _axpy_zech(self, y, a, x):
+        if not a:
+            return list(y)
+        exp2, log, zech, n = self._exp2, self.log, self._zech, self.q - 1
+        k = log[a]
+        out = []
+        for s, t in zip(y, x):
+            if t:
+                u = k + log[t]  # log of a*t
+                if s:
+                    ls = log[s]
+                    s = exp2[ls + zech[(u - ls) % n]]
+                else:
+                    s = exp2[u]
+            out.append(s)
+        return out
 
     def neg(self, a):
         return self._neg[a]
@@ -256,7 +348,7 @@ class GF:
     def mul(self, a, b):
         if a == 0 or b == 0:
             return 0
-        return self.exp[(self.log[a] + self.log[b]) % (self.q - 1)]
+        return self._exp2[self.log[a] + self.log[b]]
 
     def inv(self, a):
         if a == 0:
@@ -347,10 +439,8 @@ def poly_deg(a):
 def poly_add(F, a, b):
     if len(a) < len(b):
         a, b = b, a
-    out = list(a)
-    for i, c in enumerate(b):
-        out[i] = F.add(out[i], c)
-    return poly_trim(out)
+    nb = len(b)
+    return poly_trim(F.axpy(a[:nb], 1, b) + list(a[nb:]))
 
 
 def poly_neg(F, a):
@@ -364,19 +454,18 @@ def poly_sub(F, a, b):
 def poly_scale(F, a, s):
     if s == 0:
         return ()
-    return tuple(F.mul(c, s) for c in a)
+    return tuple(F.axpy([0] * len(a), s, a))
 
 
 def poly_mul(F, a, b):
     if not a or not b:
         return ()
-    out = [0] * (len(a) + len(b) - 1)
-    add, mul = F.add, F.mul
+    nb = len(b)
+    out = [0] * (len(a) + nb - 1)
+    axpy = F.axpy
     for i, ai in enumerate(a):
         if ai:
-            for j, bj in enumerate(b):
-                if bj:
-                    out[i + j] = add(out[i + j], mul(ai, bj))
+            out[i:i + nb] = axpy(out[i:i + nb], ai, b)
     return poly_trim(out)
 
 
@@ -386,20 +475,32 @@ def poly_divmod(F, a, b):
     a = list(a)
     db, lead = len(b) - 1, b[-1]
     ilead = F.inv(lead)
+    low = b[:db]
     quo = [0] * max(0, len(a) - db)
-    add, mul, neg = F.add, F.mul, F.neg
+    axpy, mul, neg = F.axpy, F.mul, F.neg
     while len(a) - 1 >= db and a:
         c = mul(a[-1], ilead)
         shift = len(a) - 1 - db
         if c:
             quo[shift] = c
-            nc = neg(c)
-            for i in range(db):
-                a[shift + i] = add(a[shift + i], mul(nc, b[i]))
+            a[shift:shift + db] = axpy(a[shift:shift + db], neg(c), low)
         a.pop()
         while a and a[-1] == 0:
             a.pop()
     return poly_trim(quo), poly_trim(a)
+
+
+def poly_div_root(F, a, r):
+    """(quotient, remainder) of a by x - r, by synthetic division."""
+    if not a:
+        return (), 0
+    add, mul = F.add, F.mul
+    quo = [0] * (len(a) - 1)
+    c = a[-1]
+    for i in range(len(a) - 2, -1, -1):
+        quo[i] = c
+        c = add(a[i], mul(r, c))
+    return tuple(quo), c
 
 
 def poly_mod(F, a, b):

@@ -5,7 +5,9 @@ Three flavours live here:
     support +, -, *, / and == 0 (Fraction, Cyc);
   * elimination over GF fields where elements are int codes and the
     field object supplies the arithmetic, all of it built on one
-    incremental row-echelon basis, `Echelon`;
+    incremental row-echelon basis, `Echelon`.  Every row operation
+    here, and every product with a matrix, is one call of the field's
+    row kernel `F.axpy`, never a field call per coordinate;
   * integer Smith normal form.
 All routines are deterministic, and all but `Echelon` are pure.
 """
@@ -97,41 +99,26 @@ def mat_mul(A, B):
 
 
 def gf_matmul(F, A, B):
-    n, k = len(A), len(B)
-    m = len(B[0]) if k else 0
-    add, mul = F.add, F.mul
-    Bt = [[B[t][j] for t in range(k)] for j in range(m)]
+    m = len(B[0]) if B else 0
+    axpy = F.axpy
     out = []
-    for i in range(n):
-        Ai = A[i]
-        row = []
-        for j in range(m):
-            Bj = Bt[j]
-            acc = 0
-            for t in range(k):
-                a = Ai[t]
-                if a:
-                    b = Bj[t]
-                    if b:
-                        acc = add(acc, mul(a, b))
-            row.append(acc)
+    for Ai in A:
+        # row i of AB is the sum of A[i][t] * B[t], inline: a call of the
+        # public gf_vec_mat per row would add a tracer span per row
+        row = [0] * m
+        for a, Bt in zip(Ai, B):
+            if a:
+                row = axpy(row, a, Bt)
         out.append(row)
     return out
 
 
 def gf_vec_mat(F, v, A):
-    add, mul = F.add, F.mul
-    n = len(A)
-    m = len(A[0]) if n else 0
-    out = [0] * m
-    for i in range(n):
-        vi = v[i]
+    out = [0] * (len(A[0]) if A else 0)
+    axpy = F.axpy
+    for vi, Ai in zip(v, A):
         if vi:
-            Ai = A[i]
-            for j in range(m):
-                a = Ai[j]
-                if a:
-                    out[j] = add(out[j], mul(vi, a))
+            out = axpy(out, vi, Ai)
     return out
 
 
@@ -161,9 +148,7 @@ class Echelon:
 
     def _clear(self, v, c, row):
         """v minus v[c] times row, where row has a 1 in column c."""
-        add, mul = self.F.add, self.F.mul
-        f = self.F.neg(v[c])
-        return [add(a, mul(f, b)) if b else a for a, b in zip(v, row)]
+        return self.F.axpy(v, self.F.neg(v[c]), row)
 
     def reduce(self, v):
         """Residue of v: zero exactly when v lies in the span."""
@@ -181,7 +166,7 @@ class Echelon:
             return False
         ip = self.F.inv(u[c])
         if ip != 1:
-            u = [self.F.mul(ip, x) for x in u]
+            u = self.F.axpy([0] * len(u), ip, u)
         rows = self.rows
         for i, row in enumerate(rows):
             if row[c]:
@@ -258,7 +243,7 @@ def gf_charpoly(F, M):
     if n == 0:
         return (1,)
     H = [list(r) for r in M]
-    add, mul, neg, inv = F.add, F.mul, F.neg, F.inv
+    axpy, mul, neg, inv = F.axpy, F.mul, F.neg, F.inv
     for m in range(1, n - 1):
         piv = None
         for i in range(m, n):
@@ -274,16 +259,12 @@ def gf_charpoly(F, M):
         t_inv = inv(H[m][m - 1])
         for i in range(m + 1, n):
             if H[i][m - 1]:
+                # row i -= u row m, then column m += u column i
                 u = mul(H[i][m - 1], t_inv)
-                nu = neg(u)
-                Hm = H[m]
-                Hi = H[i]
-                for j in range(n):
-                    if Hm[j]:
-                        Hi[j] = add(Hi[j], mul(nu, Hm[j]))
-                for row in H:
-                    if row[i]:
-                        row[m] = add(row[m], mul(u, row[i]))
+                H[i] = axpy(H[i], neg(u), H[m])
+                col = axpy([row[m] for row in H], u, [row[i] for row in H])
+                for row, c in zip(H, col):
+                    row[m] = c
     # p_m = charpoly of leading m x m block
     from .gf import poly_mul, poly_scale, poly_sub, poly_trim
 

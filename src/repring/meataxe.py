@@ -63,17 +63,11 @@ class Module:
 
     def recipe_matrix(self, recipe):
         """Sum of coeff * word over the recipe's (coeff, word) terms."""
-        F = self.F
-        n = self.dim
-        out = [[0] * n for _ in range(n)]
+        axpy = self.F.axpy
+        out = [[0] * self.dim for _ in range(self.dim)]
         for coeff, word in recipe:
-            wm = self.word_matrix(word)
-            for i in range(n):
-                row = wm[i]
-                orow = out[i]
-                for j in range(n):
-                    if row[j]:
-                        orow[j] = F.add(orow[j], F.mul(coeff, row[j]))
+            out = [axpy(orow, coeff, row)
+                   for orow, row in zip(out, self.word_matrix(word))]
         return out
 
     def element_matrix(self, group: PermGroup, g):
@@ -94,7 +88,7 @@ def natural_module(G: PermGroup, F) -> Module:
 
 def tensor_product(a: Module, b: Module) -> Module:
     """a (x) b under the diagonal action: Kronecker product per generator."""
-    F = a.F
+    axpy = a.F.axpy
     zero = [0] * b.dim
     mats = []
     for ma, mb in zip(a.mats, b.mats):
@@ -103,10 +97,10 @@ def tensor_product(a: Module, b: Module) -> Module:
             for rb in mb:
                 row = []
                 for x in ra:
-                    row.extend([F.mul(x, y) for y in rb] if x else zero)
+                    row.extend(axpy(zero, x, rb) if x else zero)
                 rows.append(row)
         mats.append(rows)
-    return Module(F, a.dim * b.dim, mats)
+    return Module(a.F, a.dim * b.dim, mats)
 
 
 def random_recipe(rng: random.Random, ngens: int, F):
@@ -186,12 +180,7 @@ def _poly_of_matrix(F, poly, mat, dim):
     power = gf_identity(dim)
     for k, c in enumerate(poly):
         if c:
-            for i in range(dim):
-                prow = power[i]
-                orow = out[i]
-                for j in range(dim):
-                    if prow[j]:
-                        orow[j] = F.add(orow[j], F.mul(c, prow[j]))
+            out = [F.axpy(orow, c, prow) for orow, prow in zip(out, power)]
         if k + 1 < len(poly):
             power = gf_matmul(F, power, mat)
     return out

@@ -342,7 +342,9 @@ def run_verify(corpus=None, primes=None, seed=None) -> dict:
     """All suites over a corpus; the result is JSON-serializable."""
     if seed is None:
         seed = default_seed()
-    primes = tuple(require_prime(p) for p in primes or DEFAULT_PRIMES)
+    # a repeated prime would run every check twice; keep first-seen order
+    primes = tuple(dict.fromkeys(require_prime(p)
+                                 for p in primes or DEFAULT_PRIMES))
     specs = load_corpus(corpus)
 
     contexts = [(spec, _analysis(spec, p, seed))

@@ -5,6 +5,7 @@ import pytest
 from repring.brauer import (
     BrauerData,
     _block_idempotents,
+    _phi_value,
     _regular_algebra,
     cartan_via_endomorphisms,
     induce_class_function,
@@ -17,7 +18,8 @@ from repring.errors import (
     NonSplitCharPoly,
     NotSubgroup,
 )
-from repring.gf import gf_field
+from repring.cyclo import dot
+from repring.gf import gf_field, poly_roots
 from repring.groups import (
     alternating_group,
     cyclic_group,
@@ -27,8 +29,9 @@ from repring.groups import (
     quaternion_group,
     symmetric_group,
 )
-from repring.linalg import gf_rank, mat_inv
+from repring.linalg import gf_charpoly, gf_rank, mat_inv
 from repring.verify import DEFAULT_CORPUS
+from test_defects import GOLDEN_ANALYZE
 
 
 def rational_rows(rows):
@@ -279,13 +282,31 @@ def test_induce_requires_subgroup():
                                for e in symmetric_group(3).elements})
 
 
+@pytest.mark.parametrize("spec, p", GOLDEN_ANALYZE)
+def test_phi_by_division_matches_factoring(spec, p):
+    """Dividing out the m-th roots of unity gives the value that
+    factoring the characteristic polynomial gives, on every p-regular
+    class of every simple."""
+    bd = BrauerData(parse_group_spec(spec), p, seed=1)
+    for s in bd.simples:
+        for x, value in zip(bd.class_reps, s.phi):
+            mat = s.module.element_matrix(bd.G, x)
+            roots = poly_roots(bd.F, gf_charpoly(bd.F, mat))
+            want = dot([mult for _, mult in roots],
+                       [bd.lift.lift(code) for code, _ in roots])
+            assert _phi_value(bd.lift, bd.F, mat) == want == value
+
+
 def test_nonsplit_charpoly_raises():
-    from repring.brauer import _phi_value
     from repring.lift import BrauerLift
     F = gf_field(2, 1)
     lift = BrauerLift(F, 1)
     with pytest.raises(NonSplitCharPoly):
         _phi_value(lift, F, [[0, 1], [1, 1]])
+    # x^2 - 1 splits over F_3, but -1 is not a 1st root of unity
+    with pytest.raises(NonSplitCharPoly):
+        _phi_value(BrauerLift(gf_field(3, 1), 1), gf_field(3, 1),
+                   [[0, 1], [1, 0]])
 
 
 def test_cartan_is_seed_independent():

@@ -250,6 +250,19 @@ def test_verify_prime_past_the_bundled_p_cubed(capsys, p):
     assert json.loads(out)["all_pass"] is True
 
 
+def test_verify_repeated_prime_runs_once(capsys, tmp_path):
+    code, once, _ = run_cli(capsys, "verify", "--p", "2", "--seed", "1")
+    assert code == 0
+    code, twice, _ = run_cli(capsys, "verify", "--p", "2,2", "--seed", "1")
+    assert code == 0
+    assert twice == once
+    path = tmp_path / "corpus.json"
+    path.write_text(json.dumps(["C2"]))
+    code, out, _ = run_cli(capsys, "verify", "--corpus", str(path),
+                           "--p", "3,2,3")
+    assert json.loads(out)["primes"] == [3, 2]
+
+
 def test_default_corpus_dedup():
     specs = load_corpus(None)
     assert specs == list(DEFAULT_CORPUS)

@@ -303,6 +303,22 @@ def test_sp_dimensions_s4_a4():
                      "C4xC2": 0, "C2^3": 0, "D8": 0, "Q8": 0}
 
 
+def test_tampered_u_makes_sp_dimension_raise():
+    """Spans are ranked once per Analysis, but from the U vectors
+    themselves: a U made equal to another row's fails the check."""
+    G = symmetric_group(4)
+    clean = analysis(G, 2, CAT2)
+    dims = [sp_dimension(clean, j) for j in range(len(CAT2))]
+    a = defect_classification(clean.bd, CAT2)
+    ident_row, three_cycles = a.rows  # defects D8 and 1
+    a._u[ident_row.class_index] = u_element(a, three_cycles.rep)
+    d8 = CAT2.index_of_isomorphic(G.sylow_subgroup(2))
+    with pytest.raises(InvariantViolated):
+        sp_dimension(a, d8)
+    assert [sp_dimension(clean, j) for j in range(len(CAT2))] == dims
+    assert dims[d8] == 1
+
+
 @pytest.mark.parametrize("make,p,cat", [
     (lambda: dihedral_group(8), 2, CAT2),
     (quaternion_group, 2, CAT2),

@@ -5,12 +5,14 @@ from hypothesis import given, settings, strategies as st
 
 from repring.gf import (
     GF,
+    _is_prime,
     factor_poly,
     gf_field,
     multiplicative_order,
     poly_add,
     poly_deg,
     poly_deriv,
+    poly_div_root,
     poly_divmod,
     poly_eval,
     poly_gcd,
@@ -85,9 +87,13 @@ def test_coeffs_code_roundtrip():
 
 small_fields = st.sampled_from([(2, 1), (3, 1), (5, 1), (2, 2), (3, 2), (2, 3)])
 
+# q > 256: (3, 6) adds by Zech logarithms, (2, 9) by XOR
+axiom_fields = st.sampled_from([(2, 1), (3, 1), (5, 1), (2, 2), (3, 2), (2, 3),
+                                (3, 6), (2, 9)])
+
 
 @settings(max_examples=60, deadline=None)
-@given(small_fields, st.data())
+@given(axiom_fields, st.data())
 def test_field_axioms(pd, data):
     F = gf_field(*pd)
     elt = st.integers(min_value=0, max_value=F.q - 1)
@@ -100,6 +106,91 @@ def test_field_axioms(pd, data):
     assert F.add(a, F.neg(a)) == 0
     if a:
         assert F.mul(a, F.inv(a)) == 1
+
+
+# -- the scalar references the tables replace
+
+
+def _digit_add(F, a, b):
+    """Digit-wise sum mod p of two codes, one digit at a time."""
+    p, out, mult = F.p, 0, 1
+    for _ in range(F.d):
+        out += ((a + b) % p) * mult
+        a //= p
+        b //= p
+        mult *= p
+    return out
+
+
+def _candidate_walk(F):
+    """(g, powers of g) for the smallest code g of order q - 1, found by
+    walking the powers of each candidate in turn."""
+    if F.q == 2:
+        return 1, [1]
+    for cand in range(2, F.q):
+        powers = [1]
+        x = cand
+        while x != 1:
+            powers.append(x)
+            x = F._raw_mul(x, cand)
+        if len(powers) == F.q - 1:
+            return cand, powers
+    raise AssertionError("no primitive element")
+
+
+# table fields (q <= 256) and the three kinds above: Zech for odd p, XOR
+@pytest.mark.parametrize("pd", [(2, 4), (3, 2), (5, 2), (2, 8), (3, 5),
+                                (3, 6), (2, 9), (7, 4)])
+def test_add_and_axpy_match_scalar_reference(pd):
+    F = gf_field(*pd)
+    rng = random.Random(repr(pd))
+    codes = range(F.q) if F.q <= 16 else [rng.randrange(F.q)
+                                          for _ in range(40)]
+    for a in codes:
+        for b in codes:
+            assert F.add(a, b) == _digit_add(F, a, b)
+            assert F.mul(a, b) == F._raw_mul(a, b)
+            assert F.sub(_digit_add(F, a, b), b) == a
+    for _ in range(200):
+        n = rng.randrange(8)
+        y = [rng.choice((0, rng.randrange(F.q))) for _ in range(n)]
+        x = [rng.choice((0, rng.randrange(F.q))) for _ in range(n)]
+        for a in (0, 1, rng.randrange(1, F.q)):
+            want = [_digit_add(F, s, F._raw_mul(a, t)) for s, t in zip(y, x)]
+            assert F.axpy(y, a, x) == want
+
+
+def _fields_up_to(q_max):
+    """(p, d) with p^d <= q_max: every d >= 2, and d = 1 for the primes
+    below 600 and the largest ones below q_max (the d = 1 walk is long)."""
+    out = []
+    for p in range(2, q_max + 1):
+        if not _is_prime(p):
+            continue
+        if p < 600 or p > q_max - 30:
+            out.append((p, 1))
+        d = 2
+        while p ** d <= q_max:
+            out.append((p, d))
+            d += 1
+    return out
+
+
+def test_primitive_element_matches_candidate_walk():
+    for p, d in _fields_up_to(4096):
+        F = GF(p, d)
+        g, powers = _candidate_walk(F)
+        assert (F.primitive, F.exp) == (g, powers), (p, d)
+        assert all(F.log[c] == k for k, c in enumerate(powers))
+
+
+def test_poly_div_root():
+    F = gf_field(3, 2)
+    f = poly_mul(F, (F.neg(4), 1), (2, 0, 1))  # (x - 4)(x^2 + 2)
+    assert poly_div_root(F, f, 4) == ((2, 0, 1), 0)
+    quo, rem = poly_div_root(F, f, 1)
+    assert rem == poly_eval(F, f, 1)
+    assert poly_add(F, poly_mul(F, quo, (F.neg(1), 1)), (rem,)) == f
 
 
 @settings(max_examples=60, deadline=None)

@@ -30,6 +30,9 @@ OPS = {
        for g in ("S4", "A4", "S3xC2", "C3xC3", "A5")},
     **{f"analyze {g} p5": ("analyze", g, 5) for g in ("C5", "D10", "A5")},
     **{f"analyze S5 p{p}": ("analyze", "S5", p) for p in (2, 3, 5)},
+    # Zech-logarithm fields: GF(3^6), q = 729, and GF(2^12), q = 4096
+    "analyze C7 p3": ("analyze", "C7", 3),
+    "analyze C13 p2": ("analyze", "C13", 2),
     "lattice p2 max8": ("lattice", 2, 8),
     "lattice p3": ("lattice", 3, None),
     "lattice p5": ("lattice", 5, None),
