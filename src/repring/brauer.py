@@ -21,7 +21,7 @@ from .errors import (
     NotSubgroup,
     SingularPhi,
 )
-from .gf import gf_field, multiplicative_order, poly_div_root
+from .gf import gf_field, multiplicative_order, poly_divmod
 from .groups import PermGroup, _cayley, p_part
 from .lift import BrauerLift
 from .linalg import (
@@ -81,17 +81,18 @@ def _phi_value(lift, F, mat):
     """Brauer character value: eigenvalues lifted to roots of unity.
 
     mat is the action of a p-regular element, so its eigenvalues are
-    m-th roots of unity, the roots lift.root_codes lists.  Each is
-    divided out of the characteristic polynomial by synthetic division
-    as often as it divides; a degree left over means the polynomial
-    does not split into those roots.
+    m-th roots of unity, the roots lift.root_codes lists.  Each root r
+    is divided out of the characteristic polynomial, as x - r, as often
+    as it divides; a degree left over means the polynomial does not
+    split into those roots.
     """
     f = gf_charpoly(F, mat)
     mults, lifts = [], []
     for code in lift.root_codes:
         k = 0
+        x_minus_root = (F.neg(code), 1)
         while len(f) > 1:
-            quo, rem = poly_div_root(F, f, code)
+            quo, rem = poly_divmod(F, f, x_minus_root)
             if rem:
                 break
             f, k = quo, k + 1

@@ -3,11 +3,11 @@
 A field element is a plain int ``0 <= code < q`` encoding its coefficient
 vector over F_p: ``code = c0 + c1*p + ... + c_{d-1}*p^(d-1)``.  The field
 object carries lookup tables: discrete logs for multiplication, and for
-addition a table when q <= 256, XOR of codes when p = 2, and Zech
-logarithms otherwise.  Its row kernel ``axpy(y, a, x)`` returns the list
-y + a*x without a method call per coordinate; the linear algebra and the
-polynomial products and divisions here are built on it, which keeps
-brute-force linear algebra over F_q fast enough in pure Python.
+addition a table when q <= 256 and Zech logarithms above.  Its row
+kernel ``axpy(y, a, x)`` returns the list y + a*x without a method call
+per coordinate; the linear algebra and the polynomial products and
+divisions here are built on it, which keeps brute-force linear algebra
+over F_q fast enough in pure Python.
 
 Reproducibility: the defining modulus is the *first* monic irreducible of
 degree d in code order, and the stored primitive element is the smallest
@@ -24,7 +24,7 @@ import random
 
 from .errors import RepringError
 
-# addition and multiplication tables up to this q; XOR or Zech above
+# addition and multiplication tables up to this q; Zech logarithms above
 _TABLE_MAX_Q = 256
 
 
@@ -156,12 +156,9 @@ def _pf_is_irreducible(p, f):
 def _digit_sum_table(p, d):
     """add[a][b]: the code of the digit-wise sum mod p of d-digit codes.
 
-    XOR when p = 2; otherwise grown one top digit at a time, so a code
-    lo + size*hi adds its top digit and looks up the rest.
+    Grown one top digit at a time, so a code lo + size*hi adds its top
+    digit and looks up the rest.
     """
-    if p == 2:
-        q = 1 << d
-        return [[a ^ b for b in range(q)] for a in range(q)]
     table = [[(a + b) % p for b in range(p)] for a in range(p)]
     size = p
     for _ in range(d - 1):
@@ -177,12 +174,12 @@ class GF:
     """The finite field F_{p^d} with table-driven arithmetic on int codes.
 
     ``exp[k]`` is the code of g^k for the primitive element g and
-    ``log`` its inverse (``log[0] = -1``).  Addition has one of three
+    ``log`` its inverse (``log[0] = -1``).  Addition has one of two
     forms, fixed at construction as the ``add`` and ``axpy`` attributes:
-    an addition table for q <= 256, XOR of codes when p = 2, and Zech
-    logarithms otherwise (1 + g^k = g^zech[k]).  ``axpy(y, a, x)``
-    returns the list y + a*x over the common length of y and x; it is
-    the one row kernel of the package's linear algebra.
+    an addition table for q <= 256, and Zech logarithms above
+    (1 + g^k = g^zech[k]).  ``axpy(y, a, x)`` returns the list y + a*x
+    over the common length of y and x; it is the one row kernel of the
+    package's linear algebra.
     """
 
     def __init__(self, p: int, d: int):
@@ -210,8 +207,6 @@ class GF:
             self._mul = [zero] + [[0] + [exp2[ka + kb] for kb in log[1:]]
                                   for ka in log[1:]]
             self.add, self.axpy = self._add_by_table, self._axpy_by_table
-        elif p == 2:
-            self.add, self.axpy = int.__xor__, self._axpy_xor
         else:
             # 1 + c raises the lowest digit of c; a zero sum gets the
             # index 2n, past both copies of exp, where exp2 holds zeros
@@ -314,13 +309,6 @@ class GF:
     def _axpy_by_table(self, y, a, x):
         add, ax = self._add, self._mul[a]
         return [add[s][ax[t]] for s, t in zip(y, x)]
-
-    def _axpy_xor(self, y, a, x):
-        if not a:
-            return list(y)
-        exp2, log = self._exp2, self.log
-        k = log[a]
-        return [s ^ exp2[k + log[t]] if t else s for s, t in zip(y, x)]
 
     def _axpy_zech(self, y, a, x):
         if not a:
@@ -488,19 +476,6 @@ def poly_divmod(F, a, b):
         while a and a[-1] == 0:
             a.pop()
     return poly_trim(quo), poly_trim(a)
-
-
-def poly_div_root(F, a, r):
-    """(quotient, remainder) of a by x - r, by synthetic division."""
-    if not a:
-        return (), 0
-    add, mul = F.add, F.mul
-    quo = [0] * (len(a) - 1)
-    c = a[-1]
-    for i in range(len(a) - 2, -1, -1):
-        quo[i] = c
-        c = add(a[i], mul(r, c))
-    return tuple(quo), c
 
 
 def poly_mod(F, a, b):

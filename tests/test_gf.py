@@ -12,7 +12,6 @@ from repring.gf import (
     poly_add,
     poly_deg,
     poly_deriv,
-    poly_div_root,
     poly_divmod,
     poly_eval,
     poly_gcd,
@@ -87,7 +86,7 @@ def test_coeffs_code_roundtrip():
 
 small_fields = st.sampled_from([(2, 1), (3, 1), (5, 1), (2, 2), (3, 2), (2, 3)])
 
-# q > 256: (3, 6) adds by Zech logarithms, (2, 9) by XOR
+# q > 256: (3, 6) and (2, 9) add by Zech logarithms
 axiom_fields = st.sampled_from([(2, 1), (3, 1), (5, 1), (2, 2), (3, 2), (2, 3),
                                 (3, 6), (2, 9)])
 
@@ -138,7 +137,7 @@ def _candidate_walk(F):
     raise AssertionError("no primitive element")
 
 
-# table fields (q <= 256) and the three kinds above: Zech for odd p, XOR
+# table fields (q <= 256) and Zech fields above, for p = 3, 2 and 7
 @pytest.mark.parametrize("pd", [(2, 4), (3, 2), (5, 2), (2, 8), (3, 5),
                                 (3, 6), (2, 9), (7, 4)])
 def test_add_and_axpy_match_scalar_reference(pd):
@@ -182,15 +181,6 @@ def test_primitive_element_matches_candidate_walk():
         g, powers = _candidate_walk(F)
         assert (F.primitive, F.exp) == (g, powers), (p, d)
         assert all(F.log[c] == k for k, c in enumerate(powers))
-
-
-def test_poly_div_root():
-    F = gf_field(3, 2)
-    f = poly_mul(F, (F.neg(4), 1), (2, 0, 1))  # (x - 4)(x^2 + 2)
-    assert poly_div_root(F, f, 4) == ((2, 0, 1), 0)
-    quo, rem = poly_div_root(F, f, 1)
-    assert rem == poly_eval(F, f, 1)
-    assert poly_add(F, poly_mul(F, quo, (F.neg(1), 1)), (rem,)) == f
 
 
 @settings(max_examples=60, deadline=None)
