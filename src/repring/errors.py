@@ -69,6 +69,14 @@ class NotPLocal(RepringError):
     module = "exact"
 
 
+# -- finite fields --------------------------------------------------------
+
+class FieldTooLarge(RepringError):
+    """The splitting field has more elements than config.FIELD_ORDER_BOUND."""
+
+    module = "gf"
+
+
 # -- module chopping / character tables ----------------------------------
 
 class ChopStalled(RepringError):

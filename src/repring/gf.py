@@ -9,11 +9,16 @@ per coordinate; the linear algebra and the polynomial products and
 divisions here are built on it, which keeps brute-force linear algebra
 over F_q fast enough in pure Python.
 
-Reproducibility: the defining modulus is the *first* monic irreducible of
-degree d in code order, and the stored primitive element is the smallest
-code of multiplicative order q-1, found by testing g^((q-1)/r) != 1 for
-the primes r dividing q-1.  Nothing here depends on hashing order or
-platform.
+Construction, reproducible on every platform: the prime field GF(p, 1)
+has modulus x, and its primitive element is the smallest g with
+g^((p-1)/r) != 1 mod p for each prime r dividing p - 1.  An extension
+field GF(p, d) is built with the polynomial routines below over GF(p, 1).
+Its modulus is the first monic polynomial f of degree d in code order
+that passes Rabin's irreducibility test: x^(p^d) = x mod f, and
+gcd(x^(p^(d/r)) - x, f) = 1 for each prime r dividing d.  Its primitive
+element is the smallest code g with g^((q-1)/r) != 1 mod f for each
+prime r dividing q - 1.  A field of more than ``FIELD_ORDER_BOUND``
+elements (config) raises ``FieldTooLarge`` before any of this runs.
 
 Polynomials over the field are little-endian tuples of codes with no
 trailing zeros; the zero polynomial is ``()``.
@@ -22,7 +27,8 @@ trailing zeros; the zero polynomial is ``()``.
 import functools
 import random
 
-from .errors import RepringError
+from .config import DEFAULT_SEED, FIELD_ORDER_BOUND
+from .errors import FieldTooLarge, RepringError
 
 # addition and multiplication tables up to this q; Zech logarithms above
 _TABLE_MAX_Q = 256
@@ -51,106 +57,6 @@ def _prime_factors(n: int) -> list:
     if n > 1:
         out.append(n)
     return out
-
-
-# ---------------------------------------------------------------------
-# polynomials over the prime field F_p, used only to bootstrap the field
-# tables.  Coefficients are ints in [0, p), little endian lists.
-
-def _pf_trim(a):
-    while a and a[-1] == 0:
-        a.pop()
-    return a
-
-
-def _pf_mul(p, a, b):
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] = (out[i + j] + ai * bj) % p
-    return _pf_trim(out)
-
-
-def _pf_sub(p, a, b):
-    n = max(len(a), len(b))
-    out = [((a[i] if i < len(a) else 0) - (b[i] if i < len(b) else 0)) % p
-           for i in range(n)]
-    return _pf_trim(out)
-
-
-def _pf_mod(p, a, f):
-    # f monic
-    a = list(a)
-    df = len(f) - 1
-    while len(a) - 1 >= df and a:
-        c = a[-1]
-        if c:
-            shift = len(a) - 1 - df
-            for i in range(df):
-                a[shift + i] = (a[shift + i] - c * f[i]) % p
-        a.pop()
-    return _pf_trim(a)
-
-
-def _pf_powmod(p, base, e, f):
-    result = [1]
-    base = _pf_mod(p, base, f)
-    while e:
-        if e & 1:
-            result = _pf_mod(p, _pf_mul(p, result, base), f)
-        base = _pf_mod(p, _pf_mul(p, base, base), f)
-        e >>= 1
-    return result
-
-
-def _pf_gcd(p, a, b):
-    a, b = list(a), list(b)
-    while b:
-        a, b = b, _pf_mod_general(p, a, b)
-    if a:
-        inv = pow(a[-1], p - 2, p)
-        a = [(c * inv) % p for c in a]
-    return a
-
-
-def _pf_mod_general(p, a, f):
-    if not f:
-        raise ZeroDivisionError
-    inv = pow(f[-1], p - 2, p)
-    a = list(a)
-    df = len(f) - 1
-    while a and len(a) - 1 >= df:
-        c = (a[-1] * inv) % p
-        if c:
-            shift = len(a) - 1 - df
-            for i in range(df):
-                a[shift + i] = (a[shift + i] - c * f[i]) % p
-        a.pop()
-        _pf_trim(a)
-    return a
-
-
-def _pf_is_irreducible(p, f):
-    """Monic f of degree >= 1 over F_p."""
-    d = len(f) - 1
-    if d == 1:
-        return True
-    x = [0, 1]
-    # x^(p^d) == x mod f
-    h = _pf_powmod(p, x, p ** d, f)
-    if _pf_sub(p, h, x):
-        return False
-    for ell in _prime_factors(d):
-        h = _pf_powmod(p, x, p ** (d // ell), f)
-        if len(_pf_gcd(p, _pf_sub(p, h, x), f)) > 1:
-            return False
-    return True
-
-
-# ---------------------------------------------------------------------
 
 
 def _digit_sum_table(p, d):
@@ -190,6 +96,10 @@ class GF:
         self.p = p
         self.d = d
         self.q = q = p ** d
+        if q > FIELD_ORDER_BOUND:
+            raise FieldTooLarge(
+                f"GF({p}^{d}) has {q} elements; tables stop at "
+                f"{FIELD_ORDER_BOUND}")
         self.modulus = self._find_modulus()
         self.exp, self.log, self.primitive = self._build_log_tables()
         n = q - 1
@@ -219,34 +129,23 @@ class GF:
     # -- construction helpers
 
     def _find_modulus(self):
+        """x for a prime field; else the first monic irreducible of
+        degree d in code order."""
         p, d = self.p, self.d
+        if d == 1:
+            return _X
+        Fp = gf_field(p, 1)
         for code in range(p ** d):
-            f = self._int_digits(code, d) + [1]
-            if _pf_is_irreducible(p, f):
-                return tuple(f)
+            f = self.coeffs(code) + (1,)
+            if _is_irreducible(Fp, f):
+                return f
         raise RepringError(f"no irreducible of degree {d} over F_{p}")
-
-    def _int_digits(self, code, length):
-        p = self.p
-        out = []
-        for _ in range(length):
-            out.append(code % p)
-            code //= p
-        return out
 
     def _raw_mul(self, a, b):
         """Multiply two codes by honest polynomial arithmetic mod modulus."""
-        p, d = self.p, self.d
-        da = self._int_digits(a, d)
-        db = self._int_digits(b, d)
-        prod = _pf_mul(p, da, db)
-        prod = _pf_mod(p, prod, list(self.modulus))
-        out = 0
-        mult = 1
-        for c in prod:
-            out += c * mult
-            mult *= p
-        return out
+        Fp = gf_field(self.p, 1)
+        return self.code(poly_mod(Fp, poly_mul(Fp, self.coeffs(a),
+                                               self.coeffs(b)), self.modulus))
 
     def _build_log_tables(self):
         """(exp, log, g) for the smallest code g of order q - 1.
@@ -259,20 +158,17 @@ class GF:
         powers of g mod p directly.
         """
         p, d, q = self.p, self.d, self.q
-        if q == 2:
-            return [1], [-1, 0], 1
         n = q - 1
-        f = list(self.modulus)
         rs = _prime_factors(n)
-        for g in range(2, q):
-            digits = self._int_digits(g, d)
-            if all(_pf_powmod(p, digits, n // r, f) != [1] for r in rs):
-                break
-        else:
-            raise RepringError("no primitive element found")
         if d == 1:
+            g = next(g for g in range(1, p)
+                     if all(pow(g, n // r, p) != 1 for r in rs))
             exp = [pow(g, k, p) for k in range(n)]
         else:
+            Fp = gf_field(p, 1)
+            g = next(g for g in range(2, q)
+                     if all(poly_powmod(Fp, self.coeffs(g), n // r,
+                                        self.modulus) != (1,) for r in rs))
             h = (d + 1) // 2
             B = p ** h
             add = _digit_sum_table(p, h)  # the d - h high digits fit too
@@ -343,9 +239,6 @@ class GF:
             raise ZeroDivisionError("inverse of zero in GF")
         return self.exp[(-self.log[a]) % (self.q - 1)]
 
-    def div(self, a, b):
-        return self.mul(a, self.inv(b))
-
     def pow(self, a, e):
         if a == 0:
             if e == 0:
@@ -359,7 +252,11 @@ class GF:
 
     def coeffs(self, code):
         """Coefficient vector (length d) of an element over F_p."""
-        return tuple(self._int_digits(code, self.d))
+        p, out = self.p, []
+        for _ in range(self.d):
+            code, c = divmod(code, p)
+            out.append(c)
+        return tuple(out)
 
     def code(self, coeffs):
         out = 0
@@ -368,10 +265,6 @@ class GF:
             out += (c % self.p) * mult
             mult *= self.p
         return out
-
-    def from_int(self, n):
-        """The image of an ordinary integer in the prime subfield."""
-        return n % self.p
 
     def pth_root(self, a):
         """Inverse of the Frobenius x -> x^p."""
@@ -508,6 +401,23 @@ def poly_powmod(F, base, e, mod):
     return result
 
 
+_X = (0, 1)
+
+
+def _is_irreducible(Fp, f):
+    """Rabin's test for monic f of degree d >= 2 over the prime field:
+    x^(p^d) = x mod f, and gcd(x^(p^(d/r)) - x, f) = 1 for each prime
+    r dividing d."""
+    p, d = Fp.p, poly_deg(f)
+
+    def frobenius_minus_x(k):
+        return poly_sub(Fp, poly_powmod(Fp, _X, p ** k, f), _X)
+
+    return (not frobenius_minus_x(d)
+            and all(poly_gcd(Fp, frobenius_minus_x(d // r), f) == (1,)
+                    for r in _prime_factors(d)))
+
+
 def poly_eval(F, a, x):
     out = 0
     for c in reversed(a):
@@ -518,9 +428,6 @@ def poly_eval(F, a, x):
 def poly_deriv(F, a):
     # codes 0..p-1 are exactly the prime subfield
     return poly_trim([F.mul(a[i], i % F.p) for i in range(1, len(a))])
-
-
-_X = (0, 1)
 
 
 def _pth_root_poly(F, f):
@@ -634,7 +541,6 @@ def factor_poly(F, f, seed=None, rng=None):
     if poly_deg(f) < 1:
         return []
     if rng is None:
-        from .config import DEFAULT_SEED
         if seed is None:
             seed = DEFAULT_SEED
         rng = random.Random(f"gf-factor:{F.p}:{F.d}:{seed}")

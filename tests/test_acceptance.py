@@ -9,7 +9,7 @@ exact; there are no tolerances anywhere.
 import pytest
 
 from repring import verify as V
-from repring.defects import rk_basis_element
+from repring.defects import rk_basis_element, u_element
 from repring.errors import InvariantViolated
 from repring.linalg import Echelon
 
@@ -55,6 +55,19 @@ def test_criterion_04_gamma_basis(contexts):
 
 def test_criterion_05_genk_basis(contexts):
     _gate(5, contexts)
+
+
+def test_dependent_genk_basis_fails_the_genk_suite():
+    """genk_basis raises on a dependent basis; the suite reports that
+    as its one failed check."""
+    a = V._analysis("S4", 2, SEED)
+    ident_row, three_cycles = a.rows  # defects D8 and 1
+    a._u[ident_row.class_index] = u_element(a, three_cycles.rep)
+    d = V.run_suite(5, [("S4", a)], PRIMES, SEED).as_dict()
+    assert d["pass"] is False
+    [check] = d["checks"]
+    assert check["name"] == "no exception"
+    assert check["detail"].startswith("InvariantViolated: U elements under")
 
 
 def test_criterion_06_sp_dimension(contexts):

@@ -239,6 +239,15 @@ def test_lattice_past_the_bundled_orders_is_one_json_error(capsys):
     assert (error["module"], error["type"]) == ("catalog", "DatasetMissing")
 
 
+def test_splitting_field_past_the_bound_is_one_json_error(capsys):
+    # 2 has order 36 mod 37: the splitting field would be GF(2^36)
+    code, out, err = run_cli(capsys, "analyze", "C37", "--p", "2")
+    assert (code, out) == (2, "")
+    assert len(err.splitlines()) == 1
+    error = json.loads(err)["error"]
+    assert (error["module"], error["type"]) == ("gf", "FieldTooLarge")
+
+
 # -- verify -------------------------------------------------------------
 
 @pytest.mark.parametrize("p", ["5", "7"])

@@ -3,6 +3,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repring.errors import FieldTooLarge
 from repring.gf import (
     GF,
     _is_prime,
@@ -51,13 +52,18 @@ def test_gf9_tables():
     assert F.pow(4, 4) == 2  # (x+1)^4 = -1
 
 
-def test_gf_prime_field_is_mod_p():
-    F = gf_field(7, 1)
-    for a in range(7):
-        for b in range(7):
-            assert F.add(a, b) == (a + b) % 7
-            assert F.mul(a, b) == (a * b) % 7
-    assert F.inv(3) == 5
+# GF(257) and GF(263) add by Zech logarithms
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 251, 257, 263])
+def test_gf_prime_field_is_mod_p(p):
+    F = gf_field(p, 1)
+    assert F.modulus == (0, 1)
+    for a in range(p):
+        for b in range(p):
+            assert F.add(a, b) == (a + b) % p
+            assert F.mul(a, b) == (a * b) % p
+        assert F.sub(0, a) == F.neg(a) == -a % p
+        if a:
+            assert F.inv(a) == pow(a, -1, p)
 
 
 def test_pth_root_inverts_frobenius():
@@ -183,6 +189,30 @@ def test_primitive_element_matches_candidate_walk():
         assert all(F.log[c] == k for k, c in enumerate(powers))
 
 
+def _monic(p, d, code):
+    """The monic polynomial of degree d whose lower coefficients are the
+    base-p digits of code: code order of monic polynomials."""
+    out = []
+    for _ in range(d):
+        code, c = divmod(code, p)
+        out.append(c)
+    return tuple(out) + (1,)
+
+
+def test_modulus_is_first_irreducible_by_trial_division():
+    """The modulus is the first monic polynomial of degree d in code
+    order with no monic factor of degree <= d/2."""
+    for p, d in _fields_up_to(4096):
+        if d == 1:
+            continue
+        Fp = gf_field(p, 1)
+        divisors = [_monic(p, k, c) for k in range(1, d // 2 + 1)
+                    for c in range(p ** k)]
+        first = next(f for f in (_monic(p, d, c) for c in range(p ** d))
+                     if all(poly_divmod(Fp, f, g)[1] for g in divisors))
+        assert gf_field(p, d).modulus == first, (p, d)
+
+
 @settings(max_examples=60, deadline=None)
 @given(small_fields, st.data())
 def test_poly_divmod_identity(pd, data):
@@ -279,6 +309,23 @@ def test_field_rejects_bad_parameters():
         GF(4, 1)
     with pytest.raises(ValueError):
         GF(2, 0)
+
+
+def test_field_past_the_order_bound_raises_before_any_table(monkeypatch):
+    def no_search(self):
+        raise AssertionError("modulus search started")
+
+    monkeypatch.setattr(GF, "_find_modulus", no_search)
+    with pytest.raises(FieldTooLarge) as info:
+        GF(3, 20)
+    assert info.value.module == "gf"
+
+
+def test_field_order_bound_is_inclusive(monkeypatch):
+    monkeypatch.setattr("repring.gf.FIELD_ORDER_BOUND", 8)
+    assert GF(2, 3).q == 8
+    with pytest.raises(FieldTooLarge):
+        GF(3, 2)
 
 
 def test_polynomials_over_extension_field():
