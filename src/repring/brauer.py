@@ -12,7 +12,7 @@ from fractions import Fraction
 from math import gcd
 
 from .config import default_seed
-from .cyclo import Cyc, dot
+from .cyclo import QQ, Cyc, dot
 from .errors import (
     InvariantViolated,
     NonIntegralCartan,
@@ -27,10 +27,10 @@ from .lift import BrauerLift
 from .linalg import (
     Echelon,
     gf_charpoly,
+    gf_mat_inv,
     gf_rank,
     gf_solve,
     gf_transpose,
-    mat_inv,
     smith_normal_form,
 )
 from .meataxe import simple_modules
@@ -167,7 +167,7 @@ class BrauerData:
         B = [[gsize * self.class_sizes[i] * self.phi[s][self._inv_pos[i]]
               for s in range(n)] for i in range(n)]
         try:
-            P = mat_inv(B)
+            P = gf_mat_inv(QQ, B)
         except ZeroDivisionError as exc:
             raise SingularPhi(
                 "Brauer character table is singular; simples are "

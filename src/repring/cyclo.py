@@ -10,11 +10,46 @@ result.  Values of different conductors mix by promotion to the lcm
 (zeta_m maps to zeta_M^(M/m)) through a cached integer matrix.  Rational
 coordinates appear only at the edges: the constructor, ``coeffs``, JSON
 and ``inverse``.  No floating point is involved anywhere.
+
+``QQ`` is the field object of ints, Fractions and Cyc values, so the
+shared elimination (``linalg.Echelon``) and polynomial routines
+(``gf.poly_*``) run over Q(zeta_m) as they run over GF(q): the
+cyclotomic polynomials and the extended Euclid of ``inverse`` are
+``gf.poly_*`` over ``QQ``.
 """
 
 import functools
 import math
 from fractions import Fraction
+
+from .gf import poly_divmod, poly_mul, poly_sub, poly_trim
+
+
+class _Rationals:
+    """Q and its cyclotomic extensions as a field object: the row kernel
+    and the operations that ``linalg.Echelon`` and ``gf.poly_*`` call.
+    Elements are ints, Fractions and Cyc values, which must be falsy
+    exactly when zero."""
+
+    @staticmethod
+    def axpy(y, a, x):
+        return [s + a * t for s, t in zip(y, x)]
+
+    @staticmethod
+    def neg(a):
+        return -a
+
+    @staticmethod
+    def inv(a):
+        # Fraction(1) keeps the inverse of an int exact
+        return Fraction(1) / a
+
+    @staticmethod
+    def mul(a, b):
+        return a * b
+
+
+QQ = _Rationals()
 
 
 @functools.lru_cache(maxsize=None)
@@ -22,37 +57,14 @@ def cyclotomic_poly(m: int) -> tuple:
     """Integer coefficients of the m-th cyclotomic polynomial (little endian)."""
     if m < 1:
         raise ValueError("conductor must be positive")
-    if m == 1:
-        return (-1, 1)
-    poly = [-1] + [0] * (m - 1) + [1]  # x^m - 1
+    poly = (-1,) + (0,) * (m - 1) + (1,)  # x^m - 1
     for d in range(1, m):
         if m % d == 0:
-            poly = _int_div_exact(poly, cyclotomic_poly(d))
-    return tuple(poly)
-
-
-def _int_div_exact(a, b):
-    """Divide integer polynomial a by monic-up-to-sign b; remainder must vanish."""
-    a = list(a)
-    db = len(b) - 1
-    lead = b[-1]
-    quo = [0] * (len(a) - db)
-    while len(a) - 1 >= db:
-        c = a[-1]
-        if c % lead:
-            raise ArithmeticError("non-exact polynomial division")
-        c //= lead
-        shift = len(a) - 1 - db
-        quo[shift] = c
-        for i in range(db + 1):
-            a[shift + i] -= c * b[i]
-        while a and a[-1] == 0:
-            a.pop()
-        if not a:
-            break
-    if a:
-        raise ArithmeticError("non-exact polynomial division")
-    return quo
+            poly, rem = poly_divmod(QQ, poly, cyclotomic_poly(d))
+            if rem:
+                raise ArithmeticError("non-exact polynomial division")
+    # monic divisors of an integer polynomial leave integer quotients
+    return tuple(int(c) for c in poly)
 
 
 @functools.lru_cache(maxsize=None)
@@ -213,6 +225,9 @@ class Cyc:
     def is_zero(self) -> bool:
         return not any(self.num)
 
+    def __bool__(self):
+        return any(self.num)
+
     def as_rational(self):
         """The value as a Fraction, or None if it is irrational."""
         if any(self.num[1:]):
@@ -265,19 +280,15 @@ class Cyc:
             return _raw(m, (s * self.den,) + num[1:], s * num[0])
         # extended Euclid in Q[x] against the (irreducible) cyclotomic
         # poly, on the numerator polynomial; den scales the result
-        phi = [Fraction(c) for c in cyclotomic_poly(m)]
-        r0, s0 = phi, []
-        r1 = [Fraction(c) for c in num]
-        while r1 and r1[-1] == 0:
-            r1.pop()
-        s1 = [Fraction(1)]
+        r0, s0 = cyclotomic_poly(m), ()
+        r1, s1 = poly_trim(num), (1,)
         while len(r1) > 1:
-            q, rem = _q_divmod(r0, r1)
+            q, rem = poly_divmod(QQ, r0, r1)
             r0, r1 = r1, rem
-            s0, s1 = s1, _q_sub(s0, _q_mul(q, s1))
+            s0, s1 = s1, poly_sub(QQ, s0, poly_mul(QQ, q, s1))
         if not r1:
             raise ZeroDivisionError("zero divisor mod cyclotomic polynomial")
-        c = self.den / r1[0]
+        c = QQ.inv(r1[0]) * self.den
         deg = len(num)
         out = [x * c for x in s1] + [0] * deg
         return Cyc(m, out[:deg])
@@ -366,43 +377,3 @@ def dot(xs, ys) -> Cyc:
         _mul_into(acc, a.promote(m).num, b.promote(m).num, scale)
     return _make(m, _reduce(m, acc, deg), den)
 
-
-# rational polynomial helpers for the inverse
-
-
-def _q_divmod(a, b):
-    a = list(a)
-    db = len(b) - 1
-    inv = Fraction(1) / b[-1]
-    quo = [Fraction(0)] * max(0, len(a) - db)
-    while a and len(a) - 1 >= db:
-        c = a[-1] * inv
-        shift = len(a) - 1 - db
-        quo[shift] = c
-        for i in range(db + 1):
-            a[shift + i] -= c * b[i]
-        while a and a[-1] == 0:
-            a.pop()
-    return quo, a
-
-
-def _q_mul(a, b):
-    if not a or not b:
-        return []
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] += x * y
-    while out and out[-1] == 0:
-        out.pop()
-    return out
-
-
-def _q_sub(a, b):
-    n = max(len(a), len(b))
-    out = [(a[i] if i < len(a) else Fraction(0)) -
-           (b[i] if i < len(b) else Fraction(0)) for i in range(n)]
-    while out and out[-1] == 0:
-        out.pop()
-    return out

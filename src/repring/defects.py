@@ -311,10 +311,8 @@ def filtration_table(a: Analysis):
     """Cumulative dim over the catalog prefix order; ends at the number
     of p-regular classes, increasing only under the Sylow subgroup."""
     G, p, catalog = a.G, a.p, a.catalog
-    sylow_idx = catalog.index_of_isomorphic(G.sylow_subgroup(p))
-    if sylow_idx is None:
-        raise CatalogTooSmall(
-            f"Sylow {p}-subgroup of {G.describe()} not in catalog")
+    # the identity class has centralizer G, so its defect is the Sylow
+    sylow_idx = a.rows[0].catalog_index
     out = []
     total = 0
     for j in range(len(catalog)):

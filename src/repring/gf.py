@@ -20,8 +20,11 @@ element is the smallest code g with g^((q-1)/r) != 1 mod f for each
 prime r dividing q - 1.  A field of more than ``FIELD_ORDER_BOUND``
 elements (config) raises ``FieldTooLarge`` before any of this runs.
 
-Polynomials over the field are little-endian tuples of codes with no
-trailing zeros; the zero polynomial is ``()``.
+Polynomials are little-endian tuples with no trailing zeros; the zero
+polynomial is ``()``.  The ``poly_*`` routines take any field object
+with ``axpy``, ``neg``, ``inv`` and ``mul``: a GF, whose coefficients
+are codes, or ``cyclo.QQ``, whose coefficients are ints, Fractions and
+Cyc values.
 """
 
 import functools
@@ -303,7 +306,8 @@ def multiplicative_order(p: int, m: int) -> int:
 
 
 # ---------------------------------------------------------------------
-# polynomials over GF: little-endian tuples of codes, no trailing zeros
+# polynomials over any field object F (a GF or cyclo.QQ): little-endian
+# tuples of F's elements, no trailing zeros
 
 
 def poly_trim(a):

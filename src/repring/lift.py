@@ -20,7 +20,7 @@ class BrauerLift:
         self.F = F
         self.m = m
         step = (F.q - 1) // m
-        self.root = F.exp[step % (F.q - 1)] if F.q > 2 else 1
+        self.root = F.exp[step % (F.q - 1)]
         # root_codes[j] = the field element paired with zeta_m^j
         self.root_codes = [F.pow(self.root, j) for j in range(m)]
         self._log = {code: j for j, code in enumerate(self.root_codes)}

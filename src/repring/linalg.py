@@ -1,101 +1,21 @@
 """Exact linear algebra.
 
-Three flavours live here:
-  * generic Gaussian elimination over any exact field whose elements
-    support +, -, *, / and == 0 (Fraction, Cyc);
-  * elimination over GF fields where elements are int codes and the
-    field object supplies the arithmetic, all of it built on one
-    incremental row-echelon basis, `Echelon`.  Every row operation
-    here, and every product with a matrix, is one call of the field's
-    row kernel `F.axpy`, never a field call per coordinate;
+Two flavours live here:
+  * elimination over any field object: a finite field ``gf.GF``, whose
+    elements are int codes, or ``cyclo.QQ``, whose elements are ints,
+    Fractions and Cyc values.  All of it is built on one incremental
+    row-echelon basis, `Echelon`, and every row operation here, and
+    every product with a matrix, is one call of the field's row kernel
+    ``F.axpy``, never a field call per coordinate;
   * integer Smith normal form.
 All routines are deterministic, and all but `Echelon` are pure.
 """
 
 import bisect
-from fractions import Fraction
 
 
 # ---------------------------------------------------------------------
-# generic field (Fraction / Cyc)
-
-
-def mat_rref(rows):
-    """Reduced row echelon form.  Returns (new rows, pivot column list)."""
-    rows = [list(r) for r in rows]
-    if not rows:
-        return rows, []
-    ncols = len(rows[0])
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        pivot_row = None
-        for i in range(r, len(rows)):
-            if not rows[i][c] == 0:
-                pivot_row = i
-                break
-        if pivot_row is None:
-            continue
-        rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
-        # one inverse per pivot; Fraction(1) keeps an int pivot exact
-        inv_p = Fraction(1) / rows[r][c]
-        rows[r] = [v * inv_p for v in rows[r]]
-        for i in range(len(rows)):
-            if i != r and not rows[i][c] == 0:
-                f = rows[i][c]
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(rows):
-            break
-    return rows, pivots
-
-
-def mat_rank(rows) -> int:
-    return len(mat_rref(rows)[1])
-
-
-def mat_solve(A, b):
-    """One solution x of A x = b, or None if the system is inconsistent."""
-    n = len(A)
-    ncols = len(A[0]) if n else 0
-    aug = [list(A[i]) + [b[i]] for i in range(n)]
-    red, pivots = mat_rref(aug)
-    if ncols in pivots:
-        return None
-    x = [0] * ncols
-    for r, c in enumerate(pivots):
-        x[c] = red[r][ncols]
-    return x
-
-
-def mat_inv(A):
-    n = len(A)
-    aug = [list(A[i]) + [1 if i == j else 0 for j in range(n)]
-           for i in range(n)]
-    red, pivots = mat_rref(aug)
-    if pivots != list(range(n)):
-        raise ZeroDivisionError("matrix is singular")
-    return [row[n:] for row in red]
-
-
-def mat_mul(A, B):
-    n, k = len(A), len(B)
-    m = len(B[0]) if k else 0
-    out = []
-    for i in range(n):
-        row = []
-        for j in range(m):
-            acc = A[i][0] * B[0][j]
-            for t in range(1, k):
-                acc = acc + A[i][t] * B[t][j]
-            row.append(acc)
-        out.append(row)
-    return out
-
-
-# ---------------------------------------------------------------------
-# GF world: matrices are lists of lists of int codes
+# fields: matrices are lists of rows of field elements
 
 
 def gf_matmul(F, A, B):

@@ -14,8 +14,8 @@ from .config import default_max_order
 from .defects import (
     cartan_image_basis,
     defect_classification,
+    filtration_table,
     genk_basis,
-    sp_dimension,
     u_element,
 )
 from .errors import InvalidPrime
@@ -81,16 +81,13 @@ def analyze_report(spec, p: int, max_p_order=None, seed=None) -> dict:
         "coeffs": list(u_element(a, r.rep).coeffs),
     } for r in a.rows]
 
+    filtration = list(filtration_table(a))
     genk_dims = {}
     sp_dims = {}
-    filtration = []
-    total = 0
-    for j in range(len(catalog)):
+    for j, (below, total) in enumerate(zip([0] + filtration, filtration)):
         label = catalog.label(j)
         genk_dims[label] = len(genk_basis(a, j))
-        sp_dims[label] = sp_dimension(a, j)
-        total += sp_dims[label]
-        filtration.append(total)
+        sp_dims[label] = total - below
 
     F = bd.F
     return {

@@ -11,7 +11,7 @@ from repring.brauer import (
     induce_class_function,
     splitting_field,
 )
-from repring.cyclo import Cyc
+from repring.cyclo import QQ, Cyc
 from repring.errors import (
     InvariantViolated,
     NonIntegralDecomposition,
@@ -29,7 +29,7 @@ from repring.groups import (
     quaternion_group,
     symmetric_group,
 )
-from repring.linalg import gf_charpoly, gf_rank, mat_inv
+from repring.linalg import gf_charpoly, gf_mat_inv, gf_rank
 from repring.verify import DEFAULT_CORPUS
 from test_defects import GOLDEN_ANALYZE
 
@@ -175,7 +175,8 @@ def test_decompose_table_is_phi_table_inverse(G, p):
     # inverse of the phi table by elimination
     bd = BrauerData(G, p)
     n = len(bd.simples)
-    want = mat_inv([[bd.phi[s][i] for i in range(n)] for s in range(n)])
+    want = gf_mat_inv(QQ, [[bd.phi[s][i] for i in range(n)]
+                           for s in range(n)])
     assert [list(row) for row in bd._dual] == want
 
 

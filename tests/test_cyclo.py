@@ -4,9 +4,9 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repring.cyclo import Cyc, conductor_degree, cyclotomic_poly, dot
+from repring.cyclo import QQ, Cyc, conductor_degree, cyclotomic_poly, dot
 from repring.errors import NotPLocal
-from repring.gf import gf_field, multiplicative_order
+from repring.gf import gf_field, multiplicative_order, poly_mul
 from repring.lift import BrauerLift
 
 
@@ -21,6 +21,29 @@ def test_cyclotomic_polys():
     # degree is Euler phi
     assert conductor_degree(9) == 6
     assert conductor_degree(15) == 8
+
+
+def test_cyclotomic_polys_multiply_to_x_m_minus_1():
+    for m in range(1, 106):
+        assert all(type(c) is int for c in cyclotomic_poly(m))
+        prod = (1,)
+        for d in range(1, m + 1):
+            if m % d == 0:
+                prod = poly_mul(QQ, prod, cyclotomic_poly(d))
+        assert prod == (-1,) + (0,) * (m - 1) + (1,)
+    # the first cyclotomic polynomial with a coefficient other than 0, +-1
+    assert -2 in cyclotomic_poly(105)
+    assert all(abs(c) <= 1 for m in range(1, 105)
+               for c in cyclotomic_poly(m))
+
+
+def test_cyc_truthiness_is_nonzero():
+    z = Cyc.zeta(3)
+    assert not (z * z + z + 1)
+    assert not Cyc.from_rational(0, 12)
+    assert not (Cyc.zeta(4) - Cyc.zeta(4))
+    assert z and Cyc.from_rational(Fraction(-1, 7), 5)
+    assert [v for v in (z - z, z, 0 * z) if v] == [z]
 
 
 def test_zeta_relations():

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from repring import defects
 from repring.brauer import BrauerData, induce_class_function
 from repring.catalog import build_catalog
 from repring.config import default_max_order
@@ -44,6 +45,7 @@ from repring.groups import (
     trivial_group,
 )
 from repring.linalg import gf_rank
+from repring.report import analyze_report
 
 
 CAT2 = build_catalog(2, 8)
@@ -359,6 +361,21 @@ def test_filtration_tables():
 def test_filtration_needs_sylow_in_catalog():
     with pytest.raises(CatalogTooSmall):
         filtration_table(analysis(symmetric_group(4), 2, CAT2_SMALL))
+
+
+def test_analyze_keeps_the_filtration_checks(monkeypatch):
+    # a class dropped from the S_P count stops the report with the
+    # filtration's own check instead of printing a short filtration
+    count = defects.sp_dimension
+
+    def drop_one(a, P):
+        d = count(a, P)
+        return d - 1 if P == a.rows[0].catalog_index else d
+
+    monkeypatch.setattr(defects, "sp_dimension", drop_one)
+    with pytest.raises(InvariantViolated) as exc:
+        analyze_report("S4", 2, seed=1)
+    assert exc.value.module == "defects"
 
 
 def test_rk_multiply_examples():

@@ -1,14 +1,17 @@
 import random
 from fractions import Fraction
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
-from repring.cyclo import Cyc
+import pytest
+
+from repring.cyclo import QQ, Cyc, conductor_degree
 from repring.gf import gf_field, poly_eval
 from repring.linalg import (
     Echelon,
     gf_charpoly,
     gf_identity,
+    gf_mat_inv,
     gf_matmul,
     gf_rank,
     gf_right_kernel,
@@ -16,34 +19,33 @@ from repring.linalg import (
     gf_solve,
     gf_transpose,
     int_mat_rank_mod_p,
-    mat_inv,
-    mat_mul,
-    mat_rank,
-    mat_rref,
-    mat_solve,
     smith_normal_form,
 )
 
 
+# the elimination over QQ: Fractions and cyclotomic values
+
+
 def test_mat_rref_fractions():
     A = [[Fraction(2), Fraction(1)], [Fraction(1), Fraction(2)]]
-    red, pivots = mat_rref(A)
+    red, pivots = gf_rref(QQ, A)
     assert pivots == [0, 1]
     assert red == [[1, 0], [0, 1]]
 
 
 def test_mat_solve_and_inconsistent():
     A = [[Fraction(1), Fraction(1)], [Fraction(2), Fraction(2)]]
-    assert mat_solve(A, [Fraction(3), Fraction(6)]) is not None
-    assert mat_solve(A, [Fraction(3), Fraction(7)]) is None
+    x = gf_solve(QQ, A, [Fraction(3), Fraction(6)])
+    assert x is not None and x[0] + x[1] == 3
+    assert gf_solve(QQ, A, [Fraction(3), Fraction(7)]) is None
 
 
 def test_mat_inv_cyclotomic():
     z = Cyc.zeta(3)
     half = Cyc.from_rational(Fraction(1, 2), 3)
     A = [[half, z], [z * z, half]]
-    B = mat_inv(A)
-    prod = mat_mul(A, B)
+    B = gf_mat_inv(QQ, A)
+    prod = gf_matmul(QQ, A, B)
     assert prod[0][0] == 1 and prod[1][1] == 1
     assert prod[0][1] == 0 and prod[1][0] == 0
 
@@ -52,7 +54,26 @@ def test_phi_matrix_s3_char2_is_nonsingular():
     # Brauer character matrix of S3 at p=2 over the cyclotomic field
     A = [[Cyc.from_rational(1), Cyc.from_rational(1)],
          [Cyc.from_rational(2), Cyc.from_rational(-1)]]
-    assert mat_rank(A) == 2
+    assert gf_rank(QQ, A) == 2
+
+
+def _cyc(m, data):
+    return Cyc(m, [Fraction(data.draw(st.integers(-3, 3)),
+                            data.draw(st.integers(1, 3)))
+                   for _ in range(conductor_degree(m))])
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from([3, 4, 5, 8, 12]), st.integers(2, 3), st.data())
+def test_cyc_matrix_inverse_by_echelon(m, n, data):
+    A = [[_cyc(m, data) for _ in range(n)] for _ in range(n)]
+    assume(gf_rank(QQ, A) == n)
+    assert gf_matmul(QQ, A, gf_mat_inv(QQ, A)) == gf_identity(n)
+    # a repeated row drops the rank by one and makes the matrix singular
+    repeated = A[:-1] + [A[0]]
+    assert gf_rank(QQ, repeated) == n - 1
+    with pytest.raises(ZeroDivisionError):
+        gf_mat_inv(QQ, repeated)
 
 
 def test_gf_rank_rref():
