@@ -2,9 +2,9 @@
 
 Each group of order up to 16 (p=2), 27 (p=3) and 25 (p=5) is constructed
 explicitly as a permutation group, cross-checked against classical
-invariants (counts per order, pairwise non-isomorphism, involution
-counts, exponents, elementary abelian content), and stored as 1-based
-generator tables.
+invariants (counts per order against catalog.KNOWN_COUNTS, pairwise
+non-isomorphism, involution counts, exponents, elementary abelian
+content), and stored as 1-based generator tables.
 """
 
 import json
@@ -13,6 +13,7 @@ import sys
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
 
+from repring.catalog import KNOWN_COUNTS
 from repring.groups import (
     PermGroup,
     cyclic_group,
@@ -185,13 +186,6 @@ def build_all():
     return entries
 
 
-EXPECTED_COUNTS = {
-    (2, 1): 1, (2, 2): 1, (2, 4): 2, (2, 8): 5, (2, 16): 14,
-    (3, 1): 1, (3, 3): 1, (3, 9): 2, (3, 27): 5,
-    (5, 1): 1, (5, 5): 1, (5, 25): 2,
-}
-
-
 def validate(entries):
     counts = {}
     for p, label, G in entries:
@@ -201,7 +195,7 @@ def validate(entries):
             n //= p
         assert n == 1, f"{label}: order {order} is not a power of {p}"
         counts[(p, order)] = counts.get((p, order), 0) + 1
-    assert counts == EXPECTED_COUNTS, counts
+    assert counts == KNOWN_COUNTS, counts
     by_key = {}
     for p, label, G in entries:
         by_key.setdefault((p, G.order), []).append((label, G))

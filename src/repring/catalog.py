@@ -4,9 +4,11 @@ The catalog lists one permutation group per isomorphism class of
 p-groups of order up to a bound, ordered by group order and then by
 bundled-table position, so that P_i embedding in P_j forces i <= j.
 A prime with no bundled rows gets the p-groups of order at most p^2
-(1, C_p, C_{p^2}, C_p x C_p), built directly.  A truncation that would
-need a p-group order past the largest one listed (p times it or more)
-raises DatasetMissing rather than return a catalog that misses groups.
+(1, C_p, C_{p^2}, C_p x C_p), built directly, embeddings included.
+Bundled rows are checked against the known class counts and searched
+once per pair.  A truncation that would need a p-group order past the
+largest one listed (p times it or more) raises DatasetMissing rather
+than return a catalog that misses groups.
 Closed (downward-closed) subsets of the catalog are the lattice the
 rest of the package evaluates against.
 """
@@ -15,7 +17,7 @@ import functools
 import importlib.resources
 import json
 
-from .config import CLOSED_SET_ENTRY_BOUND, default_max_order
+from .config import CLOSED_SET_ENTRY_BOUND
 from .errors import (
     CatalogMismatch,
     DatasetMissing,
@@ -34,7 +36,7 @@ from .groups import (
 )
 
 # counts of isomorphism classes the bundled table must reproduce
-_KNOWN_COUNTS = {
+KNOWN_COUNTS = {
     (2, 1): 1, (2, 2): 1, (2, 4): 2, (2, 8): 5, (2, 16): 14,
     (3, 1): 1, (3, 3): 1, (3, 9): 2, (3, 27): 5,
     (5, 1): 1, (5, 5): 1, (5, 25): 2,
@@ -74,7 +76,8 @@ def largest_order(p, dataset=None):
 
 def _entries_up_to_p_squared(p, max_order):
     """Every p-group of order at most max_order, for max_order < p^3:
-    1, C_p, C_{p^2} and C_p x C_p, in catalog order."""
+    1, C_p, C_{p^2} and C_p x C_p, in catalog order, and their embedding
+    matrix, known by construction: 1 < C_p < C_{p^2} and C_p < C_p^2."""
     if not _is_prime(p):
         raise DatasetMissing(f"no entries for p={p} in dataset")
     entries = [("1", trivial_group())]
@@ -84,7 +87,9 @@ def _entries_up_to_p_squared(p, max_order):
         entries.append((f"C{p * p}", cyclic_group(p * p)))
         entries.append((f"C{p}^2", direct_product(cyclic_group(p),
                                                   cyclic_group(p))))
-    return entries
+    n = len(entries)
+    return entries, [[i == j or i < min(j, 2) for j in range(n)]
+                     for i in range(n)]
 
 
 class PGroupCatalog:
@@ -132,7 +137,11 @@ class PGroupCatalog:
         return ClosedSet(self, frozenset(members))
 
 
-def _validate(p, max_order, entries, check_counts):
+def _validated_embedding(p, max_order, entries):
+    """The embedding matrix of entries (sorted by order) once their
+    orders and counts check: one search per pair i < j, for an embedding
+    below the diagonal order or, at equal order, for an isomorphism,
+    which makes the pair a duplicate class."""
     if not entries:
         raise ValidationFailed(f"no catalog entries for p={p}")
     counts = {}
@@ -145,39 +154,37 @@ def _validate(p, max_order, entries, check_counts):
         raise ValidationFailed("first catalog entry must be the trivial group")
     if max_order >= p and (len(entries) < 2 or entries[1][1].order != p):
         raise ValidationFailed(f"second catalog entry must be C_{p}")
-    if check_counts:
-        for order, n in counts.items():
-            expected = _KNOWN_COUNTS.get((p, order))
-            if expected is not None and n != expected:
+    for order, n in counts.items():
+        expected = KNOWN_COUNTS.get((p, order))
+        if expected is not None and n != expected:
+            raise ValidationFailed(
+                f"{n} entries of order {order} for p={p}, expected {expected}")
+    n = len(entries)
+    embed = [[i == j for j in range(n)] for i in range(n)]
+    for j, (label_j, Q) in enumerate(entries):
+        for i, (label_i, P) in enumerate(entries[:j]):
+            if P.order < Q.order:
+                embed[i][j] = embeds_into(P, Q)
+            elif is_isomorphic(P, Q):
                 raise ValidationFailed(
-                    f"{n} entries of order {order} for p={p}, expected {expected}")
-    by_order = {}
-    for label, G in entries:
-        by_order.setdefault(G.order, []).append((label, G))
-    for bucket in by_order.values():
-        for i in range(len(bucket)):
-            for j in range(i + 1, len(bucket)):
-                if is_isomorphic(bucket[i][1], bucket[j][1]):
-                    raise ValidationFailed(
-                        f"duplicate isomorphism class: {bucket[i][0]} and {bucket[j][0]}")
+                    f"duplicate isomorphism class: {label_i} and {label_j}")
+    return embed
 
 
 def build_catalog(p: int, max_order: int = None) -> PGroupCatalog:
     """Validated catalog from the bundled table; cached per (p, max_order),
-    with max_order None meaning default_max_order(p)."""
+    with max_order None meaning largest_order(p)."""
     if max_order is None:
-        max_order = default_max_order(p)
+        max_order = largest_order(p)
     return _cached_catalog(p, max_order)
 
 
 @functools.lru_cache(maxsize=None)
 def _cached_catalog(p, max_order):
-    return catalog_from_dataset(p, max_order, _load_bundled(), check_counts=True)
+    return catalog_from_dataset(p, max_order, _load_bundled())
 
 
-def catalog_from_dataset(p, max_order, dataset, check_counts=False) -> PGroupCatalog:
-    if max_order is None:
-        max_order = default_max_order(p)
+def catalog_from_dataset(p, max_order, dataset) -> PGroupCatalog:
     # p-group orders are powers of p, so a catalog is complete exactly
     # below p times the largest order it can list
     top = largest_order(p, dataset)
@@ -187,20 +194,9 @@ def catalog_from_dataset(p, max_order, dataset, check_counts=False) -> PGroupCat
             f"p={p}: max_order must be below {p * top}")
     if any(row["p"] == p for row in dataset):
         entries = _entries_from_dataset(dataset, p, max_order)
+        embed = _validated_embedding(p, max_order, entries)
     else:
-        entries = _entries_up_to_p_squared(p, max_order)
-    _validate(p, max_order, entries, check_counts)
-    n = len(entries)
-    embed = [[False] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            if entries[i][1].order <= entries[j][1].order:
-                embed[i][j] = embeds_into(entries[i][1], entries[j][1])
-    for i in range(n):
-        for j in range(n):
-            if embed[i][j] and i != j and not entries[i][1].order < entries[j][1].order:
-                raise ValidationFailed(
-                    "embedding between distinct classes of equal order")
+        entries, embed = _entries_up_to_p_squared(p, max_order)
     return PGroupCatalog(p, max_order, entries, embed)
 
 
@@ -252,13 +248,12 @@ def lattice_ops(A: ClosedSet, B: ClosedSet):
 
 
 def is_completely_prime(C: ClosedSet) -> bool:
-    """Is C a principal down-set?  (Truncation-relative notion.)"""
-    if not C.members:
-        return False
-    for j in range(len(C.catalog.entries)):
-        if C.catalog.down_set(j).members == C.members:
-            return True
-    return False
+    """Is C a principal down-set, that is, has it exactly one maximal
+    member?  (Truncation-relative notion.)"""
+    embed = C.catalog.embed
+    maximal = [j for j in C.members
+               if not any(i != j and embed[j][i] for i in C.members)]
+    return len(maximal) == 1
 
 
 def enumerate_closed_sets(cat: PGroupCatalog):

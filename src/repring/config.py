@@ -4,6 +4,10 @@ All randomness in the package (module chopping, equal degree splitting)
 flows from an explicit integer seed, so identical seeds give identical
 runs.  ``REPRING_SEED`` in the environment overrides the built-in
 default; explicit function/CLI arguments override both.
+
+The p-group catalog's default truncation is not set here: it is
+``catalog.largest_order(p)``, the largest order the bundled table lists
+for p, or p^2 for a prime it does not list.
 """
 
 import os
@@ -31,9 +35,6 @@ CHOP_RESEEDS = 4
 
 SEED_ENV = "REPRING_SEED"
 
-# default catalog truncation per prime
-DEFAULT_MAX_ORDER = {2: 16, 3: 27, 5: 25}
-
 
 def default_seed() -> int:
     raw = os.environ.get(SEED_ENV)
@@ -43,7 +44,3 @@ def default_seed() -> int:
         return int(raw)
     except ValueError:
         raise InvalidSeed(f"{SEED_ENV}={raw!r} is not an integer") from None
-
-
-def default_max_order(p: int) -> int:
-    return DEFAULT_MAX_ORDER.get(p, p * p)

@@ -221,10 +221,6 @@ class Cyc:
         m = math.lcm(self.m, other.m)
         return self.promote(m), other.promote(m), m
 
-    @property
-    def is_zero(self) -> bool:
-        return not any(self.num)
-
     def __bool__(self):
         return any(self.num)
 
@@ -272,7 +268,7 @@ class Cyc:
     __rmul__ = __mul__
 
     def inverse(self) -> "Cyc":
-        if self.is_zero:
+        if not self:
             raise ZeroDivisionError("inverse of zero cyclotomic value")
         m, num = self.m, self.num
         if not any(num[1:]):

@@ -22,8 +22,13 @@ Isomorphism and embedding tests work on element indices.  A group that
 takes part in one (at most ISO_ORDER_BOUND elements) builds, once, a
 Cayley table over ``elements`` with its element orders and greedy
 generating sequence, and keeps it together with its isomorphism
-fingerprint; the backtracking search then does integer lookups only and
-repeated tests against the same group recompute nothing.
+fingerprint (sorted element orders and sorted class sizes); the
+backtracking search then does integer lookups only and repeated tests
+against the same group recompute nothing.
+
+The named builders (cyclic, dihedral, symmetric, alternating, direct
+product) know their group's order, and raise OrderBoundExceeded past
+ORDER_BOUND before building any permutation.
 """
 
 import json
@@ -106,6 +111,20 @@ def p_part(n: int, p: int) -> int:
     return out
 
 
+def _check_order(order):
+    if order > ORDER_BOUND:
+        raise OrderBoundExceeded(f"group order exceeds bound {ORDER_BOUND}")
+
+
+def _check_factorial_order(n, index):
+    """Raise OrderBoundExceeded if n! / index does: the partial products
+    k! / index, for k <= n, are checked as they grow."""
+    order = 1
+    for k in range(2, n + 1):
+        order *= k
+        _check_order(order // index)
+
+
 def is_p_power(n: int, p: int) -> bool:
     while n % p == 0:
         n //= p
@@ -146,9 +165,7 @@ class PermGroup:
                     if ne not in words:
                         words[ne] = w + (t,)
                         nxt.append(ne)
-                        if len(words) > ORDER_BOUND:
-                            raise OrderBoundExceeded(
-                                f"group order exceeds bound {ORDER_BOUND}")
+                        _check_order(len(words))
             queue = nxt
         self.elements = tuple(sorted(words))
         self.words = words
@@ -304,26 +321,6 @@ class PermGroup:
     def center(self) -> "PermGroup":
         return self.centralizer_of_subgroup(self)
 
-    def derived_subgroup(self) -> "PermGroup":
-        """The normal closure of the commutators of the generators
-        (Holt, Eick and O'Brien, Handbook of Computational Group Theory,
-        2005): a conjugate of a generator by a generator of G that falls
-        outside the subgroup joins the generators, until none does."""
-        gens = sorted({perm_mul(perm_inv(perm_mul(b, a)), perm_mul(a, b))
-                       for a in self.gens for b in self.gens}
-                      - {self.identity})
-        sub = self.generated_subgroup(gens)
-        queue = list(gens)
-        while queue:
-            x = queue.pop()
-            for g in self.gens:
-                c = self.conjugate(x, g)
-                if c not in sub:
-                    gens.append(c)
-                    queue.append(c)
-                    sub = self.generated_subgroup(gens)
-        return sub
-
     def sylow_subgroup(self, p: int) -> "PermGroup":
         """The canonical greedy Sylow p-subgroup.
 
@@ -410,6 +407,7 @@ def cyclic_group(n: int) -> PermGroup:
         raise InvalidGroupSpec(f"cyclic order must be positive, got {n}")
     if n == 1:
         return trivial_group()
+    _check_order(n)
     shift = tuple((i + 1) % n for i in range(n))
     return PermGroup(n, [shift], name=f"C{n}")
 
@@ -419,6 +417,7 @@ def symmetric_group(n: int) -> PermGroup:
         return trivial_group()
     if n == 2:
         return PermGroup(2, [(1, 0)], name="S2")
+    _check_factorial_order(n, 1)
     cycle = tuple((i + 1) % n for i in range(n))
     swap = (1, 0) + tuple(range(2, n))
     return PermGroup(n, [swap, cycle], name=f"S{n}")
@@ -427,6 +426,7 @@ def symmetric_group(n: int) -> PermGroup:
 def alternating_group(n: int) -> PermGroup:
     if n <= 2:
         return trivial_group()
+    _check_factorial_order(n, 2)
     gens = []
     for i in range(n - 2):
         img = list(range(n))
@@ -439,6 +439,7 @@ def dihedral_group(order: int) -> PermGroup:
     """Dihedral group of the given order 2n, acting on the n-gon."""
     if order % 2 or order < 2:
         raise InvalidGroupSpec(f"dihedral order must be even, got {order}")
+    _check_order(order)
     n = order // 2
     if n == 1:
         return PermGroup(2, [(1, 0)], name="D2")
@@ -457,6 +458,7 @@ def quaternion_group() -> PermGroup:
 
 
 def direct_product(a: PermGroup, b: PermGroup, name: str = None) -> PermGroup:
+    _check_order(a.order * b.order)
     da, db = a.degree, b.degree
     gens = []
     for g in a.gens:
@@ -611,18 +613,12 @@ def _cayley(G: PermGroup) -> CayleyTable:
 
 
 def _fingerprint(G: PermGroup):
+    """G's sorted element orders and sorted class sizes.  Isomorphic
+    groups share them, and they fix the order, the exponent, the number
+    of classes and the order of the center (the classes of size 1)."""
     if G._fp is None:
-        orders = _cayley(G).orders
-        classes = G.conjugacy_classes()
-        G._fp = (
-            G.order,
-            lcm(*orders),
-            tuple(sorted(orders)),
-            tuple(sorted(len(c) for c in classes)),
-            G.center().order,
-            G.derived_subgroup().order,
-            len(classes),
-        )
+        G._fp = (tuple(sorted(_cayley(G).orders)),
+                 tuple(sorted(len(c) for c in G.conjugacy_classes())))
     return G._fp
 
 

@@ -10,7 +10,6 @@ import json
 
 from .brauer import BrauerData
 from .catalog import build_catalog, enumerate_closed_sets, is_completely_prime
-from .config import default_max_order
 from .defects import (
     cartan_image_basis,
     defect_classification,
@@ -43,10 +42,9 @@ def _cyc_row(values):
 
 
 def analyze_report(spec, p: int, max_p_order=None, seed=None) -> dict:
-    """Full evaluation of one group at one prime as a plain dict."""
+    """Full evaluation of one group at one prime as a plain dict;
+    max_p_order None means the default catalog, as in build_catalog."""
     require_prime(p)
-    if max_p_order is None:
-        max_p_order = default_max_order(p)
     G = spec if isinstance(spec, PermGroup) else parse_group_spec(spec)
     spec_str = spec if isinstance(spec, str) else G.describe()
 
@@ -130,33 +128,22 @@ def analyze_report(spec, p: int, max_p_order=None, seed=None) -> dict:
     }
 
 
-def _maximal_members(catalog, members):
-    out = []
-    for j in members:
-        if not any(i != j and catalog.embed[j][i] for i in members):
-            out.append(j)
-    return sorted(out)
-
-
 def lattice_report(p: int, max_order=None) -> dict:
-    """The truncated p-group poset and its lattice of closed sets."""
+    """The truncated p-group poset and its lattice of closed sets;
+    max_order None means the default catalog, as in build_catalog."""
     require_prime(p)
-    if max_order is None:
-        max_order = default_max_order(p)
     catalog = build_catalog(p, max_order)
     closed = enumerate_closed_sets(catalog)
 
     sets_json = []
     for C in closed:
-        members = C.sorted_members()
-        maximals = _maximal_members(catalog, members)
+        # in a lattice of down-sets, principal is join irreducible
+        principal = is_completely_prime(C)
         sets_json.append({
-            "members": members,
+            "members": C.sorted_members(),
             "labels": C.labels(),
-            # one maximal generator makes the set a principal down-set,
-            # which in a down-set lattice is the same as join irreducible
-            "join_irreducible": len(maximals) == 1,
-            "completely_prime": is_completely_prime(C),
+            "join_irreducible": principal,
+            "completely_prime": principal,
         })
 
     principal = [{

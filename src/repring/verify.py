@@ -40,9 +40,6 @@ DEFAULT_CORPUS = (
 
 DEFAULT_PRIMES = (2, 3)
 
-# catalog truncation used by the p-group indicator suite
-INDICATOR_MAX_ORDER = {2: 16, 3: 27}
-
 
 def load_corpus(arg=None):
     """Group specs from the default list or a JSON file.
@@ -172,12 +169,12 @@ def suite_sp_dimension(s, contexts, primes, seed):
 
 def suite_pgroup_indicator(s, contexts, primes, seed):
     """S_P evaluated on a p-group Q is one dimensional when P is the
-    isomorphism type of Q and zero otherwise."""
+    isomorphism type of Q and zero otherwise.  It runs on the default
+    catalog at the primes whose catalog lists order p^3."""
     for p in primes:
-        mo = INDICATOR_MAX_ORDER.get(p)
-        if mo is None:
+        if largest_order(p) < p ** 3:
             continue
-        cat = build_catalog(p, mo)
+        cat = build_catalog(p)
         for qi in range(len(cat)):
             a = defect_classification(BrauerData(cat.group(qi), p, seed), cat)
             got = tuple(sp_dimension(a, j) for j in range(len(cat)))

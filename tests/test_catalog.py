@@ -17,10 +17,23 @@ from repring.errors import (
     CatalogMismatch,
     DatasetMissing,
     EnumerationBoundExceeded,
-    OrderBoundExceeded,
     ValidationFailed,
 )
-from repring.groups import alternating_group, cyclic_group, symmetric_group
+from repring.groups import (
+    _fingerprint,
+    alternating_group,
+    cyclic_group,
+    embeds_into,
+    symmetric_group,
+)
+
+# the embedding matrix of 1, C_p, C_{p^2}, C_p^2
+P_SQUARED_EMBED = [
+    [1, 1, 1, 1],
+    [0, 1, 1, 1],
+    [0, 0, 1, 0],
+    [0, 0, 0, 1],
+]
 
 
 def test_catalog_2_8_entries():
@@ -48,20 +61,22 @@ def test_catalog_cache_key_normalizes_default_order():
 def test_catalog_missing_prime():
     # no bundled rows for p = 7: every 7-group of order at most 49 is built
     assert build_catalog(7, 7).labels == ["1", "C7"]
+    assert build_catalog(7, 7).embed == [[True, True], [False, True]]
     cat = build_catalog(7)
     assert cat.labels == ["1", "C7", "C49", "C7^2"]
-    assert [[int(e) for e in row] for row in cat.embed] == [
-        [1, 1, 1, 1],
-        [0, 1, 1, 1],
-        [0, 0, 1, 0],
-        [0, 0, 0, 1],
-    ]
+    assert [[int(e) for e in row] for row in cat.embed] == P_SQUARED_EMBED
+    # the stated embeddings agree with the search, which is in range here
+    assert cat.embed == [[embeds_into(P, Q) for _, Q in cat.entries]
+                         for _, P in cat.entries]
     with pytest.raises(DatasetMissing):
         build_catalog(7, 343)  # order 7^3 would need the groups of order 343
     with pytest.raises(DatasetMissing):
         build_catalog(4)  # not a prime
-    with pytest.raises(OrderBoundExceeded):
-        build_catalog(17)  # C289 against C17^2 is past ISO_ORDER_BOUND
+    # C289 and C17^2 are past ISO_ORDER_BOUND, but their embeddings are
+    # known by construction, so no search runs
+    cat = build_catalog(17)
+    assert cat.labels == ["1", "C17", "C289", "C17^2"]
+    assert [[int(e) for e in row] for row in cat.embed] == P_SQUARED_EMBED
 
 
 @pytest.mark.parametrize("p,top", [(2, 16), (3, 27), (5, 25), (7, 49)])
@@ -80,12 +95,7 @@ def test_catalog_generated_at_p13():
     cat = build_catalog(13)
     assert cat.labels == ["1", "C13", "C169", "C13^2"]
     assert [cat.group(i).order for i in range(4)] == [1, 13, 169, 169]
-    assert [[int(e) for e in row] for row in cat.embed] == [
-        [1, 1, 1, 1],
-        [0, 1, 1, 1],
-        [0, 0, 1, 0],
-        [0, 0, 0, 1],
-    ]
+    assert [[int(e) for e in row] for row in cat.embed] == P_SQUARED_EMBED
 
 
 # sha256 of the full embedding matrix, one "0"/"1" string per row joined
@@ -168,6 +178,12 @@ def test_completely_prime():
     v4 = cat.down_set(cat.labels.index("C2^2"))
     union, _, _ = lattice_ops(c4, v4)
     assert not is_completely_prime(union)
+    # one maximal member against a scan of the principal down-sets
+    for p, max_order in [(2, 8), (3, 27), (5, 25), (7, 49)]:
+        cat = build_catalog(p, max_order)
+        downs = {cat.down_set(j).members for j in range(len(cat))}
+        for C in enumerate_closed_sets(cat):
+            assert is_completely_prime(C) == (C.members in downs)
 
 
 def test_enumerate_small_lattices():
@@ -230,14 +246,21 @@ def test_validation_catches_corruption():
         {"p": 2, "order": 2, "label": "C2", "degree": 2, "generators": [[2, 1]]},
         {"p": 2, "order": 4, "label": "C4", "degree": 4,
          "generators": [[2, 3, 4, 1]]},
+        {"p": 2, "order": 4, "label": "C2^2", "degree": 4,
+         "generators": [[2, 1, 3, 4], [1, 2, 4, 3]]},
     ]
     cat = catalog_from_dataset(2, 4, good)
-    assert cat.labels == ["1", "C2", "C4"]
+    assert cat.labels == ["1", "C2", "C4", "C2^2"]
+    assert [[int(e) for e in row] for row in cat.embed] == P_SQUARED_EMBED
 
-    dup = good + [{"p": 2, "order": 4, "label": "C4again", "degree": 4,
-                   "generators": [[4, 1, 2, 3]]}]
-    with pytest.raises(ValidationFailed):
+    # the counts per order are right, so the embedding pass rejects it
+    dup = good[:3] + [{"p": 2, "order": 4, "label": "C4again", "degree": 4,
+                       "generators": [[4, 1, 2, 3]]}]
+    with pytest.raises(ValidationFailed, match="duplicate isomorphism class"):
         catalog_from_dataset(2, 4, dup)
+
+    with pytest.raises(ValidationFailed, match="1 entries of order 4"):
+        catalog_from_dataset(2, 4, good[:3])
 
     bad_order = good + [{"p": 2, "order": 6, "label": "C6", "degree": 6,
                          "generators": [[2, 3, 4, 5, 6, 1]]}]
@@ -247,6 +270,20 @@ def test_validation_catches_corruption():
     no_trivial = good[1:]
     with pytest.raises(ValidationFailed):
         catalog_from_dataset(2, 4, no_trivial)
+
+
+def test_fingerprint_leaves_two_pairs_to_the_search():
+    """Sorted element orders and class sizes separate every pair of
+    bundled classes of equal order but two."""
+    tied = []
+    for p in (2, 3, 5):
+        cat = build_catalog(p)
+        for j in range(len(cat)):
+            for i in range(j):
+                P, Q = cat.group(i), cat.group(j)
+                if P.order == Q.order and _fingerprint(P) == _fingerprint(Q):
+                    tied.append((cat.label(i), cat.label(j)))
+    assert sorted(tied) == [("C2^2:C4", "C4oD8"), ("C4:C4", "Q8xC2")]
 
 
 def test_catalog_deterministic():

@@ -6,8 +6,7 @@ import pytest
 
 from repring import defects
 from repring.brauer import BrauerData, induce_class_function
-from repring.catalog import build_catalog
-from repring.config import default_max_order
+from repring.catalog import build_catalog, largest_order
 from repring.cyclo import Cyc
 from repring.defects import (
     RkElement,
@@ -234,7 +233,7 @@ def test_u_independent_of_sylow_choice():
                          ids=[f"{g}-p{p}" for g, p in GOLDEN_ANALYZE])
 def test_u_matches_quotient_route(spec, p):
     a = analysis(parse_group_spec(spec), p,
-                 build_catalog(p, default_max_order(p)))
+                 build_catalog(p, largest_order(p)))
     for r in a.rows:
         assert u_element(a, r.rep).coeffs == u_by_quotient(a, r.rep, r.sylow)
 

@@ -14,6 +14,7 @@ from repring.errors import (
     MalformedPermutation,
     NotNormal,
     NotSubgroup,
+    OrderBoundExceeded,
 )
 from repring.groups import (
     PermGroup,
@@ -123,12 +124,6 @@ def test_centralizers():
     assert G.centralizer(G.identity).order == 24
     assert G.center().order == 1
     assert quaternion_group().center().order == 2
-
-
-def test_derived_subgroups():
-    assert symmetric_group(4).derived_subgroup().order == 12
-    assert alternating_group(4).derived_subgroup().order == 4
-    assert cyclic_group(6).derived_subgroup().order == 1
 
 
 @pytest.mark.parametrize("make,outside", [
@@ -255,6 +250,25 @@ def test_parse_group_spec():
         parse_group_spec({"degree": 3, "generators": [[1, 1, 2]]})
 
 
+def test_named_builders_check_the_order_bound_first(monkeypatch):
+    """A named group past ORDER_BOUND raises before any of its elements
+    is enumerated; one of order exactly ORDER_BOUND is still built."""
+    monkeypatch.setattr("repring.groups.ORDER_BOUND", 24)
+    assert symmetric_group(4).order == 24
+    C5 = cyclic_group(5)
+
+    def no_closure(self):
+        raise AssertionError(f"closure of a group on {self.degree} points")
+
+    monkeypatch.setattr(PermGroup, "_closure", no_closure)
+    for build in (lambda: cyclic_group(25), lambda: dihedral_group(26),
+                  lambda: symmetric_group(5), lambda: alternating_group(6),
+                  lambda: direct_product(C5, C5),
+                  lambda: parse_group_spec("S100000")):
+        with pytest.raises(OrderBoundExceeded):
+            build()
+
+
 @pytest.mark.parametrize("degree", [-1, 0, 2.5, True, "3", None])
 def test_degree_must_be_a_positive_int(degree):
     with pytest.raises(InvalidGroupSpec):
@@ -308,20 +322,6 @@ def small_groups(draw):
     G = PermGroup(n, [tuple(g) for g in gens])
     assume(G.order <= ISO_ORDER_BOUND)
     return G
-
-
-def derived_by_all_commutators(G):
-    """G' by definition: generated by the |G|^2 commutators."""
-    comms = {perm_mul(perm_inv(perm_mul(b, a)), perm_mul(a, b))
-             for a in G.elements for b in G.elements}
-    return G.generated_subgroup(sorted(comms))
-
-
-@settings(max_examples=40, deadline=None)
-@given(small_groups())
-def test_derived_subgroup_is_normal_closure(G):
-    assert G.derived_subgroup().elements == \
-        derived_by_all_commutators(G).elements
 
 
 def relabel(G, sigma):
