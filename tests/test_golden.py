@@ -36,7 +36,9 @@ OPS = {
     "lattice p2 max8": ("lattice", 2, 8),
     "lattice p3": ("lattice", 3, None),
     "lattice p5": ("lattice", 5, None),
+    "lattice p7": ("lattice", 7, None),
     "verify p2,3": ("verify", (2, 3)),
+    "verify p5": ("verify", (5,)),
 }
 
 CROSS_SEED_OPS = ("analyze S4 p2", "analyze A4 p3", "analyze D10 p5",
