@@ -1,7 +1,7 @@
 """Defect groups of p-regular classes and the gamma basis.
 
 Each p-regular class x gets the isomorphism type of a Sylow p-subgroup
-of its centralizer, looked up in the bundled catalog of small p-groups.
+of its centralizer, looked up in the catalog of small p-groups.
 Defect-zero classes contribute basis vectors gamma_{G,x} spanning the
 reduced Cartan image; their coefficients are reductions of exact
 p-local rationals.

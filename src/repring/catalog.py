@@ -3,12 +3,12 @@
 The catalog lists one permutation group per isomorphism class of
 p-groups of order up to a bound, ordered by group order and then by
 bundled-table position, so that P_i embedding in P_j forces i <= j.
-A prime with no bundled rows gets the p-groups of order at most p^2
-(1, C_p, C_{p^2}, C_p x C_p), built directly, embeddings included.
-Bundled rows are checked against the known class counts and searched
-once per pair.  A truncation that would need a p-group order past the
-largest one listed (p times it or more) raises DatasetMissing rather
-than return a catalog that misses groups.
+Every prime's groups of order at most p^2 (1, C_p, C_{p^2}, C_p x C_p)
+are built directly, embeddings included; the bundled table adds those of
+order p^3 and up (8 and 16 at p = 2, 27 at p = 3), checked against the
+known class counts and searched once per pair.  A truncation that would
+need an order past the largest one listed (p times it or more) raises
+DatasetMissing rather than return a catalog that misses groups.
 Closed (downward-closed) subsets of the catalog are the lattice the
 rest of the package evaluates against.
 """
@@ -27,20 +27,17 @@ from .errors import (
 from .gf import _is_prime
 from .groups import (
     PermGroup,
+    _fingerprint,
     cyclic_group,
     direct_product,
     embeds_into,
     is_isomorphic,
-    is_p_power,
     trivial_group,
 )
 
-# counts of isomorphism classes the bundled table must reproduce
-KNOWN_COUNTS = {
-    (2, 1): 1, (2, 2): 1, (2, 4): 2, (2, 8): 5, (2, 16): 14,
-    (3, 1): 1, (3, 3): 1, (3, 9): 2, (3, 27): 5,
-    (5, 1): 1, (5, 5): 1, (5, 25): 2,
-}
+# counts of isomorphism classes of order p^3 and up; the bundled table
+# must reproduce them, and an order it lists must have an entry here
+KNOWN_COUNTS = {(2, 8): 5, (2, 16): 14, (3, 27): 5}
 
 
 @functools.lru_cache(maxsize=None)
@@ -53,15 +50,16 @@ def _load_bundled():
 
 
 def _entries_from_dataset(dataset, p, max_order):
-    picked = []
-    for pos, row in enumerate(dataset):
-        if row["p"] != p or row["order"] > max_order:
-            continue
-        gens = [tuple(v - 1 for v in g) for g in row["generators"]]
-        G = PermGroup(row["degree"], gens, name=row["label"])
-        picked.append((row["order"], pos, row["label"], G))
-    picked.sort(key=lambda t: (t[0], t[1]))
-    return [(label, G) for _, _, label, G in picked]
+    """(label, group) for p's rows up to max_order, by order and then by
+    position in the dataset."""
+    rows = sorted((row for row in dataset
+                   if row["p"] == p and row["order"] <= max_order),
+                  key=lambda row: row["order"])
+    return [(row["label"],
+             PermGroup(row["degree"],
+                       [[v - 1 for v in g] for g in row["generators"]],
+                       name=row["label"]))
+            for row in rows]
 
 
 def largest_order(p, dataset=None):
@@ -75,12 +73,12 @@ def largest_order(p, dataset=None):
 
 
 def _entries_up_to_p_squared(p, max_order):
-    """Every p-group of order at most max_order, for max_order < p^3:
-    1, C_p, C_{p^2} and C_p x C_p, in catalog order, and their embedding
-    matrix, known by construction: 1 < C_p < C_{p^2} and C_p < C_p^2."""
+    """Every p-group of order at most min(max_order, p^2): 1, C_p,
+    C_{p^2} and C_p x C_p, in catalog order, and their embedding matrix,
+    known by construction: 1 < C_p < C_{p^2} and C_p < C_p^2."""
     if not _is_prime(p):
         raise DatasetMissing(f"no entries for p={p} in dataset")
-    entries = [("1", trivial_group())]
+    entries = [("1", trivial_group())] if max_order >= 1 else []
     if max_order >= p:
         entries.append((f"C{p}", cyclic_group(p)))
     if max_order >= p * p:
@@ -116,16 +114,20 @@ class PGroupCatalog:
         return (self.p, self.max_order, tuple(self.labels))
 
     def index_of_isomorphic(self, P: PermGroup):
-        """Catalog index of P's isomorphism class, or None if absent."""
-        for i, (_, G) in enumerate(self.entries):
-            if G.order == P.order and is_isomorphic(P, G):
-                return i
-        return None
+        """Catalog index of P's isomorphism class, or None if absent.
+        The catalog lists every p-group of order at most max_order, and a
+        group with a p-group's element orders is a p-group, so an entry
+        whose fingerprint no other entry shares is P's class; only a tie
+        is left to the search."""
+        same = [i for i, (_, G) in enumerate(self.entries)
+                if G.order == P.order and _fingerprint(G) == _fingerprint(P)]
+        if len(same) == 1:
+            return same[0]
+        return next((i for i in same if is_isomorphic(P, self.group(i))),
+                    None)
 
     def down_set(self, j) -> "ClosedSet":
-        members = frozenset(i for i in range(len(self.entries))
-                            if self.embed[i][j])
-        return ClosedSet(self, members)
+        return self.closure([j])
 
     def closure(self, indices) -> "ClosedSet":
         members = set()
@@ -137,32 +139,28 @@ class PGroupCatalog:
         return ClosedSet(self, frozenset(members))
 
 
-def _validated_embedding(p, max_order, entries):
-    """The embedding matrix of entries (sorted by order) once their
-    orders and counts check: one search per pair i < j, for an embedding
-    below the diagonal order or, at equal order, for an isomorphism,
-    which makes the pair a duplicate class."""
-    if not entries:
-        raise ValidationFailed(f"no catalog entries for p={p}")
-    counts = {}
-    for label, G in entries:
-        if not is_p_power(G.order, p) or G.order > max_order:
-            raise ValidationFailed(
-                f"{label}: order {G.order} invalid for p={p} <= {max_order}")
+def _validated_embedding(p, max_order, entries, embed, bundled):
+    """The embedding matrix of entries + bundled, given entries' own, once
+    the bundled rows check: their orders are the powers of p in [p^3,
+    max_order], as many of each as KNOWN_COUNTS lists, and one search per
+    pair (i, j) with j bundled finds an embedding below j's order or, at
+    equal order, an isomorphism: a duplicate class."""
+    counts, expected, order = {}, {}, p ** 3
+    for _, G in bundled:
         counts[G.order] = counts.get(G.order, 0) + 1
-    if entries[0][1].order != 1:
-        raise ValidationFailed("first catalog entry must be the trivial group")
-    if max_order >= p and (len(entries) < 2 or entries[1][1].order != p):
-        raise ValidationFailed(f"second catalog entry must be C_{p}")
-    for order, n in counts.items():
-        expected = KNOWN_COUNTS.get((p, order))
-        if expected is not None and n != expected:
-            raise ValidationFailed(
-                f"{n} entries of order {order} for p={p}, expected {expected}")
-    n = len(entries)
-    embed = [[i == j for j in range(n)] for i in range(n)]
-    for j, (label_j, Q) in enumerate(entries):
-        for i, (label_i, P) in enumerate(entries[:j]):
+    while order <= max_order:
+        expected[order] = KNOWN_COUNTS.get((p, order))
+        order *= p
+    if counts != expected:
+        raise ValidationFailed(f"entries per order for p={p}: {counts}, "
+                               f"expected {expected}")
+    everything = entries + bundled
+    n = len(everything)
+    embed = [row + [False] * len(bundled) for row in embed]
+    embed += [[i == j for j in range(n)] for i in range(len(entries), n)]
+    for j in range(len(entries), n):
+        label_j, Q = everything[j]
+        for i, (label_i, P) in enumerate(everything[:j]):
             if P.order < Q.order:
                 embed[i][j] = embeds_into(P, Q)
             elif is_isomorphic(P, Q):
@@ -192,12 +190,10 @@ def catalog_from_dataset(p, max_order, dataset) -> PGroupCatalog:
         raise DatasetMissing(
             f"the groups of order {p * top} are not in the catalog for "
             f"p={p}: max_order must be below {p * top}")
-    if any(row["p"] == p for row in dataset):
-        entries = _entries_from_dataset(dataset, p, max_order)
-        embed = _validated_embedding(p, max_order, entries)
-    else:
-        entries, embed = _entries_up_to_p_squared(p, max_order)
-    return PGroupCatalog(p, max_order, entries, embed)
+    entries, embed = _entries_up_to_p_squared(p, max_order)
+    bundled = _entries_from_dataset(dataset, p, max_order)
+    embed = _validated_embedding(p, max_order, entries, embed, bundled)
+    return PGroupCatalog(p, max_order, entries + bundled, embed)
 
 
 class ClosedSet:

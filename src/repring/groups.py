@@ -19,20 +19,19 @@ given by its elements (a centralizer) or grown one element at a time
 log2 of its order elements, not from all of its elements.
 
 Isomorphism and embedding tests work on element indices.  A group that
-takes part in one (at most ISO_ORDER_BOUND elements) builds, once, a
-Cayley table over ``elements`` with its element orders and greedy
-generating sequence, and keeps it together with its isomorphism
-fingerprint (sorted element orders and sorted class sizes); the
-backtracking search then does integer lookups only and repeated tests
-against the same group recompute nothing.
+takes part in a search (at most ISO_ORDER_BOUND elements) builds, once,
+a Cayley table over ``elements`` with its element orders and greedy
+generating sequence; the backtracking search then does integer lookups
+only.  The isomorphism fingerprint (sorted element orders and sorted
+class sizes) needs no table, so it decides catalog lookups at any order.
 
 The named builders (cyclic, dihedral, symmetric, alternating, direct
-product) know their group's order, and raise OrderBoundExceeded past
-ORDER_BOUND before building any permutation.
+product) and product specs of named groups know their group's order, and
+raise OrderBoundExceeded past ORDER_BOUND before building any permutation.
 """
 
 import json
-from math import gcd, lcm
+from math import factorial, gcd, lcm, prod
 
 from .config import ISO_ORDER_BOUND, ORDER_BOUND
 from .errors import (
@@ -487,6 +486,22 @@ def group_from_spec_dict(obj) -> PermGroup:
                      name=name)
 
 
+_NAMED = {"C": cyclic_group, "S": symmetric_group, "A": alternating_group,
+          "D": dihedral_group}
+
+
+def _name_order(spec):
+    """A lower bound on the order of the group spec builds, known before
+    building it: the order of a named group (C6, S4, A5, D8), else 1.  A
+    factorial raises OrderBoundExceeded as soon as it passes ORDER_BOUND."""
+    head, tail = spec.strip()[:1], spec.strip()[1:]
+    if head in ("S", "A") and tail.isdigit():
+        index = 2 if head == "A" else 1
+        _check_factorial_order(int(tail), index)
+        return max(factorial(int(tail)) // index, 1)
+    return max(int(tail), 1) if head in ("C", "D") and tail.isdigit() else 1
+
+
 def parse_group_spec(spec) -> PermGroup:
     """Build a group from a name like S4, C6, D8, Q8, A5, products with x,
     or a dict/JSON string {"degree": n, "generators": [[1-based images]]}.
@@ -502,24 +517,17 @@ def parse_group_spec(spec) -> PermGroup:
         return group_from_spec_dict(obj)
     if "x" in spec:
         parts = spec.split("x")
+        _check_order(prod(_name_order(part) for part in parts))
         grp = parse_group_spec(parts[0])
         for part in parts[1:]:
             grp = direct_product(grp, parse_group_spec(part))
         grp.name = spec
         return grp
     head, tail = spec[:1], spec[1:]
-    if head in ("C", "S", "A", "D", "Q") and tail.isdigit():
-        n = int(tail)
-        if head == "C":
-            return cyclic_group(n)
-        if head == "S":
-            return symmetric_group(n)
-        if head == "A":
-            return alternating_group(n)
-        if head == "D":
-            return dihedral_group(n)
-        if head == "Q" and n == 8:
-            return quaternion_group()
+    if head in _NAMED and tail.isdigit():
+        return _NAMED[head](int(tail))
+    if spec == "Q8":
+        return quaternion_group()
     raise InvalidGroupSpec(f"unrecognized group spec {spec!r}")
 
 
@@ -559,14 +567,7 @@ class CayleyTable:
             cols[index[e]] = [rt[c] for c in parent]
         self.mul = mul = tuple(zip(*cols))
 
-        orders = []
-        for i in range(n):
-            k, x = 1, i
-            while x != ident:
-                x = mul[x][i]
-                k += 1
-            orders.append(k)
-        self.orders = tuple(orders)
+        self.orders = orders = tuple(map(perm_order, G.elements))
         self.by_order = {}
         for i, o in enumerate(orders):
             self.by_order.setdefault(o, []).append(i)
@@ -617,7 +618,7 @@ def _fingerprint(G: PermGroup):
     groups share them, and they fix the order, the exponent, the number
     of classes and the order of the center (the classes of size 1)."""
     if G._fp is None:
-        G._fp = (tuple(sorted(_cayley(G).orders)),
+        G._fp = (tuple(sorted(map(perm_order, G.elements))),
                  tuple(sorted(len(c) for c in G.conjugacy_classes())))
     return G._fp
 

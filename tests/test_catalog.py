@@ -1,11 +1,11 @@
 import hashlib
-import json
 
 import pytest
 
 from repring.catalog import (
     ClosedSet,
     _cached_catalog,
+    _load_bundled,
     build_catalog,
     catalog_from_dataset,
     enumerate_closed_sets,
@@ -20,10 +20,13 @@ from repring.errors import (
     ValidationFailed,
 )
 from repring.groups import (
+    PermGroup,
     _fingerprint,
     alternating_group,
     cyclic_group,
+    direct_product,
     embeds_into,
+    quaternion_group,
     symmetric_group,
 )
 
@@ -241,40 +244,75 @@ def test_index_of_isomorphic():
 
 
 def test_validation_catches_corruption():
-    good = [
-        {"p": 2, "order": 1, "label": "1", "degree": 1, "generators": []},
-        {"p": 2, "order": 2, "label": "C2", "degree": 2, "generators": [[2, 1]]},
-        {"p": 2, "order": 4, "label": "C4", "degree": 4,
-         "generators": [[2, 3, 4, 1]]},
-        {"p": 2, "order": 4, "label": "C2^2", "degree": 4,
-         "generators": [[2, 1, 3, 4], [1, 2, 4, 3]]},
-    ]
-    cat = catalog_from_dataset(2, 4, good)
-    assert cat.labels == ["1", "C2", "C4", "C2^2"]
-    assert [[int(e) for e in row] for row in cat.embed] == P_SQUARED_EMBED
+    # the bundled rows of order 8 on top of the generated 1, C2, C4, C2^2
+    rows = [row for row in _load_bundled() if row["order"] == 8]
+    cat = catalog_from_dataset(2, 8, rows)
+    assert cat.labels == build_catalog(2, 8).labels
+    assert cat.embed == build_catalog(2, 8).embed
 
     # the counts per order are right, so the embedding pass rejects it
-    dup = good[:3] + [{"p": 2, "order": 4, "label": "C4again", "degree": 4,
-                       "generators": [[4, 1, 2, 3]]}]
+    dup = rows[:4] + [{"p": 2, "order": 8, "label": "C8again", "degree": 8,
+                       "generators": [[8, 1, 2, 3, 4, 5, 6, 7]]}]
     with pytest.raises(ValidationFailed, match="duplicate isomorphism class"):
-        catalog_from_dataset(2, 4, dup)
+        catalog_from_dataset(2, 8, dup)
 
-    with pytest.raises(ValidationFailed, match="1 entries of order 4"):
-        catalog_from_dataset(2, 4, good[:3])
+    with pytest.raises(ValidationFailed, match="{8: 4}, expected {8: 5}"):
+        catalog_from_dataset(2, 8, rows[:4])
 
-    bad_order = good + [{"p": 2, "order": 6, "label": "C6", "degree": 6,
-                         "generators": [[2, 3, 4, 5, 6, 1]]}]
-    with pytest.raises(ValidationFailed):
-        catalog_from_dataset(2, 8, bad_order)
+    # orders below p^3 are generated, and 6 is no power of 2
+    for extra in ({"p": 2, "order": 4, "label": "C4", "degree": 4,
+                   "generators": [[2, 3, 4, 1]]},
+                  {"p": 2, "order": 6, "label": "C6", "degree": 6,
+                   "generators": [[2, 3, 4, 5, 6, 1]]}):
+        with pytest.raises(ValidationFailed, match="entries per order"):
+            catalog_from_dataset(2, 8, rows + [extra])
 
-    no_trivial = good[1:]
-    with pytest.raises(ValidationFailed):
-        catalog_from_dataset(2, 4, no_trivial)
+    # a bundled order needs a known count, or completeness is unchecked
+    c125 = {"p": 5, "order": 125, "label": "C125", "degree": 125,
+            "generators": [list(range(2, 126)) + [1]]}
+    with pytest.raises(ValidationFailed, match="expected {125: None}"):
+        catalog_from_dataset(5, 125, [c125])
+
+
+def test_catalog_below_order_1_is_empty():
+    for max_order in (0, -1):
+        cat = build_catalog(2, max_order)
+        assert (cat.labels, cat.embed) == ([], [])
+        assert [C.members for C in enumerate_closed_sets(cat)] == [frozenset()]
+        assert cat.index_of_isomorphic(cyclic_group(1)) is None
+
+
+def test_lookup_by_unique_fingerprint_runs_no_search(monkeypatch):
+    """A fingerprint that one entry of the complete catalog holds names
+    the class; the lookup builds no Cayley table and runs no search."""
+    def no_search(P, Q):
+        raise AssertionError("search run")
+
+    monkeypatch.setattr("repring.groups._search_embedding", no_search)
+    cat = build_catalog(2, 16)
+    for P, label in ((symmetric_group(4).sylow_subgroup(2), "D8"),
+                     (direct_product(quaternion_group(), cyclic_group(1)),
+                      "Q8"),
+                     (direct_product(cyclic_group(8), cyclic_group(2)),
+                      "C8xC2")):
+        assert cat.label(cat.index_of_isomorphic(P)) == label
+        assert P._table is None
+
+
+def test_tied_fingerprints_resolve_to_their_own_label():
+    rows = {row["label"]: row for row in _load_bundled()}
+    cat = build_catalog(2, 16)
+    for label in ("C2^2:C4", "C4oD8", "C4:C4", "Q8xC2"):
+        row = rows[label]
+        # a fresh copy of the row, so the catalog entry's caches are unused
+        P = PermGroup(row["degree"], [[v - 1 for v in g]
+                                      for g in row["generators"]])
+        assert cat.label(cat.index_of_isomorphic(P)) == label
 
 
 def test_fingerprint_leaves_two_pairs_to_the_search():
     """Sorted element orders and class sizes separate every pair of
-    bundled classes of equal order but two."""
+    catalog classes of equal order but two."""
     tied = []
     for p in (2, 3, 5):
         cat = build_catalog(p)

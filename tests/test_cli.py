@@ -79,6 +79,17 @@ def test_analyze_prime_without_bundled_rows(capsys, spec, dims, cartan,
     assert {k: v for k, v in r["sp_dims"].items() if v} == sp
 
 
+@pytest.mark.parametrize("spec, defect", [("C17xC17", "C17^2"),
+                                          ("C289", "C289")])
+def test_analyze_order_p_squared_past_the_search_bound(capsys, spec, defect):
+    """Groups of order 17^2 are past ISO_ORDER_BOUND, but each has a
+    fingerprint no other catalog entry shares, so no search is needed."""
+    r = analyze_json(capsys, "analyze", spec, "--p", "17")
+    assert r["catalog"]["labels"] == ["1", "C17", "C289", "C17^2"]
+    assert [c["defect"] for c in r["classes"]] == [defect]
+    assert {k: v for k, v in r["sp_dims"].items() if v} == {defect: 1}
+
+
 def test_analyze_trivial_group(capsys):
     r = analyze_json(capsys, "analyze", "C1", "--p", "2", "--seed", "1")
     assert r["cartan"] == [[1]]
@@ -209,6 +220,25 @@ def test_lattice_counts(capsys, p, mo, entries, closed):
     r = json.loads(out)
     assert len(r["entries"]) == entries
     assert r["closed_set_count"] == closed
+
+
+@pytest.mark.parametrize("mo", ["0", "-1"])
+def test_lattice_below_order_1_is_the_empty_poset(capsys, mo):
+    code, out, _ = run_cli(capsys, "lattice", "--p", "2", "--max-order", mo)
+    assert code == 0
+    r = json.loads(out)
+    assert (r["entries"], r["embedding"], r["principal_down_sets"]) == ([], [], [])
+    assert r["closed_set_count"] == 1
+    assert r["closed_sets"][0]["members"] == []
+
+
+@pytest.mark.parametrize("mo", ["0", "-1"])
+def test_analyze_below_order_1_misses_every_defect_group(capsys, mo):
+    code, out, err = run_cli(capsys, "analyze", "S3", "--p", "2",
+                             "--max-p-order", mo)
+    assert (code, out) == (2, "")
+    error = json.loads(err)["error"]
+    assert (error["module"], error["type"]) == ("defects", "CatalogTooSmall")
 
 
 def test_lattice_flags_mark_principal_sets(capsys):

@@ -269,6 +269,19 @@ def test_named_builders_check_the_order_bound_first(monkeypatch):
             build()
 
 
+def test_product_spec_checks_the_order_bound_first(monkeypatch):
+    """A product spec past ORDER_BOUND raises before any factor is built,
+    and a factorial factor stops growing once it passes the bound."""
+    def no_closure(self):
+        raise AssertionError(f"closure of a group on {self.degree} points")
+
+    monkeypatch.setattr(PermGroup, "_closure", no_closure)
+    for spec in ("C2000xC2000", "C4000xC4000", "S7xS4", "A8xC2xQ8",
+                 "C2xS1000000000"):
+        with pytest.raises(OrderBoundExceeded):
+            parse_group_spec(spec)
+
+
 @pytest.mark.parametrize("degree", [-1, 0, 2.5, True, "3", None])
 def test_degree_must_be_a_positive_int(degree):
     with pytest.raises(InvalidGroupSpec):
