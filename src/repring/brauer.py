@@ -6,6 +6,14 @@ field is the splitting field F_{p^d} with d the multiplicative order of
 p modulo that conductor.  Eigenvalues of p-regular elements are lifted
 to roots of unity through a fixed multiplicative section, so character
 values are reproducible, not just well defined up to Galois action.
+
+The Cartan matrix comes from Brauer's relations Phi = C phi and
+C = Gram(phi)^-1: the Gram matrix of the phi rows under the p-regular
+pairing is rational (its entries are Galois-invariant), its inverse
+over Q is C, and the projective characters Phi are the integer
+combinations of the phi rows that C gives.  A one-dimensional simple is
+a homomorphism G -> F^*: its Brauer character is the lift of its 1x1
+matrix, and tensoring with it permutes the simples.
 """
 
 from fractions import Fraction
@@ -81,11 +89,14 @@ def _phi_value(lift, F, mat):
     """Brauer character value: eigenvalues lifted to roots of unity.
 
     mat is the action of a p-regular element, so its eigenvalues are
-    m-th roots of unity, the roots lift.root_codes lists.  Each root r
-    is divided out of the characteristic polynomial, as x - r, as often
-    as it divides; a degree left over means the polynomial does not
-    split into those roots.
+    m-th roots of unity, the roots lift.root_codes lists.  A 1x1 matrix
+    is its own eigenvalue.  Otherwise each root r is divided out of the
+    characteristic polynomial, as x - r, as often as it divides; a
+    degree left over means the polynomial does not split into those
+    roots.
     """
+    if len(mat) == 1:
+        return lift.lift(mat[0][0])
     f = gf_charpoly(F, mat)
     mults, lifts = [], []
     for code in lift.root_codes:
@@ -104,6 +115,11 @@ def _phi_value(lift, F, mat):
             "characteristic polynomial does not split over "
             f"GF({F.p},{F.d}); field is not a splitting field")
     return dot(mults, lifts)
+
+
+def _row_key(row):
+    """A hashable form of a row of Cyc values of one conductor."""
+    return tuple((v.m, v.num, v.den) for v in row)
 
 
 def _phi_sort_key(m, row):
@@ -145,7 +161,7 @@ class BrauerData:
             for k, i in enumerate(order))
         self.phi = tuple(s.phi for s in self.simples)
         self._structure = None
-        self.Phi = self._projective_characters()
+        self.cartan, self.Phi = self._cartan_and_projectives()
         # the inverse of the phi table: row i, column S is
         # Phi_S(x_i^-1) |class i| / |G|, since <phi_T, Phi_S> = delta_TS
         self._dual = tuple(
@@ -155,50 +171,47 @@ class BrauerData:
         # the regular character is |G| at the identity class, 0 elsewhere
         self.composition_multiplicities = tuple(self.decompose(
             [G.order] + [0] * (len(self.pregular) - 1)))
-        self.cartan = self._cartan_matrix()
         self._check_invariants()
 
     # -- construction helpers
 
-    def _projective_characters(self):
-        """Dual basis to phi under the p-regular pairing."""
+    def _cartan_and_projectives(self):
+        """(C, Phi) from the Gram matrix of phi under the p-regular
+        pairing: Phi_t = sum_s c_ts phi_s is the dual basis of phi, so
+        C Gram(phi) = I and C = Gram(phi)^-1."""
         n = len(self.simples)
-        gsize = Fraction(1, self.G.order)
-        B = [[gsize * self.class_sizes[i] * self.phi[s][self._inv_pos[i]]
-              for s in range(n)] for i in range(n)]
+        weighted = [[size * v for size, v in zip(self.class_sizes, row)]
+                    for row in self.phi]
+        at_inverse = [[row[j] for j in self._inv_pos] for row in self.phi]
+        gram = [[None] * n for _ in range(n)]
+        for s in range(n):
+            for t in range(s, n):
+                v = dot(weighted[s], at_inverse[t]).as_rational()
+                if v is None:
+                    raise NonIntegralCartan(
+                        f"<phi_{s}, phi_{t}> is irrational")
+                gram[s][t] = gram[t][s] = v / self.G.order
         try:
-            P = gf_mat_inv(QQ, B)
+            inv = gf_mat_inv(QQ, gram)
         except ZeroDivisionError as exc:
             raise SingularPhi(
                 "Brauer character table is singular; simples are "
                 "incomplete or duplicated") from exc
-        return tuple(tuple(Cyc.coerce(v) for v in row) for row in P)
-
-    def pairing(self, alpha, beta):
-        """<alpha, beta> = (1/|G|) sum over p-regular x of a(x) b(x^-1),
-        both given as rows over the p-regular classes."""
-        total = dot([size * a for size, a in zip(self.class_sizes, alpha)],
-                    [beta[j] for j in self._inv_pos])
-        return total * Fraction(1, self.G.order)
-
-    def _cartan_matrix(self):
-        n = len(self.simples)
-        out = []
         for t in range(n):
-            row = []
             for s in range(n):
-                v = self.pairing(self.Phi[t], self.Phi[s]).as_rational()
-                if v is None or v.denominator != 1 or v < 0:
+                v = inv[t][s]
+                if v.denominator != 1 or v < 0:
                     raise NonIntegralCartan(
-                        f"<Phi_{t}, Phi_{s}> = {v!r} is not a "
-                        "non-negative integer")
-                row.append(int(v))
-            out.append(row)
-        for t in range(n):
-            for s in range(n):
-                if out[t][s] != out[s][t]:
+                        f"c_({t},{s}) = {v} is not a non-negative integer")
+                if v != inv[s][t]:
                     raise NonIntegralCartan("Cartan matrix not symmetric")
-        return tuple(tuple(r) for r in out)
+        cartan = tuple(tuple(int(v) for v in row) for row in inv)
+        Phi = []
+        for row in cartan:
+            terms = [(c, self.phi[s]) for s, c in enumerate(row) if c]
+            Phi.append(tuple(dot([c for c, _ in terms], column)
+                             for column in zip(*(r for _, r in terms))))
+        return cartan, tuple(Phi)
 
     def _check_invariants(self):
         G, n = self.G, len(self.simples)
@@ -248,16 +261,25 @@ class BrauerData:
 
     def structure_constants(self):
         """table[s][t][u]: multiplicity of S_u in S_s (x) S_t, reduced mod
-        p, from decomposing the pointwise product of Brauer characters.
-        The product is commutative, so only t >= s is decomposed."""
+        p.  The product is commutative, so only t >= s is computed.  A
+        one-dimensional S_s (these sort first) maps simples to simples,
+        so S_s (x) S_t is the simple whose phi row is phi_s phi_t; a
+        product of two larger simples is decomposed."""
         if self._structure is None:
             n = len(self.simples)
+            by_row = {_row_key(row): u for u, row in enumerate(self.phi)}
             table = [[None] * n for _ in range(n)]
             for s in range(n):
                 for t in range(s, n):
-                    vals = [self.phi[s][i] * self.phi[t][i]
-                            for i in range(len(self.pregular))]
-                    ints = self.decompose(vals)  # integral by Brauer theory
+                    vals = [a * b for a, b in zip(self.phi[s], self.phi[t])]
+                    if self.simples[s].dim == 1:
+                        u = by_row.get(_row_key(vals))
+                        _require(u is not None,
+                                 f"{self.simples[s].name} (x) "
+                                 f"{self.simples[t].name} is not simple")
+                        ints = [int(k == u) for k in range(n)]
+                    else:
+                        ints = self.decompose(vals)  # integral by Brauer
                     table[s][t] = table[t][s] = tuple(
                         self.lift.reduce_rational(Fraction(c)) for c in ints)
             self._structure = tuple(tuple(row) for row in table)

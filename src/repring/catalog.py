@@ -96,6 +96,7 @@ class PGroupCatalog:
         self.max_order = max_order
         self.entries = entries  # list of (label, PermGroup)
         self.embed = embed      # embed[i][j] <=> entries[i] embeds in entries[j]
+        self._down_sets = None
 
     def __len__(self):
         return len(self.entries)
@@ -127,7 +128,13 @@ class PGroupCatalog:
                     None)
 
     def down_set(self, j) -> "ClosedSet":
-        return self.closure([j])
+        """The entries that embed in entry j, built once per catalog."""
+        if self._down_sets is None:
+            self._down_sets = tuple(self.closure([i])
+                                    for i in range(len(self.entries)))
+        if not 0 <= j < len(self.entries):
+            raise IndexError(f"catalog index {j} out of range")
+        return self._down_sets[j]
 
     def closure(self, indices) -> "ClosedSet":
         members = set()

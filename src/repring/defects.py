@@ -219,21 +219,27 @@ def _u_from(a: Analysis, x, R):
     R centralizes x, the only p-regular element of xR is x, so by
     Frobenius reciprocity U_x[S] = reduce(Phi_S(x^-1) / |C_H(x)|): the
     gamma_{G,x} formula with C_H(x) in place of C_G(x).
+
+    So the class x^H is x's orbit under C_G(R) alone, and |C_H(x)| =
+    |H| / |x^H| with |H| = |R| |C_G(R)| / |Z(R)|, Z(R) being the
+    elements of R in C_G(R).
     """
     G, p, bd = a.G, a.p, a.bd
     x = tuple(x)
     cent = [g for g in G.elements
             if all(perm_mul(g, r) == perm_mul(r, g) for r in R.gens)]
-    conjugates = [G.conjugate(x, k)
-                  for k in {perm_mul(r, c) for r in R.elements for c in cent}]
+    orbit = {G.conjugate(x, c) for c in cent}
+    centre = set(cent).intersection(R.elements)
+    c_h = R.order * len(cent) // len(centre) // len(orbit)
     # the k in H that fix the coset xR are the preimage of the centralizer
-    # of its image in H/R, so their count over |R| is that order
+    # of its image in H/R, so their count over |R| is that order; each
+    # conjugate of x in the coset is x^k for |C_H(x)| of them
     coset = {perm_mul(x, r) for r in R.elements}
-    if sum(1 for y in conjugates if y in coset) // R.order % p == 0:
+    if len(orbit & coset) * c_h // R.order % p == 0:
         raise DefectNotZeroInQuotient(
             f"image of x in R C_G(R)/{R.describe()} has positive defect; "
             "the Sylow subgroup R was not correct")
-    scale = Fraction(1, conjugates.count(x))
+    scale = Fraction(1, c_h)
     inv = bd._inv_pos[a.row_of(x).position]
     return RkElement(bd, tuple(bd.lift.reduce(P[inv] * scale)
                                for P in bd.Phi))

@@ -9,7 +9,7 @@ other way, sending zeta_m to w and inverting denominators prime to p.
 from fractions import Fraction
 
 from .cyclo import Cyc
-from .errors import NotPLocal
+from .errors import NonSplitCharPoly, NotPLocal
 from .gf import GF
 
 
@@ -29,7 +29,9 @@ class BrauerLift:
         """The cyclotomic root of unity over an m-th root of unity in F_q."""
         j = self._log.get(code)
         if j is None:
-            raise ValueError(f"field element {code} is not an {self.m}-th root of unity")
+            raise NonSplitCharPoly(
+                f"field element {code} is not an {self.m}-th root of "
+                "unity; field is not a splitting field")
         return Cyc.zeta(self.m, j)
 
     def reduce_rational(self, c) -> int:

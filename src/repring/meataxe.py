@@ -10,7 +10,8 @@ kernel vectors of f(z) into submodules, and certify irreducibility with
 Norton's criterion when f(z) has minimal nullity (one spin on each side
 of the duality).  Isomorphism of simples is decided by standard-basis
 comparison seeded at a one-dimensional eigenspace, which at the same
-time certifies absolute irreducibility over the working field.
+time certifies absolute irreducibility over the working field; a
+one-dimensional module is compared by its matrices alone.
 
 The simples of kG are found by tensor closure of the natural permutation
 module (`simple_modules`), never by chopping the |G|-dimensional regular
@@ -280,8 +281,26 @@ def standard_form(module: Module, recipe, lam):
 
 
 def _tensor_closure(G: PermGroup, F, rng: random.Random, count):
+    """The first count pairwise non-isomorphic composition factors of
+    the natural module and of the tensor products of each new simple
+    with the natural module's factors, in the order met.
+
+    A factor of dimension above 1 is compared with the known simples of
+    its dimension by standard form, under the (recipe, eigenvalue) found
+    for each of them, which also certifies that it is absolutely
+    irreducible.  A 1-dimensional factor is a homomorphism G -> F^*: it
+    is absolutely irreducible and fixed up to isomorphism by its
+    generator matrices, so it is compared by those and needs no recipe
+    and no standard form.
+    """
     simples = []
-    ids = []  # (recipe, eigenvalue, standard form) of each simple
+    ids = []  # (dim, recipe, eigenvalue, standard form) of the larger simples
+
+    def known(f):
+        if f.dim == 1:
+            return any(s.mats == f.mats for s in simples)
+        return any(dim == f.dim and standard_form(f, recipe, lam) == form
+                   for dim, recipe, lam, form in ids)
 
     def absorb(module):
         """Chop module; record and return its factors not seen before."""
@@ -289,12 +308,13 @@ def _tensor_closure(G: PermGroup, F, rng: random.Random, count):
         for f in chop(module, rng):
             if len(simples) == count:
                 break
-            if any(s.dim == f.dim and standard_form(f, recipe, lam) == form
-                   for s, (recipe, lam, form) in zip(simples, ids)):
+            if known(f):
                 continue
-            recipe, lam = find_id_recipe(f, rng)
+            if f.dim > 1:
+                recipe, lam = find_id_recipe(f, rng)
+                ids.append((f.dim, recipe, lam,
+                            standard_form(f, recipe, lam)))
             simples.append(f)
-            ids.append((recipe, lam, standard_form(f, recipe, lam)))
             new.append(f)
         return new
 
@@ -322,8 +342,9 @@ def simple_modules(G: PermGroup, F, seed, count) -> list:
     faithful module (Steinberg 1962), and the natural permutation module
     is faithful.  So the search chops the natural module, then the
     tensor product of each new simple with each factor of the natural
-    module, keeping factors whose standard form is new, until count
-    simples are known (the number of p-regular classes, by Brauer).
+    module, keeping the factors isomorphic to no simple found so far
+    (see _tensor_closure), until count simples are known (the number of
+    p-regular classes, by Brauer).
     Deterministic per seed, reseeding if a random stream stalls; a
     closure that stops short of count raises ClosureSaturated.
 

@@ -265,8 +265,9 @@ def suite_product_factorization(s, contexts, primes, seed):
 
 
 def suite_cartan_cross_oracle(s, contexts, primes, seed):
-    """The pairing route and the endomorphism-algebra route produce
-    the same Cartan matrix for every corpus group of order <= 24."""
+    """The character route (the inverse of the Gram matrix of phi) and
+    the endomorphism-algebra route produce the same Cartan matrix for
+    every corpus group of order <= 24."""
     for spec, a in contexts:
         if a.G.order > 24:
             continue

@@ -1,10 +1,13 @@
+import random
 from fractions import Fraction
 
 import pytest
 
+from repring import brauer
 from repring.brauer import (
     BrauerData,
     _block_idempotents,
+    _phi_sort_key,
     _phi_value,
     _regular_algebra,
     cartan_via_endomorphisms,
@@ -12,8 +15,11 @@ from repring.brauer import (
     splitting_field,
 )
 from repring.cyclo import QQ, Cyc
+from repring.config import CHOP_RESEEDS
 from repring.errors import (
+    ChopStalled,
     InvariantViolated,
+    NonIntegralCartan,
     NonIntegralDecomposition,
     NonSplitCharPoly,
     NotSubgroup,
@@ -29,7 +35,16 @@ from repring.groups import (
     quaternion_group,
     symmetric_group,
 )
+from repring.lift import BrauerLift
 from repring.linalg import gf_charpoly, gf_mat_inv, gf_rank
+from repring.meataxe import (
+    Module,
+    chop,
+    find_id_recipe,
+    natural_module,
+    standard_form,
+    tensor_product,
+)
 from repring.verify import DEFAULT_CORPUS
 from test_defects import GOLDEN_ANALYZE
 
@@ -299,7 +314,6 @@ def test_phi_by_division_matches_factoring(spec, p):
 
 
 def test_nonsplit_charpoly_raises():
-    from repring.lift import BrauerLift
     F = gf_field(2, 1)
     lift = BrauerLift(F, 1)
     with pytest.raises(NonSplitCharPoly):
@@ -330,11 +344,132 @@ def test_tampered_multiplicities_raise_invariant_violated():
                                  (alternating_group(5), 5)])
 def test_structure_constants_decompose_every_ordered_product(G, p):
     bd = BrauerData(G, p)
-    table = bd.structure_constants()
+    assert bd.structure_constants() == structure_by_decompose(bd)
+
+
+# -- the routes the Brauer data used before the Gram-matrix Cartan and
+# the face-value reading of one-dimensional simples, kept as references
+
+CHOP_MID = [(g, p) for g in ("A5", "S5") for p in (2, 3, 5)]
+REFERENCE_CASES = sorted(set(GOLDEN_ANALYZE) | set(CHOP_MID))
+
+
+def projectives_by_inverse(bd):
+    """(Phi, C): Phi by inverting the table of phi weighted by class
+    sizes over the inverse classes, C by pairing the Phi rows."""
+    n, order = len(bd.simples), bd.G.order
+    table = [[Fraction(bd.class_sizes[i], order) * bd.phi[s][bd._inv_pos[i]]
+              for s in range(n)] for i in range(n)]
+    Phi = [[Cyc.coerce(v) for v in row] for row in gf_mat_inv(QQ, table)]
+
+    def pairing(alpha, beta):
+        return dot([size * a for size, a in zip(bd.class_sizes, alpha)],
+                   [beta[j] for j in bd._inv_pos]) * Fraction(1, order)
+
+    cartan = tuple(tuple(pairing(Phi[t], Phi[s]).as_rational()
+                         for s in range(n)) for t in range(n))
+    return Phi, cartan
+
+
+def simples_by_standard_form(G, F, seed, count):
+    """The tensor closure identifying every factor, of any dimension, by
+    an identification recipe and its standard form."""
+    if count == 1:
+        return [Module(F, 1, [((1,),)] * len(G.gens))]
+    base = f"meataxe:{F.p}:{F.d}:{seed}:{G.key()!r}"
+    for attempt in range(CHOP_RESEEDS):
+        rng = random.Random(f"{base}:{attempt}")
+        simples, ids = [], []
+
+        def absorb(module):
+            new = []
+            for f in chop(module, rng):
+                if len(simples) == count:
+                    break
+                if any(s.dim == f.dim and standard_form(f, r, lam) == form
+                       for s, (r, lam, form) in zip(simples, ids)):
+                    continue
+                r, lam = find_id_recipe(f, rng)
+                simples.append(f)
+                ids.append((r, lam, standard_form(f, r, lam)))
+                new.append(f)
+            return new
+
+        try:
+            natural = absorb(natural_module(G, F))
+            factors = [t for t in natural
+                       if t.dim > 1 or any(m != ((1,),) for m in t.mats)]
+            pending = list(natural)
+            while len(simples) < count:
+                s = pending.pop(0)
+                for t in factors:
+                    if len(simples) < count:
+                        pending += absorb(tensor_product(s, t))
+            return simples
+        except ChopStalled:
+            continue
+    raise ChopStalled("reference closure stalled")
+
+
+def structure_by_decompose(bd):
+    """Every product of two simples decomposed, linear ones included."""
     n = len(bd.simples)
-    for s in range(n):
-        for t in range(n):
-            vals = [a * b for a, b in zip(bd.phi[s], bd.phi[t])]
-            want = tuple(bd.lift.reduce_rational(Fraction(c))
-                         for c in bd.decompose(vals))
-            assert table[s][t] == want
+    return tuple(tuple(
+        tuple(bd.lift.reduce_rational(Fraction(c)) for c in bd.decompose(
+            [a * b for a, b in zip(bd.phi[s], bd.phi[t])]))
+        for t in range(n)) for s in range(n))
+
+
+@pytest.mark.parametrize("spec, p", REFERENCE_CASES)
+def test_brauer_data_matches_reference_routes(spec, p):
+    G = parse_group_spec(spec)
+    bd = BrauerData(G, p, seed=1)
+    Phi, cartan = projectives_by_inverse(bd)
+    assert [list(row) for row in bd.Phi] == Phi
+    assert bd.cartan == cartan
+    modules = simples_by_standard_form(G, bd.F, 1, len(bd.pregular))
+    rows = sorted(((mod.dim, [_phi_value(bd.lift, bd.F,
+                                         mod.element_matrix(G, x))
+                              for x in bd.class_reps]) for mod in modules),
+                  key=lambda pair: (pair[0], _phi_sort_key(bd.m, pair[1])))
+    assert [tuple(row) for _, row in rows] == list(bd.phi)
+    assert bd.structure_constants() == structure_by_decompose(bd)
+
+
+def linear_only(modules, entry):
+    """The modules with every 1-dim module's matrices replaced by entry."""
+    return [Module(m.F, 1, [((entry,),)] * len(m.mats)) if m.dim == 1
+            and m.mats != [((1,),)] * len(m.mats) else m for m in modules]
+
+
+def test_non_root_1x1_entry_raises_non_split(monkeypatch):
+    # GF(7) holds the cube roots 1, 2, 4 of C3; 3 has order 6
+    F = gf_field(7, 1)
+    lift = BrauerLift(F, 3)
+    with pytest.raises(NonSplitCharPoly):
+        _phi_value(lift, F, [[3]])
+    with pytest.raises(NonSplitCharPoly):
+        lift.lift(3)
+    real = brauer.simple_modules
+    monkeypatch.setattr(brauer, "simple_modules",
+                        lambda *a: linear_only(real(*a), 3))
+    with pytest.raises(NonSplitCharPoly):
+        BrauerData(cyclic_group(3), 7)
+
+
+def test_irrational_gram_entry_raises_non_integral_cartan():
+    bd = BrauerData(alternating_group(4), 2)
+    z = Cyc.zeta(3)
+    # S2 with its value at one 3-cycle class set to 1: <phi_1, phi_2>
+    # is (1 + 4 + 4z) / 12, irrational
+    bd.phi = (bd.phi[0], (Cyc.coerce(1), z, Cyc.coerce(1)), bd.phi[2])
+    with pytest.raises(NonIntegralCartan):
+        bd._cartan_and_projectives()
+
+
+def test_linear_tensor_product_outside_the_simples_raises():
+    bd = BrauerData(alternating_group(4), 2)
+    z = Cyc.zeta(3)
+    bd.phi = (bd.phi[0], (Cyc.coerce(1), z, z), bd.phi[2])
+    with pytest.raises(InvariantViolated):
+        bd.structure_constants()

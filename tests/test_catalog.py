@@ -139,6 +139,22 @@ def test_down_sets_match_subgroup_facts():
     assert cat.down_set(0).labels() == ["1"]
 
 
+def test_down_sets_are_built_once_per_catalog(monkeypatch):
+    cat = catalog_from_dataset(2, 8, _load_bundled())
+    first = [cat.down_set(j) for j in range(len(cat))]
+
+    def no_check(*args):
+        raise AssertionError("closedness checked again")
+
+    monkeypatch.setattr(ClosedSet, "__init__", no_check)
+    assert all(cat.down_set(j) is d for j, d in enumerate(first))
+    for j in (-1, len(cat)):
+        with pytest.raises(IndexError):
+            cat.down_set(j)
+    with pytest.raises(AssertionError):
+        cat.closure([0])  # a caller-supplied set is still validated
+
+
 def test_closure():
     cat = build_catalog(2, 8)
     c = cat.closure([cat.labels.index("D8")])

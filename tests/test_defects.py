@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from repring import defects
+from repring import defects, groups
 from repring.brauer import BrauerData, induce_class_function
 from repring.catalog import build_catalog, largest_order
 from repring.cyclo import Cyc
@@ -236,6 +236,23 @@ def test_u_matches_quotient_route(spec, p):
                  build_catalog(p, largest_order(p)))
     for r in a.rows:
         assert u_element(a, r.rep).coeffs == u_by_quotient(a, r.rep, r.sylow)
+
+
+def test_u_from_conjugates_by_the_centralizer_only(monkeypatch):
+    # the product set R C_G(R) of an abelian group is all of G x G
+    a = analysis(parse_group_spec("C289"), 17, build_catalog(17))
+    calls = []
+    real = groups.perm_mul
+
+    def counted(x, y):
+        calls.append(1)
+        return real(x, y)
+
+    monkeypatch.setattr(groups, "perm_mul", counted)
+    monkeypatch.setattr(defects, "perm_mul", counted)
+    row = a.rows[0]
+    assert _u_from(a, row.rep, row.sylow).coeffs == (1,)
+    assert len(calls) <= 6 * a.G.order
 
 
 @pytest.mark.parametrize("route", [_u_from, u_by_quotient])

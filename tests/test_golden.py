@@ -33,6 +33,11 @@ OPS = {
     # Zech-logarithm fields: GF(3^6), q = 729, and GF(2^12), q = 4096
     "analyze C7 p3": ("analyze", "C7", 3),
     "analyze C13 p2": ("analyze", "C13", 2),
+    # nine one-dimensional simples over GF(4); an 8-cycle at p = 3, whose
+    # eight linear simples need GF(9); a p-group past the search bound
+    "analyze C3xC3 p2": ("analyze", "C3xC3", 2),
+    "analyze C8 p3": ("analyze", "C8", 3),
+    "analyze C289 p17": ("analyze", "C289", 17),
     "lattice p2 max8": ("lattice", 2, 8),
     "lattice p3": ("lattice", 3, None),
     "lattice p5": ("lattice", 5, None),
