@@ -118,12 +118,18 @@ class PGroupCatalog:
         """Catalog index of P's isomorphism class, or None if absent.
         The catalog lists every p-group of order at most max_order, and a
         group with a p-group's element orders is a p-group, so an entry
-        whose fingerprint no other entry shares is P's class; only a tie
-        is left to the search."""
+        whose fingerprint no other entry shares is P's class.  Of a tie,
+        the entry that is P itself (the same degree and elements) is
+        taken at once; only a tie with no such entry is left to the
+        search."""
         same = [i for i, (_, G) in enumerate(self.entries)
                 if G.order == P.order and _fingerprint(G) == _fingerprint(P)]
         if len(same) == 1:
             return same[0]
+        key = P.key()
+        for i in same:
+            if self.group(i).key() == key:
+                return i
         return next((i for i in same if is_isomorphic(P, self.group(i))),
                     None)
 

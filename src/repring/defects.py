@@ -117,13 +117,25 @@ class Analysis:
 def defect_classification(bd: BrauerData,
                           catalog: PGroupCatalog) -> Analysis:
     """Assign each p-regular class the catalog index of the isomorphism
-    type of a Sylow p-subgroup of its centralizer."""
+    type of a Sylow p-subgroup of its centralizer.
+
+    |C_G(x)| is read off the class sizes, so a class of defect zero (p
+    does not divide it) gets the trivial subgroup, one per call, without
+    building C_G(x).  A central x has C_G(x) = G, and a p-group is its
+    own Sylow subgroup (see PermGroup.centralizer and sylow_subgroup).
+    """
     G, p = bd.G, bd.p
     classes = G.conjugacy_classes()
     rows = []
+    trivial = None
     for pos, ci in enumerate(bd.pregular):
         rep = classes[ci][0]
-        R = G.centralizer(rep).sylow_subgroup(p)
+        if G.centralizer_order(rep) % p:
+            if trivial is None:
+                trivial = PermGroup(G.degree, [])
+            R = trivial
+        else:
+            R = G.centralizer(rep).sylow_subgroup(p)
         j = catalog.index_of_isomorphic(R)
         if j is None:
             raise CatalogTooSmall(
@@ -222,15 +234,21 @@ def _u_from(a: Analysis, x, R):
 
     So the class x^H is x's orbit under C_G(R) alone, and |C_H(x)| =
     |H| / |x^H| with |H| = |R| |C_G(R)| / |Z(R)|, Z(R) being the
-    elements of R in C_G(R).
+    elements of R in C_G(R).  When every generator of R is central in G
+    (R trivial, or R = G abelian), C_G(R) = G, Z(R) = R and H = G, so
+    x^H is the class x^G and |C_H(x)| = |G| / |x^G|, with no scan.
     """
     G, p, bd = a.G, a.p, a.bd
     x = tuple(x)
-    cent = [g for g in G.elements
-            if all(perm_mul(g, r) == perm_mul(r, g) for r in R.gens)]
-    orbit = {G.conjugate(x, c) for c in cent}
-    centre = set(cent).intersection(R.elements)
-    c_h = R.order * len(cent) // len(centre) // len(orbit)
+    if all(perm_mul(g, r) == perm_mul(r, g) for r in R.gens for g in G.gens):
+        orbit = set(G.conjugacy_classes()[G.class_index_of(x)])
+        c_h = G.order // len(orbit)
+    else:
+        cent = [g for g in G.elements
+                if all(perm_mul(g, r) == perm_mul(r, g) for r in R.gens)]
+        orbit = {G.conjugate(x, c) for c in cent}
+        centre = set(cent).intersection(R.elements)
+        c_h = R.order * len(cent) // len(centre) // len(orbit)
     # the k in H that fix the coset xR are the preimage of the centralizer
     # of its image in H/R, so their count over |R| is that order; each
     # conjugate of x in the coset is x^k for |C_H(x)| of them

@@ -16,7 +16,9 @@ orbit of its smallest element under conjugation by the generators, a
 centralizer's order is |G| divided by the class size, and a subgroup
 given by its elements (a centralizer) or grown one element at a time
 (a Sylow subgroup) is closed from a greedy generating set of at most
-log2 of its order elements, not from all of its elements.
+log2 of its order elements, not from all of its elements.  Where the
+group already gives the answer no search runs: the centralizer of a
+central element is G, and a p-group is its own Sylow p-subgroup.
 
 Isomorphism and embedding tests work on element indices.  A group that
 takes part in a search (at most ISO_ORDER_BOUND elements) builds, once,
@@ -150,6 +152,7 @@ class PermGroup:
         self._class_of = None
         self._table = None
         self._fp = None
+        self._sylow = {}
 
     def _closure(self):
         ident = self.identity
@@ -307,7 +310,12 @@ class PermGroup:
         return sub
 
     def centralizer(self, x) -> "PermGroup":
+        """C_G(x); G itself, with no closure, when x is central, i.e.
+        |x^G| = 1: an element of G that commutes with every generator."""
         x = tuple(x)
+        if x in self._index and all(perm_mul(g, x) == perm_mul(x, g)
+                                    for g in self.gens):
+            return self
         elts = [g for g in self.elements
                 if perm_mul(g, x) == perm_mul(x, g)]
         return PermGroup.from_elements(self.degree, elts)
@@ -329,7 +337,16 @@ class PermGroup:
         p-part order, and the scan order makes the choice reproducible.
         Each trial join is closed from the generators adjoined so far and
         the new element, and abandoned once it outgrows the p-part.
+
+        A group whose order is a power of p is its own Sylow subgroup and
+        is returned as it is.  The result is kept per p on the group.
         """
+        if p not in self._sylow:
+            self._sylow[p] = (self if is_p_power(self.order, p)
+                              else self._greedy_sylow(p))
+        return self._sylow[p]
+
+    def _greedy_sylow(self, p):
         target = p_part(self.order, p)
         candidates = [x for x in self.elements
                       if is_p_power(perm_order(x), p)]

@@ -15,7 +15,10 @@ one-dimensional module is compared by its matrices alone.
 
 The simples of kG are found by tensor closure of the natural permutation
 module (`simple_modules`), never by chopping the |G|-dimensional regular
-module.
+module.  An abelian G needs neither: over a splitting field its simples
+are its homomorphisms to F^*, listed in closed form (`linear_characters`)
+with no random stream; the closure remains the route when F is too small
+to hold them all.
 
 Chop and standard forms rest on one breadth-first `spin`, which keeps
 its subspace as a linalg `Echelon`; sub- and quotient actions are read
@@ -23,11 +26,12 @@ off that echelon.
 """
 
 import random
+from math import gcd
 
 from .config import CHOP_RESEEDS, CHOP_RETRY
 from .errors import ChopStalled, ClosureSaturated, MalformedModule
 from .gf import factor_poly, poly_deg
-from .groups import PermGroup
+from .groups import PermGroup, perm_mul, perm_order
 from .linalg import (
     Echelon,
     gf_charpoly,
@@ -335,6 +339,46 @@ def _tensor_closure(G: PermGroup, F, rng: random.Random, count):
     return simples
 
 
+def linear_characters(G: PermGroup, F):
+    """The homomorphisms G -> F^* of an abelian G, one tuple of generator
+    images (field codes) each, in a fixed order; G must be abelian.
+
+    The generators are adjoined one at a time.  The image of g_t is one
+    of the elements of F^* whose order divides that of g_t, and it must
+    agree on the one edge that leaves the span H of the earlier
+    generators: for the least k with g_t^k in H, the value at g_t^k
+    read off H.  Since H<g_t> is the union of the cosets H g_t^j, j < k,
+    a character of H extends by exactly those images (the check that
+    groups._extends_to_hom makes edge by edge).  Pruning at each step
+    keeps the work near the number of characters, not the product of
+    the candidate counts.  Values are kept as logarithms to the base of
+    F's primitive element.
+    """
+    n = F.q - 1
+    span = {G.identity: ()}  # element -> its exponents over the gens so far
+    chars = [()]
+    for t, g in enumerate(G.gens):
+        k, y = 1, g
+        while y not in span:
+            y, k = perm_mul(y, g), k + 1
+        word = span[y]
+        step = n // gcd(perm_order(g), n)
+        extended = []
+        for chi in chars:
+            at_word = sum(a * v for a, v in zip(word, chi))
+            extended += [chi + (c,) for c in range(0, n, step)
+                         if (k * c - at_word) % n == 0]
+        chars = extended
+        if t + 1 < len(G.gens):
+            joined, power = {}, G.identity
+            for j in range(k):
+                for h, w in span.items():
+                    joined[perm_mul(h, power)] = w + (j,)
+                power = perm_mul(power, g)
+            span = joined
+    return [tuple(F.exp[c] for c in chi) for chi in chars]
+
+
 def simple_modules(G: PermGroup, F, seed, count) -> list:
     """The count pairwise non-isomorphic simple FG-modules.
 
@@ -348,12 +392,23 @@ def simple_modules(G: PermGroup, F, seed, count) -> list:
     Deterministic per seed, reseeding if a random stream stalls; a
     closure that stops short of count raises ClosureSaturated.
 
-    count == 1 means the identity is the only p-regular element, so G
-    is a p-group and the trivial module is its only simple; it is
-    returned at once, with no chop and no random stream.
+    Two cases need no search and no random stream.  count == 1 means the
+    identity is the only p-regular element, so G is a p-group and the
+    trivial module is its only simple.  When the generators commute, G
+    is abelian and, by Schur's lemma, its simples over a splitting field
+    are its homomorphisms to F^* (Serre, Linear Representations of
+    Finite Groups, 3.1): linear_characters lists them as 1x1 modules.
+    Fewer than count of them means F is not a splitting field (only a
+    direct caller can pass one), and the tensor closure runs as for any
+    other group.
     """
     if count == 1:
         return [Module(F, 1, [((1,),)] * len(G.gens))]
+    if all(perm_mul(a, b) == perm_mul(b, a)
+           for i, a in enumerate(G.gens) for b in G.gens[i + 1:]):
+        chars = linear_characters(G, F)
+        if len(chars) == count:
+            return [Module(F, 1, [((v,),) for v in chi]) for chi in chars]
     base = f"meataxe:{F.p}:{F.d}:{seed}:{G.key()!r}"
     last = None
     for attempt in range(CHOP_RESEEDS):

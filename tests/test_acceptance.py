@@ -11,6 +11,7 @@ import pytest
 from repring import verify as V
 from repring.defects import rk_basis_element, u_element
 from repring.errors import InvariantViolated
+from repring.groups import parse_group_spec
 from repring.linalg import Echelon
 
 SEED = 1
@@ -24,7 +25,7 @@ CRITERIA = ("simple-count", "cartan-divisors", "cartan-rank", "gamma-basis",
 
 @pytest.fixture(scope="module")
 def contexts():
-    return [(spec, V._analysis(spec, p, SEED))
+    return [(spec, V._analysis(parse_group_spec(spec), p, SEED))
             for spec in V.DEFAULT_CORPUS for p in PRIMES]
 
 
@@ -60,7 +61,7 @@ def test_criterion_05_genk_basis(contexts):
 def test_dependent_genk_basis_fails_the_genk_suite():
     """genk_basis raises on a dependent basis; the suite reports that
     as its one failed check."""
-    a = V._analysis("S4", 2, SEED)
+    a = V._analysis(parse_group_spec("S4"), 2, SEED)
     ident_row, three_cycles = a.rows  # defects D8 and 1
     a._u[ident_row.class_index] = u_element(a, three_cycles.rep)
     d = V.run_suite(5, [("S4", a)], PRIMES, SEED).as_dict()
@@ -174,3 +175,25 @@ def test_raising_suite_is_one_failed_check(monkeypatch, tmp_path):
     }
     assert out["all_pass"] is False
     assert all(c["pass"] for c in out["criteria"] if c["criterion"] != 3)
+
+
+def test_each_corpus_spec_is_parsed_once_for_its_primes(monkeypatch):
+    seen = []
+    real = V._analysis
+
+    def recorded(G, p, seed):
+        seen.append(G)
+        return real(G, p, seed)
+
+    monkeypatch.setattr(V, "_analysis", recorded)
+    assert V.run_verify(primes=PRIMES, seed=SEED)["all_pass"] is True
+    assert len(seen) == len(V.DEFAULT_CORPUS) * len(PRIMES)
+    assert len({id(G) for G in seen}) == len(V.DEFAULT_CORPUS)
+
+
+def test_cartan_divisor_spots_reuse_the_contexts(contexts, monkeypatch):
+    def no_build(*args):
+        raise AssertionError("BrauerData built")
+
+    monkeypatch.setattr(V, "BrauerData", no_build)
+    _gate(2, contexts)

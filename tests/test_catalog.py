@@ -326,6 +326,19 @@ def test_tied_fingerprints_resolve_to_their_own_label():
         assert cat.label(cat.index_of_isomorphic(P)) == label
 
 
+def test_tied_catalog_entries_resolve_without_a_search(monkeypatch):
+    """An entry looked up by itself is found by its key, as verify's
+    p-group indicator suite looks up each entry of the catalog."""
+    def no_search(P, Q):
+        raise AssertionError("search run")
+
+    monkeypatch.setattr("repring.groups._search_embedding", no_search)
+    cat = build_catalog(2, 16)
+    for label in ("C2^2:C4", "C4oD8", "C4:C4", "Q8xC2"):
+        i = cat.labels.index(label)
+        assert cat.index_of_isomorphic(cat.group(i)) == i
+
+
 def test_fingerprint_leaves_two_pairs_to_the_search():
     """Sorted element orders and class sizes separate every pair of
     catalog classes of equal order but two."""

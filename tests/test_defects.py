@@ -255,6 +255,64 @@ def test_u_from_conjugates_by_the_centralizer_only(monkeypatch):
     assert len(calls) <= 6 * a.G.order
 
 
+def u_by_scan(a, x, R):
+    """U_x with x^H and |C_H(x)| from a scan of G for C_G(R): the route
+    that _u_from keeps for an R with a non-central generator."""
+    G, bd = a.G, a.bd
+    cent = [g for g in G.elements
+            if all(groups.perm_mul(g, r) == groups.perm_mul(r, g)
+                   for r in R.gens)]
+    orbit = {G.conjugate(x, c) for c in cent}
+    centre = set(cent).intersection(R.elements)
+    c_h = R.order * len(cent) // len(centre) // len(orbit)
+    inv = bd._inv_pos[a.row_of(x).position]
+    return tuple(bd.lift.reduce(P[inv] * Fraction(1, c_h)) for P in bd.Phi)
+
+
+def is_central(G, R):
+    return all(groups.perm_mul(g, r) == groups.perm_mul(r, g)
+               for r in R.gens for g in G.gens)
+
+
+@pytest.mark.parametrize("spec,p", GOLDEN_ANALYZE,
+                         ids=[f"{g}-p{p}" for g, p in GOLDEN_ANALYZE])
+def test_central_defect_group_matches_the_scan(spec, p):
+    a = analysis(parse_group_spec(spec), p,
+                 build_catalog(p, largest_order(p)))
+    for r in a.rows:
+        if is_central(a.G, r.sylow):
+            assert _u_from(a, r.rep, r.sylow).coeffs == \
+                u_by_scan(a, r.rep, r.sylow)
+
+
+def test_golden_cases_take_both_routes():
+    central = set()
+    for spec, p in GOLDEN_ANALYZE:
+        a = analysis(parse_group_spec(spec), p,
+                     build_catalog(p, largest_order(p)))
+        central.update(is_central(a.G, r.sylow) for r in a.rows)
+    assert central == {False, True}
+
+
+def test_defect_zero_class_builds_no_centralizer(monkeypatch):
+    G = symmetric_group(4)
+    asked = []
+    real = groups.PermGroup.centralizer
+
+    def recorded(self, x):
+        asked.append(tuple(x))
+        return real(self, x)
+
+    monkeypatch.setattr(groups.PermGroup, "centralizer", recorded)
+    for p, cat in ((2, CAT2), (3, CAT3)):
+        asked.clear()
+        a = analysis(G, p, cat)
+        zero = [r.rep for r in a.rows if r.defect_zero]
+        assert zero
+        assert asked == [r.rep for r in a.rows if not r.defect_zero]
+        assert all(a.row_of(x).sylow.order == 1 for x in zero)
+
+
 @pytest.mark.parametrize("route", [_u_from, u_by_quotient])
 def test_wrong_sylow_raises_defect_not_zero_in_quotient(route):
     # <(0 1)> is not a Sylow 2-subgroup of C_G(1) = S4

@@ -38,6 +38,10 @@ OPS = {
     "analyze C3xC3 p2": ("analyze", "C3xC3", 2),
     "analyze C8 p3": ("analyze", "C8", 3),
     "analyze C289 p17": ("analyze", "C289", 17),
+    # fifteen linear simples over GF(16); twenty-five linear simples of a
+    # two-generator abelian group over GF(81)
+    "analyze C15 p2": ("analyze", "C15", 2),
+    "analyze C5xC5 p3": ("analyze", "C5xC5", 3),
     "lattice p2 max8": ("lattice", 2, 8),
     "lattice p3": ("lattice", 3, None),
     "lattice p5": ("lattice", 5, None),

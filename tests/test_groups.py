@@ -159,6 +159,31 @@ def test_sylow_of_p_group_is_whole():
     assert D.sylow_subgroup(2).order == 8
 
 
+def test_central_centralizer_builds_no_group(monkeypatch):
+    D = dihedral_group(8)
+    G = direct_product(symmetric_group(3), cyclic_group(2))
+    central = [(D, D.identity), (D, D.center().elements[1]),
+               (G, G.identity), (G, G.center().elements[1])]
+
+    def no_group(*args, **kwargs):
+        raise AssertionError("PermGroup built")
+
+    monkeypatch.setattr(PermGroup, "__init__", no_group)
+    for H, z in central:
+        assert H.centralizer(z) is H
+
+
+def test_sylow_of_p_group_is_the_group_and_is_kept():
+    for H in (dihedral_group(8), quaternion_group(), cyclic_group(9),
+              trivial_group()):
+        p = 3 if H.order == 9 else 2
+        assert H.sylow_subgroup(p) is H
+    G = symmetric_group(4)
+    assert G.sylow_subgroup(2) is G.sylow_subgroup(2)
+    assert G.sylow_subgroup(3) is G.sylow_subgroup(3)
+    assert G.sylow_subgroup(2) is not G.sylow_subgroup(3)
+
+
 def test_quotients():
     G = symmetric_group(4)
     v4_elements = [G.identity] + list(G.conjugacy_classes()[1])

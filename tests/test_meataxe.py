@@ -1,10 +1,14 @@
+import json
 import random
+import time
 
 import pytest
+from test_defects import GOLDEN_ANALYZE
 
 from repring import meataxe
-from repring.brauer import BrauerData
+from repring.brauer import BrauerData, _phi_value, _row_key, splitting_field
 from repring.catalog import build_catalog
+from repring.config import CHOP_RESEEDS
 from repring.errors import ChopStalled, ClosureSaturated, MalformedModule
 from repring.gf import gf_field
 from repring.groups import (
@@ -12,6 +16,7 @@ from repring.groups import (
     cyclic_group,
     dihedral_group,
     direct_product,
+    parse_group_spec,
     perm_mul,
     quaternion_group,
     symmetric_group,
@@ -20,6 +25,7 @@ from repring.groups import (
 from repring.linalg import gf_identity, gf_matmul
 from repring.meataxe import (
     Module,
+    _tensor_closure,
     chop,
     natural_module,
     quotient_action,
@@ -283,3 +289,85 @@ def test_natural_module_is_homomorphism():
             lhs = gf_matmul(F, ma, N.element_matrix(G, b))
             rhs = N.element_matrix(G, G.mul(a, b))
             assert [list(r) for r in lhs] == [list(r) for r in rhs]
+
+
+def closure_simples(G, F, seed, count):
+    """The simples by tensor closure, with simple_modules' random streams
+    and reseeds: the route an abelian group took before its closed form,
+    kept as the reference."""
+    for attempt in range(CHOP_RESEEDS):
+        rng = random.Random(f"meataxe:{F.p}:{F.d}:{seed}:{G.key()!r}:"
+                            f"{attempt}")
+        try:
+            return _tensor_closure(G, F, rng, count)
+        except ChopStalled:
+            pass
+    raise ChopStalled("reference closure stalled")
+
+
+def golden_abelian_cases():
+    """(spec, p) of the golden analyze cases of abelian groups whose
+    simples are more than the trivial module, so that the closed form
+    runs; a p-group (one simple) returns before it."""
+    cases = []
+    for spec, p in GOLDEN_ANALYZE:
+        G = parse_group_spec(spec)
+        gens = G.gens
+        if (all(perm_mul(a, b) == perm_mul(b, a) for a in gens for b in gens)
+                and len(G.p_regular_classes(p)) > 1):
+            cases.append((spec, p))
+    return cases
+
+
+GOLDEN_ABELIAN = golden_abelian_cases()
+
+
+def test_golden_abelian_cases_include_the_new_pins():
+    assert ("C15", 2) in GOLDEN_ABELIAN and ("C5xC5", 3) in GOLDEN_ABELIAN
+
+
+@pytest.mark.parametrize("spec,p", GOLDEN_ABELIAN,
+                         ids=[f"{g}-p{p}" for g, p in GOLDEN_ABELIAN])
+def test_linear_characters_match_the_tensor_closure(spec, p):
+    G = parse_group_spec(spec)
+    bd = BrauerData(G, p, 1)
+    count = len(bd.pregular)
+    closed = simple_modules(G, bd.F, 1, count)
+    ref = closure_simples(G, bd.F, 1, count)
+    assert len(closed) == count and all(m.dim == 1 for m in closed)
+    assert sorted(m.mats for m in closed) == sorted(m.mats for m in ref)
+    ref_rows = {_row_key(_phi_value(bd.lift, bd.F, m.element_matrix(G, x))
+                         for x in bd.class_reps) for m in ref}
+    assert {_row_key(s.phi) for s in bd.simples} == ref_rows
+
+
+def test_abelian_simples_use_no_random_stream(monkeypatch):
+    def no_recipe(*args):
+        raise AssertionError("random recipe drawn")
+
+    monkeypatch.setattr(meataxe, "random_recipe", no_recipe)
+    for spec, p in GOLDEN_ABELIAN + [("C6", 2), ("C3xC2xC2", 2)]:
+        G = parse_group_spec(spec)
+        F = splitting_field(G, p)[0]
+        assert len(simples(G, F)) == len(G.p_regular_classes(p))
+
+
+def test_linear_characters_are_pruned_generator_by_generator():
+    # C60 by g, g^2, ..., g^6: 60 * 30 * 20 * 15 * 12 * 10, about 6.5e7
+    # tuples of generator images, of which 60 are homomorphisms
+    g = cyclic_group(60).gens[0]
+    powers = [g]
+    for _ in range(5):
+        powers.append(perm_mul(powers[-1], g))
+    G = parse_group_spec(json.dumps(
+        {"degree": 60, "generators": [[v + 1 for v in x] for x in powers]}))
+    F = gf_field(7, 4)
+    start = time.perf_counter()
+    mods = simple_modules(G, F, 1, 60)
+    assert time.perf_counter() - start < 0.1
+    at_g = [m.mats[0][0][0] for m in mods]
+    roots = {F.exp[k] for k in range(0, F.q - 1, (F.q - 1) // 60)}
+    assert sorted(at_g) == sorted(roots)
+    for m in mods:
+        v = m.mats[0][0][0]
+        assert [t[0][0] for t in m.mats] == [F.pow(v, k) for k in range(1, 7)]
