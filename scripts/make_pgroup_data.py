@@ -7,15 +7,19 @@ as the catalog validates it in every process (counts per order against
 catalog.KNOWN_COUNTS, one embedding search per pair, which rejects a
 duplicate class), and stored as 1-based generator tables.  The groups
 of order at most p^2 are not stored: the catalog builds them for every
-prime.
+prime.  The quotient (for C4oD8), exponent and center come from
+tests/group_reference.py, since the package itself needs none of them.
 """
 
 import json
 import pathlib
 import sys
 
-sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(ROOT / "src"))
+sys.path.insert(0, str(ROOT / "tests"))
 
+from group_reference import center, exponent, quotient_group
 from repring.catalog import catalog_from_dataset, largest_order
 from repring.groups import (
     PermGroup,
@@ -27,7 +31,7 @@ from repring.groups import (
     quaternion_group,
 )
 
-OUT = pathlib.Path(__file__).resolve().parents[1] / "src" / "repring" / "data" / "pgroups.json"
+OUT = ROOT / "src" / "repring" / "data" / "pgroups.json"
 
 
 def regular_rep(elements, mul, gens):
@@ -109,7 +113,7 @@ def group_c4_central_d8():
     # identify the square of the C4 with the central rotation of D8
     z = (2, 3, 0, 1, 6, 7, 4, 5)
     N = prod.generated_subgroup([z])
-    quot, _ = prod.quotient_group(N)
+    quot, _ = quotient_group(prod, N)
     return quot
 
 
@@ -141,11 +145,11 @@ def build_all():
     add(2, "C4:C4", group_c4_semi_c4(), [lambda G: n_involutions(G) == 3])
     add(2, "C8xC2", direct_product(C8, C2))
     add(2, "M16", affine_group(8, [(1, 1), (5, 0)]),
-        [lambda G: n_involutions(G) == 3, lambda G: G.exponent() == 8])
+        [lambda G: n_involutions(G) == 3, lambda G: exponent(G) == 8])
     add(2, "D16", affine_group(8, [(1, 1), (-1, 0)]),
         [lambda G: n_involutions(G) == 9])
     add(2, "SD16", affine_group(8, [(1, 1), (3, 0)]),
-        [lambda G: n_involutions(G) == 5, lambda G: G.exponent() == 8])
+        [lambda G: n_involutions(G) == 5, lambda G: exponent(G) == 8])
     add(2, "Q16", group_q16(), [lambda G: n_involutions(G) == 1])
     add(2, "C4xC2^2", direct_product(C4, V4))
     add(2, "D8xC2", direct_product(dihedral_group(8), C2),
@@ -156,18 +160,18 @@ def build_all():
         [lambda G: n_involutions(G) == 7,
          lambda G: not embeds_into(direct_product(V4, C2), G)])
     add(2, "C2^4", direct_product(direct_product(V4, C2), C2),
-        [lambda G: G.exponent() == 2])
+        [lambda G: exponent(G) == 2])
 
     # --- p = 3
     C3, C9, C27 = (cyclic_group(n) for n in (3, 9, 27))
     add(3, "C27", C27)
     add(3, "C9xC3", direct_product(C9, C3))
     add(3, "C3^3", direct_product(direct_product(C3, C3), C3),
-        [lambda G: G.exponent() == 3])
+        [lambda G: exponent(G) == 3])
     add(3, "He3", group_heisenberg3(),
-        [lambda G: G.exponent() == 3, lambda G: G.center().order == 3])
+        [lambda G: exponent(G) == 3, lambda G: center(G).order == 3])
     add(3, "C9:C3", affine_group(9, [(1, 1), (4, 0)]),
-        [lambda G: G.exponent() == 9, lambda G: G.center().order == 3])
+        [lambda G: exponent(G) == 9, lambda G: center(G).order == 3])
 
     return entries
 

@@ -17,7 +17,7 @@ matrix, and tensoring with it permutes the simples.
 """
 
 from fractions import Fraction
-from math import gcd
+from math import lcm
 
 from .config import default_seed
 from .cyclo import QQ, Cyc, dot
@@ -51,10 +51,8 @@ def splitting_field(G: PermGroup, p: int):
     the field degree is the order of p modulo m, the smallest degree
     over which every simple module is absolutely irreducible.
     """
-    m = 1
-    for i in G.p_regular_classes(p):
-        o = G.element_order(G.conjugacy_classes()[i][0])
-        m = m * o // gcd(m, o)
+    orders = G.class_orders()
+    m = lcm(1, *(orders[i] for i in G.p_regular_classes(p)))
     d = multiplicative_order(p, m)
     F = gf_field(p, d)
     return F, BrauerLift(F, m), m
@@ -63,8 +61,7 @@ def splitting_field(G: PermGroup, p: int):
 class SimpleModule:
     """A simple kG-module with its Brauer character."""
 
-    __slots__ = ("name", "index", "module", "dim", "phi",
-                 "multiplicity_in_regular")
+    __slots__ = ("name", "index", "module", "dim", "phi")
 
     def __init__(self, name, index, module, phi):
         self.name = name
@@ -72,9 +69,6 @@ class SimpleModule:
         self.module = module
         self.dim = module.dim
         self.phi = tuple(phi)
-        # head multiplicity; equals dim because the identification
-        # element simple_modules found for it certifies End = ground field
-        self.multiplicity_in_regular = module.dim
 
     def __repr__(self):
         return f"SimpleModule({self.name}, dim={self.dim})"

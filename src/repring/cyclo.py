@@ -332,11 +332,6 @@ class Cyc:
             "den": [c.denominator for c in coeffs],
         }
 
-    @staticmethod
-    def from_json(obj) -> "Cyc":
-        return Cyc(obj["conductor"],
-                   [Fraction(n, d) for n, d in zip(obj["num"], obj["den"])])
-
     def __repr__(self):
         coeffs = self.coeffs
         if self.as_rational() is not None:

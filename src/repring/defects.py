@@ -154,14 +154,20 @@ def gamma_element(bd: BrauerData, x) -> RkElement:
     ci = G.class_index_of(x)
     if ci not in bd._pos:
         raise NotDefectZero(f"element of {G.describe()} is not {p}-regular")
-    k = bd._pos[ci]
     csize = G.centralizer_order(x)
     if csize % p == 0:
         raise NotDefectZero(
             f"class has defect of order {p_part(csize, p)}, not zero")
-    n = len(bd.simples)
+    return _phi_over(bd, bd._pos[ci], csize)
+
+
+def _phi_over(bd: BrauerData, k: int, c: int) -> RkElement:
+    """The element whose coefficient at S is the reduction of
+    Phi_S(x^-1) / c, for x in the p-regular class at position k: gamma
+    with c = |C_G(x)|, U with c = |C_H(x)|."""
     inv = bd._inv_pos[k]
-    exact = tuple(bd.Phi[s][inv] * Fraction(1, csize) for s in range(n))
+    scale = Fraction(1, c)
+    exact = tuple(P[inv] * scale for P in bd.Phi)
     return RkElement(bd, tuple(bd.lift.reduce(v) for v in exact),
                      exact=exact)
 
@@ -257,10 +263,7 @@ def _u_from(a: Analysis, x, R):
         raise DefectNotZeroInQuotient(
             f"image of x in R C_G(R)/{R.describe()} has positive defect; "
             "the Sylow subgroup R was not correct")
-    scale = Fraction(1, c_h)
-    inv = bd._inv_pos[a.row_of(x).position]
-    return RkElement(bd, tuple(bd.lift.reduce(P[inv] * scale)
-                               for P in bd.Phi))
+    return _phi_over(bd, a.row_of(x).position, c_h)
 
 
 def u_element(a: Analysis, x) -> RkElement:
@@ -371,13 +374,6 @@ def rk_multiply(a: RkElement, b: RkElement) -> RkElement:
                 continue
             out = F.axpy(out, F.mul(a.coeffs[s], b.coeffs[t]), table[s][t])
     return RkElement(bd, tuple(out))
-
-
-def rk_identity(bd: BrauerData) -> RkElement:
-    """[k_G]: the trivial module is always first in the simple order."""
-    coeffs = [0] * len(bd.simples)
-    coeffs[0] = 1
-    return RkElement(bd, tuple(coeffs))
 
 
 def rk_basis_element(bd: BrauerData, s: int) -> RkElement:

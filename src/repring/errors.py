@@ -35,10 +35,6 @@ class NotSubgroup(RepringError):
     module = "groups"
 
 
-class NotNormal(RepringError):
-    module = "groups"
-
-
 class InvalidGroupSpec(RepringError):
     module = "groups"
 

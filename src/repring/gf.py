@@ -24,13 +24,14 @@ Polynomials are little-endian tuples with no trailing zeros; the zero
 polynomial is ``()``.  The ``poly_*`` routines take any field object
 with ``axpy``, ``neg``, ``inv`` and ``mul``: a GF, whose coefficients
 are codes, or ``cyclo.QQ``, whose coefficients are ints, Fractions and
-Cyc values.
+Cyc values.  ``factor_poly`` factors over a GF by square-free,
+distinct-degree and equal-degree splitting (Cantor-Zassenhaus); its
+one caller, the meataxe, passes the random stream of its own seed.
 """
 
 import functools
-import random
 
-from .config import DEFAULT_SEED, FIELD_ORDER_BOUND
+from .config import FIELD_ORDER_BOUND
 from .errors import FieldTooLarge, RepringError
 
 # addition and multiplication tables up to this q; Zech logarithms above
@@ -422,13 +423,6 @@ def _is_irreducible(Fp, f):
                     for r in _prime_factors(d)))
 
 
-def poly_eval(F, a, x):
-    out = 0
-    for c in reversed(a):
-        out = F.add(F.mul(out, x), c)
-    return out
-
-
 def poly_deriv(F, a):
     # codes 0..p-1 are exactly the prime subfield
     return poly_trim([F.mul(a[i], i % F.p) for i in range(1, len(a))])
@@ -533,21 +527,18 @@ def _equal_degree(F, f, d, rng):
             return _equal_degree(F, g, d, rng) + _equal_degree(F, rest, d, rng)
 
 
-def factor_poly(F, f, seed=None, rng=None):
+def factor_poly(F, f, rng):
     """Full factorization of f over F into monic irreducibles.
 
     Returns a list of (irreducible factor, multiplicity) sorted by degree
     then coefficient codes; the product over the list times the leading
-    coefficient of f reproduces f.  Randomized splitting is driven by the
-    seed (or an explicit random.Random), so runs are reproducible.
+    coefficient of f reproduces f.  The equal-degree splitting draws its
+    random polynomials from rng, a random.Random, so a seeded rng gives
+    reproducible runs; the factors do not depend on it.
     """
     f = poly_trim(f)
     if poly_deg(f) < 1:
         return []
-    if rng is None:
-        if seed is None:
-            seed = DEFAULT_SEED
-        rng = random.Random(f"gf-factor:{F.p}:{F.d}:{seed}")
     found = {}
     for sqf, mult in _squarefree_parts(F, f).items():
         for same_deg, d in _distinct_degree(F, sqf):
@@ -555,18 +546,3 @@ def factor_poly(F, f, seed=None, rng=None):
                 found[irr] = found.get(irr, 0) + mult
     return sorted(found.items(), key=lambda kv: (poly_deg(kv[0]), kv[0]))
 
-
-def poly_roots(F, f, seed=None, rng=None):
-    """Roots in F with multiplicity, or None if f does not split.
-
-    Returns a list of (root, multiplicity) when every irreducible factor
-    is linear, otherwise None.
-    """
-    factors = factor_poly(F, f, seed=seed, rng=rng)
-    out = []
-    for g, mult in factors:
-        if poly_deg(g) != 1:
-            return None
-        # monic x + c has root -c
-        out.append((F.neg(g[0]), mult))
-    return out

@@ -7,7 +7,15 @@ transposition bookkeeping is needed downstream.
 
 Everything is deterministic: elements are kept in lexicographic order,
 conjugacy classes are sorted by (element order, class size, smallest
-representative), and all searches scan in that canonical order.
+representative), and all searches scan in that canonical order.  The
+element order of each class is computed once, for that sort, and kept
+(class_orders).
+
+A group offers what an analysis uses: classes, centralizers, Sylow
+subgroups, and isomorphism and embedding tests.  There is no quotient,
+normality test or center, since U is read off the projective
+characters (defects._u_from); the quotient route that checks it lives
+in tests/group_reference.py.
 
 Classes, centralizers and Sylow subgroups cost no loop over pairs of
 elements.  Orbit and closure methods follow Holt, Eick and O'Brien,
@@ -33,14 +41,13 @@ raise OrderBoundExceeded past ORDER_BOUND before building any permutation.
 """
 
 import json
-from math import factorial, gcd, lcm, prod
+from math import factorial, lcm, prod
 
 from .config import ISO_ORDER_BOUND, ORDER_BOUND
 from .errors import (
     ElementNotInGroup,
     InvalidGroupSpec,
     MalformedPermutation,
-    NotNormal,
     NotSubgroup,
     OrderBoundExceeded,
 )
@@ -149,6 +156,7 @@ class PermGroup:
         self.identity = tuple(range(degree))
         self._closure()
         self._classes = None
+        self._class_orders = None
         self._class_of = None
         self._table = None
         self._fp = None
@@ -199,20 +207,8 @@ class PermGroup:
     def order(self) -> int:
         return len(self.elements)
 
-    def index_of(self, g) -> int:
-        i = self._index.get(tuple(g))
-        if i is None:
-            raise ElementNotInGroup(f"{g} not in {self.describe()}")
-        return i
-
     def __contains__(self, g):
         return tuple(g) in self._index
-
-    def mul(self, a, b):
-        return perm_mul(a, b)
-
-    def inv(self, a):
-        return perm_inv(a)
 
     def conjugate(self, x, g):
         """g^-1 x g."""
@@ -220,13 +216,6 @@ class PermGroup:
 
     def element_order(self, g) -> int:
         return perm_order(g)
-
-    def exponent(self) -> int:
-        e = 1
-        for g in self.elements:
-            o = perm_order(g)
-            e = e * o // gcd(e, o)
-        return e
 
     def describe(self) -> str:
         return self.name or f"group of order {self.order} on {self.degree} points"
@@ -261,10 +250,17 @@ class PermGroup:
                             nxt.append(z)
                 frontier = nxt
             seen |= orbit
-            classes.append(tuple(sorted(orbit)))
-        classes.sort(key=lambda c: (perm_order(c[0]), len(c), c[0]))
-        self._classes = classes
-        return classes
+            c = tuple(sorted(orbit))
+            classes.append((perm_order(c[0]), len(c), c))
+        classes.sort()
+        self._classes = [c for _, _, c in classes]
+        self._class_orders = [o for o, _, _ in classes]
+        return self._classes
+
+    def class_orders(self):
+        """The element order of each class, in conjugacy_classes() order."""
+        self.conjugacy_classes()
+        return self._class_orders
 
     def class_index_of(self, x):
         if self._class_of is None:
@@ -282,8 +278,7 @@ class PermGroup:
 
     def p_regular_classes(self, p: int):
         """Indices into conjugacy_classes() of classes of p'-order elements."""
-        return [i for i, c in enumerate(self.conjugacy_classes())
-                if perm_order(c[0]) % p != 0]
+        return [i for i, o in enumerate(self.class_orders()) if o % p]
 
     def inverse_class_map(self):
         """index i -> index of the class of inverses."""
@@ -294,13 +289,6 @@ class PermGroup:
         return out
 
     # -- subgroups
-
-    def subgroup(self, elements, name=None) -> "PermGroup":
-        sub = PermGroup.from_elements(self.degree, elements, name=name)
-        for e in sub.elements:
-            if e not in self._index:
-                raise NotSubgroup(f"{e} not in {self.describe()}")
-        return sub
 
     def generated_subgroup(self, gens, name=None) -> "PermGroup":
         sub = PermGroup(self.degree, gens, name=name)
@@ -319,14 +307,6 @@ class PermGroup:
         elts = [g for g in self.elements
                 if perm_mul(g, x) == perm_mul(x, g)]
         return PermGroup.from_elements(self.degree, elts)
-
-    def centralizer_of_subgroup(self, sub: "PermGroup") -> "PermGroup":
-        elts = [g for g in self.elements
-                if all(perm_mul(g, r) == perm_mul(r, g) for r in sub.gens)]
-        return PermGroup.from_elements(self.degree, elts)
-
-    def center(self) -> "PermGroup":
-        return self.centralizer_of_subgroup(self)
 
     def sylow_subgroup(self, p: int) -> "PermGroup":
         """The canonical greedy Sylow p-subgroup.
@@ -363,51 +343,6 @@ class PermGroup:
             else:
                 raise RuntimeError("greedy Sylow growth stalled")  # unreachable
         return PermGroup(self.degree, gens)
-
-    def is_normal(self, sub: "PermGroup") -> bool:
-        sub_set = set(sub.elements)
-        return all(self.conjugate(x, g) in sub_set
-                   for g in self.gens for x in sub.gens)
-
-    def quotient_group(self, normal: "PermGroup"):
-        """(quotient as a permutation group on cosets, projection map).
-
-        The projection maps each element of self to an element of the
-        quotient.  Two shortcuts keep downstream identifications clean:
-        quotient by the trivial subgroup returns self with the identity
-        map, and quotient by the whole group returns the 1-point group.
-        """
-        for e in normal.elements:
-            if e not in self._index:
-                raise NotSubgroup("quotient by a non-subgroup")
-        if not self.is_normal(normal):
-            raise NotNormal("quotient by a non-normal subgroup")
-        if normal.order == 1:
-            return self, {e: e for e in self.elements}
-        if normal.order == self.order:
-            triv = PermGroup(1, [], name="1")
-            return triv, {e: (0,) for e in self.elements}
-        nset = sorted(normal.elements)
-        coset_of = {}
-        reps = []
-        for e in self.elements:  # lex order, so coset labels are lex-min reps
-            if e in coset_of:
-                continue
-            members = sorted(perm_mul(n, e) for n in nset)
-            label = len(reps)
-            reps.append(members[0])
-            for mbr in members:
-                coset_of[mbr] = label
-        k = len(reps)
-        proj = {e: None for e in self.elements}
-        for e in self.elements:
-            proj[e] = tuple(coset_of[perm_mul(reps[i], e)] for i in range(k))
-        qgens = [proj[g] for g in self.gens]
-        qname = None
-        if self.name and normal.name:
-            qname = f"{self.name}/{normal.name}"
-        quotient = PermGroup(k, qgens, name=qname)
-        return quotient, proj
 
 
 # ---------------------------------------------------------------------
@@ -635,8 +570,10 @@ def _fingerprint(G: PermGroup):
     groups share them, and they fix the order, the exponent, the number
     of classes and the order of the center (the classes of size 1)."""
     if G._fp is None:
-        G._fp = (tuple(sorted(map(perm_order, G.elements))),
-                 tuple(sorted(len(c) for c in G.conjugacy_classes())))
+        classes = G.conjugacy_classes()
+        G._fp = (tuple(sorted(o for o, c in zip(G.class_orders(), classes)
+                              for _ in c)),
+                 tuple(sorted(map(len, classes))))
     return G._fp
 
 

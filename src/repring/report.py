@@ -19,7 +19,7 @@ from .defects import (
 )
 from .errors import InvalidPrime
 from .gf import _is_prime
-from .groups import PermGroup, parse_group_spec, perm_order
+from .groups import PermGroup, parse_group_spec
 from .linalg import int_mat_rank_mod_p
 
 SCHEMA_VERSION = 1
@@ -52,13 +52,14 @@ def analyze_report(spec, p: int, max_p_order=None, seed=None) -> dict:
     catalog = build_catalog(p, max_p_order)
     a = defect_classification(bd, catalog)
 
+    orders = G.class_orders()
     classes = []
     for row in a.rows:
         classes.append({
             "index": row.class_index,
             "position": row.position,
             "representative": [i + 1 for i in row.rep],
-            "element_order": perm_order(row.rep),
+            "element_order": orders[row.class_index],
             "size": bd.class_sizes[row.position],
             "centralizer_order": G.order // bd.class_sizes[row.position],
             "defect": catalog.label(row.catalog_index),

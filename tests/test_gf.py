@@ -14,11 +14,9 @@ from repring.gf import (
     poly_deg,
     poly_deriv,
     poly_divmod,
-    poly_eval,
     poly_gcd,
     poly_monic,
     poly_mul,
-    poly_roots,
     poly_sub,
     poly_trim,
 )
@@ -230,8 +228,13 @@ def test_poly_divmod_identity(pd, data):
 def test_poly_eval_and_deriv():
     F = gf_field(3, 1)
     f = (1, 0, 1)  # x^2 + 1
-    assert poly_eval(F, f, 0) == 1
-    assert poly_eval(F, f, 1) == 2
+    values = []
+    for x in (0, 1):
+        out = 0
+        for c in reversed(f):  # Horner
+            out = F.add(F.mul(out, x), c)
+        values.append(out)
+    assert values == [1, 2]
     assert poly_deriv(F, f) == (0, 2)
     # derivative kills p-th powers
     assert poly_deriv(F, (1, 0, 0, 2)) == ()
@@ -239,21 +242,22 @@ def test_poly_eval_and_deriv():
 
 def test_factor_irreducible_stays_whole():
     F = gf_field(2, 1)
-    assert factor_poly(F, (1, 1, 1)) == [((1, 1, 1), 1)]
+    assert factor_poly(F, (1, 1, 1), random.Random(1)) == [((1, 1, 1), 1)]
 
 
 def test_factor_pure_power():
     F = gf_field(3, 1)
     # x^2 and x^3
-    assert factor_poly(F, (0, 0, 1)) == [((0, 1), 2)]
-    assert factor_poly(F, (0, 0, 0, 1)) == [((0, 1), 3)]
+    rng = random.Random(1)
+    assert factor_poly(F, (0, 0, 1), rng) == [((0, 1), 2)]
+    assert factor_poly(F, (0, 0, 0, 1), rng) == [((0, 1), 3)]
 
 
 def test_factor_x_cubed_minus_one_over_gf4():
     F = gf_field(2, 2)
     # x^3 - 1 splits into three distinct linear factors over F_4
     f = (1, 0, 0, 1)
-    factors = factor_poly(F, f)
+    factors = factor_poly(F, f, random.Random(1))
     assert [m for _, m in factors] == [1, 1, 1]
     roots = sorted(F.neg(g[0]) for g, _ in factors)
     assert roots == [1, 2, 3]
@@ -261,17 +265,12 @@ def test_factor_x_cubed_minus_one_over_gf4():
     assert cubes == {1}
 
 
-def test_poly_roots_reports_nonsplit():
-    F = gf_field(2, 1)
-    assert poly_roots(F, (1, 1, 1)) is None
-    assert poly_roots(F, (0, 1, 1)) == [(0, 1), (1, 1)]
-
-
 def test_factor_deterministic_under_seed():
     F = gf_field(3, 2)
     f = (2, 0, 1, 0, 0, 1)
-    assert factor_poly(F, f, seed=1) == factor_poly(F, f, seed=1)
-    assert factor_poly(F, f, seed=1) == factor_poly(F, f, seed=99)
+    first = factor_poly(F, f, random.Random(1))
+    assert factor_poly(F, f, random.Random(1)) == first
+    assert factor_poly(F, f, random.Random(99)) == first
 
 
 @settings(max_examples=40, deadline=None)
@@ -282,7 +281,7 @@ def test_factor_product_property(pd, data):
     f = poly_trim(data.draw(st.lists(coeff, min_size=2, max_size=7)))
     if poly_deg(f) < 1:
         return
-    factors = factor_poly(F, f, seed=7)
+    factors = factor_poly(F, f, random.Random(7))
     prod = (f[-1],)
     for g, mult in factors:
         assert g[-1] == 1
@@ -333,6 +332,6 @@ def test_polynomials_over_extension_field():
     assert F.q == 8
     # x^7 - 1 splits into seven distinct linear factors over F_8
     f = poly_sub(F, (0,) * 7 + (1,), (1,))
-    rts = poly_roots(F, f)
-    assert rts is not None
-    assert sorted(r for r, _ in rts) == list(range(1, 8))
+    factors = factor_poly(F, f, random.Random(1))
+    assert all(poly_deg(g) == 1 and m == 1 for g, m in factors)
+    assert sorted(F.neg(g[0]) for g, _ in factors) == list(range(1, 8))

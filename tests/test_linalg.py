@@ -6,7 +6,7 @@ from hypothesis import assume, given, settings, strategies as st
 import pytest
 
 from repring.cyclo import QQ, Cyc, conductor_degree
-from repring.gf import gf_field, poly_eval
+from repring.gf import gf_field
 from repring.linalg import (
     Echelon,
     gf_charpoly,
