@@ -283,10 +283,18 @@ class BrauerData:
         """Coefficients of a class function on p-regular classes in the
         Brauer character basis.  values is a row over the p-regular
         classes in table order.
+
+        Only the non-zero entries of values are multiplied out; each sum
+        is then put at the conductor a dot over every entry gives, the
+        lcm of all their conductors.
         """
+        support = [k for k, v in enumerate(values) if v]
+        m_values = lcm(*(Cyc.coerce(v).m for v in values))
         coeffs = []
         for s, column in enumerate(zip(*self._dual)):
-            total = dot(values, column)
+            total = dot([values[k] for k in support],
+                        [column[k] for k in support]).promote(
+                lcm(m_values, *(c.m for c in column)))
             if not require_integral:
                 coeffs.append(total)
             elif total.den != 1 or any(total.num[1:]):

@@ -14,8 +14,8 @@ rest of the package evaluates against.
 """
 
 import functools
-import importlib.resources
 import json
+import os
 
 from .config import CLOSED_SET_ENTRY_BOUND
 from .errors import (
@@ -40,11 +40,16 @@ from .groups import (
 KNOWN_COUNTS = {(2, 8): 5, (2, 16): 14, (3, 27): 5}
 
 
+_BUNDLED_PATH = os.path.join(os.path.dirname(os.path.abspath(__file__)),
+                             "data", "pgroups.json")
+
+
 @functools.lru_cache(maxsize=None)
 def _load_bundled():
     try:
-        text = (importlib.resources.files("repring") / "data" / "pgroups.json").read_text()
-    except (FileNotFoundError, ModuleNotFoundError) as exc:
+        with open(_BUNDLED_PATH, encoding="utf-8") as fh:
+            text = fh.read()
+    except OSError as exc:
         raise DatasetMissing(f"bundled p-group table unavailable: {exc}") from None
     return json.loads(text)
 

@@ -10,8 +10,9 @@ of the U_x over prefixes of the p-group catalog give the dimensions of
 the subquotient functors evaluated at G.
 
 An Analysis holds one group's Brauer data, catalog and defect rows at
-one prime and seed; the functions below take it and keep what they
-derive (U per class, genk bases) on it, not in module-level caches.
+one prime and seed, and the U of its rows, built and checked to be
+independent once, on it rather than in a module-level cache.  Every span
+below is a set of rows, so its dimension is a count of rows.
 """
 
 from fractions import Fraction
@@ -87,8 +88,7 @@ class DefectRow:
 
 class Analysis:
     """One group at one prime and seed: its Brauer data, the catalog,
-    the defect row of every p-regular class, and what is derived from
-    them (U per class, genk bases)."""
+    the defect row of every p-regular class, and the U of every row."""
 
     def __init__(self, bd: BrauerData, catalog: PGroupCatalog, rows):
         self.bd = bd
@@ -97,9 +97,7 @@ class Analysis:
         self.catalog = catalog
         self.rows = tuple(rows)
         self._by_class = {r.class_index: r for r in self.rows}
-        self._u = {}
-        self._genk = {}   # catalog entry -> (row positions, U basis)
-        self._ranks = {}  # row positions -> rank of their U vectors
+        self._us = None  # U of each row, in row order; see _u_basis
 
     def row_of(self, x) -> DefectRow:
         ci = self.G.class_index_of(x)
@@ -266,70 +264,60 @@ def _u_from(a: Analysis, x, R):
     return _phi_over(bd, a.row_of(x).position, c_h)
 
 
+def _u_basis(a: Analysis):
+    """The U of every row, in row order, built on first use and checked
+    once to be independent: every span below is a subset of it, so its
+    rank is its size.  The Sylow entry's rows are all the rows, so the
+    error names it."""
+    if a._us is None:
+        us = tuple(_u_from(a, r.rep, r.sylow) for r in a.rows)
+        if gf_rank(a.bd.F, [list(u.coeffs) for u in us]) != len(us):
+            raise InvariantViolated(
+                "defects", "U elements under catalog entry "
+                f"{a.rows[0].catalog_index} are linearly dependent")
+        a._us = us
+    return a._us
+
+
+def _rows_under(a: Analysis, entries):
+    """Positions of the rows whose defect embeds into one of the catalog
+    entries."""
+    embed = a.catalog.embed
+    return [r.position for r in a.rows
+            if any(embed[r.catalog_index][j] for j in entries)]
+
+
 def u_element(a: Analysis, x) -> RkElement:
     """U_x: induced inflation of the defect-zero gamma over R_x C_G(R_x).
 
     Uses the analysis' Sylow subgroup when x is the stored representative
     and recomputes one otherwise; the result is independent of both
-    choices.  Results for stored representatives are kept per class,
-    since span computations ask for the same vectors repeatedly.
+    choices.
     """
     x = tuple(x)
     row = a.row_of(x)
     if x != row.rep:
         return _u_from(a, x, a.G.centralizer(x).sylow_subgroup(a.p))
-    if row.class_index not in a._u:
-        a._u[row.class_index] = _u_from(a, x, row.sylow)
-    return a._u[row.class_index]
-
-
-def _span_rank(a: Analysis, positions) -> int:
-    """Rank of the U vectors of the defect rows at the sorted positions.
-
-    genk_basis, sp_dimension and closed_set_dimension rank the U of
-    overlapping sets of rows, so each set is ranked once per Analysis,
-    from the vectors themselves.
-    """
-    if positions not in a._ranks:
-        a._ranks[positions] = gf_rank(
-            a.bd.F, [list(u_element(a, a.rows[k].rep).coeffs)
-                     for k in positions])
-    return a._ranks[positions]
-
-
-def _genk(a: Analysis, P: int):
-    """(row positions, U basis) of the rows whose defect embeds into
-    catalog entry P, checked once to be independent."""
-    if P not in a._genk:
-        embed = a.catalog.embed
-        rows = tuple(r.position for r in a.rows
-                     if embed[r.catalog_index][P])
-        if _span_rank(a, rows) != len(rows):
-            raise InvariantViolated(
-                "defects", f"U elements under catalog entry {P} are "
-                "linearly dependent")
-        a._genk[P] = (rows, tuple(u_element(a, a.rows[k].rep)
-                                  for k in rows))
-    return a._genk[P]
+    return _u_basis(a)[row.position]
 
 
 def genk_basis(a: Analysis, P: int):
     """{U_x : defect of x embeds into catalog entry P}; a basis."""
-    return _genk(a, P)[1]
+    us = _u_basis(a)
+    return tuple(us[k] for k in _rows_under(a, (P,)))
 
 
 def sp_dimension(a: Analysis, P: int) -> int:
     """dim S_P(G) = number of classes with defect isomorphic to P,
-    cross-checked as a rank difference of spanning sets."""
+    cross-checked as a rank difference of spanning sets, each rank the
+    size of a subset of the checked U basis."""
+    _u_basis(a)
     direct = sum(1 for r in a.rows if r.catalog_index == P)
-    upper = genk_basis(a, P)
-    lower = set()
-    for q in sorted(a.catalog.down_set(P).members - {P}):
-        lower.update(_genk(a, q)[0])
-    lower_rank = _span_rank(a, tuple(sorted(lower)))
-    if len(upper) - lower_rank != direct:
+    upper = len(_rows_under(a, (P,)))
+    lower = len(_rows_under(a, a.catalog.down_set(P).members - {P}))
+    if upper - lower != direct:
         raise InvariantViolated(
-            "defects", f"S_P by rank is {len(upper) - lower_rank}, "
+            "defects", f"S_P by rank is {upper - lower}, "
             f"by class count {direct}")
     return direct
 
@@ -384,14 +372,11 @@ def rk_basis_element(bd: BrauerData, s: int) -> RkElement:
 
 def closed_set_dimension(a: Analysis, closed) -> int:
     """dim of the subfunctor attached to a closed catalog subset,
-    evaluated at G: rank of the union of the genk bases over members."""
-    rows = set()
-    for j in closed.sorted_members():
-        rows.update(_genk(a, j)[0])
-    rank = _span_rank(a, tuple(sorted(rows)))
-    expect = sum(1 for r in a.rows
-                 if any(a.catalog.embed[r.catalog_index][j]
-                        for j in closed.members))
+    evaluated at G: rank of the union of the genk bases over members,
+    the size of a subset of the checked U basis."""
+    _u_basis(a)
+    rank = len(_rows_under(a, closed.members))
+    expect = sum(1 for r in a.rows if r.catalog_index in closed.members)
     if rank != expect:
         raise InvariantViolated(
             "defects", f"closed-set span has rank {rank}, class count "

@@ -18,8 +18,6 @@ from .catalog import (
 )
 from .config import default_seed
 from .defects import (
-    _genk,
-    _span_rank,
     cartan_image_basis,
     defect_classification,
     genk_basis,
@@ -148,17 +146,18 @@ def suite_gamma_basis(s, contexts, primes, seed):
 
 
 def suite_genk_basis(s, contexts, primes, seed):
-    """genk vectors are independent for every catalog entry (genk_basis
-    raises InvariantViolated otherwise), and the Sylow entry saturates:
-    its span is all of kR_k(G)."""
+    """genk vectors are independent for every catalog entry (the U of
+    all rows are ranked once, and genk_basis raises InvariantViolated
+    when they are dependent), and the Sylow entry saturates: its basis,
+    ranked here afresh, spans all of kR_k(G)."""
     for spec, a in contexts:
         n = len(a.bd.simples)
         for j in range(len(a.catalog)):
             genk_basis(a, j)
         # the identity class has centralizer G, so its defect is the Sylow
-        rows = _genk(a, a.rows[0].catalog_index)[0]
-        s.expect(f"{spec} p={a.p} saturation",
-                 (len(rows), _span_rank(a, rows)), (n, n))
+        basis = genk_basis(a, a.rows[0].catalog_index)
+        rank = gf_rank(a.bd.F, [list(u.coeffs) for u in basis])
+        s.expect(f"{spec} p={a.p} saturation", (len(basis), rank), (n, n))
 
 
 def suite_sp_dimension(s, contexts, primes, seed):

@@ -9,10 +9,12 @@ exact; there are no tolerances anywhere.
 import pytest
 
 from repring import verify as V
-from repring.defects import rk_basis_element, u_element
+from repring.defects import rk_basis_element
 from repring.errors import InvariantViolated
 from repring.groups import parse_group_spec
 from repring.linalg import Echelon
+
+from test_defects import give_row_the_u_of
 
 SEED = 1
 PRIMES = (2, 3)
@@ -58,12 +60,12 @@ def test_criterion_05_genk_basis(contexts):
     _gate(5, contexts)
 
 
-def test_dependent_genk_basis_fails_the_genk_suite():
+def test_dependent_genk_basis_fails_the_genk_suite(monkeypatch):
     """genk_basis raises on a dependent basis; the suite reports that
     as its one failed check."""
     a = V._analysis(parse_group_spec("S4"), 2, SEED)
     ident_row, three_cycles = a.rows  # defects D8 and 1
-    a._u[ident_row.class_index] = u_element(a, three_cycles.rep)
+    give_row_the_u_of(monkeypatch, ident_row, three_cycles)
     d = V.run_suite(5, [("S4", a)], PRIMES, SEED).as_dict()
     assert d["pass"] is False
     [check] = d["checks"]

@@ -421,6 +421,24 @@ def structure_by_decompose(bd):
         for t in range(n)) for s in range(n))
 
 
+def decompose_by_dense_dot(bd, values):
+    """Every coefficient as one dot over all the entries of values, the
+    zeros included."""
+    return [dot(values, column) for column in zip(*bd._dual)]
+
+
+def decompose_inputs(bd):
+    """The all-zero row, the regular character, the phi rows, and a row
+    non-zero at one class only, for each class, with zeros of conductor
+    bd.m elsewhere: the shape of an induced indicator."""
+    n, zero = len(bd.pregular), Cyc.from_rational(0, bd.m)
+    yield [0] * n
+    yield [bd.G.order] + [0] * (n - 1)
+    yield from bd.phi
+    for k in range(n):
+        yield [bd.Phi[0][k] if i == k else zero for i in range(n)]
+
+
 @pytest.mark.parametrize("spec, p", REFERENCE_CASES)
 def test_brauer_data_matches_reference_routes(spec, p):
     G = parse_group_spec(spec)
@@ -435,6 +453,11 @@ def test_brauer_data_matches_reference_routes(spec, p):
                   key=lambda pair: (pair[0], _phi_sort_key(bd.m, pair[1])))
     assert [tuple(row) for _, row in rows] == list(bd.phi)
     assert bd.structure_constants() == structure_by_decompose(bd)
+    # the sparse decompose gives the dense dot's values and conductors
+    for values in decompose_inputs(bd):
+        got = bd.decompose(values, require_integral=False)
+        assert ([c.to_json() for c in got]
+                == [c.to_json() for c in decompose_by_dense_dot(bd, values)])
 
 
 def linear_only(modules, entry):

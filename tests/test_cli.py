@@ -7,6 +7,7 @@ from fractions import Fraction
 
 import pytest
 
+from repring import catalog
 from repring.brauer import BrauerData
 from repring.cli import main
 from repring.cyclo import Cyc
@@ -270,6 +271,24 @@ def test_lattice_past_the_bundled_orders_is_one_json_error(capsys):
     # the 15 groups of order 81 are not bundled: no 41-set lattice without them
     code, out, err = run_cli(capsys, "lattice", "--p", "3",
                              "--max-order", "81")
+    assert (code, out) == (2, "")
+    error = json.loads(err)["error"]
+    assert (error["module"], error["type"]) == ("catalog", "DatasetMissing")
+
+
+def test_missing_bundled_table_is_one_json_error(capsys, monkeypatch,
+                                                 tmp_path):
+    monkeypatch.setattr(catalog, "_BUNDLED_PATH",
+                        str(tmp_path / "pgroups.json"))
+    cached = (catalog._load_bundled, catalog._cached_catalog)
+    for fn in cached:
+        fn.cache_clear()
+    try:
+        code, out, err = run_cli(capsys, "lattice", "--p", "3")
+    finally:
+        # later tests load the bundled table again, from its own path
+        for fn in cached:
+            fn.cache_clear()
     assert (code, out) == (2, "")
     error = json.loads(err)["error"]
     assert (error["module"], error["type"]) == ("catalog", "DatasetMissing")

@@ -1,12 +1,13 @@
 import json
 import os
+import sys
 from fractions import Fraction
 
 import pytest
 
 from repring import defects, groups
 from repring.brauer import BrauerData, induce_class_function
-from repring.catalog import build_catalog, largest_order
+from repring.catalog import build_catalog, enumerate_closed_sets, largest_order
 from repring.cyclo import Cyc
 from repring.defects import (
     RkElement,
@@ -380,20 +381,54 @@ def test_sp_dimensions_s4_a4():
                      "C4xC2": 0, "C2^3": 0, "D8": 0, "Q8": 0}
 
 
-def test_tampered_u_makes_sp_dimension_raise():
-    """Spans are ranked once per Analysis, but from the U vectors
+def give_row_the_u_of(monkeypatch, row, other):
+    """Patch defects._u_from so that row's representative gets the U of
+    other's: the U of the rows become linearly dependent."""
+    real = defects._u_from
+
+    def tampered(a, x, R):
+        if tuple(x) == row.rep:
+            return real(a, other.rep, other.sylow)
+        return real(a, x, R)
+
+    monkeypatch.setattr(defects, "_u_from", tampered)
+
+
+def test_tampered_u_makes_sp_dimension_raise(monkeypatch):
+    """The U of all rows are ranked once per Analysis, from the vectors
     themselves: a U made equal to another row's fails the check."""
     G = symmetric_group(4)
     clean = analysis(G, 2, CAT2)
     dims = [sp_dimension(clean, j) for j in range(len(CAT2))]
     a = defect_classification(clean.bd, CAT2)
     ident_row, three_cycles = a.rows  # defects D8 and 1
-    a._u[ident_row.class_index] = u_element(a, three_cycles.rep)
     d8 = CAT2.index_of_isomorphic(G.sylow_subgroup(2))
-    with pytest.raises(InvariantViolated):
-        sp_dimension(a, d8)
+    with monkeypatch.context() as m:
+        give_row_the_u_of(m, ident_row, three_cycles)
+        with pytest.raises(InvariantViolated):
+            sp_dimension(a, d8)
     assert [sp_dimension(clean, j) for j in range(len(CAT2))] == dims
     assert dims[d8] == 1
+
+
+def test_u_basis_is_ranked_once_per_analysis(monkeypatch):
+    """Every span of U vectors is a subset of one checked basis: over a
+    report and every closed set, defects ranks the U of each Analysis
+    once, besides the gamma rank inside cartan_image_basis."""
+    calls = []
+    real = defects.gf_rank
+
+    def counted(F, rows):
+        calls.append(sys._getframe(1).f_code.co_name)
+        return real(F, rows)
+
+    monkeypatch.setattr(defects, "gf_rank", counted)
+    analyze_report("S4", 2, max_p_order=8)
+    assert calls == ["cartan_image_basis", "_u_basis"]
+    a = analysis(symmetric_group(4), 2, CAT2)
+    dims = [closed_set_dimension(a, c) for c in enumerate_closed_sets(CAT2)]
+    assert calls == ["cartan_image_basis", "_u_basis", "_u_basis"]
+    assert max(dims) == len(a.rows)
 
 
 @pytest.mark.parametrize("make,p,cat", [
