@@ -79,6 +79,18 @@ def _require(ok, message):
         raise InvariantViolated("brauer", message)
 
 
+def _class_matrix(F, G, mod, x):
+    """mod's matrix at x.  A 1x1 module's generators act by scalars, which
+    commute, so its value is the product of each generator's scalar
+    raised to that generator's letter count in x's word."""
+    if mod.dim > 1:
+        return mod.element_matrix(G, x)
+    word, value = G.words[tuple(x)], 1
+    for t, m in enumerate(mod.mats):
+        value = F.mul(value, F.pow(m[0][0], word.count(t)))
+    return [[value]]
+
+
 def _phi_value(lift, F, mat):
     """Brauer character value: eigenvalues lifted to roots of unity.
 
@@ -144,7 +156,7 @@ class BrauerData:
 
         modules = simple_modules(G, self.F, seed, len(self.pregular))
         rows = [tuple(_phi_value(self.lift, self.F,
-                                 mod.element_matrix(G, x))
+                                 _class_matrix(self.F, G, mod, x))
                       for x in self.class_reps)
                 for mod in modules]
         order = sorted(range(len(modules)),

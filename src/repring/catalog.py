@@ -2,22 +2,29 @@
 
 The catalog lists one permutation group per isomorphism class of
 p-groups of order up to a bound, ordered by group order and then by
-bundled-table position, so that P_i embedding in P_j forces i <= j.
-Every prime's groups of order at most p^2 (1, C_p, C_{p^2}, C_p x C_p)
-are built directly, embeddings included; the bundled table adds those of
-order p^3 and up (8 and 16 at p = 2, 27 at p = 3), checked against the
-known class counts and searched once per pair.  A truncation that would
-need an order past the largest one listed (p times it or more) raises
-DatasetMissing rather than return a catalog that misses groups.
-Closed (downward-closed) subsets of the catalog are the lattice the
-rest of the package evaluates against.
+position, so that P_i embedding in P_j forces i <= j.  Every prime's
+groups of order at most p^3 are built by one construction, with their
+embeddings stated: 1, C_p, C_{p^2}, C_p^2, C_{p^3}, C_{p^2} x C_p and
+C_p^3, then D8 and Q8 at p = 2, or the Heisenberg group He_p and
+C_{p^2}:C_p at odd p (Hoelder, Math. Ann. 43, 1893).  The bundled table
+adds the fourteen groups of order 16, checked against their known count,
+searched once per pair for embeddings and told apart by fingerprint.
+
+An entry holds its label, its order and a builder; its permutation group
+is built only when group(i) or a lookup of that order asks for it, so a
+lattice builds none.  A truncation that would need an order past the
+largest one listed (p times it or more) raises DatasetMissing rather
+than return a catalog that misses groups.  Closed (downward-closed)
+subsets of the catalog are the lattice the rest of the package
+evaluates against.
 """
 
 import functools
 import json
 import os
+from typing import Callable, NamedTuple
 
-from .config import CLOSED_SET_ENTRY_BOUND
+from .config import CLOSED_SET_ENTRY_BOUND, default_max_order
 from .errors import (
     CatalogMismatch,
     DatasetMissing,
@@ -28,16 +35,19 @@ from .gf import _is_prime
 from .groups import (
     PermGroup,
     _fingerprint,
+    affine_group,
     cyclic_group,
+    dihedral_group,
     direct_product,
     embeds_into,
-    is_isomorphic,
+    heisenberg_group,
+    quaternion_group,
     trivial_group,
 )
 
-# counts of isomorphism classes of order p^3 and up; the bundled table
-# must reproduce them, and an order it lists must have an entry here
-KNOWN_COUNTS = {(2, 8): 5, (2, 16): 14, (3, 27): 5}
+# counts of isomorphism classes past order p^3; the bundled table must
+# reproduce them, and an order it lists must have an entry here
+KNOWN_COUNTS = {(2, 16): 14}
 
 
 _BUNDLED_PATH = os.path.join(os.path.dirname(os.path.abspath(__file__)),
@@ -54,52 +64,82 @@ def _load_bundled():
     return json.loads(text)
 
 
+class Entry(NamedTuple):
+    """A catalog entry; group() builds its group on the first call."""
+    label: str
+    order: int
+    group: Callable[[], PermGroup]
+
+
+def _entry(label, order, build):
+    return Entry(label, order, functools.cache(build))
+
+
 def _entries_from_dataset(dataset, p, max_order):
-    """(label, group) for p's rows up to max_order, by order and then by
-    position in the dataset."""
+    """p's rows up to max_order, by order and then by position in the
+    dataset."""
     rows = sorted((row for row in dataset
                    if row["p"] == p and row["order"] <= max_order),
                   key=lambda row: row["order"])
-    return [(row["label"],
-             PermGroup(row["degree"],
+    return [_entry(row["label"], row["order"],
+                   lambda row=row: PermGroup(
+                       row["degree"],
                        [[v - 1 for v in g] for g in row["generators"]],
                        name=row["label"]))
             for row in rows]
 
 
 def largest_order(p, dataset=None):
-    """The largest order of a p-group the catalog can list at p: the
-    largest bundled order for p (from dataset, the bundled table by
-    default), or p^2 for a prime with no bundled rows."""
+    """The largest order of a p-group the catalog can list at p: p^3, or
+    the largest order dataset (the bundled table by default) lists for p
+    if that is larger."""
     if dataset is None:
         dataset = _load_bundled()
-    return max((row["order"] for row in dataset if row["p"] == p),
-               default=p * p)
+    return max([p ** 3] + [row["order"] for row in dataset if row["p"] == p])
 
 
-def _entries_up_to_p_squared(p, max_order):
-    """Every p-group of order at most min(max_order, p^2): 1, C_p,
-    C_{p^2} and C_p x C_p, in catalog order, and their embedding matrix,
-    known by construction: 1 < C_p < C_{p^2} and C_p < C_p^2."""
+def _entries_up_to_p_cubed(p, max_order):
+    """Every p-group of order at most min(max_order, p^3), in catalog
+    order, and their embedding matrix, known by construction.  1 and C_p
+    embed in every later entry, and an entry of order p^3 contains the
+    groups of order p^2 it lists: C_{p^3} and Q8 only C_{p^2}, C_p^3 and
+    He_p only C_p^2, the others both."""
     if not _is_prime(p):
         raise DatasetMissing(f"no entries for p={p} in dataset")
-    entries = [("1", trivial_group())] if max_order >= 1 else []
-    if max_order >= p:
-        entries.append((f"C{p}", cyclic_group(p)))
-    if max_order >= p * p:
-        entries.append((f"C{p * p}", cyclic_group(p * p)))
-        entries.append((f"C{p}^2", direct_product(cyclic_group(p),
-                                                  cyclic_group(p))))
-    n = len(entries)
-    return entries, [[i == j or i < min(j, 2) for j in range(n)]
-                     for i in range(n)]
+    C, q, r = cyclic_group, p * p, p ** 3
+    cyclic, elementary = 2, 3  # the positions of C_{p^2} and C_p^2
+    specs = [
+        ("1", 1, trivial_group, ()),
+        (f"C{p}", p, lambda: C(p), ()),
+        (f"C{q}", q, lambda: C(q), ()),
+        (f"C{p}^2", q, lambda: direct_product(C(p), C(p)), ()),
+        (f"C{r}", r, lambda: C(r), (cyclic,)),
+        (f"C{q}xC{p}", r, lambda: direct_product(C(q), C(p)),
+         (cyclic, elementary)),
+        (f"C{p}^3", r,
+         lambda: direct_product(direct_product(C(p), C(p)), C(p)),
+         (elementary,)),
+    ]
+    if p == 2:
+        specs += [("D8", r, lambda: dihedral_group(8), (cyclic, elementary)),
+                  ("Q8", r, quaternion_group, (cyclic,))]
+    else:
+        specs += [(f"He{p}", r, lambda: heisenberg_group(p), (elementary,)),
+                  (f"C{q}:C{p}", r,
+                   lambda: affine_group(q, [(1, 1), (1 + p, 0)]),
+                   (cyclic, elementary))]
+    specs = [spec for spec in specs if spec[1] <= max_order]
+    entries = [_entry(label, order, build) for label, order, build, _ in specs]
+    return entries, [[i == j or (i < j and (i <= 1 or i in specs[j][3]))
+                      for j in range(len(specs))]
+                     for i in range(len(specs))]
 
 
 class PGroupCatalog:
     def __init__(self, p, max_order, entries, embed):
         self.p = p
         self.max_order = max_order
-        self.entries = entries  # list of (label, PermGroup)
+        self.entries = entries  # list of Entry
         self.embed = embed      # embed[i][j] <=> entries[i] embeds in entries[j]
         self._down_sets = None
 
@@ -107,35 +147,30 @@ class PGroupCatalog:
         return len(self.entries)
 
     def label(self, i) -> str:
-        return self.entries[i][0]
+        return self.entries[i].label
 
     def group(self, i) -> PermGroup:
-        return self.entries[i][1]
+        return self.entries[i].group()
 
     @property
     def labels(self):
-        return [label for label, _ in self.entries]
+        return [entry.label for entry in self.entries]
 
     def key(self):
         return (self.p, self.max_order, tuple(self.labels))
 
     def index_of_isomorphic(self, P: PermGroup):
         """Catalog index of P's isomorphism class, or None if absent.
-        The catalog lists every p-group of order at most max_order, and a
-        group with a p-group's element orders is a p-group, so an entry
-        whose fingerprint no other entry shares is P's class.  Of a tie,
-        the entry that is P itself (the same degree and elements) is
-        taken at once; only a tie with no such entry is left to the
-        search."""
-        same = [i for i, (_, G) in enumerate(self.entries)
-                if G.order == P.order and _fingerprint(G) == _fingerprint(P)]
-        if len(same) == 1:
-            return same[0]
-        key = P.key()
-        for i in same:
-            if self.group(i).key() == key:
-                return i
-        return next((i for i in same if is_isomorphic(P, self.group(i))),
+        The catalog lists every p-group of order at most max_order, and
+        no two entries of one order share a fingerprint, so the entry
+        with P's fingerprint is P's class.  Only the entries of P's order
+        are built, up to that one."""
+        same = [i for i, entry in enumerate(self.entries)
+                if entry.order == P.order]
+        if not same:
+            return None
+        fp = _fingerprint(P)
+        return next((i for i in same if _fingerprint(self.group(i)) == fp),
                     None)
 
     def down_set(self, j) -> "ClosedSet":
@@ -159,13 +194,14 @@ class PGroupCatalog:
 
 def _validated_embedding(p, max_order, entries, embed, bundled):
     """The embedding matrix of entries + bundled, given entries' own, once
-    the bundled rows check: their orders are the powers of p in [p^3,
-    max_order], as many of each as KNOWN_COUNTS lists, and one search per
-    pair (i, j) with j bundled finds an embedding below j's order or, at
-    equal order, an isomorphism: a duplicate class."""
-    counts, expected, order = {}, {}, p ** 3
-    for _, G in bundled:
-        counts[G.order] = counts.get(G.order, 0) + 1
+    the bundled rows check: their orders are the powers of p in (p^3,
+    max_order], as many of each as KNOWN_COUNTS lists, no two of one
+    order share a fingerprint (so no class is listed twice), and one
+    search per pair (i, j) with j bundled and i of smaller order decides
+    whether i embeds in j."""
+    counts, expected, order = {}, {}, p ** 4
+    for entry in bundled:
+        counts[entry.order] = counts.get(entry.order, 0) + 1
     while order <= max_order:
         expected[order] = KNOWN_COUNTS.get((p, order))
         order *= p
@@ -177,21 +213,23 @@ def _validated_embedding(p, max_order, entries, embed, bundled):
     embed = [row + [False] * len(bundled) for row in embed]
     embed += [[i == j for j in range(n)] for i in range(len(entries), n)]
     for j in range(len(entries), n):
-        label_j, Q = everything[j]
-        for i, (label_i, P) in enumerate(everything[:j]):
+        Q = everything[j].group()
+        for i, entry in enumerate(everything[:j]):
+            P = entry.group()
             if P.order < Q.order:
                 embed[i][j] = embeds_into(P, Q)
-            elif is_isomorphic(P, Q):
+            elif _fingerprint(P) == _fingerprint(Q):
                 raise ValidationFailed(
-                    f"duplicate isomorphism class: {label_i} and {label_j}")
+                    f"duplicate isomorphism class: {entry.label} and "
+                    f"{everything[j].label} share a fingerprint")
     return embed
 
 
 def build_catalog(p: int, max_order: int = None) -> PGroupCatalog:
-    """Validated catalog from the bundled table; cached per (p, max_order),
-    with max_order None meaning largest_order(p)."""
+    """Validated catalog; cached per (p, max_order), with max_order None
+    meaning config.default_max_order(p)."""
     if max_order is None:
-        max_order = largest_order(p)
+        max_order = default_max_order(p)
     return _cached_catalog(p, max_order)
 
 
@@ -208,7 +246,7 @@ def catalog_from_dataset(p, max_order, dataset) -> PGroupCatalog:
         raise DatasetMissing(
             f"the groups of order {p * top} are not in the catalog for "
             f"p={p}: max_order must be below {p * top}")
-    entries, embed = _entries_up_to_p_squared(p, max_order)
+    entries, embed = _entries_up_to_p_cubed(p, max_order)
     bundled = _entries_from_dataset(dataset, p, max_order)
     embed = _validated_embedding(p, max_order, entries, embed, bundled)
     return PGroupCatalog(p, max_order, entries + bundled, embed)
@@ -272,7 +310,7 @@ def is_completely_prime(C: ClosedSet) -> bool:
 
 def enumerate_closed_sets(cat: PGroupCatalog):
     """Every downward-closed subset, in a deterministic order."""
-    n = len(cat.entries)
+    n = len(cat)
     if n > CLOSED_SET_ENTRY_BOUND:
         raise EnumerationBoundExceeded(
             f"{n} catalog entries exceed enumeration bound {CLOSED_SET_ENTRY_BOUND}")

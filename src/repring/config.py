@@ -5,9 +5,9 @@ flows from an explicit integer seed, so identical seeds give identical
 runs.  ``REPRING_SEED`` in the environment overrides the built-in
 default; explicit function/CLI arguments override both.
 
-The p-group catalog's default truncation is not set here: it is
-``catalog.largest_order(p)``, the largest order the bundled table lists
-for p, or p^2 for a prime it does not list.
+The p-group catalog's default truncation is ``default_max_order(p)``.
+It is not the catalog's limit: an explicit truncation may go up to, but
+not including, p times ``catalog.largest_order(p)``.
 """
 
 import os
@@ -25,6 +25,10 @@ FIELD_ORDER_BOUND = 2 ** 20
 
 # isomorphism / embedding backtracking bound
 ISO_ORDER_BOUND = 256
+
+# the p-group catalog's default truncation at p = 2 and 3; p^2 at the
+# other primes
+DEFAULT_MAX_ORDER = {2: 16, 3: 27}
 
 # closed-set enumeration refuses catalogs with more entries than this
 CLOSED_SET_ENTRY_BOUND = 20
@@ -44,3 +48,8 @@ def default_seed() -> int:
         return int(raw)
     except ValueError:
         raise InvalidSeed(f"{SEED_ENV}={raw!r} is not an integer") from None
+
+
+def default_max_order(p: int) -> int:
+    """The p-group catalog's default truncation at p."""
+    return DEFAULT_MAX_ORDER.get(p, p * p)

@@ -320,16 +320,25 @@ class Cyc:
 
     __hash__ = None
 
+    def _lowest_terms(self):
+        """(numerator, denominator) of each coordinate num[i]/den in lowest
+        terms, as Fraction would give them (0 is 0/1)."""
+        den, out = self.den, []
+        for c in self.num:
+            g = math.gcd(c, den)
+            out.append((c // g, den // g))
+        return out
+
     def key(self):
         """Deterministic sort key; values must share a conductor to be compared."""
-        return (self.m,) + tuple((c.numerator, c.denominator) for c in self.coeffs)
+        return (self.m,) + tuple(self._lowest_terms())
 
     def to_json(self):
-        coeffs = self.coeffs
+        pairs = self._lowest_terms()
         return {
             "conductor": self.m,
-            "num": [c.numerator for c in coeffs],
-            "den": [c.denominator for c in coeffs],
+            "num": [n for n, _ in pairs],
+            "den": [d for _, d in pairs],
         }
 
     def __repr__(self):

@@ -12,10 +12,12 @@ element order of each class is computed once, for that sort, and kept
 (class_orders).
 
 A group offers what an analysis uses: classes, centralizers, Sylow
-subgroups, and isomorphism and embedding tests.  There is no quotient,
-normality test or center, since U is read off the projective
-characters (defects._u_from); the quotient route that checks it lives
-in tests/group_reference.py.
+subgroups, an isomorphism fingerprint and an embedding test.  There is
+no quotient, normality test, center or isomorphism search: U is read
+off the projective characters (defects._u_from), and the p-group
+catalog tells its classes apart by fingerprint.  The quotient route
+that checks U and the isomorphism test built on embeds_into live in
+tests/group_reference.py.
 
 Classes, centralizers and Sylow subgroups cost no loop over pairs of
 elements.  Orbit and closure methods follow Holt, Eick and O'Brien,
@@ -28,16 +30,17 @@ log2 of its order elements, not from all of its elements.  Where the
 group already gives the answer no search runs: the centralizer of a
 central element is G, and a p-group is its own Sylow p-subgroup.
 
-Isomorphism and embedding tests work on element indices.  A group that
-takes part in a search (at most ISO_ORDER_BOUND elements) builds, once,
-a Cayley table over ``elements`` with its element orders and greedy
-generating sequence; the backtracking search then does integer lookups
-only.  The isomorphism fingerprint (sorted element orders and sorted
-class sizes) needs no table, so it decides catalog lookups at any order.
+The embedding test works on element indices.  A group that takes part
+in a search (at most ISO_ORDER_BOUND elements) builds, once, a Cayley
+table over ``elements`` with its element orders and greedy generating
+sequence; the backtracking search then does integer lookups only.  The
+isomorphism fingerprint (sorted element orders, class sizes and p-th
+root counts) needs no table, so it decides catalog lookups at any order.
 
-The named builders (cyclic, dihedral, symmetric, alternating, direct
-product) and product specs of named groups know their group's order, and
-raise OrderBoundExceeded past ORDER_BOUND before building any permutation.
+The named builders (cyclic, dihedral, symmetric, alternating,
+Heisenberg, direct product) and product specs of named groups know their
+group's order, and raise OrderBoundExceeded past ORDER_BOUND before
+building any permutation.
 """
 
 import json
@@ -78,6 +81,21 @@ def perm_order(a):
         if k:
             out = lcm(out, k)
     return out
+
+
+def _perm_power(a, k):
+    """a^k, read off the cycles of a."""
+    out = list(a)
+    seen = [False] * len(a)
+    for start in range(len(a)):
+        cycle, i = [], start
+        while not seen[i]:
+            seen[i] = True
+            cycle.append(i)
+            i = a[i]
+        for t, i in enumerate(cycle):
+            out[i] = cycle[(t + k) % len(cycle)]
+    return tuple(out)
 
 
 def _adjoin(span, gens, x, bound):
@@ -408,6 +426,23 @@ def quaternion_group() -> PermGroup:
     return PermGroup(8, [_QUAT_I, _QUAT_J], name="Q8")
 
 
+def affine_group(n: int, pairs) -> PermGroup:
+    """The subgroup of Sym(Z_n) generated by the maps x -> a*x + b, one
+    per (a, b) in pairs."""
+    return PermGroup(n, [tuple((a * x + b) % n for x in range(n))
+                         for a, b in pairs])
+
+
+def heisenberg_group(p: int) -> PermGroup:
+    """The Heisenberg group of order p^3 (exponent p for odd p), as the
+    affine maps (u, v) -> (u + 1, v) and (u, v) -> (u, v + u) of the p^2
+    points (u, v) = p*u + v."""
+    _check_order(p ** 3)
+    shift = tuple(p * ((u + 1) % p) + v for u in range(p) for v in range(p))
+    shear = tuple(p * u + (v + u) % p for u in range(p) for v in range(p))
+    return PermGroup(p * p, [shift, shear], name=f"He{p}")
+
+
 def direct_product(a: PermGroup, b: PermGroup, name: str = None) -> PermGroup:
     _check_order(a.order * b.order)
     da, db = a.degree, b.degree
@@ -566,14 +601,22 @@ def _cayley(G: PermGroup) -> CayleyTable:
 
 
 def _fingerprint(G: PermGroup):
-    """G's sorted element orders and sorted class sizes.  Isomorphic
-    groups share them, and they fix the order, the exponent, the number
-    of classes and the order of the center (the classes of size 1)."""
+    """G's sorted element orders, sorted class sizes and sorted counts of
+    p-th roots (how many h have h^p = g, for each g), with p the smallest
+    prime dividing |G|.  Isomorphic groups share them, and they fix the
+    order, the exponent, the number of classes and the order of the
+    center (the classes of size 1).  No two catalog entries of one order
+    share one."""
     if G._fp is None:
         classes = G.conjugacy_classes()
+        p = next((q for q in range(2, G.order + 1) if G.order % q == 0), 2)
+        roots = dict.fromkeys(G.elements, 0)
+        for x in G.elements:
+            roots[_perm_power(x, p)] += 1
         G._fp = (tuple(sorted(o for o, c in zip(G.class_orders(), classes)
                               for _ in c)),
-                 tuple(sorted(map(len, classes))))
+                 tuple(sorted(map(len, classes))),
+                 tuple(sorted(roots.values())))
     return G._fp
 
 
@@ -630,26 +673,17 @@ def _search_embedding(P: PermGroup, Q: PermGroup) -> bool:
     return backtrack(0, [])
 
 
-def is_isomorphic(G: PermGroup, H: PermGroup) -> bool:
-    if G.order != H.order:
-        return False
-    if G.order > ISO_ORDER_BOUND:
-        raise OrderBoundExceeded(
-            f"isomorphism test beyond bound {ISO_ORDER_BOUND}")
-    if _fingerprint(G) != _fingerprint(H):
-        return False
-    return _search_embedding(G, H)
-
-
 def embeds_into(P: PermGroup, Q: PermGroup) -> bool:
-    """Is P isomorphic to some subgroup of Q?"""
+    """Is P isomorphic to some subgroup of Q (to Q itself, at equal
+    orders)?"""
     if Q.order % P.order:
         return False
-    if P.order == Q.order:
-        return is_isomorphic(P, Q)
     if Q.order > ISO_ORDER_BOUND:
         raise OrderBoundExceeded(
             f"embedding test beyond bound {ISO_ORDER_BOUND}")
-    if not _cayley(P).by_order.keys() <= _cayley(Q).by_order.keys():
+    if P.order == Q.order:
+        if _fingerprint(P) != _fingerprint(Q):
+            return False
+    elif not _cayley(P).by_order.keys() <= _cayley(Q).by_order.keys():
         return False
     return _search_embedding(P, Q)

@@ -160,7 +160,7 @@ def lattice_report(p: int, max_order=None) -> dict:
         "entries": [{
             "index": j,
             "label": catalog.label(j),
-            "order": catalog.group(j).order,
+            "order": catalog.entries[j].order,
         } for j in range(len(catalog))],
         "embedding": [[1 if catalog.embed[i][j] else 0
                        for j in range(len(catalog))]

@@ -14,9 +14,8 @@ from .catalog import (
     build_catalog,
     enumerate_closed_sets,
     is_completely_prime,
-    largest_order,
 )
-from .config import default_seed
+from .config import default_max_order, default_seed
 from .defects import (
     cartan_image_basis,
     defect_classification,
@@ -172,9 +171,9 @@ def suite_sp_dimension(s, contexts, primes, seed):
 def suite_pgroup_indicator(s, contexts, primes, seed):
     """S_P evaluated on a p-group Q is one dimensional when P is the
     isomorphism type of Q and zero otherwise.  It runs on the default
-    catalog at the primes whose catalog lists order p^3."""
+    catalog at the primes whose default catalog lists order p^3."""
     for p in primes:
-        if largest_order(p) < p ** 3:
+        if default_max_order(p) < p ** 3:
             continue
         cat = build_catalog(p)
         for qi in range(len(cat)):
@@ -194,7 +193,7 @@ def suite_closed_set_lattice(s, contexts, primes, seed):
         s.expect(f"p={p} order<=p^2 count",
                  len(enumerate_closed_sets(small)), 6)
         orders = [p * p]
-        if largest_order(p) >= p ** 3:  # the catalog lists order p^3
+        if default_max_order(p) >= p ** 3:  # the default lists order p^3
             orders.append(p ** 3)
         for mo in orders:
             cat = build_catalog(p, mo)

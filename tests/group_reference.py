@@ -1,20 +1,33 @@
-"""Quotients, centers and exponents of permutation groups.
+"""Quotients, centers, exponents and isomorphism of permutation groups.
 
 No analysis needs these: U is read off the projective characters, with
-no quotient group.  They stay here as the reference route that
-tests/test_defects.py checks U and the inflated Brauer rows against,
-and as the structure checks and the C4oD8 construction of
+no quotient group, and the p-group catalog tells its classes apart by
+fingerprint, with no isomorphism search.  They stay here as the
+reference route that tests/test_defects.py checks U and the inflated
+Brauer rows against, as the oracle the catalog tests check lookups
+against, and as the structure checks and the C4oD8 construction of
 scripts/make_pgroup_data.py.
 """
 
 from math import lcm
 
 from repring.errors import NotSubgroup
-from repring.groups import PermGroup, perm_inv, perm_mul, perm_order
+from repring.groups import (
+    PermGroup,
+    embeds_into,
+    perm_inv,
+    perm_mul,
+    perm_order,
+)
 
 
 class NotNormal(ValueError):
     """A quotient by a subgroup that is not normal."""
+
+
+def is_isomorphic(G: PermGroup, H: PermGroup) -> bool:
+    """G and H of one order, and G embeds in H: an isomorphism."""
+    return G.order == H.order and embeds_into(G, H)
 
 
 def exponent(G: PermGroup) -> int:

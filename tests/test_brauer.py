@@ -7,6 +7,7 @@ from repring import brauer
 from repring.brauer import (
     BrauerData,
     _block_idempotents,
+    _class_matrix,
     _phi_sort_key,
     _phi_value,
     _regular_algebra,
@@ -32,6 +33,7 @@ from repring.groups import (
     dihedral_group,
     direct_product,
     parse_group_spec,
+    perm_mul,
     quaternion_group,
     symmetric_group,
 )
@@ -312,6 +314,26 @@ def test_phi_by_division_matches_factoring(spec, p):
             want = dot([mult for _, mult in factors],
                        [bd.lift.lift(bd.F.neg(g[0])) for g, _ in factors])
             assert _phi_value(bd.lift, bd.F, mat) == want == value
+
+
+ABELIAN_GOLDEN = [
+    (spec, p) for spec, p in GOLDEN_ANALYZE
+    if all(perm_mul(a, b) == perm_mul(b, a)
+           for G in [parse_group_spec(spec)] for a in G.gens for b in G.gens)]
+
+
+@pytest.mark.parametrize("spec, p", ABELIAN_GOLDEN)
+def test_linear_simple_scalar_matches_word_product(spec, p):
+    """A 1x1 module's value at x, the product of its generators' scalars
+    raised to their letter counts in x's word, is the word product of
+    its generator matrices, at every element of every abelian golden
+    group (all of whose simples are linear)."""
+    bd = BrauerData(parse_group_spec(spec), p, seed=1)
+    for s in bd.simples:
+        assert s.dim == 1
+        for x in bd.G.elements:
+            assert (_class_matrix(bd.F, bd.G, s.module, x)
+                    == s.module.element_matrix(bd.G, x))
 
 
 def test_nonsplit_charpoly_raises():

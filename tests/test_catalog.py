@@ -29,6 +29,7 @@ from repring.groups import (
     quaternion_group,
     symmetric_group,
 )
+from repring.report import lattice_report
 
 # the embedding matrix of 1, C_p, C_{p^2}, C_p^2
 P_SQUARED_EMBED = [
@@ -62,17 +63,19 @@ def test_catalog_cache_key_normalizes_default_order():
 
 
 def test_catalog_missing_prime():
-    # no bundled rows for p = 7: every 7-group of order at most 49 is built
+    # no bundled rows for p = 7: every 7-group of order at most 7^3 is built
     assert build_catalog(7, 7).labels == ["1", "C7"]
     assert build_catalog(7, 7).embed == [[True, True], [False, True]]
     cat = build_catalog(7)
     assert cat.labels == ["1", "C7", "C49", "C7^2"]
     assert [[int(e) for e in row] for row in cat.embed] == P_SQUARED_EMBED
     # the stated embeddings agree with the search, which is in range here
-    assert cat.embed == [[embeds_into(P, Q) for _, Q in cat.entries]
-                         for _, P in cat.entries]
+    groups = [cat.group(i) for i in range(len(cat))]
+    assert cat.embed == [[embeds_into(P, Q) for Q in groups] for P in groups]
+    assert build_catalog(7, 343).labels[4:] == [
+        "C343", "C49xC7", "C7^3", "He7", "C49:C7"]
     with pytest.raises(DatasetMissing):
-        build_catalog(7, 343)  # order 7^3 would need the groups of order 343
+        build_catalog(7, 2401)  # order 7^4 would need the groups of order 2401
     with pytest.raises(DatasetMissing):
         build_catalog(4)  # not a prime
     # C289 and C17^2 are past ISO_ORDER_BOUND, but their embeddings are
@@ -82,7 +85,7 @@ def test_catalog_missing_prime():
     assert [[int(e) for e in row] for row in cat.embed] == P_SQUARED_EMBED
 
 
-@pytest.mark.parametrize("p,top", [(2, 16), (3, 27), (5, 25), (7, 49)])
+@pytest.mark.parametrize("p,top", [(2, 16), (3, 27), (5, 125), (7, 343)])
 def test_catalog_stops_below_p_times_largest_order(p, top):
     """A truncation that would need an order past the largest listed one
     is an error, not a catalog silently missing those groups."""
@@ -260,34 +263,35 @@ def test_index_of_isomorphic():
 
 
 def test_validation_catches_corruption():
-    # the bundled rows of order 8 on top of the generated 1, C2, C4, C2^2
-    rows = [row for row in _load_bundled() if row["order"] == 8]
-    cat = catalog_from_dataset(2, 8, rows)
-    assert cat.labels == build_catalog(2, 8).labels
-    assert cat.embed == build_catalog(2, 8).embed
+    # the bundled rows of order 16 on top of the generated orders <= 8
+    rows = _load_bundled()
+    cat = catalog_from_dataset(2, 16, rows)
+    assert cat.labels == build_catalog(2, 16).labels
+    assert cat.embed == build_catalog(2, 16).embed
 
-    # the counts per order are right, so the embedding pass rejects it
-    dup = rows[:4] + [{"p": 2, "order": 8, "label": "C8again", "degree": 8,
-                       "generators": [[8, 1, 2, 3, 4, 5, 6, 7]]}]
+    # the count per order is right, so the fingerprint check rejects it
+    dup = rows[:13] + [{"p": 2, "order": 16, "label": "C16again",
+                        "degree": 16,
+                        "generators": [list(range(2, 17)) + [1]]}]
     with pytest.raises(ValidationFailed, match="duplicate isomorphism class"):
-        catalog_from_dataset(2, 8, dup)
+        catalog_from_dataset(2, 16, dup)
 
-    with pytest.raises(ValidationFailed, match="{8: 4}, expected {8: 5}"):
-        catalog_from_dataset(2, 8, rows[:4])
+    with pytest.raises(ValidationFailed, match="{16: 13}, expected {16: 14}"):
+        catalog_from_dataset(2, 16, rows[:13])
 
-    # orders below p^3 are generated, and 6 is no power of 2
-    for extra in ({"p": 2, "order": 4, "label": "C4", "degree": 4,
-                   "generators": [[2, 3, 4, 1]]},
+    # orders up to p^3 are generated, and 6 is no power of 2
+    for extra in ({"p": 2, "order": 8, "label": "C8", "degree": 8,
+                   "generators": [[2, 3, 4, 5, 6, 7, 8, 1]]},
                   {"p": 2, "order": 6, "label": "C6", "degree": 6,
                    "generators": [[2, 3, 4, 5, 6, 1]]}):
         with pytest.raises(ValidationFailed, match="entries per order"):
-            catalog_from_dataset(2, 8, rows + [extra])
+            catalog_from_dataset(2, 16, rows + [extra])
 
     # a bundled order needs a known count, or completeness is unchecked
-    c125 = {"p": 5, "order": 125, "label": "C125", "degree": 125,
-            "generators": [list(range(2, 126)) + [1]]}
-    with pytest.raises(ValidationFailed, match="expected {125: None}"):
-        catalog_from_dataset(5, 125, [c125])
+    c625 = {"p": 5, "order": 625, "label": "C625", "degree": 625,
+            "generators": [list(range(2, 626)) + [1]]}
+    with pytest.raises(ValidationFailed, match="expected {625: None}"):
+        catalog_from_dataset(5, 625, [c625])
 
 
 def test_catalog_below_order_1_is_empty():
@@ -315,9 +319,21 @@ def test_lookup_by_unique_fingerprint_runs_no_search(monkeypatch):
         assert P._table is None
 
 
-def test_tied_fingerprints_resolve_to_their_own_label():
+# the order-16 pairs that element orders and class sizes alone do not
+# tell apart; the counts of square roots do
+TIED_BEFORE_ROOT_COUNTS = [("C2^2:C4", "C4oD8"), ("C4:C4", "Q8xC2")]
+
+
+def test_tied_fingerprints_resolve_to_their_own_label(monkeypatch):
+    """Fresh copies of the order-16 rows that element orders and class
+    sizes tie are told apart by their square-root counts, with no
+    search."""
+    def no_search(P, Q):
+        raise AssertionError("search run")
+
     rows = {row["label"]: row for row in _load_bundled()}
     cat = build_catalog(2, 16)
+    monkeypatch.setattr("repring.groups._search_embedding", no_search)
     for label in ("C2^2:C4", "C4oD8", "C4:C4", "Q8xC2"):
         row = rows[label]
         # a fresh copy of the row, so the catalog entry's caches are unused
@@ -327,8 +343,9 @@ def test_tied_fingerprints_resolve_to_their_own_label():
 
 
 def test_tied_catalog_entries_resolve_without_a_search(monkeypatch):
-    """An entry looked up by itself is found by its key, as verify's
-    p-group indicator suite looks up each entry of the catalog."""
+    """An entry looked up by itself is found by its fingerprint, as
+    verify's p-group indicator suite looks up each entry of the
+    catalog."""
     def no_search(P, Q):
         raise AssertionError("search run")
 
@@ -339,18 +356,82 @@ def test_tied_catalog_entries_resolve_without_a_search(monkeypatch):
         assert cat.index_of_isomorphic(cat.group(i)) == i
 
 
-def test_fingerprint_leaves_two_pairs_to_the_search():
-    """Sorted element orders and class sizes separate every pair of
-    catalog classes of equal order but two."""
-    tied = []
-    for p in (2, 3, 5):
-        cat = build_catalog(p)
-        for j in range(len(cat)):
-            for i in range(j):
-                P, Q = cat.group(i), cat.group(j)
-                if P.order == Q.order and _fingerprint(P) == _fingerprint(Q):
-                    tied.append((cat.label(i), cat.label(j)))
-    assert sorted(tied) == [("C2^2:C4", "C4oD8"), ("C4:C4", "Q8xC2")]
+def test_fingerprint_separates_every_catalog_class():
+    """No two entries of one order share a fingerprint, in the default
+    catalogs and up to order p^3 at p = 2, 3, 5 and 7; without the
+    p-th-root counts, element orders and class sizes would tie two pairs
+    of order 16."""
+    for p in (2, 3, 5, 7):
+        for max_order in (None, p ** 3):
+            cat = build_catalog(p, max_order)
+            seen = {}
+            for i in range(len(cat)):
+                G = cat.group(i)
+                key = (G.order, _fingerprint(G))
+                assert key not in seen, (seen.get(key), cat.label(i))
+                seen[key] = cat.label(i)
+    cat = build_catalog(2)
+    for a, b in TIED_BEFORE_ROOT_COUNTS:
+        P, Q = (cat.group(cat.labels.index(x)) for x in (a, b))
+        assert _fingerprint(P)[:2] == _fingerprint(Q)[:2]
+        assert _fingerprint(P) != _fingerprint(Q)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_stated_order_p_cubed_embeddings_match_the_search(p):
+    """The embeddings stated for the generated groups of order at most
+    p^3 are the ones embeds_into finds."""
+    cat = build_catalog(p, p ** 3)
+    assert len(cat) == 9
+    groups = [cat.group(i) for i in range(len(cat))]
+    assert cat.embed == [[embeds_into(P, Q) for Q in groups] for P in groups]
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_generated_order_p_cubed_groups_match_the_former_rows(p):
+    """At p = 2 and 3 the builder gives the degrees and generators of the
+    rows of order p^3 the bundled table used to hold."""
+    former = {
+        2: [("C8", 8, [[2, 3, 4, 5, 6, 7, 8, 1]]),
+            ("C4xC2", 6, [[2, 3, 4, 1, 5, 6], [1, 2, 3, 4, 6, 5]]),
+            ("C2^3", 6, [[2, 1, 3, 4, 5, 6], [1, 2, 4, 3, 5, 6],
+                         [1, 2, 3, 4, 6, 5]]),
+            ("D8", 4, [[2, 3, 4, 1], [1, 4, 3, 2]]),
+            ("Q8", 8, [[3, 4, 2, 1, 8, 7, 5, 6], [5, 6, 7, 8, 2, 1, 4, 3]])],
+        3: [("C27", 27, [list(range(2, 28)) + [1]]),
+            ("C9xC3", 12, [[2, 3, 4, 5, 6, 7, 8, 9, 1, 10, 11, 12],
+                           [1, 2, 3, 4, 5, 6, 7, 8, 9, 11, 12, 10]]),
+            ("C3^3", 9, [[2, 3, 1, 4, 5, 6, 7, 8, 9],
+                         [1, 2, 3, 5, 6, 4, 7, 8, 9],
+                         [1, 2, 3, 4, 5, 6, 8, 9, 7]]),
+            ("He3", 9, [[4, 5, 6, 7, 8, 9, 1, 2, 3],
+                        [1, 2, 3, 5, 6, 4, 9, 7, 8]]),
+            ("C9:C3", 9, [[2, 3, 4, 5, 6, 7, 8, 9, 1],
+                          [1, 5, 9, 4, 8, 3, 7, 2, 6]])],
+    }[p]
+    cat = build_catalog(p, p ** 3)
+    for i, (label, degree, gens) in enumerate(former, start=4):
+        G = cat.group(i)
+        assert (cat.label(i), G.degree) == (label, degree)
+        assert [[v + 1 for v in g] for g in G.gens] == gens
+
+
+def test_lattice_builds_no_group(monkeypatch):
+    """A lattice reads labels, orders and stated embeddings only: at
+    p = 71 it builds no permutation group, not even C_{p^2} on p^2
+    points."""
+    built = []
+    real = PermGroup.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(1)
+        real(self, *args, **kwargs)
+
+    _cached_catalog.cache_clear()
+    monkeypatch.setattr(PermGroup, "__init__", counted)
+    report = lattice_report(71)
+    assert [e["order"] for e in report["entries"]] == [1, 71, 5041, 5041]
+    assert built == []
 
 
 def test_catalog_deterministic():
@@ -358,4 +439,5 @@ def test_catalog_deterministic():
     b = _cached_catalog.__wrapped__(2, 8)
     assert a.labels == b.labels
     assert a.embed == b.embed
-    assert [g.elements for _, g in a.entries] == [g.elements for _, g in b.entries]
+    assert ([a.group(i).elements for i in range(len(a))]
+            == [b.group(i).elements for i in range(len(b))])

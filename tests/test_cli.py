@@ -219,6 +219,8 @@ def test_bad_env_seed_is_one_json_error(capsys, monkeypatch):
     (3, 3, 2, 3),
     (2, 1, 1, 2),
     (3, 9, 4, 6),
+    (5, 125, 9, 41),
+    (7, 343, 9, 41),
 ])
 def test_lattice_counts(capsys, p, mo, entries, closed):
     code, out, _ = run_cli(capsys, "lattice", "--p", str(p),
@@ -237,6 +239,17 @@ def test_lattice_below_order_1_is_the_empty_poset(capsys, mo):
     assert (r["entries"], r["embedding"], r["principal_down_sets"]) == ([], [], [])
     assert r["closed_set_count"] == 1
     assert r["closed_sets"][0]["members"] == []
+
+
+def test_analyze_order_p_cubed_defect_past_the_default(capsys):
+    """C5^3 is its own defect group, listed once --max-p-order reaches
+    5^3 among the five groups of that order."""
+    r = analyze_json(capsys, "analyze", "C5xC5xC5", "--p", "5",
+                     "--max-p-order", "125")
+    assert [c["defect"] for c in r["classes"]] == ["C5^3"]
+    assert r["catalog"]["labels"][4:] == [
+        "C125", "C25xC5", "C5^3", "He5", "C25:C5"]
+    assert {k: v for k, v in r["sp_dims"].items() if v} == {"C5^3": 1}
 
 
 @pytest.mark.parametrize("mo", ["0", "-1"])

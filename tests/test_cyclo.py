@@ -2,7 +2,7 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repring.cyclo import QQ, Cyc, conductor_degree, cyclotomic_poly, dot
 from repring.errors import NotPLocal
@@ -278,6 +278,22 @@ def cyc_values(draw, m=None):
                                      property_fractions),
                            min_size=deg, max_size=deg))
     return Cyc(m, coeffs)
+
+
+@settings(max_examples=150, deadline=None)
+@given(cyc_values())
+@example(Cyc(4, [0, Fraction(-3, 6)]))
+@example(Cyc(6, [0, 0]))
+def test_json_and_key_match_the_fraction_route(v):
+    """to_json and key reduce each num[i]/den by one gcd; the Fraction
+    per coordinate they no longer build gives the same pairs, with a
+    zero coordinate as 0/1."""
+    coeffs = [Fraction(c, v.den) for c in v.num]
+    assert v.to_json() == {"conductor": v.m,
+                           "num": [c.numerator for c in coeffs],
+                           "den": [c.denominator for c in coeffs]}
+    assert v.key() == (v.m,) + tuple((c.numerator, c.denominator)
+                                     for c in coeffs)
 
 
 @settings(max_examples=150, deadline=None)

@@ -7,7 +7,7 @@ import pytest
 
 from repring import defects, groups
 from repring.brauer import BrauerData, induce_class_function
-from repring.catalog import build_catalog, enumerate_closed_sets, largest_order
+from repring.catalog import build_catalog, enumerate_closed_sets
 from repring.cyclo import Cyc
 from repring.defects import (
     RkElement,
@@ -235,7 +235,7 @@ def test_u_independent_of_sylow_choice():
                          ids=[f"{g}-p{p}" for g, p in GOLDEN_ANALYZE])
 def test_u_matches_quotient_route(spec, p):
     a = analysis(parse_group_spec(spec), p,
-                 build_catalog(p, largest_order(p)))
+                 build_catalog(p))
     for r in a.rows:
         assert u_element(a, r.rep).coeffs == u_by_quotient(a, r.rep, r.sylow)
 
@@ -280,7 +280,7 @@ def is_central(G, R):
                          ids=[f"{g}-p{p}" for g, p in GOLDEN_ANALYZE])
 def test_central_defect_group_matches_the_scan(spec, p):
     a = analysis(parse_group_spec(spec), p,
-                 build_catalog(p, largest_order(p)))
+                 build_catalog(p))
     for r in a.rows:
         if is_central(a.G, r.sylow):
             assert _u_from(a, r.rep, r.sylow).coeffs == \
@@ -291,7 +291,7 @@ def test_golden_cases_take_both_routes():
     central = set()
     for spec, p in GOLDEN_ANALYZE:
         a = analysis(parse_group_spec(spec), p,
-                     build_catalog(p, largest_order(p)))
+                     build_catalog(p))
         central.update(is_central(a.G, r.sylow) for r in a.rows)
     assert central == {False, True}
 

@@ -46,6 +46,9 @@ OPS = {
     "lattice p3": ("lattice", 3, None),
     "lattice p5": ("lattice", 5, None),
     "lattice p7": ("lattice", 7, None),
+    # the groups of order p^3 at primes with no bundled rows
+    "lattice p5 max125": ("lattice", 5, 125),
+    "lattice p7 max343": ("lattice", 7, 343),
     "verify p2,3": ("verify", (2, 3)),
     "verify p5": ("verify", (5,)),
 }

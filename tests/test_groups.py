@@ -22,7 +22,6 @@ from repring.groups import (
     dihedral_group,
     direct_product,
     embeds_into,
-    is_isomorphic,
     is_p_power,
     p_part,
     parse_group_spec,
@@ -35,7 +34,7 @@ from repring.groups import (
 )
 from repring.verify import DEFAULT_CORPUS
 
-from group_reference import NotNormal, center, quotient_group
+from group_reference import NotNormal, center, is_isomorphic, quotient_group
 
 
 def test_perm_primitives():
