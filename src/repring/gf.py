@@ -24,9 +24,12 @@ Polynomials are little-endian tuples with no trailing zeros; the zero
 polynomial is ``()``.  The ``poly_*`` routines take any field object
 with ``axpy``, ``neg``, ``inv`` and ``mul``: a GF, whose coefficients
 are codes, or ``cyclo.QQ``, whose coefficients are ints, Fractions and
-Cyc values.  ``factor_poly`` factors over a GF by square-free,
-distinct-degree and equal-degree splitting (Cantor-Zassenhaus); its
-one caller, the meataxe, passes the random stream of its own seed.
+Cyc values.  ``irreducible_factors`` yields the distinct irreducible
+factors of a polynomial over a GF, smallest degree first, by
+distinct-degree and equal-degree splitting (Cantor-Zassenhaus) of the
+polynomial itself: it finds no multiplicities, and works out a degree
+only when its caller, the meataxe, asks past the one before.  The
+meataxe passes the random stream of its own seed.
 """
 
 import functools
@@ -270,10 +273,6 @@ class GF:
             mult *= self.p
         return out
 
-    def pth_root(self, a):
-        """Inverse of the Frobenius x -> x^p."""
-        return self.pow(a, self.q // self.p)
-
     def __repr__(self):
         return f"GF({self.p}^{self.d})"
 
@@ -423,92 +422,13 @@ def _is_irreducible(Fp, f):
                     for r in _prime_factors(d)))
 
 
-def poly_deriv(F, a):
-    # codes 0..p-1 are exactly the prime subfield
-    return poly_trim([F.mul(a[i], i % F.p) for i in range(1, len(a))])
-
-
-def _pth_root_poly(F, f):
-    """f with only p-divisible exponents; return g with g^p = f."""
-    p = F.p
-    out = []
-    for i in range(0, len(f), p):
-        out.append(F.pth_root(f[i]))
-    for i, c in enumerate(f):
-        if i % p and c:
-            raise RepringError("polynomial is not a p-th power")
-    return poly_trim(out)
-
-
-def _squarefree_parts(F, f):
-    """Decompose monic f as a product of squarefree factors with multiplicity.
-
-    Returns dict {monic squarefree poly: multiplicity}; standard char-p
-    algorithm handling vanishing derivative via p-th roots.
-    """
-    out = {}
-
-    def accumulate(g, mult):
-        if poly_deg(g) < 1:
-            return
-        out[g] = out.get(g, 0) + mult
-
-    def rec(f, outer):
-        df = poly_deriv(F, f)
-        if not df:
-            rec(_pth_root_poly(F, f), outer * F.p)
-            return
-        c = poly_gcd(F, f, df)
-        w = poly_divmod(F, f, c)[0]
-        i = 1
-        while poly_deg(w) > 0:
-            y = poly_gcd(F, w, c)
-            z = poly_divmod(F, w, y)[0]
-            accumulate(z, i * outer)
-            w = y
-            c = poly_divmod(F, c, y)[0]
-            i += 1
-        if poly_deg(c) > 0:
-            rec(_pth_root_poly(F, c), outer * F.p)
-
-    rec(poly_monic(F, f), 1)
-    return out
-
-
-def _distinct_degree(F, f):
-    """Split squarefree monic f into products of same-degree irreducibles.
-
-    Returns list of (factor, degree of its irreducible parts).
-    """
-    out = []
-    h = _X
-    i = 1
-    rest = f
-    while poly_deg(rest) >= 2 * i:
-        h = poly_powmod(F, h, F.q, rest)
-        g = poly_gcd(F, poly_sub(F, h, _X), rest)
-        if poly_deg(g) > 0:
-            out.append((g, i))
-            rest = poly_divmod(F, rest, g)[0]
-            h = poly_mod(F, h, rest)
-        i += 1
-    if poly_deg(rest) > 0:
-        out.append((rest, poly_deg(rest)))
-    return out
-
-
-def _random_poly(F, deg_bound, rng):
-    coeffs = [rng.randrange(F.q) for _ in range(deg_bound)]
-    return poly_trim(coeffs)
-
-
 def _equal_degree(F, f, d, rng):
     """f squarefree monic, all irreducible factors of degree d."""
     n = poly_deg(f)
     if n == d:
         return [f]
     while True:
-        r = _random_poly(F, n, rng)
+        r = poly_trim([rng.randrange(F.q) for _ in range(n)])
         if poly_deg(r) < 1:
             continue
         if F.p == 2:
@@ -527,22 +447,35 @@ def _equal_degree(F, f, d, rng):
             return _equal_degree(F, g, d, rng) + _equal_degree(F, rest, d, rng)
 
 
-def factor_poly(F, f, rng):
-    """Full factorization of f over F into monic irreducibles.
+def irreducible_factors(F, f, rng):
+    """Yield the distinct monic irreducible factors of f over F, by
+    degree and then by coefficient codes, each once.
 
-    Returns a list of (irreducible factor, multiplicity) sorted by degree
-    then coefficient codes; the product over the list times the leading
-    coefficient of f reproduces f.  The equal-degree splitting draws its
-    random polynomials from rng, a random.Random, so a seeded rng gives
-    reproducible runs; the factors do not depend on it.
+    Degree d is worked out only when a factor past degree d - 1 is asked
+    for.  x^(q^d) - x is the square-free product of the monic
+    irreducibles whose degree divides d, so once every factor of lower
+    degree is divided out of rest, with all its powers, g = gcd(x^(q^d)
+    - x, rest) is the product of rest's distinct factors of degree d.
+    Dividing rest by gcd(rest, g) until that is 1 removes their powers;
+    a rest of degree below 2(d + 1) is then 1 or irreducible.  The
+    equal-degree splitting of g (Cantor-Zassenhaus) draws its random
+    polynomials from rng, a random.Random; the factors do not depend
+    on it.
     """
-    f = poly_trim(f)
-    if poly_deg(f) < 1:
-        return []
-    found = {}
-    for sqf, mult in _squarefree_parts(F, f).items():
-        for same_deg, d in _distinct_degree(F, sqf):
-            for irr in _equal_degree(F, same_deg, d, rng):
-                found[irr] = found.get(irr, 0) + mult
-    return sorted(found.items(), key=lambda kv: (poly_deg(kv[0]), kv[0]))
-
+    rest = poly_monic(F, poly_trim(f))
+    h = _X  # x^(q^d) mod rest
+    d = 0
+    while poly_deg(rest) >= 2 * (d + 1):
+        d += 1
+        h = poly_powmod(F, h, F.q, rest)
+        g = poly_gcd(F, poly_sub(F, h, _X), rest)
+        if poly_deg(g) < 1:
+            continue
+        common = g
+        while poly_deg(common) > 0:
+            rest = poly_divmod(F, rest, common)[0]
+            common = poly_gcd(F, rest, g)
+        h = poly_mod(F, h, rest)
+        yield from sorted(_equal_degree(F, g, d, rng))
+    if poly_deg(rest) > 0:
+        yield rest

@@ -5,20 +5,26 @@ row vectors (v -> v*M), so g -> M_g is a homomorphism under the
 left-to-right product convention of the groups module.
 
 The chop loop is the classic randomized meataxe: pick an algebra element
-z from a reproducible PRNG, factor its characteristic polynomial, spin
-kernel vectors of f(z) into submodules, and certify irreducibility with
-Norton's criterion when f(z) has minimal nullity (one spin on each side
-of the duality).  Isomorphism of simples is decided by standard-basis
-comparison seeded at a one-dimensional eigenspace, which at the same
-time certifies absolute irreducibility over the working field; a
+z from a reproducible PRNG, take the irreducible factors f of its
+characteristic polynomial smallest degree first, spin kernel vectors of
+f(z) into submodules, and certify irreducibility with Norton's criterion
+when f(z) has minimal nullity (one spin on each side of the duality).
+The factors come from a generator, so a chop that splits or certifies
+at a small factor never factors further.  Isomorphism of simples is
+decided by standard-basis comparison seeded at a one-dimensional
+eigenspace, which at the same time certifies absolute irreducibility
+over the working field; `find_id_recipe` reads only the linear factors,
+which come first, and stops at the first factor of higher degree.  A
 one-dimensional module is compared by its matrices alone.
 
 The simples of kG are found by tensor closure of the natural permutation
 module (`simple_modules`), never by chopping the |G|-dimensional regular
-module.  An abelian G needs neither: over a splitting field its simples
-are its homomorphisms to F^*, listed in closed form (`linear_characters`)
-with no random stream; the closure remains the route when F is too small
-to hold them all.
+module.  The closure chops the smallest pending tensor product next, so
+its cost does not hang on the order in which a chop emits factors.  An
+abelian G needs neither: over a splitting field its simples are its
+homomorphisms to F^*, listed in closed form (`linear_characters`) with
+no random stream; the closure remains the route when F is too small to
+hold them all.
 
 Chop and standard forms rest on one breadth-first `spin`, which keeps
 its subspace as a linalg `Echelon`; sub- and quotient actions are read
@@ -30,7 +36,7 @@ from math import gcd
 
 from .config import CHOP_RESEEDS, CHOP_RETRY
 from .errors import ChopStalled, ClosureSaturated, MalformedModule
-from .gf import factor_poly, poly_deg
+from .gf import irreducible_factors, poly_deg
 from .groups import PermGroup, perm_mul, perm_order
 from .linalg import (
     Echelon,
@@ -213,7 +219,7 @@ def chop(module: Module, rng: random.Random):
         recipe = random_recipe(rng, len(module.mats), F)
         z = module.recipe_matrix(recipe)
         charpoly = gf_charpoly(F, z)
-        for factor, _mult in factor_poly(F, charpoly, rng=rng):
+        for factor in irreducible_factors(F, charpoly, rng):
             theta = _poly_of_matrix(F, factor, z, dim)
             kernel = _kernel_rows(F, theta)
             if not kernel:
@@ -245,16 +251,18 @@ def find_id_recipe(module: Module, rng: random.Random):
 
     Existence certifies that the endomorphism ring is the ground field,
     i.e. the module is absolutely irreducible; used as the seed for
-    standard-basis comparison.
+    standard-basis comparison.  Only a linear factor of the
+    characteristic polynomial names an eigenvalue, so each element's
+    factors are taken up to the first of higher degree.
     """
     F = module.F
     dim = module.dim
     for _ in range(CHOP_RETRY):
         recipe = random_recipe(rng, len(module.mats), F)
         z = module.recipe_matrix(recipe)
-        for factor, _mult in factor_poly(F, gf_charpoly(F, z), rng=rng):
-            if poly_deg(factor) != 1:
-                continue
+        for factor in irreducible_factors(F, gf_charpoly(F, z), rng):
+            if poly_deg(factor) > 1:
+                break  # the linear factors come first
             lam = F.neg(factor[0])
             if len(_eigenspace(F, z, lam)) == 1:
                 return recipe, lam
@@ -286,8 +294,11 @@ def standard_form(module: Module, recipe, lam):
 
 def _tensor_closure(G: PermGroup, F, rng: random.Random, count):
     """The first count pairwise non-isomorphic composition factors of
-    the natural module and of the tensor products of each new simple
-    with the natural module's factors, in the order met.
+    the natural module and of the tensor products s (x) t of each new
+    simple s with each non-trivial factor t of the natural module.
+
+    The pending products are chopped smallest dimension first, ties in
+    the order met; ClosureSaturated is raised when none is left.
 
     A factor of dimension above 1 is compared with the known simples of
     its dimension by standard form, under the (recipe, eigenvalue) found
@@ -326,16 +337,18 @@ def _tensor_closure(G: PermGroup, F, rng: random.Random, count):
     # tensoring with the trivial module gives nothing new
     factors = [t for t in natural
                if t.dim > 1 or any(m != ((1,),) for m in t.mats)]
-    pending = list(natural)
+    pending = [(s, t) for s in natural for t in factors]
     while len(simples) < count:
         if not pending:
             raise ClosureSaturated(
                 f"tensor closure saturated at {len(simples)} of {count} "
                 "simples")
-        s = pending.pop(0)
-        for t in factors:
-            if len(simples) < count:
-                pending += absorb(tensor_product(s, t))
+        # the smallest product next; min takes the first met on a tie
+        k = min(range(len(pending)),
+                key=lambda k: pending[k][0].dim * pending[k][1].dim)
+        s, t = pending.pop(k)
+        pending += [(n, u) for n in absorb(tensor_product(s, t))
+                    for u in factors]
     return simples
 
 
@@ -385,10 +398,10 @@ def simple_modules(G: PermGroup, F, seed, count) -> list:
     Every simple module is a composition factor of a tensor power of a
     faithful module (Steinberg 1962), and the natural permutation module
     is faithful.  So the search chops the natural module, then the
-    tensor product of each new simple with each factor of the natural
-    module, keeping the factors isomorphic to no simple found so far
-    (see _tensor_closure), until count simples are known (the number of
-    p-regular classes, by Brauer).
+    tensor products of each new simple with each factor of the natural
+    module, smallest first, keeping the factors isomorphic to no simple
+    found so far (see _tensor_closure), until count simples are known
+    (the number of p-regular classes, by Brauer).
     Deterministic per seed, reseeding if a random stream stalls; a
     closure that stops short of count raises ClosureSaturated.
 

@@ -26,7 +26,7 @@ from repring.errors import (
     NotSubgroup,
 )
 from repring.cyclo import dot
-from repring.gf import factor_poly, gf_field
+from repring.gf import gf_field
 from repring.groups import (
     alternating_group,
     cyclic_group,
@@ -34,11 +34,12 @@ from repring.groups import (
     direct_product,
     parse_group_spec,
     perm_mul,
+    perm_order,
     quaternion_group,
     symmetric_group,
 )
 from repring.lift import BrauerLift
-from repring.linalg import gf_charpoly, gf_mat_inv, gf_rank
+from repring.linalg import gf_mat_inv, gf_rank
 from repring.meataxe import (
     Module,
     chop,
@@ -300,20 +301,31 @@ def test_induce_requires_subgroup():
 
 @pytest.mark.parametrize("spec, p", GOLDEN_ANALYZE)
 def test_phi_by_division_matches_factoring(spec, p):
-    """Dividing out the m-th roots of unity gives the value that
-    factoring the characteristic polynomial gives, on every p-regular
-    class of every simple."""
+    """Dividing out the m-th roots of unity gives the value that the
+    eigenspaces give, on every p-regular class of every simple.  x is
+    p-regular, so its matrix is semisimple and each eigenvalue r, an
+    o-th root of unity for o the order of x, occurs as often as the
+    nullity of mat - r*I."""
     bd = BrauerData(parse_group_spec(spec), p, seed=1)
+    F = bd.F
     for s in bd.simples:
         for x, value in zip(bd.class_reps, s.phi):
             mat = s.module.element_matrix(bd.G, x)
-            factors = factor_poly(bd.F, gf_charpoly(bd.F, mat),
-                                  random.Random(1))
-            assert all(len(g) == 2 for g, _ in factors)
-            # monic x + c has root -c
-            want = dot([mult for _, mult in factors],
-                       [bd.lift.lift(bd.F.neg(g[0])) for g, _ in factors])
-            assert _phi_value(bd.lift, bd.F, mat) == want == value
+            o = perm_order(x)
+            assert (F.q - 1) % o == 0
+            mults, lifts = [], []
+            for k in range(o):
+                r = F.exp[k * (F.q - 1) // o]
+                shifted = [[F.sub(c, r) if i == j else c
+                            for j, c in enumerate(row)]
+                           for i, row in enumerate(mat)]
+                nullity = s.dim - gf_rank(F, shifted)
+                if nullity:
+                    mults.append(nullity)
+                    lifts.append(bd.lift.lift(r))
+            assert sum(mults) == s.dim
+            want = dot(mults, lifts)
+            assert _phi_value(bd.lift, F, mat) == want == value
 
 
 ABELIAN_GOLDEN = [

@@ -3,20 +3,21 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repring import gf as gf_mod
 from repring.errors import FieldTooLarge
 from repring.gf import (
     GF,
     _is_prime,
-    factor_poly,
     gf_field,
+    irreducible_factors,
     multiplicative_order,
     poly_add,
     poly_deg,
-    poly_deriv,
     poly_divmod,
     poly_gcd,
     poly_monic,
     poly_mul,
+    poly_powmod,
     poly_sub,
     poly_trim,
 )
@@ -62,13 +63,6 @@ def test_gf_prime_field_is_mod_p(p):
         assert F.sub(0, a) == F.neg(a) == -a % p
         if a:
             assert F.inv(a) == pow(a, -1, p)
-
-
-def test_pth_root_inverts_frobenius():
-    for (p, d) in [(2, 3), (3, 2), (5, 1)]:
-        F = gf_field(p, d)
-        for a in range(F.q):
-            assert F.pow(F.pth_root(a), p) == a
 
 
 def test_multiplicative_order():
@@ -225,7 +219,7 @@ def test_poly_divmod_identity(pd, data):
     assert poly_deg(r) < poly_deg(b)
 
 
-def test_poly_eval_and_deriv():
+def test_poly_eval_by_horner():
     F = gf_field(3, 1)
     f = (1, 0, 1)  # x^2 + 1
     values = []
@@ -235,31 +229,36 @@ def test_poly_eval_and_deriv():
             out = F.add(F.mul(out, x), c)
         values.append(out)
     assert values == [1, 2]
-    assert poly_deriv(F, f) == (0, 2)
-    # derivative kills p-th powers
-    assert poly_deriv(F, (1, 0, 0, 2)) == ()
+
+
+def factors_of(F, f, seed=1):
+    return list(irreducible_factors(F, f, random.Random(seed)))
 
 
 def test_factor_irreducible_stays_whole():
     F = gf_field(2, 1)
-    assert factor_poly(F, (1, 1, 1), random.Random(1)) == [((1, 1, 1), 1)]
+    assert factors_of(F, (1, 1, 1)) == [(1, 1, 1)]
 
 
 def test_factor_pure_power():
     F = gf_field(3, 1)
-    # x^2 and x^3
-    rng = random.Random(1)
-    assert factor_poly(F, (0, 0, 1), rng) == [((0, 1), 2)]
-    assert factor_poly(F, (0, 0, 0, 1), rng) == [((0, 1), 3)]
+    # x^2 and x^3 have the one distinct factor x
+    assert factors_of(F, (0, 0, 1)) == [(0, 1)]
+    assert factors_of(F, (0, 0, 0, 1)) == [(0, 1)]
+
+
+def test_factor_constants_have_no_factors():
+    F = gf_field(5, 1)
+    assert factors_of(F, ()) == factors_of(F, (3,)) == []
 
 
 def test_factor_x_cubed_minus_one_over_gf4():
     F = gf_field(2, 2)
     # x^3 - 1 splits into three distinct linear factors over F_4
     f = (1, 0, 0, 1)
-    factors = factor_poly(F, f, random.Random(1))
-    assert [m for _, m in factors] == [1, 1, 1]
-    roots = sorted(F.neg(g[0]) for g, _ in factors)
+    factors = factors_of(F, f)
+    assert all(poly_deg(g) == 1 for g in factors)
+    roots = sorted(F.neg(g[0]) for g in factors)
     assert roots == [1, 2, 3]
     cubes = {F.pow(r, 3) for r in roots}
     assert cubes == {1}
@@ -268,30 +267,127 @@ def test_factor_x_cubed_minus_one_over_gf4():
 def test_factor_deterministic_under_seed():
     F = gf_field(3, 2)
     f = (2, 0, 1, 0, 0, 1)
-    first = factor_poly(F, f, random.Random(1))
-    assert factor_poly(F, f, random.Random(1)) == first
-    assert factor_poly(F, f, random.Random(99)) == first
+    first = factors_of(F, f, 1)
+    assert factors_of(F, f, 1) == first
+    assert factors_of(F, f, 99) == first
+
+
+# -- an oracle for irreducible_factors that shares none of its code: Rabin's
+# test for irreducibility, and the multiplicities found by trial division
+
+
+def _prime_divisors(n):
+    return [r for r in range(2, n + 1)
+            if n % r == 0 and all(r % k for k in range(2, r))]
+
+
+def _rabin_irreducible(F, g):
+    """Monic g of degree n >= 1 is irreducible over F_q iff x^(q^n) = x
+    mod g and gcd(x^(q^(n/r)) - x, g) = 1 for each prime r dividing n."""
+    n, x = poly_deg(g), (0, 1)
+
+    def frobenius_minus_x(k):
+        return poly_sub(F, poly_powmod(F, x, F.q ** k, g),
+                        poly_divmod(F, x, g)[1])
+
+    return (not frobenius_minus_x(n)
+            and all(poly_gcd(F, frobenius_minus_x(n // r), g) == (1,)
+                    for r in _prime_divisors(n)))
+
+
+def _check_factors(F, f, factors):
+    assert all(g and g[-1] == 1 and _rabin_irreducible(F, g)
+               for g in factors)
+    assert factors == sorted(factors, key=lambda g: (poly_deg(g), g))
+    for i, g in enumerate(factors):
+        for h in factors[i + 1:]:
+            assert poly_gcd(F, g, h) == (1,)
+    # lead(f) * prod g^k == f, each k found by dividing g out of f
+    rest = f
+    prod = (f[-1],)
+    for g in factors:
+        k = 0
+        while True:
+            quo, rem = poly_divmod(F, rest, g)
+            if rem:
+                break
+            rest, k = quo, k + 1
+            prod = poly_mul(F, prod, g)
+        assert k >= 1
+    assert poly_deg(rest) == 0
+    assert prod == f
+
+
+# q > 256: (3, 6) adds by Zech logarithms
+factor_fields = st.sampled_from([(2, 1), (3, 1), (5, 1), (7, 1), (2, 2),
+                                 (2, 4), (3, 2), (3, 4), (5, 2), (3, 6)])
+
+
+def _draw_poly(F, data, min_size, max_size):
+    coeff = st.integers(min_value=0, max_value=F.q - 1)
+    lead = st.integers(min_value=1, max_value=F.q - 1)
+    return poly_trim(data.draw(st.lists(coeff, min_size=min_size,
+                                        max_size=max_size))
+                     + [data.draw(lead)])
+
+
+@settings(max_examples=60, deadline=None)
+@given(factor_fields, st.data())
+def test_factor_product_property(pd, data):
+    F = gf_field(*pd)
+    f = _draw_poly(F, data, 1, 7)
+    _check_factors(F, f, factors_of(F, f, 7))
 
 
 @settings(max_examples=40, deadline=None)
-@given(small_fields, st.data())
-def test_factor_product_property(pd, data):
+@given(factor_fields, st.data())
+def test_factor_repeated_factors(pd, data):
+    """g^k * h: every power of a factor is divided out, and each
+    distinct factor comes once."""
     F = gf_field(*pd)
-    coeff = st.integers(min_value=0, max_value=F.q - 1)
-    f = poly_trim(data.draw(st.lists(coeff, min_size=2, max_size=7)))
-    if poly_deg(f) < 1:
-        return
-    factors = factor_poly(F, f, random.Random(7))
-    prod = (f[-1],)
-    for g, mult in factors:
-        assert g[-1] == 1
-        for _ in range(mult):
-            prod = poly_mul(F, prod, g)
-    assert prod == f
-    # gcd of distinct factors is 1
-    for i in range(len(factors)):
-        for j in range(i + 1, len(factors)):
-            assert poly_gcd(F, factors[i][0], factors[j][0]) == (1,)
+    g = _draw_poly(F, data, 1, 3)
+    h = _draw_poly(F, data, 0, 3)
+    k = data.draw(st.integers(min_value=2, max_value=F.p + 1))
+    f = h
+    for _ in range(k):
+        f = poly_mul(F, f, g)
+    _check_factors(F, f, factors_of(F, f, 3))
+
+
+@settings(max_examples=40, deadline=None)
+@given(factor_fields, st.data())
+def test_factor_polynomial_in_x_to_the_p(pd, data):
+    """f = g(x^p) times a power of x: a p-th power when F is perfect,
+    the case whose derivative vanishes."""
+    F = gf_field(*pd)
+    g = _draw_poly(F, data, 1, 3)
+    f = [0] * (F.p * poly_deg(g) + 1)
+    for i, c in enumerate(g):
+        f[F.p * i] = c
+    shift = data.draw(st.integers(min_value=0, max_value=2))
+    f = poly_mul(F, tuple(f), (0,) * shift + (1,))
+    _check_factors(F, f, factors_of(F, f, 5))
+
+
+def test_factors_are_worked_out_one_degree_at_a_time(monkeypatch):
+    """Asking for the linear factors splits no factor of higher degree."""
+    F = gf_field(3, 1)
+    quadratic = (1, 0, 1)  # x^2 + 1, irreducible over F_3
+    f = poly_mul(F, poly_mul(F, (1, 1), (2, 1)),
+                 poly_mul(F, quadratic, (2, 1, 1)))  # another quadratic
+    splits = []
+    real = gf_mod._equal_degree
+
+    def counted(F, g, d, rng):
+        splits.append(d)
+        return real(F, g, d, rng)
+
+    monkeypatch.setattr(gf_mod, "_equal_degree", counted)
+    factors = irreducible_factors(F, f, random.Random(1))
+    assert [next(factors), next(factors)] == [(1, 1), (2, 1)]
+    assert set(splits) == {1}
+    assert list(factors) == [(1, 0, 1), (2, 1, 1)]
+    assert set(splits) == {1, 2}
 
 
 def test_monic_and_gcd():
@@ -332,6 +428,6 @@ def test_polynomials_over_extension_field():
     assert F.q == 8
     # x^7 - 1 splits into seven distinct linear factors over F_8
     f = poly_sub(F, (0,) * 7 + (1,), (1,))
-    factors = factor_poly(F, f, random.Random(1))
-    assert all(poly_deg(g) == 1 and m == 1 for g, m in factors)
-    assert sorted(F.neg(g[0]) for g, _ in factors) == list(range(1, 8))
+    factors = factors_of(F, f)
+    assert all(poly_deg(g) == 1 for g in factors)
+    assert sorted(F.neg(g[0]) for g in factors) == list(range(1, 8))

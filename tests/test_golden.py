@@ -42,6 +42,10 @@ OPS = {
     # two-generator abelian group over GF(81)
     "analyze C15 p2": ("analyze", "C15", 2),
     "analyze C5xC5 p3": ("analyze", "C5xC5", 3),
+    # non-abelian groups over GF(729), whose simples are found by chopping
+    # and so factor characteristic polynomials over a Zech-logarithm field
+    "analyze D14 p3": ("analyze", "D14", 3),
+    "analyze A4xC7 p3": ("analyze", "A4xC7", 3),
     "lattice p2 max8": ("lattice", 2, 8),
     "lattice p3": ("lattice", 3, None),
     "lattice p5": ("lattice", 5, None),
