@@ -2,13 +2,17 @@
 
 Each of the fourteen groups of order 16 is constructed explicitly as a
 permutation group, checked against its classical invariants (involution
-counts, exponents, elementary abelian content), validated as the catalog
-validates it in every process (the count against catalog.KNOWN_COUNTS,
-distinct fingerprints, one embedding search per pair), and stored as
-1-based generator tables.  The groups of order at most p^3 are not
-stored: the catalog builds them for every prime.  The quotient (for
-C4oD8) and exponent come from tests/group_reference.py, since the
-package itself needs neither.
+counts, exponents, elementary abelian content), and stored as 1-based
+generator tables with its "contains" list: the labels of the smaller
+catalog entries that embed in it, in catalog order, found by the
+reference embedding search.  Before writing, the script checks that no
+two rows of one order share a fingerprint (so no class is listed twice)
+and builds each prime's catalog from the rows as every process does,
+which checks the count against catalog.KNOWN_COUNTS and that every list
+names smaller entries and is down-closed.  The groups of order at most
+p^3 are not stored: the catalog builds them for every prime.  The
+search, the quotient (for C4oD8) and the exponent come from
+tests/group_reference.py, since the package itself needs none of them.
 """
 
 import json
@@ -19,15 +23,15 @@ ROOT = pathlib.Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "src"))
 sys.path.insert(0, str(ROOT / "tests"))
 
-from group_reference import exponent, quotient_group
+from group_reference import embeds_into, exponent, quotient_group
 from repring.catalog import catalog_from_dataset, largest_order
 from repring.groups import (
     PermGroup,
+    _fingerprint,
     affine_group,
     cyclic_group,
     dihedral_group,
     direct_product,
-    embeds_into,
     perm_order,
     quaternion_group,
 )
@@ -140,8 +144,37 @@ def build_all():
     return entries
 
 
+def contains_lists(p, groups):
+    """For each (label, G) of prime p, in order, the labels of the
+    smaller catalog entries that embed in G, in catalog order: the
+    generated groups of order at most p^3, then the earlier rows."""
+    base = catalog_from_dataset(p, p ** 3, [])
+    smaller = [(base.label(i), base.group(i)) for i in range(len(base))]
+    out = []
+    for label, G in groups:
+        out.append([name for name, H in smaller
+                    if H.order < G.order and embeds_into(H, G)])
+        smaller.append((label, G))
+    return out
+
+
+def check_distinct_classes(data):
+    """Raise ValueError if two rows of one prime and order share a
+    fingerprint, that is, if one isomorphism class is listed twice."""
+    seen = {}
+    for row in data:
+        G = PermGroup(row["degree"],
+                      [[v - 1 for v in g] for g in row["generators"]])
+        key = (row["p"], row["order"], _fingerprint(G))
+        if key in seen:
+            raise ValueError(f"duplicate isomorphism class: {seen[key]} and "
+                             f"{row['label']} share a fingerprint")
+        seen[key] = row["label"]
+
+
 def validate(data):
     """Build each prime's catalog from the rows, as every process does."""
+    check_distinct_classes(data)
     for p in sorted({row["p"] for row in data}):
         cat = catalog_from_dataset(p, largest_order(p, data), data)
         print(f"p={p}: {len(cat)} classes up to order {cat.max_order}, "
@@ -149,6 +182,7 @@ def validate(data):
 
 
 def main():
+    groups = build_all()
     data = [
         {
             "p": 2,
@@ -156,8 +190,9 @@ def main():
             "label": label,
             "degree": G.degree,
             "generators": [[i + 1 for i in g] for g in G.gens],
+            "contains": contains,
         }
-        for label, G in build_all()
+        for (label, G), contains in zip(groups, contains_lists(2, groups))
     ]
     validate(data)
     OUT.parent.mkdir(parents=True, exist_ok=True)

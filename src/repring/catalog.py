@@ -7,16 +7,22 @@ groups of order at most p^3 are built by one construction, with their
 embeddings stated: 1, C_p, C_{p^2}, C_p^2, C_{p^3}, C_{p^2} x C_p and
 C_p^3, then D8 and Q8 at p = 2, or the Heisenberg group He_p and
 C_{p^2}:C_p at odd p (Hoelder, Math. Ann. 43, 1893).  The bundled table
-adds the fourteen groups of order 16, checked against their known count,
-searched once per pair for embeddings and told apart by fingerprint.
+adds the fourteen groups of order 16, each row stating the smaller
+entries that embed in it (its "contains" list), which
+scripts/make_pgroup_data.py finds by search when it writes the table.
+So every embedding in the catalog is stated, and building a catalog
+builds no group and runs no search.  The bundled rows are checked
+against their known count and for lists that name smaller entries and
+are down-closed; a second row of one isomorphism class is caught where
+it would give a wrong answer, by the lookup of that class.
 
 An entry holds its label, its order and a builder; its permutation group
-is built only when group(i) or a lookup of that order asks for it, so a
-lattice builds none.  A truncation that would need an order past the
-largest one listed (p times it or more) raises DatasetMissing rather
-than return a catalog that misses groups.  Closed (downward-closed)
-subsets of the catalog are the lattice the rest of the package
-evaluates against.
+is built only when group(i) or a lookup of that order asks for it, so
+neither a lattice nor a catalog builds any.  A truncation that would
+need an order past the largest one listed (p times it or more) raises
+DatasetMissing rather than return a catalog that misses groups.  Closed
+(downward-closed) subsets of the catalog are the lattice the rest of the
+package evaluates against.
 """
 
 import functools
@@ -39,7 +45,6 @@ from .groups import (
     cyclic_group,
     dihedral_group,
     direct_product,
-    embeds_into,
     heisenberg_group,
     quaternion_group,
     trivial_group,
@@ -75,18 +80,20 @@ def _entry(label, order, build):
     return Entry(label, order, functools.cache(build))
 
 
-def _entries_from_dataset(dataset, p, max_order):
+def _rows_from_dataset(dataset, p, max_order):
     """p's rows up to max_order, by order and then by position in the
     dataset."""
-    rows = sorted((row for row in dataset
+    return sorted((row for row in dataset
                    if row["p"] == p and row["order"] <= max_order),
                   key=lambda row: row["order"])
-    return [_entry(row["label"], row["order"],
-                   lambda row=row: PermGroup(
-                       row["degree"],
-                       [[v - 1 for v in g] for g in row["generators"]],
-                       name=row["label"]))
-            for row in rows]
+
+
+def _row_entry(row):
+    return _entry(row["label"], row["order"],
+                  lambda: PermGroup(row["degree"],
+                                    [[v - 1 for v in g]
+                                     for g in row["generators"]],
+                                    name=row["label"]))
 
 
 def largest_order(p, dataset=None):
@@ -161,17 +168,20 @@ class PGroupCatalog:
 
     def index_of_isomorphic(self, P: PermGroup):
         """Catalog index of P's isomorphism class, or None if absent.
-        The catalog lists every p-group of order at most max_order, and
-        no two entries of one order share a fingerprint, so the entry
-        with P's fingerprint is P's class.  Only the entries of P's order
-        are built, up to that one."""
-        same = [i for i, entry in enumerate(self.entries)
-                if entry.order == P.order]
-        if not same:
-            return None
+        The catalog lists every p-group of order at most max_order, so
+        the entry with P's fingerprint is P's class.  Every entry of P's
+        order is built and compared, and a second match, which would
+        make the answer depend on the order of the rows, raises
+        ValidationFailed."""
         fp = _fingerprint(P)
-        return next((i for i in same if _fingerprint(self.group(i)) == fp),
-                    None)
+        found = [i for i, entry in enumerate(self.entries)
+                 if entry.order == P.order
+                 and _fingerprint(self.group(i)) == fp]
+        if len(found) > 1:
+            raise ValidationFailed(
+                f"duplicate isomorphism class: {self.label(found[0])} and "
+                f"{self.label(found[1])} share a fingerprint")
+        return found[0] if found else None
 
     def down_set(self, j) -> "ClosedSet":
         """The entries that embed in entry j, built once per catalog."""
@@ -192,36 +202,44 @@ class PGroupCatalog:
         return ClosedSet(self, frozenset(members))
 
 
-def _validated_embedding(p, max_order, entries, embed, bundled):
-    """The embedding matrix of entries + bundled, given entries' own, once
-    the bundled rows check: their orders are the powers of p in (p^3,
-    max_order], as many of each as KNOWN_COUNTS lists, no two of one
-    order share a fingerprint (so no class is listed twice), and one
-    search per pair (i, j) with j bundled and i of smaller order decides
-    whether i embeds in j."""
+def _validated_embedding(p, max_order, entries, embed, rows):
+    """The embedding matrix of entries + rows, given entries' own and
+    each row's "contains" list, once the rows check: their orders are
+    the powers of p in (p^3, max_order], as many of each as KNOWN_COUNTS
+    lists, each list names entries of smaller order only, and each list
+    is down-closed (an entry that embeds in a listed entry is listed
+    too).  Rows come in order, so a listed row's own list is checked
+    first."""
     counts, expected, order = {}, {}, p ** 4
-    for entry in bundled:
-        counts[entry.order] = counts.get(entry.order, 0) + 1
+    for row in rows:
+        counts[row["order"]] = counts.get(row["order"], 0) + 1
     while order <= max_order:
         expected[order] = KNOWN_COUNTS.get((p, order))
         order *= p
     if counts != expected:
         raise ValidationFailed(f"entries per order for p={p}: {counts}, "
                                f"expected {expected}")
-    everything = entries + bundled
-    n = len(everything)
-    embed = [row + [False] * len(bundled) for row in embed]
+    labels = [e.label for e in entries] + [row["label"] for row in rows]
+    orders = [e.order for e in entries] + [row["order"] for row in rows]
+    n = len(labels)
+    position = {label: i for i, label in enumerate(labels)}
+    embed = [line + [False] * len(rows) for line in embed]
     embed += [[i == j for j in range(n)] for i in range(len(entries), n)]
-    for j in range(len(entries), n):
-        Q = everything[j].group()
-        for i, entry in enumerate(everything[:j]):
-            P = entry.group()
-            if P.order < Q.order:
-                embed[i][j] = embeds_into(P, Q)
-            elif _fingerprint(P) == _fingerprint(Q):
+    for j, row in enumerate(rows, start=len(entries)):
+        for label in row["contains"]:
+            i = position.get(label, j)  # a missing label fails as j would
+            if orders[i] >= orders[j]:
                 raise ValidationFailed(
-                    f"duplicate isomorphism class: {entry.label} and "
-                    f"{everything[j].label} share a fingerprint")
+                    f"{labels[j]} contains {label!r}, which is no catalog "
+                    f"entry of smaller order")
+            embed[i][j] = True
+        gap = next(((i, k) for i in range(j) if embed[i][j]
+                    for k in range(i) if embed[k][i] and not embed[k][j]),
+                   None)
+        if gap:
+            raise ValidationFailed(
+                f"{labels[j]} contains {labels[gap[0]]} but not "
+                f"{labels[gap[1]]}, which embeds in it")
     return embed
 
 
@@ -247,9 +265,10 @@ def catalog_from_dataset(p, max_order, dataset) -> PGroupCatalog:
             f"the groups of order {p * top} are not in the catalog for "
             f"p={p}: max_order must be below {p * top}")
     entries, embed = _entries_up_to_p_cubed(p, max_order)
-    bundled = _entries_from_dataset(dataset, p, max_order)
-    embed = _validated_embedding(p, max_order, entries, embed, bundled)
-    return PGroupCatalog(p, max_order, entries + bundled, embed)
+    rows = _rows_from_dataset(dataset, p, max_order)
+    embed = _validated_embedding(p, max_order, entries, embed, rows)
+    return PGroupCatalog(p, max_order,
+                         entries + [_row_entry(row) for row in rows], embed)
 
 
 class ClosedSet:

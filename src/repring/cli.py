@@ -7,18 +7,24 @@ Three subcommands, all emitting canonical JSON on stdout:
     repring verify [--corpus default|FILE] [--p 2,3] [--seed 1]
 
 Errors are reported as one JSON object on stderr carrying the module
-that raised them, with exit code 2; an unexpected exception (a bug) is
+that raised them, with exit code 2; a command line that does not parse
+is an InvalidArguments error, and an unexpected exception (a bug) is
 reported the same way, naming the innermost repring module in its
-traceback.  The REPRING_SEED
-environment variable overrides the built-in default seed; an explicit
---seed overrides both.
+traceback.  Only --help prints text, to stdout, and exits 0.  The
+REPRING_SEED environment variable overrides the built-in default seed;
+an explicit --seed overrides both.
 """
 
 import argparse
 import json
 import sys
 
-from .errors import CorpusUnreadable, OutputUnwritable, RepringError
+from .errors import (
+    InvalidArguments,
+    InvalidPrime,
+    OutputUnwritable,
+    RepringError,
+)
 from .report import analyze_report, lattice_report, to_canonical_json
 from .verify import run_verify
 
@@ -53,9 +59,9 @@ def _parse_primes(raw):
     try:
         primes = tuple(int(tok) for tok in raw.split(",") if tok.strip())
     except ValueError:
-        raise CorpusUnreadable(f"bad prime list {raw!r}") from None
+        primes = ()
     if not primes:
-        raise CorpusUnreadable(f"bad prime list {raw!r}")
+        raise InvalidPrime(f"bad prime list {raw!r}")
     return primes
 
 
@@ -66,8 +72,16 @@ def cmd_verify(args) -> int:
     return 0 if report["all_pass"] else 1
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage errors raise InvalidArguments, so
+    they reach the user as the one JSON error, not as usage text."""
+
+    def error(self, message):
+        raise InvalidArguments(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="repring",
         description="exact modular representation theory of finite groups")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -109,9 +123,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.fn(args)
     except RepringError as exc:
         return _report_error(exc, exc.module)

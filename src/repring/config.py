@@ -23,9 +23,6 @@ ORDER_BOUND = 10000
 # in about 1.4 s and 216 MiB
 FIELD_ORDER_BOUND = 2 ** 20
 
-# isomorphism / embedding backtracking bound
-ISO_ORDER_BOUND = 256
-
 # the p-group catalog's default truncation at p = 2 and 3; p^2 at the
 # other primes
 DEFAULT_MAX_ORDER = {2: 16, 3: 27}

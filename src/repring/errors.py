@@ -142,6 +142,13 @@ class InvalidPrime(RepringError):
 
 # -- command line ---------------------------------------------------------
 
+class InvalidArguments(RepringError):
+    """The command line does not parse: a missing or unknown argument, a
+    value of the wrong type, or an unknown subcommand."""
+
+    module = "cli"
+
+
 class CorpusUnreadable(RepringError):
     module = "cli"
 

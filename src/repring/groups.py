@@ -12,11 +12,12 @@ element order of each class is computed once, for that sort, and kept
 (class_orders).
 
 A group offers what an analysis uses: classes, centralizers, Sylow
-subgroups, an isomorphism fingerprint and an embedding test.  There is
-no quotient, normality test, center or isomorphism search: U is read
-off the projective characters (defects._u_from), and the p-group
-catalog tells its classes apart by fingerprint.  The quotient route
-that checks U and the isomorphism test built on embeds_into live in
+subgroups, a Cayley table and an isomorphism fingerprint.  There is no
+quotient, normality test, center, isomorphism or embedding search: U is
+read off the projective characters (defects._u_from), the p-group
+catalog states its embeddings and tells its classes apart by
+fingerprint.  The quotient route that checks U and the embedding search
+that writes and checks the catalog's stated embeddings live in
 tests/group_reference.py.
 
 Classes, centralizers and Sylow subgroups cost no loop over pairs of
@@ -30,10 +31,8 @@ log2 of its order elements, not from all of its elements.  Where the
 group already gives the answer no search runs: the centralizer of a
 central element is G, and a p-group is its own Sylow p-subgroup.
 
-The embedding test works on element indices.  A group that takes part
-in a search (at most ISO_ORDER_BOUND elements) builds, once, a Cayley
-table over ``elements`` with its element orders and greedy generating
-sequence; the backtracking search then does integer lookups only.  The
+The Cayley table over ``elements`` is built once per group, and only
+for the regular algebra that cartan_via_endomorphisms works in.  The
 isomorphism fingerprint (sorted element orders, class sizes and p-th
 root counts) needs no table, so it decides catalog lookups at any order.
 
@@ -46,7 +45,7 @@ building any permutation.
 import json
 from math import factorial, lcm, prod
 
-from .config import ISO_ORDER_BOUND, ORDER_BOUND
+from .config import ORDER_BOUND
 from .errors import (
     ElementNotInGroup,
     InvalidGroupSpec,
@@ -519,24 +518,20 @@ def parse_group_spec(spec) -> PermGroup:
 
 
 # ---------------------------------------------------------------------
-# isomorphism and embedding, by bounded backtracking over element indices
+# the Cayley table and the isomorphism fingerprint
 
 
 class CayleyTable:
     """A group in index form: element i is ``G.elements[i]``.
 
-    ``mul[i][j]`` is the index of elements[i] * elements[j], ``orders[i]``
-    the order of element i and ``identity`` the identity's index.
-    ``by_order`` maps an element order to its indices in ascending order.
-    ``gens``/``sizes`` are the greedy generating sequence: each generator
-    is the first index outside the span of the earlier ones, and
-    ``sizes[t]`` is the order of the span of ``gens[:t + 1]``.
+    ``mul[i][j]`` is the index of elements[i] * elements[j] and
+    ``identity`` the identity's index.
     """
 
     def __init__(self, G: PermGroup):
         index = G._index
         n = G.order
-        self.identity = ident = index[G.identity]
+        self.identity = index[G.identity]
         # column j holds i -> index(x_i * y_j).  The closure's words are in
         # breadth-first order, so y_j = y_k * gens[t] with column k built.
         right = {}
@@ -552,49 +547,14 @@ class CayleyTable:
             rt = right[t]
             parent = cols[index[perm_mul(e, perm_inv(g))]]
             cols[index[e]] = [rt[c] for c in parent]
-        self.mul = mul = tuple(zip(*cols))
-
-        self.orders = orders = tuple(map(perm_order, G.elements))
-        self.by_order = {}
-        for i, o in enumerate(orders):
-            self.by_order.setdefault(o, []).append(i)
-
-        self.gens, self.sizes = [], []
-        span = {ident}
-        for x in range(n):
-            if len(span) == n:
-                break
-            if x in span:
-                continue
-            self.gens.append(x)
-            span = self.span(self.gens, n)
-            self.sizes.append(len(span))
-
-    def span(self, gens, bound):
-        """Indices of the subgroup generated by ``gens``, by breadth-first
-        search; stops early once more than ``bound`` are found."""
-        mul = self.mul
-        seen = {self.identity}
-        frontier = [self.identity]
-        while frontier and len(seen) <= bound:
-            nxt = []
-            for e in frontier:
-                row = mul[e]
-                for g in gens:
-                    h = row[g]
-                    if h not in seen:
-                        seen.add(h)
-                        nxt.append(h)
-            frontier = nxt
-        return seen
+        self.mul = tuple(zip(*cols))
 
 
 def _cayley(G: PermGroup) -> CayleyTable:
     """G's index layer, built on first use and kept on G.  The table has
-    |G|^2 entries, so callers keep |G| small: the isomorphism and
-    embedding tests check ISO_ORDER_BOUND, and cartan_via_endomorphisms,
-    meant for small groups, already works in the |G|-dimensional group
-    algebra."""
+    |G|^2 entries; it serves brauer's regular algebra, which
+    cartan_via_endomorphisms, meant for small groups, already works in
+    at dimension |G|."""
     if G._table is None:
         G._table = CayleyTable(G)
     return G._table
@@ -618,72 +578,3 @@ def _fingerprint(G: PermGroup):
                  tuple(sorted(map(len, classes))),
                  tuple(sorted(roots.values())))
     return G._fp
-
-
-def _extends_to_hom(P: CayleyTable, pgens, Q: CayleyTable, qimages) -> bool:
-    """Does pgens[t] -> qimages[t] extend to a homomorphism P -> Q?
-
-    pgens generate P.  Walks P breadth-first from the identity, giving each
-    element the image of the first word that reaches it.  The map is a
-    homomorphism exactly when f(a * g_t) = f(a) * q_t on every edge, since
-    every element of a finite group is a word in the generators.  When the
-    images generate a subgroup of order |P|, as the search has checked, the
-    homomorphism is onto it and hence injective.
-    """
-    pmul, qmul = P.mul, Q.mul
-    image = [None] * len(pmul)
-    image[P.identity] = Q.identity
-    frontier = [P.identity]
-    while frontier:
-        nxt = []
-        for a in frontier:
-            row, frow = pmul[a], qmul[image[a]]
-            for g, q in zip(pgens, qimages):
-                b, fb = row[g], frow[q]
-                if image[b] is None:
-                    image[b] = fb
-                    nxt.append(b)
-                elif image[b] != fb:
-                    return False
-        frontier = nxt
-    return True
-
-
-def _search_embedding(P: PermGroup, Q: PermGroup) -> bool:
-    TP, TQ = _cayley(P), _cayley(Q)
-    pgens, psizes = TP.gens, TP.sizes
-    if not pgens:
-        return True
-    pords = [TP.orders[g] for g in pgens]
-    # conjugating an embedding moves the first image within its class
-    firsts = [Q._index[c[0]] for c in Q.conjugacy_classes()]
-    firsts = [g for g in firsts if TQ.orders[g] == pords[0]]
-
-    def backtrack(i, chosen):
-        if i == len(pgens):
-            return _extends_to_hom(TP, pgens, TQ, chosen)
-        for g in firsts if i == 0 else TQ.by_order.get(pords[i], ()):
-            trial = chosen + [g]
-            if len(TQ.span(trial, psizes[i])) != psizes[i]:
-                continue
-            if backtrack(i + 1, trial):
-                return True
-        return False
-
-    return backtrack(0, [])
-
-
-def embeds_into(P: PermGroup, Q: PermGroup) -> bool:
-    """Is P isomorphic to some subgroup of Q (to Q itself, at equal
-    orders)?"""
-    if Q.order % P.order:
-        return False
-    if Q.order > ISO_ORDER_BOUND:
-        raise OrderBoundExceeded(
-            f"embedding test beyond bound {ISO_ORDER_BOUND}")
-    if P.order == Q.order:
-        if _fingerprint(P) != _fingerprint(Q):
-            return False
-    elif not _cayley(P).by_order.keys() <= _cayley(Q).by_order.keys():
-        return False
-    return _search_embedding(P, Q)

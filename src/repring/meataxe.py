@@ -362,9 +362,9 @@ def linear_characters(G: PermGroup, F):
     generators: for the least k with g_t^k in H, the value at g_t^k
     read off H.  Since H<g_t> is the union of the cosets H g_t^j, j < k,
     a character of H extends by exactly those images (the check that
-    groups._extends_to_hom makes edge by edge).  Pruning at each step
-    keeps the work near the number of characters, not the product of
-    the candidate counts.  Values are kept as logarithms to the base of
+    the embedding search of tests/group_reference.py makes edge by
+    edge).  Pruning at each step keeps the work near the number of
+    characters, not the product of the candidate counts.  Values are kept as logarithms to the base of
     F's primitive element.
     """
     n = F.q - 1

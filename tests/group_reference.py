@@ -1,28 +1,168 @@
-"""Quotients, centers, exponents and isomorphism of permutation groups.
+"""Quotients, centers, exponents, embedding and isomorphism of
+permutation groups.
 
 No analysis needs these: U is read off the projective characters, with
-no quotient group, and the p-group catalog tells its classes apart by
-fingerprint, with no isomorphism search.  They stay here as the
-reference route that tests/test_defects.py checks U and the inflated
-Brauer rows against, as the oracle the catalog tests check lookups
-against, and as the structure checks and the C4oD8 construction of
-scripts/make_pgroup_data.py.
+no quotient group, and the p-group catalog states its embeddings and
+tells its classes apart by fingerprint, with no search.  They stay here
+as the reference route that tests/test_defects.py checks U and the
+inflated Brauer rows against, as the oracle the catalog tests check
+lookups and stated embeddings against, and as the search, structure
+checks and C4oD8 construction of scripts/make_pgroup_data.py, which
+writes each bundled row's embeddings into the table.
+
+The embedding search works on element indices.  A group that takes part
+(at most ISO_ORDER_BOUND elements) gets, once, a SearchTable over its
+Cayley table with its element orders and greedy generating sequence;
+the backtracking search then does integer lookups only.
 """
 
 from math import lcm
+from weakref import WeakKeyDictionary
 
-from repring.errors import NotSubgroup
+from repring.errors import NotSubgroup, OrderBoundExceeded
 from repring.groups import (
     PermGroup,
-    embeds_into,
+    _cayley,
+    _fingerprint,
     perm_inv,
     perm_mul,
     perm_order,
 )
 
+# isomorphism / embedding backtracking bound
+ISO_ORDER_BOUND = 256
+
 
 class NotNormal(ValueError):
     """A quotient by a subgroup that is not normal."""
+
+
+class SearchTable:
+    """What the search reads of G, by element index (element i is
+    ``G.elements[i]``): ``mul`` and ``identity`` from G's Cayley table,
+    ``orders[i]`` the order of element i, and ``by_order``, which maps an
+    element order to its indices in ascending order.  ``gens``/``sizes``
+    are the greedy generating sequence: each generator is the first
+    index outside the span of the earlier ones, and ``sizes[t]`` is the
+    order of the span of ``gens[:t + 1]``.
+    """
+
+    def __init__(self, G: PermGroup):
+        table = _cayley(G)
+        self.mul, self.identity = table.mul, table.identity
+        n = G.order
+        self.orders = orders = tuple(map(perm_order, G.elements))
+        self.by_order = {}
+        for i, o in enumerate(orders):
+            self.by_order.setdefault(o, []).append(i)
+
+        self.gens, self.sizes = [], []
+        span = {self.identity}
+        for x in range(n):
+            if len(span) == n:
+                break
+            if x in span:
+                continue
+            self.gens.append(x)
+            span = self.span(self.gens, n)
+            self.sizes.append(len(span))
+
+    def span(self, gens, bound):
+        """Indices of the subgroup generated by ``gens``, by breadth-first
+        search; stops early once more than ``bound`` are found."""
+        mul = self.mul
+        seen = {self.identity}
+        frontier = [self.identity]
+        while frontier and len(seen) <= bound:
+            nxt = []
+            for e in frontier:
+                row = mul[e]
+                for g in gens:
+                    h = row[g]
+                    if h not in seen:
+                        seen.add(h)
+                        nxt.append(h)
+            frontier = nxt
+        return seen
+
+
+_TABLES = WeakKeyDictionary()
+
+
+def _table(G: PermGroup) -> SearchTable:
+    """G's SearchTable, built on first use and kept while G lives."""
+    if G not in _TABLES:
+        _TABLES[G] = SearchTable(G)
+    return _TABLES[G]
+
+
+def _extends_to_hom(P: SearchTable, pgens, Q: SearchTable, qimages) -> bool:
+    """Does pgens[t] -> qimages[t] extend to a homomorphism P -> Q?
+
+    pgens generate P.  Walks P breadth-first from the identity, giving each
+    element the image of the first word that reaches it.  The map is a
+    homomorphism exactly when f(a * g_t) = f(a) * q_t on every edge, since
+    every element of a finite group is a word in the generators.  When the
+    images generate a subgroup of order |P|, as the search has checked, the
+    homomorphism is onto it and hence injective.
+    """
+    pmul, qmul = P.mul, Q.mul
+    image = [None] * len(pmul)
+    image[P.identity] = Q.identity
+    frontier = [P.identity]
+    while frontier:
+        nxt = []
+        for a in frontier:
+            row, frow = pmul[a], qmul[image[a]]
+            for g, q in zip(pgens, qimages):
+                b, fb = row[g], frow[q]
+                if image[b] is None:
+                    image[b] = fb
+                    nxt.append(b)
+                elif image[b] != fb:
+                    return False
+        frontier = nxt
+    return True
+
+
+def _search_embedding(P: PermGroup, Q: PermGroup) -> bool:
+    TP, TQ = _table(P), _table(Q)
+    pgens, psizes = TP.gens, TP.sizes
+    if not pgens:
+        return True
+    pords = [TP.orders[g] for g in pgens]
+    # conjugating an embedding moves the first image within its class
+    firsts = [Q._index[c[0]] for c in Q.conjugacy_classes()]
+    firsts = [g for g in firsts if TQ.orders[g] == pords[0]]
+
+    def backtrack(i, chosen):
+        if i == len(pgens):
+            return _extends_to_hom(TP, pgens, TQ, chosen)
+        for g in firsts if i == 0 else TQ.by_order.get(pords[i], ()):
+            trial = chosen + [g]
+            if len(TQ.span(trial, psizes[i])) != psizes[i]:
+                continue
+            if backtrack(i + 1, trial):
+                return True
+        return False
+
+    return backtrack(0, [])
+
+
+def embeds_into(P: PermGroup, Q: PermGroup) -> bool:
+    """Is P isomorphic to some subgroup of Q (to Q itself, at equal
+    orders)?"""
+    if Q.order % P.order:
+        return False
+    if Q.order > ISO_ORDER_BOUND:
+        raise OrderBoundExceeded(
+            f"embedding test beyond bound {ISO_ORDER_BOUND}")
+    if P.order == Q.order:
+        if _fingerprint(P) != _fingerprint(Q):
+            return False
+    elif not _table(P).by_order.keys() <= _table(Q).by_order.keys():
+        return False
+    return _search_embedding(P, Q)
 
 
 def is_isomorphic(G: PermGroup, H: PermGroup) -> bool:

@@ -1,8 +1,14 @@
 import hashlib
+import importlib.util
+import pathlib
+import re
 
 import pytest
 
+from group_reference import embeds_into
+from repring import groups as groups_module
 from repring.catalog import (
+    KNOWN_COUNTS,
     ClosedSet,
     _cached_catalog,
     _load_bundled,
@@ -25,11 +31,13 @@ from repring.groups import (
     alternating_group,
     cyclic_group,
     direct_product,
-    embeds_into,
     quaternion_group,
     symmetric_group,
 )
 from repring.report import lattice_report
+
+# the embedding search lives in tests/group_reference.py only
+SEARCH_NAMES = ("embeds_into", "_search_embedding", "_extends_to_hom")
 
 # the embedding matrix of 1, C_p, C_{p^2}, C_p^2
 P_SQUARED_EMBED = [
@@ -78,8 +86,8 @@ def test_catalog_missing_prime():
         build_catalog(7, 2401)  # order 7^4 would need the groups of order 2401
     with pytest.raises(DatasetMissing):
         build_catalog(4)  # not a prime
-    # C289 and C17^2 are past ISO_ORDER_BOUND, but their embeddings are
-    # known by construction, so no search runs
+    # C289 and C17^2 are past the reference search's ISO_ORDER_BOUND, but
+    # their embeddings are known by construction
     cat = build_catalog(17)
     assert cat.labels == ["1", "C17", "C289", "C17^2"]
     assert [[int(e) for e in row] for row in cat.embed] == P_SQUARED_EMBED
@@ -262,19 +270,35 @@ def test_index_of_isomorphic():
     assert cat.index_of_isomorphic(cyclic_group(16)) is None
 
 
-def test_validation_catches_corruption():
+def _script():
+    """scripts/make_pgroup_data.py, loaded as a module."""
+    path = (pathlib.Path(__file__).resolve().parents[1] / "scripts"
+            / "make_pgroup_data.py")
+    spec = importlib.util.spec_from_file_location("make_pgroup_data", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_validation_catches_corruption(monkeypatch):
     # the bundled rows of order 16 on top of the generated orders <= 8
     rows = _load_bundled()
     cat = catalog_from_dataset(2, 16, rows)
     assert cat.labels == build_catalog(2, 16).labels
     assert cat.embed == build_catalog(2, 16).embed
 
-    # the count per order is right, so the fingerprint check rejects it
+    # the count per order is right and the stated list is C16's, so the
+    # catalog builds; a lookup of C16 finds two classes, and the script's
+    # check rejects the rows before writing them
     dup = rows[:13] + [{"p": 2, "order": 16, "label": "C16again",
                         "degree": 16,
-                        "generators": [list(range(2, 17)) + [1]]}]
+                        "generators": [list(range(2, 17)) + [1]],
+                        "contains": rows[0]["contains"]}]
+    cat = catalog_from_dataset(2, 16, dup)
     with pytest.raises(ValidationFailed, match="duplicate isomorphism class"):
-        catalog_from_dataset(2, 16, dup)
+        cat.index_of_isomorphic(cyclic_group(16))
+    with pytest.raises(ValueError, match="duplicate isomorphism class"):
+        _script().check_distinct_classes(dup)
 
     with pytest.raises(ValidationFailed, match="{16: 13}, expected {16: 14}"):
         catalog_from_dataset(2, 16, rows[:13])
@@ -293,6 +317,28 @@ def test_validation_catches_corruption():
     with pytest.raises(ValidationFailed, match="expected {625: None}"):
         catalog_from_dataset(5, 625, [c625])
 
+    # a stated list names a missing entry, one of the same order (listed
+    # later or earlier) or a larger one; C32 is a row of its own in the
+    # last case, with a count for order 32 so that only its list fails
+    c32 = {"p": 2, "order": 32, "label": "C32", "degree": 32,
+           "generators": [list(range(2, 33)) + [1]],
+           "contains": rows[0]["contains"] + ["C16"]}
+    monkeypatch.setitem(KNOWN_COUNTS, (2, 32), 1)
+    assert catalog_from_dataset(2, 32, rows + [c32]).labels[-1] == "C32"
+    for k, wrong, extra in ((0, "C32", []), (0, "C4^2", []),
+                            (1, "C16", []), (0, "C32", [c32])):
+        bad = list(rows)
+        bad[k] = dict(rows[k], contains=rows[k]["contains"] + [wrong])
+        with pytest.raises(ValidationFailed, match=re.escape(
+                f"{rows[k]['label']} contains '{wrong}', which is no")):
+            catalog_from_dataset(2, 16 * (1 + len(extra)), bad + extra)
+
+    # a list that is not down-closed: C8 embeds in C16, but C4 is dropped
+    bad = [dict(rows[0], contains=["1", "C2", "C8"])]
+    with pytest.raises(ValidationFailed,
+                       match="C16 contains C8 but not C4"):
+        catalog_from_dataset(2, 16, bad + rows[1:])
+
 
 def test_catalog_below_order_1_is_empty():
     for max_order in (0, -1):
@@ -302,13 +348,11 @@ def test_catalog_below_order_1_is_empty():
         assert cat.index_of_isomorphic(cyclic_group(1)) is None
 
 
-def test_lookup_by_unique_fingerprint_runs_no_search(monkeypatch):
+def test_lookup_by_unique_fingerprint_runs_no_search():
     """A fingerprint that one entry of the complete catalog holds names
-    the class; the lookup builds no Cayley table and runs no search."""
-    def no_search(P, Q):
-        raise AssertionError("search run")
-
-    monkeypatch.setattr("repring.groups._search_embedding", no_search)
+    the class; the lookup builds no Cayley table, and the package has no
+    search to run."""
+    assert not any(hasattr(groups_module, name) for name in SEARCH_NAMES)
     cat = build_catalog(2, 16)
     for P, label in ((symmetric_group(4).sylow_subgroup(2), "D8"),
                      (direct_product(quaternion_group(), cyclic_group(1)),
@@ -324,16 +368,13 @@ def test_lookup_by_unique_fingerprint_runs_no_search(monkeypatch):
 TIED_BEFORE_ROOT_COUNTS = [("C2^2:C4", "C4oD8"), ("C4:C4", "Q8xC2")]
 
 
-def test_tied_fingerprints_resolve_to_their_own_label(monkeypatch):
+def test_tied_fingerprints_resolve_to_their_own_label():
     """Fresh copies of the order-16 rows that element orders and class
     sizes tie are told apart by their square-root counts, with no
     search."""
-    def no_search(P, Q):
-        raise AssertionError("search run")
-
+    assert not any(hasattr(groups_module, name) for name in SEARCH_NAMES)
     rows = {row["label"]: row for row in _load_bundled()}
     cat = build_catalog(2, 16)
-    monkeypatch.setattr("repring.groups._search_embedding", no_search)
     for label in ("C2^2:C4", "C4oD8", "C4:C4", "Q8xC2"):
         row = rows[label]
         # a fresh copy of the row, so the catalog entry's caches are unused
@@ -342,14 +383,11 @@ def test_tied_fingerprints_resolve_to_their_own_label(monkeypatch):
         assert cat.label(cat.index_of_isomorphic(P)) == label
 
 
-def test_tied_catalog_entries_resolve_without_a_search(monkeypatch):
+def test_tied_catalog_entries_resolve_without_a_search():
     """An entry looked up by itself is found by its fingerprint, as
     verify's p-group indicator suite looks up each entry of the
     catalog."""
-    def no_search(P, Q):
-        raise AssertionError("search run")
-
-    monkeypatch.setattr("repring.groups._search_embedding", no_search)
+    assert not any(hasattr(groups_module, name) for name in SEARCH_NAMES)
     cat = build_catalog(2, 16)
     for label in ("C2^2:C4", "C4oD8", "C4:C4", "Q8xC2"):
         i = cat.labels.index(label)
@@ -383,6 +421,15 @@ def test_stated_order_p_cubed_embeddings_match_the_search(p):
     p^3 are the ones embeds_into finds."""
     cat = build_catalog(p, p ** 3)
     assert len(cat) == 9
+    groups = [cat.group(i) for i in range(len(cat))]
+    assert cat.embed == [[embeds_into(P, Q) for Q in groups] for P in groups]
+
+
+def test_stated_bundled_embeddings_match_the_search():
+    """The embeddings the bundled rows state are the ones embeds_into
+    finds, over the whole 23-entry catalog at p = 2."""
+    cat = build_catalog(2, 16)
+    assert len(cat) == 23
     groups = [cat.group(i) for i in range(len(cat))]
     assert cat.embed == [[embeds_into(P, Q) for Q in groups] for P in groups]
 
@@ -432,6 +479,24 @@ def test_lattice_builds_no_group(monkeypatch):
     report = lattice_report(71)
     assert [e["order"] for e in report["entries"]] == [1, 71, 5041, 5041]
     assert built == []
+
+
+def test_catalog_builds_no_group(monkeypatch):
+    """Every embedding is stated, so building the default p = 2 catalog,
+    bundled rows included, constructs no permutation group."""
+    assert not any(hasattr(groups_module, name) for name in SEARCH_NAMES)
+    built = []
+    real = PermGroup.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(1)
+        real(self, *args, **kwargs)
+
+    _cached_catalog.cache_clear()
+    monkeypatch.setattr(PermGroup, "__init__", counted)
+    cat = build_catalog(2)
+    assert build_catalog(2, 16) is cat
+    assert (len(cat), built) == (23, [])
 
 
 def test_catalog_deterministic():

@@ -83,8 +83,10 @@ def test_analyze_prime_without_bundled_rows(capsys, spec, dims, cartan,
 @pytest.mark.parametrize("spec, defect", [("C17xC17", "C17^2"),
                                           ("C289", "C289")])
 def test_analyze_order_p_squared_past_the_search_bound(capsys, spec, defect):
-    """Groups of order 17^2 are past ISO_ORDER_BOUND, but each has a
-    fingerprint no other catalog entry shares, so no search is needed."""
+    """Groups of order 17^2 are past the bound of 256 on the embedding
+    search that tests/group_reference.py keeps, but each has a
+    fingerprint no other catalog entry shares, so the package needs no
+    search."""
     r = analyze_json(capsys, "analyze", spec, "--p", "17")
     assert r["catalog"]["labels"] == ["1", "C17", "C289", "C17^2"]
     assert [c["defect"] for c in r["classes"]] == [defect]
@@ -392,9 +394,12 @@ def test_verify_missing_corpus_file(capsys):
 
 
 def test_verify_bad_prime_list(capsys):
-    code, _, err = run_cli(capsys, "verify", "--p", "2,zebra")
-    assert code == 2
-    assert json.loads(err)["error"]["type"] == "CorpusUnreadable"
+    """A prime list that holds no prime is a bad --p, as --p 2,9 is, not
+    an unreadable corpus."""
+    for raw in ("2,zebra", ","):
+        code, out, err = run_cli(capsys, "verify", "--p", raw)
+        assert code == 2 and out == ""
+        assert json.loads(err)["error"]["type"] == "InvalidPrime"
 
 
 # -- error surface ------------------------------------------------------
@@ -429,6 +434,35 @@ def test_bad_input_is_one_json_error(capsys, argv, err_type):
     assert code == 2 and out == ""
     assert len(err.splitlines()) == 1
     assert json.loads(err)["error"]["type"] == err_type
+
+
+@pytest.mark.parametrize("argv", [
+    ("analyze", "S3"),
+    ("analyze", "S3", "--p", "two"),
+    ("analyze", "S3", "--p", "3", "--seed", "x"),
+    ("verify", "--seed", "x"),
+    ("lattice", "--p", "2", "--max-order", "x"),
+    ("frobnicate",),
+    (),
+    ("verify", "--bogus"),
+])
+def test_usage_error_is_one_json_error(capsys, argv):
+    """A command line that does not parse prints no usage text: exit 2,
+    empty stdout and one JSON error line from module cli."""
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert len(err.splitlines()) == 1
+    parsed = json.loads(err)["error"]
+    assert (parsed["type"], parsed["module"]) == ("InvalidArguments", "cli")
+
+
+@pytest.mark.parametrize("argv", [("--help",), ("analyze", "--help")])
+def test_help_still_prints_help(capsys, argv):
+    with pytest.raises(SystemExit) as info:
+        main(list(argv))
+    captured = capsys.readouterr()
+    assert info.value.code == 0
+    assert captured.out.startswith("usage: repring") and captured.err == ""
 
 
 @pytest.mark.parametrize("name, shown", [

@@ -46,6 +46,8 @@ OPS = {
     # and so factor characteristic polynomials over a Zech-logarithm field
     "analyze D14 p3": ("analyze", "D14", 3),
     "analyze A4xC7 p3": ("analyze", "A4xC7", 3),
+    # defects C2 and D8xC2: a lookup that lands on a bundled row of order 16
+    "analyze S4xC2 p2": ("analyze", "S4xC2", 2),
     "lattice p2 max8": ("lattice", 2, 8),
     "lattice p3": ("lattice", 3, None),
     "lattice p5": ("lattice", 5, None),

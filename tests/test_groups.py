@@ -6,7 +6,6 @@ from hypothesis import assume, given, settings, strategies as st
 
 from repring.brauer import induce_class_function
 from repring.catalog import build_catalog
-from repring.config import ISO_ORDER_BOUND
 from repring.cyclo import Cyc
 from repring.errors import (
     ElementNotInGroup,
@@ -21,7 +20,6 @@ from repring.groups import (
     cyclic_group,
     dihedral_group,
     direct_product,
-    embeds_into,
     is_p_power,
     p_part,
     parse_group_spec,
@@ -34,7 +32,14 @@ from repring.groups import (
 )
 from repring.verify import DEFAULT_CORPUS
 
-from group_reference import NotNormal, center, is_isomorphic, quotient_group
+from group_reference import (
+    ISO_ORDER_BOUND,
+    NotNormal,
+    center,
+    embeds_into,
+    is_isomorphic,
+    quotient_group,
+)
 
 
 def test_perm_primitives():
