@@ -35,20 +35,45 @@ meataxe passes the random stream of its own seed.
 import functools
 
 from .config import FIELD_ORDER_BOUND
-from .errors import FieldTooLarge, RepringError
+from .errors import FieldTooLarge, InvalidPrime, RepringError
 
 # addition and multiplication tables up to this q; Zech logarithms above
 _TABLE_MAX_Q = 256
 
 
+# strong probable primes to every prime base up to 41 are prime below
+# this bound (Sorenson and Webster, "Strong pseudoprimes to twelve prime
+# bases", Math. Comp. 86, 2017)
+PRIME_TEST_BOUND = 3317044064679887385961981
+_PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+
+
 def _is_prime(n: int) -> bool:
+    """Whether n is prime, by the Miller-Rabin test to the prime bases
+    up to 41, which is exact below PRIME_TEST_BOUND; raises InvalidPrime
+    at or above it."""
+    if n >= PRIME_TEST_BOUND:
+        raise InvalidPrime(
+            f"p = {n} is at or above {PRIME_TEST_BOUND}, the bound below "
+            "which primality is decided")
     if n < 2:
         return False
-    k = 2
-    while k * k <= n:
-        if n % k == 0:
+    for a in _PRIME_BASES:
+        if n % a == 0:
+            return n == a
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in _PRIME_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        k += 1
     return True
 
 
@@ -232,9 +257,6 @@ class GF:
 
     def neg(self, a):
         return self._neg[a]
-
-    def sub(self, a, b):
-        return self.add(a, self._neg[b])
 
     def mul(self, a, b):
         if a == 0 or b == 0:

@@ -10,12 +10,11 @@ characteristic polynomial smallest degree first, spin kernel vectors of
 f(z) into submodules, and certify irreducibility with Norton's criterion
 when f(z) has minimal nullity (one spin on each side of the duality).
 The factors come from a generator, so a chop that splits or certifies
-at a small factor never factors further.  Isomorphism of simples is
-decided by standard-basis comparison seeded at a one-dimensional
-eigenspace, which at the same time certifies absolute irreducibility
-over the working field; `find_id_recipe` reads only the linear factors,
-which come first, and stops at the first factor of higher degree.  A
-one-dimensional module is compared by its matrices alone.
+at a small factor never factors further.  Two irreducible factors are
+isomorphic exactly when their characteristic polynomials agree at every
+p-regular class: these fix the Brauer character, and the Brauer
+characters of the F-irreducibles are linearly independent.  A module of
+any dimension is compared by that key alone, with no random stream.
 
 The simples of kG are found by tensor closure of the natural permutation
 module (`simple_modules`), never by chopping the |G|-dimensional regular
@@ -26,9 +25,8 @@ homomorphisms to F^*, listed in closed form (`linear_characters`) with
 no random stream; the closure remains the route when F is too small to
 hold them all.
 
-Chop and standard forms rest on one breadth-first `spin`, which keeps
-its subspace as a linalg `Echelon`; sub- and quotient actions are read
-off that echelon.
+The chop rests on one breadth-first `spin`, which keeps its subspace as
+a linalg `Echelon`; sub- and quotient actions are read off that echelon.
 """
 
 import random
@@ -42,7 +40,6 @@ from .linalg import (
     Echelon,
     gf_charpoly,
     gf_identity,
-    gf_mat_inv,
     gf_matmul,
     gf_right_kernel,
     gf_transpose,
@@ -178,14 +175,6 @@ def _kernel_rows(F, mat):
     return gf_right_kernel(F, gf_transpose(mat))
 
 
-def _eigenspace(F, z, lam):
-    """Basis of {v : v * z = lam * v}, echelonized."""
-    theta = [list(row) for row in z]
-    for i in range(len(theta)):
-        theta[i][i] = F.sub(theta[i][i], lam)
-    return _kernel_rows(F, theta)
-
-
 def _poly_of_matrix(F, poly, mat, dim):
     out = [[0] * dim for _ in range(dim)]
     power = gf_identity(dim)
@@ -246,52 +235,6 @@ def chop(module: Module, rng: random.Random):
         f"no certificate after {CHOP_RETRY} algebra elements (dim {dim})")
 
 
-def find_id_recipe(module: Module, rng: random.Random):
-    """A (recipe, eigenvalue) whose matrix has a 1-dim eigenspace.
-
-    Existence certifies that the endomorphism ring is the ground field,
-    i.e. the module is absolutely irreducible; used as the seed for
-    standard-basis comparison.  Only a linear factor of the
-    characteristic polynomial names an eigenvalue, so each element's
-    factors are taken up to the first of higher degree.
-    """
-    F = module.F
-    dim = module.dim
-    for _ in range(CHOP_RETRY):
-        recipe = random_recipe(rng, len(module.mats), F)
-        z = module.recipe_matrix(recipe)
-        for factor in irreducible_factors(F, gf_charpoly(F, z), rng):
-            if poly_deg(factor) > 1:
-                break  # the linear factors come first
-            lam = F.neg(factor[0])
-            if len(_eigenspace(F, z, lam)) == 1:
-                return recipe, lam
-    raise ChopStalled(
-        f"no identification element after {CHOP_RETRY} tries (dim {dim})")
-
-
-def standard_form(module: Module, recipe, lam):
-    """Action matrices rewritten in the standard basis spun from the
-    lam-eigenspace of the recipe element; None when that eigenspace is
-    not 1-dimensional.  Two simples are isomorphic iff their standard
-    forms under a shared (recipe, lam) are identical.
-    """
-    F = module.F
-    kernel = _eigenspace(F, module.recipe_matrix(recipe), lam)
-    if len(kernel) != 1:
-        return None
-    # the spanning vectors themselves (not residues) make the basis canonical
-    _, basis = spin(F, kernel, module.mats, module.dim)
-    if len(basis) != module.dim:
-        return None  # not spanning: module was not irreducible
-    binv = gf_mat_inv(F, basis)
-    forms = []
-    for m in module.mats:
-        forms.append(tuple(tuple(r) for r in
-                           gf_matmul(F, gf_matmul(F, basis, m), binv)))
-    return tuple(forms)
-
-
 def _tensor_closure(G: PermGroup, F, rng: random.Random, count):
     """The first count pairwise non-isomorphic composition factors of
     the natural module and of the tensor products s (x) t of each new
@@ -300,22 +243,17 @@ def _tensor_closure(G: PermGroup, F, rng: random.Random, count):
     The pending products are chopped smallest dimension first, ties in
     the order met; ClosureSaturated is raised when none is left.
 
-    A factor of dimension above 1 is compared with the known simples of
-    its dimension by standard form, under the (recipe, eigenvalue) found
-    for each of them, which also certifies that it is absolutely
-    irreducible.  A 1-dimensional factor is a homomorphism G -> F^*: it
-    is absolutely irreducible and fixed up to isomorphism by its
-    generator matrices, so it is compared by those and needs no recipe
-    and no standard form.
+    A factor is new exactly when its key is: its characteristic
+    polynomials at the p-regular class representatives, which fix its
+    Brauer character.  An F-irreducible's character is the sum over one
+    Galois orbit of absolutely irreducible ones, which are linearly
+    independent, so count distinct keys certify that every factor kept
+    is absolutely irreducible.
     """
+    classes = G.conjugacy_classes()
+    reps = [classes[i][0] for i in G.p_regular_classes(F.p)]
     simples = []
-    ids = []  # (dim, recipe, eigenvalue, standard form) of the larger simples
-
-    def known(f):
-        if f.dim == 1:
-            return any(s.mats == f.mats for s in simples)
-        return any(dim == f.dim and standard_form(f, recipe, lam) == form
-                   for dim, recipe, lam, form in ids)
+    keys = set()
 
     def absorb(module):
         """Chop module; record and return its factors not seen before."""
@@ -323,12 +261,10 @@ def _tensor_closure(G: PermGroup, F, rng: random.Random, count):
         for f in chop(module, rng):
             if len(simples) == count:
                 break
-            if known(f):
+            key = tuple(gf_charpoly(F, f.element_matrix(G, x)) for x in reps)
+            if key in keys:
                 continue
-            if f.dim > 1:
-                recipe, lam = find_id_recipe(f, rng)
-                ids.append((f.dim, recipe, lam,
-                            standard_form(f, recipe, lam)))
+            keys.add(key)
             simples.append(f)
             new.append(f)
         return new
@@ -364,8 +300,8 @@ def linear_characters(G: PermGroup, F):
     a character of H extends by exactly those images (the check that
     the embedding search of tests/group_reference.py makes edge by
     edge).  Pruning at each step keeps the work near the number of
-    characters, not the product of the candidate counts.  Values are kept as logarithms to the base of
-    F's primitive element.
+    characters, not the product of the candidate counts.  Values are
+    kept as logarithms to the base of F's primitive element.
     """
     n = F.q - 1
     span = {G.identity: ()}  # element -> its exponents over the gens so far
@@ -399,11 +335,14 @@ def simple_modules(G: PermGroup, F, seed, count) -> list:
     faithful module (Steinberg 1962), and the natural permutation module
     is faithful.  So the search chops the natural module, then the
     tensor products of each new simple with each factor of the natural
-    module, smallest first, keeping the factors isomorphic to no simple
-    found so far (see _tensor_closure), until count simples are known
-    (the number of p-regular classes, by Brauer).
-    Deterministic per seed, reseeding if a random stream stalls; a
-    closure that stops short of count raises ClosureSaturated.
+    module, smallest first, keeping the factors whose characteristic
+    polynomials at the p-regular classes match no simple found so far
+    (see _tensor_closure), until count simples are known (the number of
+    p-regular classes, by Brauer).  Reaching count certifies that every
+    simple found is absolutely irreducible.  Deterministic per seed,
+    reseeding if a random stream stalls; a closure that stops short of
+    count, as over a field that does not split G, raises
+    ClosureSaturated.
 
     Two cases need no search and no random stream.  count == 1 means the
     identity is the only p-regular element, so G is a p-group and the

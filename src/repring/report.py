@@ -31,7 +31,8 @@ def to_canonical_json(report) -> bytes:
 
 
 def require_prime(p):
-    """p itself, or InvalidPrime when p is not a prime number."""
+    """p itself, or InvalidPrime when p is not a prime number or is too
+    large for gf._is_prime to decide (gf.PRIME_TEST_BOUND or above)."""
     if not _is_prime(p):
         raise InvalidPrime(f"p = {p} is not prime")
     return p

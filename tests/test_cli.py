@@ -3,6 +3,7 @@
 import json
 import subprocess
 import sys
+import time
 from fractions import Fraction
 
 import pytest
@@ -411,6 +412,8 @@ def test_verify_bad_prime_list(capsys):
     (("verify", "--p", "4"), "InvalidPrime"),
     (("verify", "--p", "2,9"), "InvalidPrime"),
     (("lattice", "--p", "4"), "InvalidPrime"),
+    (("lattice", "--p", "3317044064679887385961981"), "InvalidPrime"),
+    (("analyze", "S4", "--p", str(2 ** 89 - 1)), "InvalidPrime"),
     (("analyze", "C0", "--p", "2"), "InvalidGroupSpec"),
     (("analyze", '{"degree": -1, "generators": []}', "--p", "2"),
      "InvalidGroupSpec"),
@@ -512,6 +515,15 @@ def test_library_entry_points_reject_non_prime():
     assert info.value.module == "report"
     with pytest.raises(InvalidPrime):
         run_verify(primes=[4])
+
+
+def test_lattice_at_a_prime_near_1e18_is_quick(capsys):
+    # the 6-set lattice of 1 < C_p < C_p^2; deciding p took minutes by
+    # trial division
+    start = time.perf_counter()
+    r = analyze_json(capsys, "lattice", "--p", "1000000000000000003")
+    assert time.perf_counter() - start < 1
+    assert r["closed_set_count"] == 6
 
 
 def test_unknown_group_spec(capsys):

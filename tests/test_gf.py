@@ -1,12 +1,14 @@
 import random
+from math import isqrt
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repring import gf as gf_mod
-from repring.errors import FieldTooLarge
+from repring.errors import FieldTooLarge, InvalidPrime
 from repring.gf import (
     GF,
+    PRIME_TEST_BOUND,
     _is_prime,
     gf_field,
     irreducible_factors,
@@ -52,6 +54,72 @@ def test_gf9_tables():
 
 
 # GF(257) and GF(263) add by Zech logarithms
+def _by_trial_division(n):
+    return n > 1 and all(n % k for k in range(2, int(n ** 0.5) + 1))
+
+
+def test_is_prime_matches_trial_division():
+    assert [n for n in range(-3, 20000) if _is_prime(n)] == \
+        [n for n in range(-3, 20000) if _by_trial_division(n)]
+
+
+# Carmichael numbers, and strong pseudoprimes to every prime base up to
+# 7, 23 and 37 (Jaeschke 1993; Sorenson and Webster 2017), each as the
+# product that shows it composite
+COMPOSITES = [
+    (561, 3 * 11 * 17),
+    (1105, 5 * 13 * 17),
+    (1729, 7 * 13 * 19),
+    (41041, 7 * 11 * 13 * 41),
+    (3215031751, 151 * 751 * 28351),
+    (3825123056546413051, 149491 * 747451 * 34233211),
+    (318665857834031151167461, 399165290221 * 798330580441),
+    (2 ** 67 - 1, 193707721 * 761838257287),
+]
+
+
+@pytest.mark.parametrize("n, product", COMPOSITES,
+                         ids=[str(n) for n, _ in COMPOSITES])
+def test_is_prime_rejects_pseudoprimes(n, product):
+    assert n == product
+    assert not _is_prime(n)
+
+
+@pytest.mark.parametrize("n", [2, 41, 43, 65537, 2 ** 31 - 1,
+                               10 ** 16 + 61, 10 ** 18 + 3, 2 ** 61 - 1])
+def test_is_prime_accepts_known_primes(n):
+    assert _is_prime(n)
+
+
+def _proth_primes_below(bound, m, count):
+    """The largest count primes k 2^m + 1 < bound with odd k < 2^m, each
+    certified by Proth's theorem: a^((n-1)/2) = -1 mod n for some a."""
+    out, k = [], (bound - 2) >> m
+    assert k < 1 << m
+    while len(out) < count:
+        k -= 1 - k % 2  # odd k, downward
+        n = (k << m) + 1
+        if any(pow(a, (n - 1) // 2, n) == n - 1 for a in range(2, 60)):
+            out.append(n)
+        k -= 1
+    return out
+
+
+def test_is_prime_near_the_bound():
+    # ψ13, the least strong pseudoprime to the prime bases up to 41, is
+    # the bound itself
+    assert PRIME_TEST_BOUND == 1287836182261 * 2575672364521
+    primes = _proth_primes_below(PRIME_TEST_BOUND, 41, 3)
+    assert all(_is_prime(n) for n in primes)
+    # products of two primes just below the square root of the bound
+    q, r = _proth_primes_below(isqrt(PRIME_TEST_BOUND), 21, 2)
+    assert not any(_is_prime(n) for n in (q * q, q * r, r * r))
+    assert max(primes + [q * q]) < PRIME_TEST_BOUND
+    for n in (PRIME_TEST_BOUND, PRIME_TEST_BOUND + 1, 2 ** 89 - 1):
+        with pytest.raises(InvalidPrime, match=str(PRIME_TEST_BOUND)):
+            _is_prime(n)
+
+
 @pytest.mark.parametrize("p", [2, 3, 5, 7, 251, 257, 263])
 def test_gf_prime_field_is_mod_p(p):
     F = gf_field(p, 1)
@@ -60,7 +128,7 @@ def test_gf_prime_field_is_mod_p(p):
         for b in range(p):
             assert F.add(a, b) == (a + b) % p
             assert F.mul(a, b) == (a * b) % p
-        assert F.sub(0, a) == F.neg(a) == -a % p
+        assert F.add(0, F.neg(a)) == F.neg(a) == -a % p
         if a:
             assert F.inv(a) == pow(a, -1, p)
 
@@ -147,7 +215,7 @@ def test_add_and_axpy_match_scalar_reference(pd):
         for b in codes:
             assert F.add(a, b) == _digit_add(F, a, b)
             assert F.mul(a, b) == F._raw_mul(a, b)
-            assert F.sub(_digit_add(F, a, b), b) == a
+            assert F.add(_digit_add(F, a, b), F.neg(b)) == a
     for _ in range(200):
         n = rng.randrange(8)
         y = [rng.choice((0, rng.randrange(F.q))) for _ in range(n)]

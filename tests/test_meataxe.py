@@ -10,7 +10,7 @@ from repring.brauer import BrauerData, _phi_value, _row_key, splitting_field
 from repring.catalog import build_catalog
 from repring.config import CHOP_RESEEDS
 from repring.errors import ChopStalled, ClosureSaturated, MalformedModule
-from repring.gf import gf_field, poly_deg
+from repring.gf import gf_field
 from repring.groups import (
     alternating_group,
     cyclic_group,
@@ -22,17 +22,15 @@ from repring.groups import (
     symmetric_group,
     trivial_group,
 )
-from repring.linalg import gf_identity, gf_matmul
+from repring.linalg import gf_charpoly, gf_identity, gf_mat_inv, gf_matmul
 from repring.meataxe import (
     Module,
     _tensor_closure,
     chop,
-    find_id_recipe,
     natural_module,
     quotient_action,
     simple_modules,
     spin,
-    standard_form,
     submodule_action,
 )
 
@@ -211,7 +209,7 @@ def test_spin_of_basis_vector_is_full():
                                            [0, 0, 1, 0], [0, 0, 0, 1]]
 
 
-def test_standard_form_separates_a4_linears():
+def test_charpoly_keys_separate_a4_linears():
     G = alternating_group(4)
     F = gf_field(2, 2)
     reps = simples(G, F)
@@ -223,11 +221,61 @@ def test_standard_form_separates_a4_linears():
     assert vals == {1, 2, 3}
 
 
-def test_nonsplitting_field_stalls_identification():
-    # over F2 the two 3-dim factors of k(C7) have endomorphism ring F8,
-    # so no algebra element has a 1-dim eigenspace
-    with pytest.raises(ChopStalled):
+def test_nonsplitting_field_saturates_the_closure():
+    # over F2, k(C7) has the trivial module and two 3-dim simples, whose
+    # endomorphism ring is F8: three F-irreducibles, with distinct keys,
+    # for seven absolutely irreducible ones, so the closure saturates
+    with pytest.raises(ClosureSaturated, match="at 3 of 7"):
         simples(cyclic_group(7), gf_field(2, 1))
+
+
+def class_key(G, F, module):
+    """The characteristic polynomials at the p-regular class
+    representatives, as _tensor_closure keys a factor."""
+    classes = G.conjugacy_classes()
+    return tuple(gf_charpoly(F, module.element_matrix(G, classes[i][0]))
+                 for i in G.p_regular_classes(F.p))
+
+
+def conjugated(module, rng):
+    """The module rewritten in a random basis: B M B^-1 per generator."""
+    F, n = module.F, module.dim
+    while True:
+        B = [[rng.randrange(F.q) for _ in range(n)] for _ in range(n)]
+        try:
+            inv = gf_mat_inv(F, B)
+        except ZeroDivisionError:
+            continue
+        return Module(F, n, [gf_matmul(F, gf_matmul(F, B, m), inv)
+                             for m in module.mats])
+
+
+def test_conjugated_simple_has_its_key_and_is_not_added_again(monkeypatch):
+    """Every chop factor comes back twice, once as it is and once in a
+    random basis; the closure keeps the same simples, none of them a
+    conjugate, since a conjugate has the key of the factor it copies."""
+    G = symmetric_group(4)
+    F = gf_field(3, 2)
+    count = len(G.p_regular_classes(3))
+    plain = _tensor_closure(G, F, random.Random("conj"), count)
+    twin_rng = random.Random("basis")
+    real = meataxe.chop
+    twins = []
+
+    def doubled(module, rng):
+        out = []
+        for f in real(module, rng):
+            twin = conjugated(f, twin_rng)
+            assert class_key(G, F, twin) == class_key(G, F, f)
+            twins.append((f, twin))
+            out += [f, twin]
+        return out
+
+    monkeypatch.setattr(meataxe, "chop", doubled)
+    got = _tensor_closure(G, F, random.Random("conj"), count)
+    assert [m.mats for m in got] == [m.mats for m in plain]
+    assert any(f.dim > 1 and t.mats != f.mats for f, t in twins)
+    assert not {id(t) for _, t in twins} & {id(m) for m in got}
 
 
 def test_quotient_action_is_representation():
@@ -241,15 +289,6 @@ def test_quotient_action_is_representation():
             lhs = gf_matmul(F, quot.mats[i], quot.mats[j])
             rhs = quot.word_matrix((i, j))
             assert [list(r) for r in lhs] == [list(r) for r in rhs]
-
-
-def test_standard_form_none_when_eigenspace_too_big():
-    # identity recipe on a 2-dim module has a 2-dim eigenspace
-    G = symmetric_group(3)
-    F = gf_field(2, 2)
-    reps = simples(G, F)
-    V = next(r for r in reps if r.dim == 2)
-    assert standard_form(V, [(1, ())], 1) is None
 
 
 def test_module_rejects_bad_shapes():
@@ -277,36 +316,6 @@ def test_saturation_short_of_count_is_not_reseeded(monkeypatch):
     with pytest.raises(ClosureSaturated):
         simple_modules(G, F, 1, len(G.p_regular_classes(2)) + 1)
     assert len(calls) == 1
-
-
-def test_find_id_recipe_stops_at_its_first_nonlinear_factor(monkeypatch):
-    """Only linear factors name eigenvalues, and they come first, so the
-    search takes no factor past the first of degree above 1.  The
-    6-dim quotient of F2[C7] by its trivial submodule is two simples
-    whose endomorphism ring is F8: no element has a 1-dim eigenspace,
-    and two cubic factors are common."""
-    F = gf_field(2, 1)
-    N = natural_module(cyclic_group(7), F)
-    ech, _ = spin(F, [[1] * 7], N.mats, 7)
-    M = quotient_action(N, ech)
-    calls = []
-    real = meataxe.irreducible_factors
-
-    def recorded(F, f, rng):
-        taken = []
-        calls.append((taken, list(real(F, f, random.Random(0)))))
-        for g in real(F, f, rng):
-            taken.append(g)
-            yield g
-
-    monkeypatch.setattr(meataxe, "irreducible_factors", recorded)
-    with pytest.raises(ChopStalled):
-        find_id_recipe(M, random.Random(1))
-    for taken, every in calls:
-        assert taken == every[:len(taken)]
-        assert all(poly_deg(g) == 1 for g in taken[:-1])
-    assert any(poly_deg(taken[-1]) > 1 and len(taken) < len(every)
-               for taken, every in calls)
 
 
 def test_s5_p3_closure_chops_under_100_dimensions(monkeypatch):
