@@ -412,8 +412,6 @@ def test_verify_bad_prime_list(capsys):
     (("verify", "--p", "4"), "InvalidPrime"),
     (("verify", "--p", "2,9"), "InvalidPrime"),
     (("lattice", "--p", "4"), "InvalidPrime"),
-    (("lattice", "--p", "3317044064679887385961981"), "InvalidPrime"),
-    (("analyze", "S4", "--p", str(2 ** 89 - 1)), "InvalidPrime"),
     (("analyze", "C0", "--p", "2"), "InvalidGroupSpec"),
     (("analyze", '{"degree": -1, "generators": []}', "--p", "2"),
      "InvalidGroupSpec"),
@@ -431,6 +429,8 @@ def test_verify_bad_prime_list(capsys):
       "--p", "2"), "InvalidGroupSpec"),
     (("analyze", '{"degree": 2, "generators": [[2, 1]], "name": 7}',
       "--p", "2"), "InvalidGroupSpec"),
+    (("lattice", "--p", "3317044064679887385961981"), "InvalidPrime"),
+    (("analyze", "S4", "--p", str(2 ** 89 - 1)), "InvalidPrime"),
 ])
 def test_bad_input_is_one_json_error(capsys, argv, err_type):
     code, out, err = run_cli(capsys, *argv)
