@@ -11,9 +11,11 @@ The Cartan matrix comes from Brauer's relations Phi = C phi and
 C = Gram(phi)^-1: the Gram matrix of the phi rows under the p-regular
 pairing is rational (its entries are Galois-invariant), its inverse
 over Q is C, and the projective characters Phi are the integer
-combinations of the phi rows that C gives.  A one-dimensional simple is
-a homomorphism G -> F^*: its Brauer character is the lift of its 1x1
-matrix, and tensoring with it permutes the simples.
+combinations of the phi rows that C gives.  The phi rows are lifted from
+the characteristic polynomials the simple-module search keys each simple
+by, at the p-regular class representatives chosen here; a linear one
+names its root.  A one-dimensional simple is a homomorphism G -> F^*,
+and tensoring with it permutes the simples.
 """
 
 from fractions import Fraction
@@ -34,7 +36,6 @@ from .groups import PermGroup, _cayley, p_part
 from .lift import BrauerLift
 from .linalg import (
     Echelon,
-    gf_charpoly,
     gf_mat_inv,
     gf_rank,
     gf_solve,
@@ -79,31 +80,17 @@ def _require(ok, message):
         raise InvariantViolated("brauer", message)
 
 
-def _class_matrix(F, G, mod, x):
-    """mod's matrix at x.  A 1x1 module's generators act by scalars, which
-    commute, so its value is the product of each generator's scalar
-    raised to that generator's letter count in x's word."""
-    if mod.dim > 1:
-        return mod.element_matrix(G, x)
-    word, value = G.words[tuple(x)], 1
-    for t, m in enumerate(mod.mats):
-        value = F.mul(value, F.pow(m[0][0], word.count(t)))
-    return [[value]]
-
-
-def _phi_value(lift, F, mat):
+def _phi_value(lift, F, f):
     """Brauer character value: eigenvalues lifted to roots of unity.
 
-    mat is the action of a p-regular element, so its eigenvalues are
-    m-th roots of unity, the roots lift.root_codes lists.  A 1x1 matrix
-    is its own eigenvalue.  Otherwise each root r is divided out of the
-    characteristic polynomial, as x - r, as often as it divides; a
-    degree left over means the polynomial does not split into those
-    roots.
+    f is the characteristic polynomial of a p-regular element, so its
+    roots are m-th roots of unity, the roots lift.root_codes lists.  A
+    linear x - r names its root r.  Otherwise each root r is divided
+    out, as x - r, as often as it divides; a degree left over means the
+    polynomial does not split into those roots.
     """
-    if len(mat) == 1:
-        return lift.lift(mat[0][0])
-    f = gf_charpoly(F, mat)
+    if len(f) == 2:
+        return lift.lift(F.neg(f[0]))
     mults, lifts = [], []
     for code in lift.root_codes:
         k = 0
@@ -128,12 +115,11 @@ def _row_key(row):
     return tuple((v.m, v.num, v.den) for v in row)
 
 
-def _phi_sort_key(m, row):
-    """Descending-lex on promoted coefficient vectors."""
-    key = []
-    for v in row:
-        key.append(tuple(-c for c in v.promote(m).coeffs))
-    return tuple(key)
+def _phi_sort_key(row):
+    """Descending-lex on numerators.  Every phi value is a sum of m-th
+    roots of unity with integer coefficients, so all share the conductor
+    m and denominator 1, and their numerators are their coordinates."""
+    return tuple(tuple(-c for c in v.num) for v in row)
 
 
 class BrauerData:
@@ -154,16 +140,14 @@ class BrauerData:
         inv_map = G.inverse_class_map()
         self._inv_pos = tuple(self._pos[inv_map[ci]] for ci in self.pregular)
 
-        modules = simple_modules(G, self.F, seed, len(self.pregular))
-        rows = [tuple(_phi_value(self.lift, self.F,
-                                 _class_matrix(self.F, G, mod, x))
-                      for x in self.class_reps)
-                for mod in modules]
-        order = sorted(range(len(modules)),
-                       key=lambda i: (modules[i].dim,
-                                      _phi_sort_key(self.m, rows[i])))
+        found = simple_modules(G, self.F, seed, self.class_reps)
+        rows = [tuple(_phi_value(self.lift, self.F, f) for f in key)
+                for _, key in found]
+        order = sorted(range(len(found)),
+                       key=lambda i: (found[i][0].dim,
+                                      _phi_sort_key(rows[i])))
         self.simples = tuple(
-            SimpleModule(f"S{k + 1}", k, modules[i], rows[i])
+            SimpleModule(f"S{k + 1}", k, found[i][0], rows[i])
             for k, i in enumerate(order))
         self.phi = tuple(s.phi for s in self.simples)
         self._structure = None

@@ -17,13 +17,15 @@ characters of the F-irreducibles are linearly independent.  A module of
 any dimension is compared by that key alone, with no random stream.
 
 The simples of kG are found by tensor closure of the natural permutation
-module (`simple_modules`), never by chopping the |G|-dimensional regular
-module.  The closure chops the smallest pending tensor product next, so
-its cost does not hang on the order in which a chop emits factors.  An
-abelian G needs neither: over a splitting field its simples are its
-homomorphisms to F^*, listed in closed form (`linear_characters`) with
-no random stream; the closure remains the route when F is too small to
-hold them all.
+module on the moved points (`simple_modules`), never by chopping the
+|G|-dimensional regular module.  The closure chops the smallest pending
+tensor product next, so its cost does not hang on the order in which a
+chop emits factors.  An abelian G needs neither: over a splitting field
+its simples are its homomorphisms to F^*, listed in closed form
+(`linear_characters`) with no random stream; the closure remains the
+route when F is too small to hold them all.  Each simple comes with its
+characteristic polynomials at the caller's p-regular representatives,
+from which the brauer module lifts its Brauer character.
 
 The chop rests on one breadth-first `spin`, which keeps its subspace as
 a linalg `Echelon`; sub- and quotient actions are read off that echelon.
@@ -83,15 +85,18 @@ class Module:
 
 
 def natural_module(G: PermGroup, F) -> Module:
-    """The permutation module of G over F: e_i * g = e_{g[i]}."""
-    n = G.degree
+    """The permutation module of G over F on the points some generator
+    moves: e_i * g = e_{g[i]}.  It is faithful, since an element that
+    moves a point moves one that a generator moves."""
+    moved = [i for i in range(G.degree) if any(g[i] != i for g in G.gens)]
+    at = {i: k for k, i in enumerate(moved)}
     mats = []
     for g in G.gens:
-        m = [[0] * n for _ in range(n)]
-        for i, j in enumerate(g):
-            m[i][j] = 1
+        m = [[0] * len(moved) for _ in moved]
+        for k, i in enumerate(moved):
+            m[k][at[g[i]]] = 1
         mats.append(m)
-    return Module(F, n, mats)
+    return Module(F, len(moved), mats)
 
 
 def tensor_product(a: Module, b: Module) -> Module:
@@ -235,23 +240,23 @@ def chop(module: Module, rng: random.Random):
         f"no certificate after {CHOP_RETRY} algebra elements (dim {dim})")
 
 
-def _tensor_closure(G: PermGroup, F, rng: random.Random, count):
-    """The first count pairwise non-isomorphic composition factors of
-    the natural module and of the tensor products s (x) t of each new
-    simple s with each non-trivial factor t of the natural module.
+def _tensor_closure(G: PermGroup, F, rng: random.Random, reps):
+    """The first len(reps) pairwise non-isomorphic composition factors
+    of the natural module and of the tensor products s (x) t of each new
+    simple s with each non-trivial factor t of the natural module, as
+    (module, key) pairs.
 
     The pending products are chopped smallest dimension first, ties in
     the order met; ClosureSaturated is raised when none is left.
 
-    A factor is new exactly when its key is: its characteristic
-    polynomials at the p-regular class representatives, which fix its
-    Brauer character.  An F-irreducible's character is the sum over one
-    Galois orbit of absolutely irreducible ones, which are linearly
-    independent, so count distinct keys certify that every factor kept
-    is absolutely irreducible.
+    reps are the p-regular class representatives.  A factor is new
+    exactly when its key is: its characteristic polynomials at reps,
+    which fix its Brauer character.  An F-irreducible's character is the
+    sum over one Galois orbit of absolutely irreducible ones, which are
+    linearly independent, so len(reps) distinct keys certify that every
+    factor kept is absolutely irreducible.
     """
-    classes = G.conjugacy_classes()
-    reps = [classes[i][0] for i in G.p_regular_classes(F.p)]
+    count = len(reps)
     simples = []
     keys = set()
 
@@ -265,7 +270,7 @@ def _tensor_closure(G: PermGroup, F, rng: random.Random, count):
             if key in keys:
                 continue
             keys.add(key)
-            simples.append(f)
+            simples.append((f, key))
             new.append(f)
         return new
 
@@ -288,9 +293,10 @@ def _tensor_closure(G: PermGroup, F, rng: random.Random, count):
     return simples
 
 
-def linear_characters(G: PermGroup, F):
-    """The homomorphisms G -> F^* of an abelian G, one tuple of generator
-    images (field codes) each, in a fixed order; G must be abelian.
+def linear_characters(G: PermGroup, F, reps):
+    """The homomorphisms G -> F^* of an abelian G, in a fixed order, as
+    (generator images, values at reps) pairs of field codes; G must be
+    abelian.
 
     The generators are adjoined one at a time.  The image of g_t is one
     of the elements of F^* whose order divides that of g_t, and it must
@@ -301,12 +307,13 @@ def linear_characters(G: PermGroup, F):
     the embedding search of tests/group_reference.py makes edge by
     edge).  Pruning at each step keeps the work near the number of
     characters, not the product of the candidate counts.  Values are
-    kept as logarithms to the base of F's primitive element.
+    kept as logarithms to the base of F's primitive element; the last
+    span, all of G, gives the exponents a value at x is read off.
     """
     n = F.q - 1
     span = {G.identity: ()}  # element -> its exponents over the gens so far
     chars = [()]
-    for t, g in enumerate(G.gens):
+    for g in G.gens:
         k, y = 1, g
         while y not in span:
             y, k = perm_mul(y, g), k + 1
@@ -318,55 +325,62 @@ def linear_characters(G: PermGroup, F):
             extended += [chi + (c,) for c in range(0, n, step)
                          if (k * c - at_word) % n == 0]
         chars = extended
-        if t + 1 < len(G.gens):
-            joined, power = {}, G.identity
-            for j in range(k):
-                for h, w in span.items():
-                    joined[perm_mul(h, power)] = w + (j,)
-                power = perm_mul(power, g)
-            span = joined
-    return [tuple(F.exp[c] for c in chi) for chi in chars]
+        joined, power = {}, G.identity
+        for j in range(k):
+            for h, w in span.items():
+                joined[perm_mul(h, power)] = w + (j,)
+            power = perm_mul(power, g)
+        span = joined
+    words = [span[x] for x in reps]
+    return [(tuple(F.exp[c] for c in chi),
+             tuple(F.exp[sum(a * c for a, c in zip(w, chi)) % n]
+                   for w in words))
+            for chi in chars]
 
 
-def simple_modules(G: PermGroup, F, seed, count) -> list:
-    """The count pairwise non-isomorphic simple FG-modules.
+def simple_modules(G: PermGroup, F, seed, reps) -> list:
+    """The len(reps) pairwise non-isomorphic simple FG-modules, each as a
+    (module, key) pair whose key is the tuple of its characteristic
+    polynomials at reps, the p-regular class representatives.
 
     Every simple module is a composition factor of a tensor power of a
     faithful module (Steinberg 1962), and the natural permutation module
     is faithful.  So the search chops the natural module, then the
     tensor products of each new simple with each factor of the natural
-    module, smallest first, keeping the factors whose characteristic
-    polynomials at the p-regular classes match no simple found so far
-    (see _tensor_closure), until count simples are known (the number of
-    p-regular classes, by Brauer).  Reaching count certifies that every
-    simple found is absolutely irreducible.  Deterministic per seed,
-    reseeding if a random stream stalls; a closure that stops short of
-    count, as over a field that does not split G, raises
+    module, smallest first, keeping the factors whose key matches no
+    simple found so far (see _tensor_closure), until len(reps) simples
+    are known (the number of p-regular classes, by Brauer); that count
+    certifies every simple found absolutely irreducible.  Deterministic
+    per seed, reseeding if a random stream stalls; a closure that stops
+    short, as over a field that does not split G, raises
     ClosureSaturated.
 
-    Two cases need no search and no random stream.  count == 1 means the
-    identity is the only p-regular element, so G is a p-group and the
-    trivial module is its only simple.  When the generators commute, G
-    is abelian and, by Schur's lemma, its simples over a splitting field
-    are its homomorphisms to F^* (Serre, Linear Representations of
-    Finite Groups, 3.1): linear_characters lists them as 1x1 modules.
-    Fewer than count of them means F is not a splitting field (only a
-    direct caller can pass one), and the tensor closure runs as for any
-    other group.
+    Two cases need no search and no random stream; their keys are the
+    x - v for v the value at each representative.  One representative
+    means the identity is the only p-regular element, so G is a p-group
+    and the trivial module is its only simple.  When the generators
+    commute, G is abelian and, by Schur's lemma, its simples over a
+    splitting field are its homomorphisms to F^* (Serre, Linear
+    Representations of Finite Groups, 3.1), which linear_characters
+    lists with their values.  Fewer than len(reps) of them means F is
+    not a splitting field (only a direct caller can pass one), and the
+    tensor closure runs as for any other group.
     """
-    if count == 1:
-        return [Module(F, 1, [((1,),)] * len(G.gens))]
+    if len(reps) == 1:
+        return [(Module(F, 1, [((1,),)] * len(G.gens)), ((F.neg(1), 1),))]
     if all(perm_mul(a, b) == perm_mul(b, a)
            for i, a in enumerate(G.gens) for b in G.gens[i + 1:]):
-        chars = linear_characters(G, F)
-        if len(chars) == count:
-            return [Module(F, 1, [((v,),) for v in chi]) for chi in chars]
+        chars = linear_characters(G, F, reps)
+        if len(chars) == len(reps):
+            return [(Module(F, 1, [((v,),) for v in images]),
+                     tuple((F.neg(v), 1) for v in values))
+                    for images, values in chars]
     base = f"meataxe:{F.p}:{F.d}:{seed}:{G.key()!r}"
     last = None
     for attempt in range(CHOP_RESEEDS):
         rng = random.Random(f"{base}:{attempt}")
         try:
-            return _tensor_closure(G, F, rng, count)
+            return _tensor_closure(G, F, rng, reps)
         except ChopStalled as exc:
             last = exc
     raise ChopStalled(

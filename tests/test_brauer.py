@@ -1,13 +1,13 @@
 import random
+import sys
 from fractions import Fraction
 
 import pytest
 
-from repring import brauer
+from repring import brauer, linalg
 from repring.brauer import (
     BrauerData,
     _block_idempotents,
-    _class_matrix,
     _phi_sort_key,
     _phi_value,
     _regular_algebra,
@@ -39,8 +39,14 @@ from repring.groups import (
     symmetric_group,
 )
 from repring.lift import BrauerLift
-from repring.linalg import gf_mat_inv, gf_rank
-from repring.meataxe import Module, chop, natural_module, tensor_product
+from repring.linalg import gf_charpoly, gf_mat_inv, gf_rank
+from repring.meataxe import (
+    Module,
+    chop,
+    natural_module,
+    simple_modules,
+    tensor_product,
+)
 from repring.verify import DEFAULT_CORPUS
 from meataxe_reference import find_id_recipe, standard_form
 from test_defects import GOLDEN_ANALYZE
@@ -319,7 +325,47 @@ def test_phi_by_division_matches_factoring(spec, p):
                     lifts.append(bd.lift.lift(r))
             assert sum(mults) == s.dim
             want = dot(mults, lifts)
-            assert _phi_value(bd.lift, F, mat) == want == value
+            assert _phi_value(bd.lift, F, gf_charpoly(F, mat)) == want == value
+
+
+@pytest.mark.parametrize("spec, p", GOLDEN_ANALYZE)
+def test_phi_values_have_conductor_m_and_denominator_1(spec, p):
+    """Every phi value is a root of unity or an integer combination of
+    them, so its conductor is m and its denominator 1: _phi_sort_key
+    compares numerators on that ground."""
+    bd = BrauerData(parse_group_spec(spec), p, seed=1)
+    assert {(v.m, v.den) for row in bd.phi for v in row} == {(bd.m, 1)}
+
+
+def test_brauer_data_factors_charpolys_only_inside_simple_modules(
+        monkeypatch):
+    """Each simple's characteristic polynomials come from the search that
+    found it; building the Brauer data computes none of its own."""
+    real = linalg.gf_charpoly
+    calls, outside, depth = [], [], [0]
+
+    def traced(F, M):
+        calls.append(M)
+        if not depth[0]:
+            outside.append(M)
+        return real(F, M)
+
+    def search(*args):
+        depth[0] += 1
+        try:
+            return real_search(*args)
+        finally:
+            depth[0] -= 1
+
+    real_search = brauer.simple_modules
+    monkeypatch.setattr(brauer, "simple_modules", search)
+    for name, module in list(sys.modules.items()):
+        if (name.split(".")[0] == "repring"
+                and getattr(module, "gf_charpoly", None) is real):
+            monkeypatch.setattr(module, "gf_charpoly", traced)
+    assert not hasattr(brauer, "gf_charpoly")
+    BrauerData(symmetric_group(4), 3, 1)
+    assert calls and not outside
 
 
 ABELIAN_GOLDEN = [
@@ -330,27 +376,27 @@ ABELIAN_GOLDEN = [
 
 @pytest.mark.parametrize("spec, p", ABELIAN_GOLDEN)
 def test_linear_simple_scalar_matches_word_product(spec, p):
-    """A 1x1 module's value at x, the product of its generators' scalars
-    raised to their letter counts in x's word, is the word product of
-    its generator matrices, at every element of every abelian golden
-    group (all of whose simples are linear)."""
-    bd = BrauerData(parse_group_spec(spec), p, seed=1)
-    for s in bd.simples:
-        assert s.dim == 1
-        for x in bd.G.elements:
-            assert (_class_matrix(bd.F, bd.G, s.module, x)
-                    == s.module.element_matrix(bd.G, x))
+    """A linear simple's closed-form key, x - v for v its value at each
+    p-regular representative, is the characteristic polynomial of the
+    word product of its generator matrices there, for every abelian
+    golden group (all of whose simples are linear)."""
+    G = parse_group_spec(spec)
+    bd = BrauerData(G, p, seed=1)
+    for mod, key in simple_modules(G, bd.F, 1, bd.class_reps):
+        assert mod.dim == 1
+        assert key == tuple(gf_charpoly(bd.F, mod.element_matrix(G, x))
+                            for x in bd.class_reps)
 
 
 def test_nonsplit_charpoly_raises():
     F = gf_field(2, 1)
     lift = BrauerLift(F, 1)
     with pytest.raises(NonSplitCharPoly):
-        _phi_value(lift, F, [[0, 1], [1, 1]])
+        _phi_value(lift, F, gf_charpoly(F, [[0, 1], [1, 1]]))
     # x^2 - 1 splits over F_3, but -1 is not a 1st root of unity
     with pytest.raises(NonSplitCharPoly):
-        _phi_value(BrauerLift(gf_field(3, 1), 1), gf_field(3, 1),
-                   [[0, 1], [1, 0]])
+        F = gf_field(3, 1)
+        _phi_value(BrauerLift(F, 1), F, gf_charpoly(F, [[0, 1], [1, 0]]))
 
 
 def test_cartan_is_seed_independent():
@@ -475,10 +521,10 @@ def test_brauer_data_matches_reference_routes(spec, p):
     assert [list(row) for row in bd.Phi] == Phi
     assert bd.cartan == cartan
     modules = simples_by_standard_form(G, bd.F, 1, len(bd.pregular))
-    rows = sorted(((mod.dim, [_phi_value(bd.lift, bd.F,
-                                         mod.element_matrix(G, x))
+    rows = sorted(((mod.dim, [_phi_value(bd.lift, bd.F, gf_charpoly(
+                                  bd.F, mod.element_matrix(G, x)))
                               for x in bd.class_reps]) for mod in modules),
-                  key=lambda pair: (pair[0], _phi_sort_key(bd.m, pair[1])))
+                  key=lambda pair: (pair[0], _phi_sort_key(pair[1])))
     assert [tuple(row) for _, row in rows] == list(bd.phi)
     assert bd.structure_constants() == structure_by_decompose(bd)
     # the sparse decompose gives the dense dot's values and conductors
@@ -488,10 +534,16 @@ def test_brauer_data_matches_reference_routes(spec, p):
                 == [c.to_json() for c in decompose_by_dense_dot(bd, values)])
 
 
-def linear_only(modules, entry):
-    """The modules with every 1-dim module's matrices replaced by entry."""
-    return [Module(m.F, 1, [((entry,),)] * len(m.mats)) if m.dim == 1
-            and m.mats != [((1,),)] * len(m.mats) else m for m in modules]
+def linear_only(found, entry):
+    """The (module, key) pairs with every non-trivial 1-dim module's
+    matrices and key polynomials replaced by entry's."""
+    out = []
+    for m, key in found:
+        if m.dim == 1 and m.mats != [((1,),)] * len(m.mats):
+            m = Module(m.F, 1, [((entry,),)] * len(m.mats))
+            key = ((m.F.neg(entry), 1),) * len(key)
+        out.append((m, key))
+    return out
 
 
 def test_non_root_1x1_entry_raises_non_split(monkeypatch):
@@ -499,7 +551,7 @@ def test_non_root_1x1_entry_raises_non_split(monkeypatch):
     F = gf_field(7, 1)
     lift = BrauerLift(F, 3)
     with pytest.raises(NonSplitCharPoly):
-        _phi_value(lift, F, [[3]])
+        _phi_value(lift, F, (F.neg(3), 1))
     with pytest.raises(NonSplitCharPoly):
         lift.lift(3)
     real = brauer.simple_modules

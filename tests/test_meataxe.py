@@ -33,6 +33,7 @@ from repring.meataxe import (
     spin,
     submodule_action,
 )
+from repring.report import analyze_report
 
 
 def regular_module(G, F):
@@ -48,9 +49,15 @@ def regular_module(G, F):
     return Module(F, n, mats)
 
 
+def pregular_reps(G, p):
+    """The p-regular class representatives, in BrauerData.class_reps
+    order."""
+    classes = G.conjugacy_classes()
+    return [classes[i][0] for i in G.p_regular_classes(p)]
+
+
 def simples(G, F, seed=1):
-    count = len(G.p_regular_classes(F.p))
-    return simple_modules(G, F, seed, count)
+    return [m for m, _ in simple_modules(G, F, seed, pregular_reps(G, F.p))]
 
 
 def dims_with_counts(G, F, seed=1):
@@ -104,20 +111,24 @@ def test_2group_single_simple(make):
 @pytest.mark.parametrize("p,max_order", [(2, 16), (3, 27)])
 def test_pgroup_natural_module_chops_to_trivial_factors(p, max_order):
     """simple_modules returns the trivial module of a p-group without a
-    chop, so the chop is exercised here: the natural module of every catalog group has only trivial factors,
-    and simple_modules returns exactly the trivial module."""
+    chop, so the chop is exercised here: the natural module of every
+    catalog group, on its moved points, has only trivial factors, and
+    simple_modules returns exactly the trivial module, keyed by x - 1."""
     F = gf_field(p, 1)
     cat = build_catalog(p, max_order)
     for i in range(len(cat)):
         G = cat.group(i)
         trivial = [((1,),)] * len(G.gens)
         factors = chop(natural_module(G, F), random.Random(f"{p}:{i}"))
-        assert sum(f.dim for f in factors) == G.degree
+        moved = [pt for pt in range(G.degree)
+                 if any(g[pt] != pt for g in G.gens)]
+        assert sum(f.dim for f in factors) == len(moved)
         assert all(f.dim == 1 and f.mats == trivial for f in factors)
-        count = len(G.p_regular_classes(p))
-        assert count == 1
-        (only,) = simple_modules(G, F, 1, count)
+        reps = pregular_reps(G, p)
+        assert reps == [G.identity]
+        ((only, key),) = simple_modules(G, F, 1, reps)
         assert (only.dim, only.mats) == (1, trivial)
+        assert key == (gf_charpoly(F, [[1]]),)
 
 
 def test_trivial_group():
@@ -232,9 +243,8 @@ def test_nonsplitting_field_saturates_the_closure():
 def class_key(G, F, module):
     """The characteristic polynomials at the p-regular class
     representatives, as _tensor_closure keys a factor."""
-    classes = G.conjugacy_classes()
-    return tuple(gf_charpoly(F, module.element_matrix(G, classes[i][0]))
-                 for i in G.p_regular_classes(F.p))
+    return tuple(gf_charpoly(F, module.element_matrix(G, x))
+                 for x in pregular_reps(G, F.p))
 
 
 def conjugated(module, rng):
@@ -256,8 +266,8 @@ def test_conjugated_simple_has_its_key_and_is_not_added_again(monkeypatch):
     conjugate, since a conjugate has the key of the factor it copies."""
     G = symmetric_group(4)
     F = gf_field(3, 2)
-    count = len(G.p_regular_classes(3))
-    plain = _tensor_closure(G, F, random.Random("conj"), count)
+    reps = pregular_reps(G, 3)
+    plain = _tensor_closure(G, F, random.Random("conj"), reps)
     twin_rng = random.Random("basis")
     real = meataxe.chop
     twins = []
@@ -272,10 +282,12 @@ def test_conjugated_simple_has_its_key_and_is_not_added_again(monkeypatch):
         return out
 
     monkeypatch.setattr(meataxe, "chop", doubled)
-    got = _tensor_closure(G, F, random.Random("conj"), count)
-    assert [m.mats for m in got] == [m.mats for m in plain]
+    got = _tensor_closure(G, F, random.Random("conj"), reps)
+    assert ([(m.mats, key) for m, key in got]
+            == [(m.mats, key) for m, key in plain])
+    assert all(key == class_key(G, F, m) for m, key in got)
     assert any(f.dim > 1 and t.mats != f.mats for f, t in twins)
-    assert not {id(t) for _, t in twins} & {id(m) for m in got}
+    assert not {id(t) for _, t in twins} & {id(m) for m, _ in got}
 
 
 def test_quotient_action_is_representation():
@@ -313,8 +325,10 @@ def test_saturation_short_of_count_is_not_reseeded(monkeypatch):
         return natural_module(*args)
 
     monkeypatch.setattr(meataxe, "natural_module", counted)
+    # one simple more than there are: a representative asked for twice
+    reps = pregular_reps(G, 2)
     with pytest.raises(ClosureSaturated):
-        simple_modules(G, F, 1, len(G.p_regular_classes(2)) + 1)
+        simple_modules(G, F, 1, reps + reps[:1])
     assert len(calls) == 1
 
 
@@ -334,7 +348,7 @@ def test_s5_p3_closure_chops_under_100_dimensions(monkeypatch):
     F, _, _ = splitting_field(G, 3)
     for seed in range(1, 6):
         dims = []
-        simple_modules(G, F, seed, len(G.p_regular_classes(3)))
+        simple_modules(G, F, seed, pregular_reps(G, 3))
         assert 0 < sum(dims) < 100, seed
 
 
@@ -351,7 +365,23 @@ def test_natural_module_is_homomorphism():
             assert [list(r) for r in lhs] == [list(r) for r in rhs]
 
 
-def closure_simples(G, F, seed, count):
+def test_natural_module_is_built_on_the_moved_points():
+    """S3 on 240 points, 237 of them fixed, chops a 3-dim natural module
+    and reports what S3 on 3 points reports."""
+    points = list(range(1, 241))
+    swap, cycle = points[:], points[:]
+    swap[:2], cycle[:3] = [2, 1], [2, 3, 1]
+    spec = json.dumps({"degree": 240, "generators": [swap, cycle]})
+    assert natural_module(parse_group_spec(spec), gf_field(2, 2)).dim == 3
+    start = time.perf_counter()
+    wide = analyze_report(spec, 2)
+    assert time.perf_counter() - start < 1
+    small = analyze_report("S3", 2)
+    for field in ("simple_dimensions", "phi", "Phi", "cartan"):
+        assert wide[field] == small[field], field
+
+
+def closure_simples(G, F, seed, reps):
     """The simples by tensor closure, with simple_modules' random streams
     and reseeds: the route an abelian group took before its closed form,
     kept as the reference."""
@@ -359,7 +389,7 @@ def closure_simples(G, F, seed, count):
         rng = random.Random(f"meataxe:{F.p}:{F.d}:{seed}:{G.key()!r}:"
                             f"{attempt}")
         try:
-            return _tensor_closure(G, F, rng, count)
+            return _tensor_closure(G, F, rng, reps)
         except ChopStalled:
             pass
     raise ChopStalled("reference closure stalled")
@@ -391,13 +421,16 @@ def test_golden_abelian_cases_include_the_new_pins():
 def test_linear_characters_match_the_tensor_closure(spec, p):
     G = parse_group_spec(spec)
     bd = BrauerData(G, p, 1)
-    count = len(bd.pregular)
-    closed = simple_modules(G, bd.F, 1, count)
-    ref = closure_simples(G, bd.F, 1, count)
-    assert len(closed) == count and all(m.dim == 1 for m in closed)
-    assert sorted(m.mats for m in closed) == sorted(m.mats for m in ref)
-    ref_rows = {_row_key(_phi_value(bd.lift, bd.F, m.element_matrix(G, x))
-                         for x in bd.class_reps) for m in ref}
+    closed = simple_modules(G, bd.F, 1, bd.class_reps)
+    ref = closure_simples(G, bd.F, 1, bd.class_reps)
+    assert len(closed) == len(bd.pregular)
+    assert all(m.dim == 1 for m, _ in closed)
+    # the closed-form x - v keys are the closure's charpoly keys
+    assert (sorted((m.mats, key) for m, key in closed)
+            == sorted((m.mats, key) for m, key in ref))
+    ref_rows = {_row_key(_phi_value(bd.lift, bd.F, gf_charpoly(
+        bd.F, m.element_matrix(G, x))) for x in bd.class_reps)
+        for m, _ in ref}
     assert {_row_key(s.phi) for s in bd.simples} == ref_rows
 
 
@@ -422,8 +455,9 @@ def test_linear_characters_are_pruned_generator_by_generator():
     G = parse_group_spec(json.dumps(
         {"degree": 60, "generators": [[v + 1 for v in x] for x in powers]}))
     F = gf_field(7, 4)
+    reps = pregular_reps(G, 7)
     start = time.perf_counter()
-    mods = simple_modules(G, F, 1, 60)
+    mods = [m for m, _ in simple_modules(G, F, 1, reps)]
     assert time.perf_counter() - start < 0.1
     at_g = [m.mats[0][0][0] for m in mods]
     roots = {F.exp[k] for k in range(0, F.q - 1, (F.q - 1) // 60)}
