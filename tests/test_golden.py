@@ -48,6 +48,10 @@ OPS = {
     "analyze A4xC7 p3": ("analyze", "A4xC7", 3),
     # defects C2 and D8xC2: a lookup that lands on a bundled row of order 16
     "analyze S4xC2 p2": ("analyze", "S4xC2", 2),
+    # chops where f(z) has a kernel larger than deg f at seed 1, so a
+    # change to how chop handles such a factor shows here
+    "analyze A6 p2": ("analyze", "A6", 2),
+    "analyze S6 p3": ("analyze", "S6", 3),
     "lattice p2 max8": ("lattice", 2, 8),
     "lattice p3": ("lattice", 3, None),
     "lattice p5": ("lattice", 5, None),
