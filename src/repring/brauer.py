@@ -13,9 +13,9 @@ pairing is rational (its entries are Galois-invariant), its inverse
 over Q is C, and the projective characters Phi are the integer
 combinations of the phi rows that C gives.  The phi rows are lifted from
 the characteristic polynomials the simple-module search keys each simple
-by, at the p-regular class representatives chosen here; a linear one
-names its root.  A one-dimensional simple is a homomorphism G -> F^*,
-and tensoring with it permutes the simples.
+by, at each p-regular class's shortest-word member (fewest matrix
+products); a linear one names its root.  A one-dimensional simple is a
+homomorphism G -> F^*, and tensoring with it permutes the simples.
 """
 
 from fractions import Fraction
@@ -134,7 +134,8 @@ class BrauerData:
         self.F, self.lift, self.m = splitting_field(G, p)
         classes = G.conjugacy_classes()
         self.pregular = tuple(G.p_regular_classes(p))
-        self.class_reps = tuple(classes[i][0] for i in self.pregular)
+        self.class_reps = tuple(min(classes[i], key=lambda g: len(G.words[g]))
+                                for i in self.pregular)
         self.class_sizes = tuple(len(classes[i]) for i in self.pregular)
         self._pos = {ci: k for k, ci in enumerate(self.pregular)}
         inv_map = G.inverse_class_map()

@@ -123,8 +123,14 @@ def _adjoin(span, gens, x, bound):
     return out
 
 
-def _check_perm(g, degree):
-    if len(g) != degree or sorted(g) != list(range(degree)):
+def _check_degree(degree):
+    if isinstance(degree, bool) or not isinstance(degree, int) or degree < 1:
+        raise InvalidGroupSpec(
+            f"degree must be an integer >= 1, got {degree!r}")
+
+
+def _check_perm(g, degree, first=0):
+    if len(g) != degree or sorted(g) != list(range(first, first + degree)):
         raise MalformedPermutation(f"{g} is not a permutation of {degree} points")
 
 
@@ -160,10 +166,7 @@ class PermGroup:
     """A concrete finite permutation group with full element enumeration."""
 
     def __init__(self, degree: int, generators, name: str = None):
-        if (isinstance(degree, bool) or not isinstance(degree, int)
-                or degree < 1):
-            raise InvalidGroupSpec(
-                f"degree must be an integer >= 1, got {degree!r}")
+        _check_degree(degree)
         self.degree = degree
         gens = tuple(tuple(g) for g in generators)
         for g in gens:
@@ -464,10 +467,12 @@ def group_from_spec_dict(obj) -> PermGroup:
         raise InvalidGroupSpec(f"bad group spec object: {exc}") from None
     if name is not None and not isinstance(name, str):
         raise InvalidGroupSpec(f"group name must be a string, got {name!r}")
+    _check_degree(degree)
     for g in gens:
         if any(isinstance(v, bool) or not isinstance(v, int) for v in g):
             raise InvalidGroupSpec(
                 f"generator {list(g)} has a non-integer image")
+        _check_perm(list(g), degree, first=1)
     return PermGroup(degree, [tuple(v - 1 for v in g) for g in gens],
                      name=name)
 

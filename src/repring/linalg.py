@@ -58,10 +58,12 @@ class Echelon:
 
     __slots__ = ("F", "rows", "pivots")
 
-    def __init__(self, F):
+    def __init__(self, F, rows=()):
         self.F = F
         self.rows = []
         self.pivots = []
+        for v in rows:
+            self.add(v)
 
     def __len__(self):
         return len(self.rows)
@@ -102,9 +104,7 @@ def gf_rref(F, rows):
 
     Zero rows are dropped, so there is one row per pivot.
     """
-    ech = Echelon(F)
-    for row in rows:
-        ech.add(row)
+    ech = Echelon(F, rows)
     return ech.rows, ech.pivots
 
 

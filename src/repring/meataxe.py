@@ -6,15 +6,16 @@ left-to-right product convention of the groups module.
 
 The chop loop is the classic randomized meataxe: pick an algebra element
 z from a reproducible PRNG, take the irreducible factors f of its
-characteristic polynomial smallest degree first, spin kernel vectors of
-f(z) into submodules, and certify irreducibility with Norton's criterion
-when f(z) has minimal nullity (one spin on each side of the duality).
-The factors come from a generator, so a chop that splits or certifies
-at a small factor never factors further.  Two irreducible factors are
-isomorphic exactly when their characteristic polynomials agree at every
-p-regular class: these fix the Brauer character, and the Brauer
-characters of the F-irreducibles are linearly independent.  A module of
-any dimension is compared by that key alone, with no random stream.
+characteristic polynomial smallest degree first, and spin one vector of
+ker f(z).  A proper span splits the module; a full one certifies it by
+Norton's dual spin if the nullity is deg f, else the next f is tried
+(Holt and Rees 1994).  The factors come from a generator, so a chop that
+splits or certifies at a small factor never factors further.  Two
+irreducible factors are isomorphic exactly when their characteristic
+polynomials agree at every p-regular class: these fix the Brauer
+character, and the Brauer characters of the F-irreducibles are linearly
+independent.  A module of any dimension is compared by that key alone,
+with no random stream.
 
 The simples of kG are found by tensor closure of the natural permutation
 module on the moved points (`simple_modules`), never by chopping the
@@ -194,8 +195,11 @@ def _poly_of_matrix(F, poly, mat, dim):
 def chop(module: Module, rng: random.Random):
     """Composition factors of the module, with repetition.
 
-    Deterministic given the PRNG state; raises ChopStalled when the
-    random-element budget is exhausted without progress.
+    One spin on each side per factor f at most: f is passed over when
+    ker f(z) is larger than deg f and its spin is full (Holt and Rees,
+    "Testing modules for irreducibility", J. Austral. Math. Soc. A 57,
+    1994).  Deterministic given the PRNG state; raises ChopStalled when
+    the random-element budget is exhausted without progress.
     """
     if module.dim == 0:
         return []
@@ -216,26 +220,16 @@ def chop(module: Module, rng: random.Random):
         for factor in irreducible_factors(F, charpoly, rng):
             theta = _poly_of_matrix(F, factor, z, dim)
             kernel = _kernel_rows(F, theta)
-            if not kernel:
-                continue
             ech, _ = spin(F, [kernel[0]], module.mats, dim)
             if len(ech) < dim:
                 return split(ech)
             if len(kernel) == poly_deg(factor):
-                # Norton: one full spin on each side certifies irreducibility
                 tmats = [gf_transpose(m) for m in module.mats]
                 wkernel = gf_right_kernel(F, theta)
                 tech, _ = spin(F, [wkernel[0]], tmats, dim)
                 if len(tech) < dim:
-                    perp = Echelon(F)
-                    for v in gf_right_kernel(F, tech.rows):
-                        perp.add(v)
-                    return split(perp)
+                    return split(Echelon(F, gf_right_kernel(F, tech.rows)))
                 return [module]
-            for v in kernel[1:]:
-                ech, _ = spin(F, [v], module.mats, dim)
-                if len(ech) < dim:
-                    return split(ech)
     raise ChopStalled(
         f"no certificate after {CHOP_RETRY} algebra elements (dim {dim})")
 

@@ -236,9 +236,7 @@ def suite_ideal_property(s, contexts, primes, seed):
         products = {}  # (simple, U coefficients) -> coefficients of [S] U
         bad = 0
         for basis, count in shared.values():
-            ech = Echelon(a.bd.F)
-            for u in basis:
-                ech.add(u.coeffs)
+            ech = Echelon(a.bd.F, (u.coeffs for u in basis))
             for si in range(len(a.bd.simples)):
                 e = rk_basis_element(a.bd, si)
                 for u in basis:

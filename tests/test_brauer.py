@@ -220,6 +220,21 @@ def test_phi_reduces_to_trace():
             assert bd.lift.reduce(s.phi[k]) == tr
 
 
+def test_class_reps_have_the_shortest_words():
+    """Each simple is keyed at the member of its p-regular class with the
+    shortest word, the fewest matrix products; in S5 at p = 3 that word
+    is shorter than the printed representative's in two classes."""
+    G = symmetric_group(5)
+    bd = BrauerData(G, 3)
+    classes = G.conjugacy_classes()
+    shorter = 0
+    for x, ci in zip(bd.class_reps, bd.pregular):
+        assert x in classes[ci]
+        assert len(G.words[x]) == min(len(G.words[g]) for g in classes[ci])
+        shorter += len(G.words[x]) < len(G.words[classes[ci][0]])
+    assert shorter == 2
+
+
 def test_endomorphism_route_matches_pairing_route():
     for G, p in [(symmetric_group(3), 2), (symmetric_group(3), 3),
                  (symmetric_group(4), 2), (symmetric_group(4), 3),

@@ -431,12 +431,17 @@ def test_verify_bad_prime_list(capsys):
       "--p", "2"), "InvalidGroupSpec"),
     (("lattice", "--p", "3317044064679887385961981"), "InvalidPrime"),
     (("analyze", "S4", "--p", str(2 ** 89 - 1)), "InvalidPrime"),
+    (("analyze", '{"degree":3,"generators":[[1,2,0]]}', "--p", "3"),
+     "MalformedPermutation"),
 ])
 def test_bad_input_is_one_json_error(capsys, argv, err_type):
     code, out, err = run_cli(capsys, *argv)
     assert code == 2 and out == ""
     assert len(err.splitlines()) == 1
     assert json.loads(err)["error"]["type"] == err_type
+    if err_type == "MalformedPermutation":
+        # the generator as written, 1-based, not as shifted internally
+        assert "[1, 2, 0]" in json.loads(err)["error"]["message"]
 
 
 @pytest.mark.parametrize("argv", [

@@ -352,6 +352,47 @@ def test_s5_p3_closure_chops_under_100_dimensions(monkeypatch):
         assert 0 < sum(dims) < 100, seed
 
 
+def test_chop_spins_each_side_at_most_once_per_factor(monkeypatch):
+    """For each algebra element z and factor f of its characteristic
+    polynomial, chop spins one kernel vector of f(z) under the module's
+    matrices and, for Norton's test, at most one under their transposes.
+    A factor whose kernel is larger than deg f and whose spin fills the
+    module is passed over: a proper submodule that meets the kernel need
+    not contain any given kernel vector, so spinning the others proves
+    nothing.  In A6's closure at p = 2, seed 1, such factors occur."""
+    real_chop, real_spin, real_poly = (
+        meataxe.chop, meataxe.spin, meataxe._poly_of_matrix)
+    modules, pairs = [], []
+
+    def chop(module, rng):
+        modules.append(module)
+        try:
+            return real_chop(module, rng)
+        finally:
+            modules.pop()
+
+    def poly_of_matrix(F, poly, mat, dim):
+        pairs.append({"module": [], "transpose": []})
+        return real_poly(F, poly, mat, dim)
+
+    def spin(F, seeds, mats, dim):
+        ech, basis = real_spin(F, seeds, mats, dim)
+        side = "module" if mats is modules[-1].mats else "transpose"
+        pairs[-1][side].append(len(ech) == dim)
+        return ech, basis
+
+    monkeypatch.setattr(meataxe, "chop", chop)
+    monkeypatch.setattr(meataxe, "spin", spin)
+    monkeypatch.setattr(meataxe, "_poly_of_matrix", poly_of_matrix)
+    G = alternating_group(6)
+    F, _, _ = splitting_field(G, 2)
+    simple_modules(G, F, 1, pregular_reps(G, 2))
+    assert all(len(pair["module"]) <= 1 and len(pair["transpose"]) <= 1
+               for pair in pairs)
+    assert any(pair["module"] == [True] and not pair["transpose"]
+               for pair in pairs)
+
+
 def test_natural_module_is_homomorphism():
     G = symmetric_group(4)
     F = gf_field(3, 1)
