@@ -52,6 +52,9 @@ OPS = {
     # change to how chop handles such a factor shows here
     "analyze A6 p2": ("analyze", "A6", 2),
     "analyze S6 p3": ("analyze", "S6", 3),
+    # conductor 60: sixty linear simples, whose characters, Phi and
+    # Cartan matrix take the most cyclotomic arithmetic of any op here
+    "analyze C60 p7": ("analyze", "C60", 7),
     "lattice p2 max8": ("lattice", 2, 8),
     "lattice p3": ("lattice", 3, None),
     "lattice p5": ("lattice", 5, None),
@@ -61,6 +64,7 @@ OPS = {
     "lattice p7 max343": ("lattice", 7, 343),
     "verify p2,3": ("verify", (2, 3)),
     "verify p5": ("verify", (5,)),
+    "verify p7": ("verify", (7,)),
 }
 
 CROSS_SEED_OPS = ("analyze S4 p2", "analyze A4 p3", "analyze D10 p5",
