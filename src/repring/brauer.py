@@ -1,28 +1,43 @@
 """Brauer characters, projective characters, and the Cartan matrix.
 
 Everything is exact.  Character values live in a cyclotomic field whose
-conductor is the lcm of the p-regular element orders; the working finite
-field is the splitting field F_{p^d} with d the multiplicative order of
-p modulo that conductor.  Eigenvalues of p-regular elements are lifted
-to roots of unity through a fixed multiplicative section, so character
+conductor m is the lcm of the p-regular element orders; the working
+finite field is the splitting field F_{p^d} with d the multiplicative
+order of p modulo m.  Eigenvalues of p-regular elements are lifted to
+roots of unity through a fixed multiplicative section, so character
 values are reproducible, not just well defined up to Galois action.
+Each value phi_S(x) is kept as a root count (see cyclo): the exponent e
+of each eigenvalue w^e with its multiplicity.  The phi rows are lifted
+from the characteristic polynomials the simple-module search keys each
+simple by, at each p-regular class's shortest-word member (fewest
+matrix products); a linear one names its root.
 
-The Cartan matrix comes from Brauer's relations Phi = C phi and
-C = Gram(phi)^-1: the Gram matrix of the phi rows under the p-regular
-pairing is rational (its entries are Galois-invariant), its inverse
-over Q is C, and the projective characters Phi are the integer
-combinations of the phi rows that C gives.  The phi rows are lifted from
-the characteristic polynomials the simple-module search keys each simple
-by, at each p-regular class's shortest-word member (fewest matrix
-products); a linear one names its root.  A one-dimensional simple is a
-homomorphism G -> F^*, and tensoring with it permutes the simples.
+All character arithmetic runs on root counts in plain ints.  The Cartan
+matrix comes from Brauer's relations Phi = C phi and C = Gram(phi)^-1:
+each Gram entry of the phi rows under the p-regular pairing is a sum of
+products of root counts, reduced once; it must be rational (its entries
+are Galois-invariant), its inverse over Q is C, and the projective
+characters Phi are the integer combinations of the phi rows that C
+gives.  Decompositions and structure constants pair root counts with
+Phi the same way.  A one-dimensional simple is a homomorphism G -> F^*,
+and tensoring with it permutes the simples.  Cyc values are built only
+for what a report prints or sorts by: the phi rows and, on first use,
+the Phi rows.
 """
 
 from fractions import Fraction
+from functools import cached_property
 from math import lcm
 
 from .config import default_seed
-from .cyclo import QQ, Cyc, dot
+from .cyclo import (
+    QQ,
+    Cyc,
+    convolve_into,
+    root_combination,
+    root_product,
+    root_sum,
+)
 from .errors import (
     InvariantViolated,
     NonIntegralCartan,
@@ -81,7 +96,8 @@ def _require(ok, message):
 
 
 def _phi_value(lift, F, f):
-    """Brauer character value: eigenvalues lifted to roots of unity.
+    """Brauer character value as a root count: the (e, multiplicity) of
+    each eigenvalue w^e, e ascending, w = lift.root.
 
     f is the characteristic polynomial of a p-regular element, so its
     roots are m-th roots of unity, the roots lift.root_codes lists.  A
@@ -90,9 +106,9 @@ def _phi_value(lift, F, f):
     polynomial does not split into those roots.
     """
     if len(f) == 2:
-        return lift.lift(F.neg(f[0]))
-    mults, lifts = [], []
-    for code in lift.root_codes:
+        return ((lift.exponent(F.neg(f[0])), 1),)
+    counts = []
+    for e, code in enumerate(lift.root_codes):
         k = 0
         x_minus_root = (F.neg(code), 1)
         while len(f) > 1:
@@ -101,18 +117,12 @@ def _phi_value(lift, F, f):
                 break
             f, k = quo, k + 1
         if k:
-            mults.append(k)
-            lifts.append(lift.lift(code))
+            counts.append((e, k))
     if len(f) > 1:
         raise NonSplitCharPoly(
             "characteristic polynomial does not split over "
             f"GF({F.p},{F.d}); field is not a splitting field")
-    return dot(mults, lifts)
-
-
-def _row_key(row):
-    """A hashable form of a row of Cyc values of one conductor."""
-    return tuple((v.m, v.num, v.den) for v in row)
+    return tuple(counts)
 
 
 def _phi_sort_key(row):
@@ -142,8 +152,10 @@ class BrauerData:
         self._inv_pos = tuple(self._pos[inv_map[ci]] for ci in self.pregular)
 
         found = simple_modules(G, self.F, seed, self.class_reps)
-        rows = [tuple(_phi_value(self.lift, self.F, f) for f in key)
-                for _, key in found]
+        counts = [tuple(_phi_value(self.lift, self.F, f) for f in key)
+                  for _, key in found]
+        rows = [tuple(Cyc.from_counts(self.m, c) for c in row)
+                for row in counts]
         order = sorted(range(len(found)),
                        key=lambda i: (found[i][0].dim,
                                       _phi_sort_key(rows[i])))
@@ -151,37 +163,40 @@ class BrauerData:
             SimpleModule(f"S{k + 1}", k, found[i][0], rows[i])
             for k, i in enumerate(order))
         self.phi = tuple(s.phi for s in self.simples)
+        # phi_counts[s][k] is the root count of phi_s at class k
+        self.phi_counts = tuple(counts[i] for i in order)
         self._structure = None
-        self.cartan, self.Phi = self._cartan_and_projectives()
-        # the inverse of the phi table: row i, column S is
-        # Phi_S(x_i^-1) |class i| / |G|, since <phi_T, Phi_S> = delta_TS
-        self._dual = tuple(
-            tuple(P[self._inv_pos[i]] * Fraction(size, G.order)
-                  for P in self.Phi)
-            for i, size in enumerate(self.class_sizes))
+        self.cartan, self.Phi_counts = self._cartan_and_projectives()
         # the regular character is |G| at the identity class, 0 elsewhere
         self.composition_multiplicities = tuple(self.decompose(
-            [G.order] + [0] * (len(self.pregular) - 1)))
+            [((0, G.order),)] + [()] * (len(self.pregular) - 1)))
         self._check_invariants()
 
     # -- construction helpers
 
     def _cartan_and_projectives(self):
-        """(C, Phi) from the Gram matrix of phi under the p-regular
+        """(C, Phi counts) from the Gram matrix of phi under the p-regular
         pairing: Phi_t = sum_s c_ts phi_s is the dual basis of phi, so
-        C Gram(phi) = I and C = Gram(phi)^-1."""
-        n = len(self.simples)
-        weighted = [[size * v for size, v in zip(self.class_sizes, row)]
-                    for row in self.phi]
-        at_inverse = [[row[j] for j in self._inv_pos] for row in self.phi]
+        C Gram(phi) = I and C = Gram(phi)^-1.
+
+        |G| <phi_s, phi_t> = sum_k |class k| phi_s(x_k) phi_t(x_k^-1) is
+        summed as one root count over the classes and reduced once; an
+        irrational value raises NonIntegralCartan."""
+        n, m = len(self.simples), self.m
+        at_inverse = [[row[j] for j in self._inv_pos]
+                      for row in self.phi_counts]
         gram = [[None] * n for _ in range(n)]
         for s in range(n):
             for t in range(s, n):
-                v = dot(weighted[s], at_inverse[t]).as_rational()
-                if v is None:
+                acc = [0] * m
+                for size, a, b in zip(self.class_sizes, self.phi_counts[s],
+                                      at_inverse[t]):
+                    convolve_into(acc, a, b, size)
+                v = root_sum(m, enumerate(acc))
+                if any(v[1:]):
                     raise NonIntegralCartan(
                         f"<phi_{s}, phi_{t}> is irrational")
-                gram[s][t] = gram[t][s] = v / self.G.order
+                gram[s][t] = gram[t][s] = Fraction(v[0], self.G.order)
         try:
             inv = gf_mat_inv(QQ, gram)
         except ZeroDivisionError as exc:
@@ -197,30 +212,32 @@ class BrauerData:
                 if v != inv[s][t]:
                     raise NonIntegralCartan("Cartan matrix not symmetric")
         cartan = tuple(tuple(int(v) for v in row) for row in inv)
-        Phi = []
-        for row in cartan:
-            terms = [(c, self.phi[s]) for s, c in enumerate(row) if c]
-            Phi.append(tuple(dot([c for c, _ in terms], column)
-                             for column in zip(*(r for _, r in terms))))
-        return cartan, tuple(Phi)
+        Phi = tuple(
+            tuple(root_combination((c, self.phi_counts[s][k])
+                                   for s, c in enumerate(row) if c)
+                  for k in range(len(self.pregular)))
+            for row in cartan)
+        return cartan, Phi
+
+    @cached_property
+    def Phi(self):
+        """The Phi rows as Cyc values, for the report; built on first use."""
+        return tuple(tuple(Cyc.from_counts(self.m, v) for v in row)
+                     for row in self.Phi_counts)
 
     def _check_invariants(self):
         G, n = self.G, len(self.simples)
         _require(n == len(self.pregular),
                  f"{n} simples for {len(self.pregular)} p-regular classes")
-        one = Cyc.from_rational(1)
-        first = self.simples[0]
-        _require(first.dim == 1 and all(v == one for v in first.phi),
+        _require(self.simples[0].dim == 1
+                 and all(v == ((0, 1),) for v in self.phi_counts[0]),
                  "first simple is not the trivial module")
-        for s in self.simples:
-            _require(s.phi[0] == s.dim,  # value at the identity class
+        for s, row in zip(self.simples, self.phi_counts):
+            _require(row[0] == ((0, s.dim),),  # value at the identity class
                      f"{s.name}: Brauer character at 1 is not its dimension")
-        # dim P_S from Phi at the identity, and mass formula
-        proj_dims = [self.Phi[t][0].as_rational() for t in range(n)]
-        _require(all(d is not None and d.denominator == 1
-                     for d in proj_dims),
-                 "a projective dimension is not an integer")
-        self.projective_dims = tuple(int(d) for d in proj_dims)
+        # dim P_S is Phi_S at the identity; mass formula
+        self.projective_dims = tuple(sum(a for _, a in P[0])
+                                     for P in self.Phi_counts)
         _require(sum(pd * s.dim
                      for pd, s in zip(self.projective_dims, self.simples))
                  == G.order,
@@ -254,51 +271,56 @@ class BrauerData:
         """table[s][t][u]: multiplicity of S_u in S_s (x) S_t, reduced mod
         p.  The product is commutative, so only t >= s is computed.  A
         one-dimensional S_s (these sort first) maps simples to simples,
-        so S_s (x) S_t is the simple whose phi row is phi_s phi_t; a
-        product of two larger simples is decomposed."""
+        so S_s (x) S_t is the simple whose root counts are those of
+        phi_s phi_t; a product of two larger simples is decomposed."""
         if self._structure is None:
-            n = len(self.simples)
-            by_row = {_row_key(row): u for u, row in enumerate(self.phi)}
+            n, m, p = len(self.simples), self.m, self.p
+            by_row = {row: u for u, row in enumerate(self.phi_counts)}
             table = [[None] * n for _ in range(n)]
             for s in range(n):
                 for t in range(s, n):
-                    vals = [a * b for a, b in zip(self.phi[s], self.phi[t])]
+                    vals = tuple(root_product(m, a, b) for a, b in
+                                 zip(self.phi_counts[s], self.phi_counts[t]))
                     if self.simples[s].dim == 1:
-                        u = by_row.get(_row_key(vals))
+                        u = by_row.get(vals)
                         _require(u is not None,
                                  f"{self.simples[s].name} (x) "
                                  f"{self.simples[t].name} is not simple")
                         ints = [int(k == u) for k in range(n)]
                     else:
                         ints = self.decompose(vals)  # integral by Brauer
-                    table[s][t] = table[t][s] = tuple(
-                        self.lift.reduce_rational(Fraction(c)) for c in ints)
+                    table[s][t] = table[t][s] = tuple(c % p for c in ints)
             self._structure = tuple(tuple(row) for row in table)
         return self._structure
 
     def decompose(self, values, require_integral=True):
         """Coefficients of a class function on p-regular classes in the
-        Brauer character basis.  values is a row over the p-regular
-        classes in table order.
+        Brauer character basis.  values is a row of root counts over the
+        p-regular classes in table order.
 
-        Only the non-zero entries of values are multiplied out; each sum
-        is then put at the conductor a dot over every entry gives, the
-        lcm of all their conductors.
+        Since <phi_T, Phi_S> = delta_TS, the coefficient of S is
+        |G|^-1 sum_k |class k| values[k] Phi_S(x_k^-1): a root count over
+        the non-zero entries of values, reduced once.  It is returned as
+        an int, or, when require_integral is false, as a Cyc.
         """
+        m, order = self.m, self.G.order
+        scale = Fraction(1, order)
         support = [k for k, v in enumerate(values) if v]
-        m_values = lcm(*(Cyc.coerce(v).m for v in values))
         coeffs = []
-        for s, column in enumerate(zip(*self._dual)):
-            total = dot([values[k] for k in support],
-                        [column[k] for k in support]).promote(
-                lcm(m_values, *(c.m for c in column)))
+        for s, P in enumerate(self.Phi_counts):
+            acc = [0] * m
+            for k in support:
+                convolve_into(acc, values[k], P[self._inv_pos[k]],
+                              self.class_sizes[k])
             if not require_integral:
-                coeffs.append(total)
-            elif total.den != 1 or any(total.num[1:]):
+                coeffs.append(Cyc.from_counts(m, enumerate(acc)) * scale)
+                continue
+            total = root_sum(m, enumerate(acc))
+            if any(total[1:]) or total[0] % order:
+                value = Cyc.from_counts(m, enumerate(acc)) * scale
                 raise NonIntegralDecomposition(
-                    f"coefficient of {self.simples[s].name} is {total!r}")
-            else:
-                coeffs.append(total.num[0])
+                    f"coefficient of {self.simples[s].name} is {value!r}")
+            coeffs.append(total[0] // order)
         return coeffs
 
 
@@ -364,13 +386,12 @@ def _block_idempotents(bd: BrauerData, alg_mul):
     sims = [s.module for s in bd.simples]
     dims = [s.dim for s in bd.simples]
     # pi : kG -> sum of matrix blocks, one row per group element
-    pi = []
-    for g in G.elements:
-        row = []
-        for mod in sims:
-            for r in mod.element_matrix(G, g):
+    words = [G.words[g] for g in G.elements]
+    pi = [[] for _ in words]
+    for mod in sims:
+        for row, mat in zip(pi, mod.word_matrices(words)):
+            for r in mat:
                 row.extend(r)
-        pi.append(row)
     pit = gf_transpose(pi)
     idems = []
     for s in range(len(dims)):

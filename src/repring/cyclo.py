@@ -1,35 +1,39 @@
-"""Exact arithmetic in cyclotomic fields Q(zeta_m).
+"""Exact arithmetic in cyclotomic fields Q(zeta_m), on root counts.
 
-A value of conductor m is stored over the power basis 1, z, ...,
-z^(phi(m)-1) of Q(zeta_m) as a tuple ``num`` of integer numerators over
-one positive integer denominator ``den``, in lowest terms:
-gcd(den, *num) == 1, and zero has den == 1.  The stored form of a value
-of a given conductor is therefore unique.  Arithmetic runs on Python
-ints modulo the m-th cyclotomic polynomial and divides out one gcd per
-result.  Values of different conductors mix by promotion to the lcm
-(zeta_m maps to zeta_M^(M/m)) through a cached integer matrix.  Rational
-coordinates appear only at the edges: the constructor, ``coeffs``, JSON
-and ``inverse``.  No floating point is involved anywhere.
+A character value of a p-regular element is a sum of m-th roots of
+unity, so it is kept as a root count: the (e, a) pairs, e ascending and
+a non-zero, of the value sum a zeta_m^e.  Root counts multiply by adding
+exponents mod m (``root_product``, ``convolve_into``) and combine by
+adding counts (``root_combination``), all in plain ints; ``root_sum``
+reduces a count mod the m-th cyclotomic polynomial once, which is where
+a Gram entry or a decomposition shows whether it is rational.
 
-``QQ`` is the field object of ints, Fractions and Cyc values, so the
-shared elimination (``linalg.Echelon``) and polynomial routines
-(``gf.poly_*``) run over Q(zeta_m) as they run over GF(q): the
-cyclotomic polynomials and the extended Euclid of ``inverse`` are
-``gf.poly_*`` over ``QQ``.
+``Cyc`` is the value at the print edge, where a report writes it or
+sorts by it.  A value of conductor m is stored over the power basis 1,
+z, ..., z^(phi(m)-1) of Q(zeta_m) as a tuple ``num`` of integer
+numerators over one positive integer denominator ``den``, in lowest
+terms: gcd(den, *num) == 1, and zero has den == 1.  The stored form of
+a value of a given conductor is therefore unique.  Cyc values add and
+take rational multiples; values of different conductors mix by
+promotion to the lcm M, zeta_m going to the root count of
+zeta_M^(M/m).  No floating point is involved anywhere.
+
+``QQ`` is the field object of ints and Fractions, so the shared
+elimination (``linalg.Echelon``) and polynomial routines (``gf.poly_*``)
+run over Q as they run over GF(q): the cyclotomic polynomials and the
+inverse of the Gram matrix are computed with it.
 """
 
 import functools
 import math
 from fractions import Fraction
 
-from .gf import poly_divmod, poly_mul, poly_sub, poly_trim
+from .gf import poly_divmod
 
 
 class _Rationals:
-    """Q and its cyclotomic extensions as a field object: the row kernel
-    and the operations that ``linalg.Echelon`` and ``gf.poly_*`` call.
-    Elements are ints, Fractions and Cyc values, which must be falsy
-    exactly when zero."""
+    """Q as a field object: the row kernel and the operations that
+    ``linalg.Echelon`` and ``gf.poly_*`` call, on ints and Fractions."""
 
     @staticmethod
     def axpy(y, a, x):
@@ -69,19 +73,16 @@ def cyclotomic_poly(m: int) -> tuple:
 
 @functools.lru_cache(maxsize=None)
 def _power_rows(m: int) -> tuple:
-    """Rows of x^k reduced mod the m-th cyclotomic polynomial.
-
-    Integer tuples of length phi(m), for k up to max(2*phi(m)-2, m-1),
-    enough for products of reduced values and for any zeta_m power.
-    """
+    """Row e, for e < m, is zeta_m^e over the power basis, x^e reduced
+    mod the m-th cyclotomic polynomial, as its non-zero (j, coordinate)
+    pairs."""
     phi = cyclotomic_poly(m)
     deg = len(phi) - 1
-    bound = max(2 * deg - 2, m - 1, deg - 1)
     rows = []
     cur = [0] * deg
     cur[0] = 1
     rows.append(tuple(cur))
-    for _ in range(bound):
+    for _ in range(m - 1):
         nxt = [0] + cur[:-1] if deg > 1 else [0]
         top = cur[-1]
         if top:
@@ -90,19 +91,50 @@ def _power_rows(m: int) -> tuple:
                 nxt[i] -= top * phi[i]
         rows.append(tuple(nxt))
         cur = nxt
-    return tuple(rows)
-
-
-@functools.lru_cache(maxsize=None)
-def _promotion(m: int, big: int) -> tuple:
-    """Integer matrix of Q(zeta_m) -> Q(zeta_big): row i is zeta_m^i."""
-    step = big // m
-    rows = _power_rows(big)
-    return tuple(rows[i * step] for i in range(conductor_degree(m)))
+    return tuple(tuple((j, r) for j, r in enumerate(row) if r)
+                 for row in rows)
 
 
 def conductor_degree(m: int) -> int:
     return len(cyclotomic_poly(m)) - 1
+
+
+def root_sum(m: int, counts) -> tuple:
+    """The power-basis numerators of sum a zeta_m^e over the (e, a) in
+    counts, 0 <= e < m: the root count reduced once."""
+    out = [0] * conductor_degree(m)
+    rows = _power_rows(m)
+    for e, a in counts:
+        if a:
+            for j, r in rows[e]:
+                out[j] += a * r
+    return tuple(out)
+
+
+def root_combination(terms) -> tuple:
+    """The root count of sum c * counts over the (c, counts) in terms."""
+    acc = {}
+    for c, counts in terms:
+        for e, a in counts:
+            acc[e] = acc.get(e, 0) + c * a
+    return tuple(sorted((e, a) for e, a in acc.items() if a))
+
+
+def root_product(m: int, a, b) -> tuple:
+    """The root count of the product of two: exponents add mod m."""
+    return root_combination((x, [((e + f) % m, y) for f, y in b])
+                            for e, x in a)
+
+
+def convolve_into(acc, a, b, w=1):
+    """acc[(e + f) % m] += w * x * y over the (e, x) in a and (f, y) in
+    b, m = len(acc): a weighted product of two root counts added to a
+    dense one, to be reduced once by root_sum(m, enumerate(acc))."""
+    m = len(acc)
+    for e, x in a:
+        wx = w * x
+        for f, y in b:
+            acc[(e + f) % m] += wx * y
 
 
 _new = object.__new__
@@ -124,30 +156,6 @@ def _make(m, num, den):
     if g != 1:
         return _raw(m, tuple([c // g for c in num]), den // g)
     return _raw(m, tuple(num), den)
-
-
-def _mul_into(acc, an, bn, scale=1):
-    """acc += scale * an * bn, as unreduced integer polynomials."""
-    for i, x in enumerate(an):
-        if x:
-            x *= scale
-            for j, y in enumerate(bn):
-                if y:
-                    acc[i + j] += x * y
-
-
-def _reduce(m, prod, deg):
-    """A product of reduced polynomials (length 2*deg - 1) mod Phi_m: only
-    the degrees >= deg = phi(m) are rewritten, through _power_rows."""
-    out = prod[:deg]
-    rows = _power_rows(m)
-    for k in range(deg, len(prod)):
-        c = prod[k]
-        if c:
-            for j, r in enumerate(rows[k]):
-                if r:
-                    out[j] += c * r
-    return out
 
 
 class Cyc:
@@ -182,8 +190,13 @@ class Cyc:
                     c.denominator)
 
     @staticmethod
+    def from_counts(m: int, counts) -> "Cyc":
+        """The value sum a zeta_m^e of a root count."""
+        return _raw(m, root_sum(m, counts), 1)
+
+    @staticmethod
     def zeta(m: int, k: int = 1) -> "Cyc":
-        return _raw(m, _power_rows(m)[k % m], 1)
+        return Cyc.from_counts(m, ((k % m, 1),))
 
     @staticmethod
     def coerce(v, m: int = 1) -> "Cyc":
@@ -205,14 +218,11 @@ class Cyc:
             return self
         if big % m:
             raise ValueError(f"{big} is not a multiple of conductor {m}")
-        out = [0] * conductor_degree(big)
-        for c, row in zip(self.num, _promotion(m, big)):
-            if c:
-                for j, r in enumerate(row):
-                    if r:
-                        out[j] += c * r
-        # Z[zeta_big] meets Q(zeta_m) in Z[zeta_m]: no common factor appears
-        return _raw(big, tuple(out), self.den)
+        # zeta_m^i is zeta_big^(i * step); Z[zeta_big] meets Q(zeta_m) in
+        # Z[zeta_m], so no common factor appears
+        step = big // m
+        return _raw(big, root_sum(big, ((i * step, c) for i, c in
+                                        enumerate(self.num))), self.den)
 
     def _common(self, other):
         other = Cyc.coerce(other, 1)
@@ -254,59 +264,15 @@ class Cyc:
         return (-self) + other
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            # scalar: no conductor promotion needed
-            n = other.numerator
-            return _make(self.m, [c * n for c in self.num],
-                         self.den * other.denominator)
-        a, b, m = self._common(other)
-        deg = len(a.num)
-        prod = [0] * (2 * deg - 1)
-        _mul_into(prod, a.num, b.num)
-        return _make(m, _reduce(m, prod, deg), a.den * b.den)
+        """A rational multiple.  A product of two Cyc values is never
+        formed: character products are taken on root counts."""
+        if not isinstance(other, (int, Fraction)):
+            return NotImplemented
+        n = other.numerator
+        return _make(self.m, [c * n for c in self.num],
+                     self.den * other.denominator)
 
     __rmul__ = __mul__
-
-    def inverse(self) -> "Cyc":
-        if not self:
-            raise ZeroDivisionError("inverse of zero cyclotomic value")
-        m, num = self.m, self.num
-        if not any(num[1:]):
-            s = 1 if num[0] > 0 else -1
-            return _raw(m, (s * self.den,) + num[1:], s * num[0])
-        # extended Euclid in Q[x] against the (irreducible) cyclotomic
-        # poly, on the numerator polynomial; den scales the result
-        r0, s0 = cyclotomic_poly(m), ()
-        r1, s1 = poly_trim(num), (1,)
-        while len(r1) > 1:
-            q, rem = poly_divmod(QQ, r0, r1)
-            r0, r1 = r1, rem
-            s0, s1 = s1, poly_sub(QQ, s0, poly_mul(QQ, q, s1))
-        if not r1:
-            raise ZeroDivisionError("zero divisor mod cyclotomic polynomial")
-        c = QQ.inv(r1[0]) * self.den
-        deg = len(num)
-        out = [x * c for x in s1] + [0] * deg
-        return Cyc(m, out[:deg])
-
-    def __truediv__(self, other):
-        other = Cyc.coerce(other, 1)
-        return self * other.inverse()
-
-    def __rtruediv__(self, other):
-        return Cyc.coerce(other, 1) * self.inverse()
-
-    def __pow__(self, e: int):
-        if e < 0:
-            return self.inverse() ** (-e)
-        out = Cyc.from_rational(1, self.m)
-        base = self
-        while e:
-            if e & 1:
-                out = out * base
-            base = base * base
-            e >>= 1
-        return out
 
     # -- comparison and rendering
 
@@ -350,30 +316,3 @@ class Cyc:
             if c:
                 terms.append(f"{c}*z{self.m}^{i}" if i else f"{c}")
         return "Cyc(" + " + ".join(terms) + ")"
-
-
-def dot(xs, ys) -> Cyc:
-    """Sum of x * y over paired entries (each a Cyc, int or Fraction).
-
-    The products are accumulated unreduced over one running denominator,
-    then reduced mod the cyclotomic polynomial and put in lowest terms
-    once, at the lcm of all the conductors.
-    """
-    pairs = [(Cyc.coerce(x), Cyc.coerce(y)) for x, y in zip(xs, ys)]
-    m = math.lcm(1, *(a.m for a, _ in pairs), *(b.m for _, b in pairs))
-    deg = conductor_degree(m)
-    acc = [0] * (2 * deg - 1)
-    den = 1
-    for a, b in pairs:
-        d = a.den * b.den
-        scale = 1
-        if d != den:
-            g = math.gcd(den, d)
-            scale = den // g
-            if d != g:
-                grow = d // g
-                acc = [c * grow for c in acc]
-                den *= grow
-        _mul_into(acc, a.promote(m).num, b.promote(m).num, scale)
-    return _make(m, _reduce(m, acc, deg), den)
-

@@ -156,18 +156,25 @@ def gamma_element(bd: BrauerData, x) -> RkElement:
     if csize % p == 0:
         raise NotDefectZero(
             f"class has defect of order {p_part(csize, p)}, not zero")
-    return _phi_over(bd, bd._pos[ci], csize)
+    k = bd._pos[ci]
+    scale = Fraction(1, csize)
+    exact = tuple(Cyc.from_counts(bd.m, P[bd._inv_pos[k]]) * scale
+                  for P in bd.Phi_counts)
+    return RkElement(bd, _phi_over(bd, k, csize), exact=exact)
 
 
-def _phi_over(bd: BrauerData, k: int, c: int) -> RkElement:
-    """The element whose coefficient at S is the reduction of
-    Phi_S(x^-1) / c, for x in the p-regular class at position k: gamma
-    with c = |C_G(x)|, U with c = |C_H(x)|."""
+def _phi_over(bd: BrauerData, k: int, c: int):
+    """The reductions of Phi_S(x^-1) / c over the simples S, for x in
+    the p-regular class at position k: gamma with c = |C_G(x)|, U with
+    c = |C_H(x)|.  For c prime to p the root counts reduce root by root;
+    otherwise each value is put in lowest terms as a Cyc, whose
+    denominator must then be prime to p."""
     inv = bd._inv_pos[k]
+    if c % bd.p:
+        return tuple(bd.lift.reduce_counts(P[inv], c) for P in bd.Phi_counts)
     scale = Fraction(1, c)
-    exact = tuple(P[inv] * scale for P in bd.Phi)
-    return RkElement(bd, tuple(bd.lift.reduce(v) for v in exact),
-                     exact=exact)
+    return tuple(bd.lift.reduce(Cyc.from_counts(bd.m, P[inv]) * scale)
+                 for P in bd.Phi_counts)
 
 
 def _indicator_check(bd: BrauerData, G, x, csize, ind_vals):
@@ -197,11 +204,11 @@ def cartan_image_basis(bd: BrauerData):
 
     # each reduced Cartan column equals the Phi-weighted sum of gammas
     for t in range(n):
-        col = tuple(bd.lift.reduce_rational(Fraction(bd.cartan[t][s]))
-                    for s in range(n))
+        col = tuple(c % p for c in bd.cartan[t])
         acc = [0] * n
         for k, g in zip(zero_pos, gammas):
-            acc = F.axpy(acc, bd.lift.reduce(bd.Phi[t][k]), g.coeffs)
+            acc = F.axpy(acc, bd.lift.reduce_counts(bd.Phi_counts[t][k]),
+                         g.coeffs)
         if tuple(acc) != col:
             raise InvariantViolated(
                 "defects", f"reduced Cartan column {t} is not the "
@@ -217,9 +224,11 @@ def cartan_image_basis(bd: BrauerData):
         ind = induce_class_function(G, cyc, vals,
                                     class_indices=bd.pregular)
         _indicator_check(bd, G, x, csize, ind)
-        coeffs = bd.decompose(ind, require_integral=False)
+        # so ind is the integer csize at the class of x and 0 elsewhere
+        coeffs = bd.decompose([((0, csize),) if v else () for v in ind],
+                              require_integral=False)
         lhs = tuple(bd.lift.reduce(c) for c in coeffs)
-        if lhs != g.scale(bd.lift.reduce_rational(Fraction(csize))).coeffs:
+        if lhs != g.scale(csize % p).coeffs:
             raise InvariantViolated(
                 "defects", "reduced Cartan image of the induced indicator "
                 "is not |C_G(x)| gamma_x")
@@ -261,7 +270,7 @@ def _u_from(a: Analysis, x, R):
         raise DefectNotZeroInQuotient(
             f"image of x in R C_G(R)/{R.describe()} has positive defect; "
             "the Sylow subgroup R was not correct")
-    return _phi_over(bd, a.row_of(x).position, c_h)
+    return RkElement(bd, _phi_over(bd, a.row_of(x).position, c_h))
 
 
 def _u_basis(a: Analysis):

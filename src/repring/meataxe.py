@@ -65,20 +65,27 @@ class Module:
                     f"action matrix is not {dim} x {dim}")
 
     def word_matrix(self, word):
-        if not word:
-            return gf_identity(self.dim)
-        out = [list(row) for row in self.mats[word[0]]]
-        for t in word[1:]:
-            out = gf_matmul(self.F, out, self.mats[t])
-        return out
+        return self.word_matrices([word])[0]
+
+    def word_matrices(self, words):
+        """The matrix of each word, each prefix shared by the words
+        multiplied out once, in a memo that lives for this call only."""
+        memo = {(): gf_identity(self.dim)}
+
+        def at(word):
+            if word not in memo:
+                memo[word] = gf_matmul(self.F, at(word[:-1]),
+                                       self.mats[word[-1]])
+            return memo[word]
+        return [at(tuple(w)) for w in words]
 
     def recipe_matrix(self, recipe):
         """Sum of coeff * word over the recipe's (coeff, word) terms."""
         axpy = self.F.axpy
         out = [[0] * self.dim for _ in range(self.dim)]
-        for coeff, word in recipe:
-            out = [axpy(orow, coeff, row)
-                   for orow, row in zip(out, self.word_matrix(word))]
+        mats = self.word_matrices([word for _, word in recipe])
+        for (coeff, _), mat in zip(recipe, mats):
+            out = [axpy(orow, coeff, row) for orow, row in zip(out, mat)]
         return out
 
     def element_matrix(self, group: PermGroup, g):
@@ -260,7 +267,8 @@ def _tensor_closure(G: PermGroup, F, rng: random.Random, reps):
         for f in chop(module, rng):
             if len(simples) == count:
                 break
-            key = tuple(gf_charpoly(F, f.element_matrix(G, x)) for x in reps)
+            key = tuple(gf_charpoly(F, mat) for mat in
+                        f.word_matrices([G.words[x] for x in reps]))
             if key in keys:
                 continue
             keys.add(key)

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from repring import brauer, linalg
+from repring import brauer, cyclo, linalg
 from repring.brauer import (
     BrauerData,
     _block_idempotents,
@@ -15,7 +15,7 @@ from repring.brauer import (
     induce_class_function,
     splitting_field,
 )
-from repring.cyclo import QQ, Cyc
+from repring.cyclo import Cyc, root_product
 from repring.config import CHOP_RESEEDS
 from repring.errors import (
     ChopStalled,
@@ -25,7 +25,6 @@ from repring.errors import (
     NonSplitCharPoly,
     NotSubgroup,
 )
-from repring.cyclo import dot
 from repring.gf import gf_field
 from repring.groups import (
     alternating_group,
@@ -48,6 +47,14 @@ from repring.meataxe import (
     tensor_product,
 )
 from repring.verify import DEFAULT_CORPUS
+from cyclo_reference import (
+    CYC,
+    cyc_row,
+    decompose_by_dense_dot,
+    dot,
+    dual_table,
+    mul,
+)
 from meataxe_reference import find_id_recipe, standard_form
 from test_defects import GOLDEN_ANALYZE
 
@@ -118,9 +125,10 @@ def test_s4_mod3_tables():
 def test_a4_mod2_tables():
     bd = BrauerData(alternating_group(4), 2)
     assert [s.dim for s in bd.simples] == [1, 1, 1]
-    z = Cyc.zeta(3)
-    assert list(bd.phi[1]) == [Cyc.coerce(1), z, z * z]
-    assert list(bd.phi[2]) == [Cyc.coerce(1), z * z, z]
+    z, z2 = Cyc.zeta(3), Cyc.zeta(3, 2)
+    assert list(bd.phi[1]) == [Cyc.coerce(1), z, z2]
+    assert list(bd.phi[2]) == [Cyc.coerce(1), z2, z]
+    assert bd.phi_counts[1] == (((0, 1),), ((1, 1),), ((2, 1),))
     assert bd.cartan == ((2, 1, 1), (1, 2, 1), (1, 1, 2))
     assert bd.elementary_divisors() == (1, 1, 4)
 
@@ -191,9 +199,9 @@ def test_decompose_table_is_phi_table_inverse(G, p):
     # inverse of the phi table by elimination
     bd = BrauerData(G, p)
     n = len(bd.simples)
-    want = gf_mat_inv(QQ, [[bd.phi[s][i] for i in range(n)]
-                           for s in range(n)])
-    assert [list(row) for row in bd._dual] == want
+    want = gf_mat_inv(CYC, [[bd.phi[s][i] for i in range(n)]
+                            for s in range(n)])
+    assert dual_table(bd) == want
 
 
 @pytest.mark.parametrize("G,p", [(cyclic_group(5), 2),
@@ -206,6 +214,7 @@ def test_coprime_order_semisimple(G, p):
     assert bd.cartan == tuple(tuple(1 if i == j else 0 for j in range(n))
                               for i in range(n))
     assert bd.Phi == bd.phi
+    assert bd.Phi_counts == bd.phi_counts
 
 
 def test_phi_reduces_to_trace():
@@ -218,6 +227,7 @@ def test_phi_reduces_to_trace():
             for i in range(s.dim):
                 tr = F.add(tr, mat[i][i])
             assert bd.lift.reduce(s.phi[k]) == tr
+            assert bd.lift.reduce_counts(bd.phi_counts[s.index][k]) == tr
 
 
 def test_class_reps_have_the_shortest_words():
@@ -276,23 +286,22 @@ def test_endomorphism_route_matches_all_pairs_reference(p):
 
 def test_decompose_tensor_square():
     bd = BrauerData(symmetric_group(4), 2)
-    row = [bd.phi[1][i] * bd.phi[1][i] for i in range(2)]
+    row = [root_product(bd.m, a, a) for a in bd.phi_counts[1]]
     assert bd.decompose(row) == [2, 1]
 
 
 def test_decompose_rejects_non_integral():
     bd = BrauerData(symmetric_group(3), 2)
     with pytest.raises(NonIntegralDecomposition):
-        bd.decompose([Cyc.coerce(1), Cyc.coerce(0)])
-    loose = bd.decompose([Cyc.coerce(1), Cyc.coerce(0)],
-                         require_integral=False)
+        bd.decompose([((0, 1),), ()])
+    loose = bd.decompose([((0, 1),), ()], require_integral=False)
     assert [v.as_rational() for v in loose] == \
         [Fraction(1, 3), Fraction(1, 3)]
 
 
 def test_decompose_roundtrips_projectives():
     bd = BrauerData(symmetric_group(4), 3)
-    for t, row in enumerate(bd.Phi):
+    for t, row in enumerate(bd.Phi_counts):
         coeffs = bd.decompose(row)
         assert coeffs == list(bd.cartan[t])
 
@@ -300,8 +309,8 @@ def test_decompose_roundtrips_projectives():
 def test_induced_character_of_cyclic_line():
     S3 = symmetric_group(3)
     C3 = S3.generated_subgroup([(1, 2, 0)])
-    z = Cyc.zeta(3)
-    vals = {(0, 1, 2): Cyc.coerce(1), (1, 2, 0): z, (2, 0, 1): z * z}
+    vals = {(0, 1, 2): Cyc.coerce(1), (1, 2, 0): Cyc.zeta(3),
+            (2, 0, 1): Cyc.zeta(3, 2)}
     ind = induce_class_function(S3, C3, vals)
     assert [v.as_rational() for v in ind] == [2, 0, -1]
 
@@ -324,11 +333,12 @@ def test_phi_by_division_matches_factoring(spec, p):
     bd = BrauerData(parse_group_spec(spec), p, seed=1)
     F = bd.F
     for s in bd.simples:
-        for x, value in zip(bd.class_reps, s.phi):
+        for x, counts, value in zip(bd.class_reps, bd.phi_counts[s.index],
+                                    s.phi):
             mat = s.module.element_matrix(bd.G, x)
             o = perm_order(x)
             assert (F.q - 1) % o == 0
-            mults, lifts = [], []
+            want = []
             for k in range(o):
                 r = F.exp[k * (F.q - 1) // o]
                 shifted = [[F.add(c, F.neg(r)) if i == j else c
@@ -336,11 +346,13 @@ def test_phi_by_division_matches_factoring(spec, p):
                            for i, row in enumerate(mat)]
                 nullity = s.dim - gf_rank(F, shifted)
                 if nullity:
-                    mults.append(nullity)
-                    lifts.append(bd.lift.lift(r))
-            assert sum(mults) == s.dim
-            want = dot(mults, lifts)
-            assert _phi_value(bd.lift, F, gf_charpoly(F, mat)) == want == value
+                    want.append((bd.lift.exponent(r), nullity))
+            want.sort()
+            assert sum(n for _, n in want) == s.dim
+            assert (_phi_value(bd.lift, F, gf_charpoly(F, mat))
+                    == tuple(want) == counts)
+            assert dot([n for _, n in want],
+                       [Cyc.zeta(bd.m, e) for e, _ in want]) == value
 
 
 @pytest.mark.parametrize("spec, p", GOLDEN_ANALYZE)
@@ -448,9 +460,9 @@ def projectives_by_inverse(bd):
     """(Phi, C): Phi by inverting the table of phi weighted by class
     sizes over the inverse classes, C by pairing the Phi rows."""
     n, order = len(bd.simples), bd.G.order
-    table = [[Fraction(bd.class_sizes[i], order) * bd.phi[s][bd._inv_pos[i]]
+    table = [[bd.phi[s][bd._inv_pos[i]] * Fraction(bd.class_sizes[i], order)
               for s in range(n)] for i in range(n)]
-    Phi = [[Cyc.coerce(v) for v in row] for row in gf_mat_inv(QQ, table)]
+    Phi = [[Cyc.coerce(v) for v in row] for row in gf_mat_inv(CYC, table)]
 
     def pairing(alpha, beta):
         return dot([size * a for size, a in zip(bd.class_sizes, alpha)],
@@ -502,30 +514,41 @@ def simples_by_standard_form(G, F, seed, count):
 
 
 def structure_by_decompose(bd):
-    """Every product of two simples decomposed, linear ones included."""
-    n = len(bd.simples)
-    return tuple(tuple(
-        tuple(bd.lift.reduce_rational(Fraction(c)) for c in bd.decompose(
-            [a * b for a, b in zip(bd.phi[s], bd.phi[t])]))
-        for t in range(n)) for s in range(n))
-
-
-def decompose_by_dense_dot(bd, values):
-    """Every coefficient as one dot over all the entries of values, the
-    zeros included."""
-    return [dot(values, column) for column in zip(*bd._dual)]
+    """Every product of two simples multiplied over Cyc values.  The
+    product with a linear simple must be another simple's phi row, which
+    is what decomposing it would show, since the phi rows are a basis;
+    any other product is decomposed by the dense dot.  The Cyc product
+    is commutative, so (t, s) repeats (s, t)."""
+    n, dual = len(bd.simples), dual_table(bd)
+    rows = [list(row) for row in bd.phi]
+    table = [[None] * n for _ in range(n)]
+    for s in range(n):
+        for t in range(s, n):
+            values = [mul(a, b) for a, b in zip(bd.phi[s], bd.phi[t])]
+            if bd.simples[s].dim == 1:
+                assert rows.count(values) == 1
+                coeffs = [int(row == values) for row in rows]
+            else:
+                coeffs = [c.as_rational() for c in
+                          decompose_by_dense_dot(bd, values, dual)]
+                assert all(c.denominator == 1 for c in coeffs)
+            table[s][t] = table[t][s] = tuple(int(c) % bd.p for c in coeffs)
+    return tuple(tuple(row) for row in table)
 
 
 def decompose_inputs(bd):
-    """The all-zero row, the regular character, the phi rows, and a row
-    non-zero at one class only, for each class, with zeros of conductor
-    bd.m elsewhere: the shape of an induced indicator."""
-    n, zero = len(bd.pregular), Cyc.from_rational(0, bd.m)
-    yield [0] * n
-    yield [bd.G.order] + [0] * (n - 1)
-    yield from bd.phi
+    """Root-count rows: the all-zero row, the regular character, the phi
+    rows, their products with the last phi row, and a row non-zero at
+    one class only, for each class: the shape of an induced indicator."""
+    n = len(bd.pregular)
+    yield [()] * n
+    yield [((0, bd.G.order),)] + [()] * (n - 1)
+    yield from bd.phi_counts
+    for row in bd.phi_counts:
+        yield [root_product(bd.m, a, b)
+               for a, b in zip(row, bd.phi_counts[-1])]
     for k in range(n):
-        yield [bd.Phi[0][k] if i == k else zero for i in range(n)]
+        yield [bd.Phi_counts[0][k] if i == k else () for i in range(n)]
 
 
 @pytest.mark.parametrize("spec, p", REFERENCE_CASES)
@@ -536,17 +559,18 @@ def test_brauer_data_matches_reference_routes(spec, p):
     assert [list(row) for row in bd.Phi] == Phi
     assert bd.cartan == cartan
     modules = simples_by_standard_form(G, bd.F, 1, len(bd.pregular))
-    rows = sorted(((mod.dim, [_phi_value(bd.lift, bd.F, gf_charpoly(
-                                  bd.F, mod.element_matrix(G, x)))
-                              for x in bd.class_reps]) for mod in modules),
+    rows = sorted(((mod.dim, cyc_row(bd.m, [
+                      _phi_value(bd.lift, bd.F, gf_charpoly(
+                          bd.F, mod.element_matrix(G, x)))
+                      for x in bd.class_reps])) for mod in modules),
                   key=lambda pair: (pair[0], _phi_sort_key(pair[1])))
     assert [tuple(row) for _, row in rows] == list(bd.phi)
     assert bd.structure_constants() == structure_by_decompose(bd)
-    # the sparse decompose gives the dense dot's values and conductors
+    # the root-count decompose gives the dense dot's values and conductors
     for values in decompose_inputs(bd):
         got = bd.decompose(values, require_integral=False)
-        assert ([c.to_json() for c in got]
-                == [c.to_json() for c in decompose_by_dense_dot(bd, values)])
+        want = decompose_by_dense_dot(bd, cyc_row(bd.m, values))
+        assert [c.to_json() for c in got] == [c.to_json() for c in want]
 
 
 def linear_only(found, entry):
@@ -568,7 +592,7 @@ def test_non_root_1x1_entry_raises_non_split(monkeypatch):
     with pytest.raises(NonSplitCharPoly):
         _phi_value(lift, F, (F.neg(3), 1))
     with pytest.raises(NonSplitCharPoly):
-        lift.lift(3)
+        lift.exponent(3)
     real = brauer.simple_modules
     monkeypatch.setattr(brauer, "simple_modules",
                         lambda *a: linear_only(real(*a), 3))
@@ -578,17 +602,39 @@ def test_non_root_1x1_entry_raises_non_split(monkeypatch):
 
 def test_irrational_gram_entry_raises_non_integral_cartan():
     bd = BrauerData(alternating_group(4), 2)
-    z = Cyc.zeta(3)
-    # S2 with its value at one 3-cycle class set to 1: <phi_1, phi_2>
-    # is (1 + 4 + 4z) / 12, irrational
-    bd.phi = (bd.phi[0], (Cyc.coerce(1), z, Cyc.coerce(1)), bd.phi[2])
-    with pytest.raises(NonIntegralCartan):
+    one, z = ((0, 1),), ((1, 1),)
+    # S2, whose values are 1, z, z^2, with its value at the second
+    # 3-cycle class set to 1: <phi_0, phi_1> is (5 + 4z) / 12, irrational.
+    # A trace would make every entry rational, and the Cartan matrix
+    # would then fail to be integral, so the error must name the entry.
+    bd.phi_counts = (bd.phi_counts[0], (one, z, one), bd.phi_counts[2])
+    with pytest.raises(NonIntegralCartan, match="irrational"):
         bd._cartan_and_projectives()
+
+
+def test_character_arithmetic_builds_no_cyc(monkeypatch):
+    """The Gram matrix, Cartan matrix, Phi, the integral decompositions
+    and the structure constants run on root counts: no Cyc value is
+    built, so none is multiplied."""
+    bd = BrauerData(alternating_group(5), 2, 1)
+
+    def refuse(*args):
+        raise AssertionError("a Cyc value was built")
+
+    monkeypatch.setattr(cyclo, "_raw", refuse)
+    monkeypatch.setattr(cyclo, "_make", refuse)
+    assert bd._cartan_and_projectives() == (bd.cartan, bd.Phi_counts)
+    regular = [((0, bd.G.order),)] + [()] * (len(bd.pregular) - 1)
+    assert bd.decompose(regular) == list(bd.composition_multiplicities)
+    bd.structure_constants()
+    with pytest.raises(AssertionError, match="Cyc value was built"):
+        Cyc.zeta(3)
 
 
 def test_linear_tensor_product_outside_the_simples_raises():
     bd = BrauerData(alternating_group(4), 2)
-    z = Cyc.zeta(3)
-    bd.phi = (bd.phi[0], (Cyc.coerce(1), z, z), bd.phi[2])
-    with pytest.raises(InvariantViolated):
+    one, z = ((0, 1),), ((1, 1),)
+    # S2 with values 1, z, z: S2 (x) S2 has values 1, z^2, z^2, no simple's
+    bd.phi_counts = (bd.phi_counts[0], (one, z, z), bd.phi_counts[2])
+    with pytest.raises(InvariantViolated, match="is not simple"):
         bd.structure_constants()

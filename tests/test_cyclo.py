@@ -1,13 +1,24 @@
+import functools
 import math
 from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from repring.cyclo import QQ, Cyc, conductor_degree, cyclotomic_poly, dot
+from repring.cyclo import (
+    QQ,
+    Cyc,
+    conductor_degree,
+    convolve_into,
+    cyclotomic_poly,
+    root_combination,
+    root_product,
+    root_sum,
+)
 from repring.errors import NotPLocal
 from repring.gf import gf_field, multiplicative_order, poly_mul
 from repring.lift import BrauerLift
+from cyclo_reference import dot, inverse, mul, power
 
 
 def test_cyclotomic_polys():
@@ -39,7 +50,7 @@ def test_cyclotomic_polys_multiply_to_x_m_minus_1():
 
 def test_cyc_truthiness_is_nonzero():
     z = Cyc.zeta(3)
-    assert not (z * z + z + 1)
+    assert not (mul(z, z) + z + 1)
     assert not Cyc.from_rational(0, 12)
     assert not (Cyc.zeta(4) - Cyc.zeta(4))
     assert z and Cyc.from_rational(Fraction(-1, 7), 5)
@@ -48,10 +59,10 @@ def test_cyc_truthiness_is_nonzero():
 
 def test_zeta_relations():
     z = Cyc.zeta(3)
-    assert z ** 3 == 1
-    assert z ** 2 + z + 1 == 0
+    assert power(z, 3) == 1
+    assert power(z, 2) + z + 1 == 0
     assert Cyc.zeta(2) == -1
-    assert Cyc.zeta(4) ** 2 == -1
+    assert power(Cyc.zeta(4), 2) == -1
     # sum over all m-th roots vanishes for m > 1
     for m in (2, 3, 4, 5, 6, 8):
         total = sum((Cyc.zeta(m, k) for k in range(m)), Cyc.from_rational(0))
@@ -69,9 +80,9 @@ def test_promotion_consistency():
 
 def test_rational_detection():
     z = Cyc.zeta(5)
-    s = z + z ** 2 + z ** 3 + z ** 4
+    s = z + power(z, 2) + power(z, 3) + power(z, 4)
     assert s.as_rational() == Fraction(-1)
-    assert (z * z.inverse()).as_rational() == 1
+    assert mul(z, inverse(z)).as_rational() == 1
     assert Cyc.zeta(3).as_rational() is None
 
 
@@ -85,11 +96,14 @@ def test_scalar_mix():
 def test_inverse_and_division():
     for m in (1, 3, 4, 5, 8, 12):
         v = Cyc.zeta(m) + 2
-        w = v.inverse()
-        assert v * w == 1
-        assert (1 / v) == w
+        w = inverse(v)
+        assert mul(v, w) == 1
+        assert power(v, -1) == w
     with pytest.raises(ZeroDivisionError):
-        Cyc.from_rational(0).inverse()
+        inverse(Cyc.from_rational(0))
+    # a rational multiple is the only product of the value type
+    with pytest.raises(TypeError):
+        Cyc.zeta(3) * Cyc.zeta(3)
 
 
 def test_json_roundtrip():
@@ -113,11 +127,11 @@ def test_cyc_ring_axioms(m, data):
     b = Cyc(m, data.draw(vec))
     c = Cyc(m, data.draw(vec))
     assert a + b == b + a
-    assert a * b == b * a
-    assert (a + b) * c == a * c + b * c
+    assert mul(a, b) == mul(b, a)
+    assert mul(a + b, c) == mul(a, c) + mul(b, c)
     assert a + (-a) == 0
     if a:
-        assert a * a.inverse() == 1
+        assert mul(a, inverse(a)) == 1
 
 
 # --- the lift between field roots of unity and cyclotomic roots
@@ -127,8 +141,8 @@ def test_lift_table_gf4():
     F = gf_field(2, 2)
     L = BrauerLift(F, 3)
     assert L.root == F.primitive
-    assert L.lift(1) == 1
-    assert L.lift(L.root) == Cyc.zeta(3)
+    assert L.exponent(1) == 0
+    assert L.exponent(L.root) == 1
     # omega + omega^2 = 1 in F_4 mirrors zeta + zeta^2 = -1 = 1 mod 2
     s = Cyc.zeta(3) + Cyc.zeta(3, 2)
     assert L.reduce(s) == 1
@@ -140,16 +154,19 @@ def test_lift_multiplicative():
     for j in range(8):
         for k in range(8):
             a, b = L.root_codes[j], L.root_codes[k]
-            assert L.lift(F.mul(a, b)) == L.lift(a) * L.lift(b)
+            assert L.exponent(F.mul(a, b)) == (L.exponent(a)
+                                               + L.exponent(b)) % 8
 
 
 def test_reduce_rationals():
     F3 = gf_field(3, 1)
     L = BrauerLift(F3, 1)
-    assert L.reduce_rational(Fraction(1, 2)) == 2
-    assert L.reduce_rational(7) == 1
+    assert L.reduce(Cyc.from_rational(Fraction(1, 2))) == 2
+    assert L.reduce(Cyc.from_rational(7)) == 1
+    assert L.reduce_counts(((0, 7),)) == 1
+    assert L.reduce_counts(((0, 1),), 2) == 2
     with pytest.raises(NotPLocal):
-        L.reduce_rational(Fraction(1, 3))
+        L.reduce(Cyc.from_rational(Fraction(1, 3)))
 
 
 def test_reduce_is_ring_hom():
@@ -160,7 +177,7 @@ def test_reduce_is_ring_hom():
     for u in vals:
         for v in vals:
             assert L.reduce(u + v) == F.add(L.reduce(u), L.reduce(v))
-            assert L.reduce(u * v) == F.mul(L.reduce(u), L.reduce(v))
+            assert L.reduce(mul(u, v)) == F.mul(L.reduce(u), L.reduce(v))
 
 
 def test_reduce_rejects_non_local():
@@ -236,7 +253,7 @@ class RefCyc:
                 "den": [c.denominator for c in self.coeffs]}
 
     def reduce(self, lift):
-        """The old per-coefficient reduction through reduce_rational."""
+        """The per-coefficient reduction, one Fraction at a time."""
         F = lift.F
         out = 0
         for i, c in enumerate(self.promote(lift.m).coeffs):
@@ -303,15 +320,15 @@ def test_arithmetic_matches_fraction_reference(a, b):
     assert_matches(a, ra)
     assert_matches(a + b, ra + rb)
     assert_matches(a - b, ra - rb)
-    assert_matches(a * b, ra * rb)
+    assert_matches(mul(a, b), ra * rb)
     assert_matches(-a, RefCyc(a.m, [-c for c in ra.coeffs]))
     assert (a == b) == (ra == rb)
     assert a == a + 0 and a + b - b == a
     if b:
-        q = a / b
+        q = mul(a, inverse(b))
         assert_lowest_terms(q)
         assert RefCyc.of(q) * rb == ra
-        assert_lowest_terms(b.inverse())
+        assert_lowest_terms(inverse(b))
 
 
 @settings(max_examples=100, deadline=None)
@@ -392,3 +409,60 @@ def test_lowest_terms_examples():
     assert (v * 4).den == 1 and (v * 4).num == (2, 3)
     with pytest.raises(AttributeError):
         v.coeffs = (1, 2)
+
+
+# --- root counts: character values as (exponent, multiplicity) pairs,
+# multiplied and summed in ints and reduced once, against the Cyc
+# products of cyclo_reference and the Fraction reference above
+
+COUNT_LIFTS = {1: 2, 3: 2, 4: 3, 12: 5, 15: 2, 60: 7}  # conductor: p
+
+
+@functools.lru_cache(maxsize=None)
+def _count_lift(m):
+    return _lift(m, COUNT_LIFTS[m])
+
+
+@st.composite
+def root_counts(draw, m):
+    acc = draw(st.dictionaries(st.integers(0, m - 1),
+                               st.integers(-3, 5).filter(bool), max_size=6))
+    return tuple(sorted(acc.items()))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(sorted(COUNT_LIFTS)), st.data())
+def test_root_counts_match_the_cyc_reference(m, data):
+    counts = st.lists(root_counts(m), min_size=1, max_size=4)
+    xs, ys = data.draw(counts), data.draw(counts)
+    weights = data.draw(st.lists(st.integers(-4, 60), min_size=len(xs),
+                                 max_size=len(xs)))
+    cx = [Cyc.from_counts(m, a) for a in xs]
+    cy = [Cyc.from_counts(m, b) for b in ys]
+    # one reduction of a root count is the value sum a zeta^e
+    for a, v in zip(xs, cx):
+        poly = [Fraction(0)] * m
+        for e, c in a:
+            poly[e] += c
+        assert_matches(v, RefCyc(m, ref_reduce(m, poly)))
+    # a product of counts is the product of the values
+    for a, b, u, v in zip(xs, ys, cx, cy):
+        assert Cyc.from_counts(m, root_product(m, a, b)) == mul(u, v)
+    # an integer combination of counts is that of the values
+    total = Cyc.from_rational(0, m)
+    for w, v in zip(weights, cx):
+        total = total + v * w
+    assert Cyc.from_counts(m, root_combination(zip(weights, xs))) == total
+    # weighted products summed into one dense count, reduced once, are
+    # the dot product of the values
+    acc = [0] * m
+    for w, a, b in zip(weights, xs, ys):
+        convolve_into(acc, a, b, w)
+    want = dot([v * w for w, v in zip(weights, cx)], cy)
+    assert Cyc.from_counts(m, enumerate(acc)) == want
+    assert tuple(want.promote(m).num) == root_sum(m, enumerate(acc))
+    # a count divided by c prime to p reduces root by root
+    lift = _count_lift(m)
+    c = data.draw(st.integers(1, 50).filter(lambda c: c % lift.F.p))
+    for a, v in zip(xs, cx):
+        assert lift.reduce_counts(a, c) == lift.reduce(v * Fraction(1, c))

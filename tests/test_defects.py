@@ -46,6 +46,7 @@ from repring.groups import (
 from repring.linalg import gf_rank
 from repring.report import analyze_report
 
+from cyclo_reference import decompose_by_dense_dot, mul
 from group_reference import centralizer_of_subgroup, quotient_group
 
 
@@ -81,11 +82,10 @@ def u_by_quotient(a, x, R):
             k = bq._pos[Hbar.class_index_of(proj[h])]
             total = Cyc.from_rational(0)
             for c, row in zip(gq.exact, bq.phi):
-                total = total + c * row[k]
+                total = total + mul(c, row[k])
             vals[h] = total
     ind = induce_class_function(G, H, vals, class_indices=bd.pregular)
-    coeffs = bd.decompose(ind, require_integral=False)
-    return tuple(bd.lift.reduce(c) for c in coeffs)
+    return tuple(bd.lift.reduce(c) for c in decompose_by_dense_dot(bd, ind))
 
 
 def golden_analyze_cases():

@@ -21,9 +21,11 @@ from repring.linalg import (
     int_mat_rank_mod_p,
     smith_normal_form,
 )
+from cyclo_reference import CYC
 
 
-# the elimination over QQ: Fractions and cyclotomic values
+# the elimination over QQ (Fractions) and over cyclotomic values, the
+# field object of the test reference cyclo_reference
 
 
 def test_mat_rref_fractions():
@@ -43,9 +45,9 @@ def test_mat_solve_and_inconsistent():
 def test_mat_inv_cyclotomic():
     z = Cyc.zeta(3)
     half = Cyc.from_rational(Fraction(1, 2), 3)
-    A = [[half, z], [z * z, half]]
-    B = gf_mat_inv(QQ, A)
-    prod = gf_matmul(QQ, A, B)
+    A = [[half, z], [Cyc.zeta(3, 2), half]]
+    B = gf_mat_inv(CYC, A)
+    prod = gf_matmul(CYC, A, B)
     assert prod[0][0] == 1 and prod[1][1] == 1
     assert prod[0][1] == 0 and prod[1][0] == 0
 
@@ -54,7 +56,7 @@ def test_phi_matrix_s3_char2_is_nonsingular():
     # Brauer character matrix of S3 at p=2 over the cyclotomic field
     A = [[Cyc.from_rational(1), Cyc.from_rational(1)],
          [Cyc.from_rational(2), Cyc.from_rational(-1)]]
-    assert gf_rank(QQ, A) == 2
+    assert gf_rank(CYC, A) == 2
 
 
 def _cyc(m, data):
@@ -67,13 +69,13 @@ def _cyc(m, data):
 @given(st.sampled_from([3, 4, 5, 8, 12]), st.integers(2, 3), st.data())
 def test_cyc_matrix_inverse_by_echelon(m, n, data):
     A = [[_cyc(m, data) for _ in range(n)] for _ in range(n)]
-    assume(gf_rank(QQ, A) == n)
-    assert gf_matmul(QQ, A, gf_mat_inv(QQ, A)) == gf_identity(n)
+    assume(gf_rank(CYC, A) == n)
+    assert gf_matmul(CYC, A, gf_mat_inv(CYC, A)) == gf_identity(n)
     # a repeated row drops the rank by one and makes the matrix singular
     repeated = A[:-1] + [A[0]]
-    assert gf_rank(QQ, repeated) == n - 1
+    assert gf_rank(CYC, repeated) == n - 1
     with pytest.raises(ZeroDivisionError):
-        gf_mat_inv(QQ, repeated)
+        gf_mat_inv(CYC, repeated)
 
 
 def test_gf_rank_rref():
