@@ -293,33 +293,37 @@ class BrauerData:
             self._structure = tuple(tuple(row) for row in table)
         return self._structure
 
-    def decompose(self, values, require_integral=True):
-        """Coefficients of a class function on p-regular classes in the
-        Brauer character basis.  values is a row of root counts over the
-        p-regular classes in table order.
+    def _coefficient_counts(self, values):
+        """For each simple S in turn, the dense root count of |G| times
+        the coefficient of S in a class function on p-regular classes,
+        values being a row of root counts over them in table order.
 
-        Since <phi_T, Phi_S> = delta_TS, the coefficient of S is
-        |G|^-1 sum_k |class k| values[k] Phi_S(x_k^-1): a root count over
-        the non-zero entries of values, reduced once.  It is returned as
-        an int, or, when require_integral is false, as a Cyc.
-        """
-        m, order = self.m, self.G.order
-        scale = Fraction(1, order)
+        Since <phi_T, Phi_S> = delta_TS, that count is
+        sum_k |class k| values[k] Phi_S(x_k^-1), over the non-zero
+        entries of values."""
         support = [k for k, v in enumerate(values) if v]
-        coeffs = []
-        for s, P in enumerate(self.Phi_counts):
-            acc = [0] * m
+        for P in self.Phi_counts:
+            acc = [0] * self.m
             for k in support:
                 convolve_into(acc, values[k], P[self._inv_pos[k]],
                               self.class_sizes[k])
-            if not require_integral:
-                coeffs.append(Cyc.from_counts(m, enumerate(acc)) * scale)
-                continue
+            yield acc
+
+    def decompose(self, values):
+        """The integer coefficients of a class function on p-regular
+        classes in the Brauer character basis, each one root count
+        reduced once; values is a row of root counts over the p-regular
+        classes in table order.  A coefficient that is not an integer
+        raises NonIntegralDecomposition."""
+        m, order = self.m, self.G.order
+        scale = Fraction(1, order)
+        coeffs = []
+        for S, acc in zip(self.simples, self._coefficient_counts(values)):
             total = root_sum(m, enumerate(acc))
             if any(total[1:]) or total[0] % order:
                 value = Cyc.from_counts(m, enumerate(acc)) * scale
                 raise NonIntegralDecomposition(
-                    f"coefficient of {self.simples[s].name} is {value!r}")
+                    f"coefficient of {S.name} is {value!r}")
             coeffs.append(total[0] // order)
         return coeffs
 
@@ -328,10 +332,11 @@ def induce_class_function(G: PermGroup, H: PermGroup, values,
                           class_indices=None):
     """Induce a class function from a subgroup.
 
-    values maps elements of H (as tuples padded to G's degree) to Cyc.
-    Returns a list over G's conjugacy classes, or over class_indices
-    when given (values then only needs keys for the elements of H in
-    those classes).  Each conjugate of g arises from |C_G(g)| elements
+    values maps elements of H (as tuples padded to G's degree) to values
+    that add to 0 and take rational multiples, such as ints.  Returns a
+    list over G's conjugacy classes, or over class_indices when given
+    (values then only needs keys for the elements of H in those
+    classes).  Each conjugate of g arises from |C_G(g)| elements
     t, so (Ind f)(g) = (1/|H|) sum over t in G with t^-1 g t in H of
     f(t^-1 g t) = (|C_G(g)|/|H|) sum over the h in H that lie in the
     class of g of f(h).
@@ -339,13 +344,13 @@ def induce_class_function(G: PermGroup, H: PermGroup, values,
     classes = G.conjugacy_classes()
     if class_indices is None:
         class_indices = range(len(classes))
-    sums = {ci: Cyc.from_rational(0) for ci in class_indices}
+    sums = dict.fromkeys(class_indices, 0)
     for h in H.elements:
         if h not in G:
             raise NotSubgroup("induction subgroup is not contained in G")
         ci = G.class_index_of(h)
         if ci in sums:
-            sums[ci] = sums[ci] + Cyc.coerce(values[h])
+            sums[ci] += values[h]
     return [sums[ci] * Fraction(G.centralizer_order(classes[ci][0]), H.order)
             for ci in class_indices]
 

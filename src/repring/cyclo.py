@@ -2,21 +2,20 @@
 
 A character value of a p-regular element is a sum of m-th roots of
 unity, so it is kept as a root count: the (e, a) pairs, e ascending and
-a non-zero, of the value sum a zeta_m^e.  Root counts multiply by adding
+a non-zero, of the value sum a zeta_m^e.  Root counts are the only
+exact form the package computes with.  They multiply by adding
 exponents mod m (``root_product``, ``convolve_into``) and combine by
 adding counts (``root_combination``), all in plain ints; ``root_sum``
-reduces a count mod the m-th cyclotomic polynomial once, which is where
-a Gram entry or a decomposition shows whether it is rational.
+reduces a count mod the m-th cyclotomic polynomial once, to its
+numerators over the power basis 1, z, ..., z^(phi(m)-1).  That is where
+a Gram entry or a decomposition shows whether it is rational, and where
+``lift.BrauerLift.reduce`` starts.
 
-``Cyc`` is the value at the print edge, where a report writes it or
-sorts by it.  A value of conductor m is stored over the power basis 1,
-z, ..., z^(phi(m)-1) of Q(zeta_m) as a tuple ``num`` of integer
-numerators over one positive integer denominator ``den``, in lowest
-terms: gcd(den, *num) == 1, and zero has den == 1.  The stored form of
-a value of a given conductor is therefore unique.  Cyc values add and
-take rational multiples; values of different conductors mix by
-promotion to the lcm M, zeta_m going to the root count of
-zeta_M^(M/m).  No floating point is involved anywhere.
+``Cyc`` is only printed.  It is built from a root count where a report
+writes a value, stored as the tuple ``num`` of integer numerators over
+one positive denominator ``den`` in lowest terms, and may be scaled by
+a rational; it has no sum, product, inverse or comparison.  No floating
+point is involved anywhere.
 
 ``QQ`` is the field object of ints and Fractions, so the shared
 elimination (``linalg.Echelon``) and polynomial routines (``gf.poly_*``)
@@ -150,154 +149,42 @@ def _raw(m, num, den):
     return v
 
 
-def _make(m, num, den):
-    """The Cyc num/den of conductor m (den > 0), put in lowest terms."""
-    g = math.gcd(den, *num)
-    if g != 1:
-        return _raw(m, tuple([c // g for c in num]), den // g)
-    return _raw(m, tuple(num), den)
-
-
 class Cyc:
-    """An element of Q(zeta_m) in the power basis; immutable."""
+    """A value of Q(zeta_m) as a report prints it; immutable.  It is
+    built from a root count and may be scaled by a rational, and it has
+    no other arithmetic."""
 
     __slots__ = ("m", "num", "den")
 
-    def __init__(self, m, coeffs):
-        """The value whose power-basis coordinates are the rationals coeffs."""
-        deg = conductor_degree(m)
-        coeffs = [c if isinstance(c, (int, Fraction)) else Fraction(c)
-                  for c in coeffs]
-        if len(coeffs) != deg:
-            raise ValueError(f"need {deg} coefficients for conductor {m}")
-        # the lcm of reduced denominators leaves no common factor behind
-        den = math.lcm(*(c.denominator for c in coeffs))
-        _set(self, "m", m)
-        _set(self, "num", tuple(c.numerator * (den // c.denominator)
-                                for c in coeffs))
-        _set(self, "den", den)
-
     def __setattr__(self, *a):
         raise AttributeError("Cyc is immutable")
-
-    # -- constructors
-
-    @staticmethod
-    def from_rational(c, m: int = 1) -> "Cyc":
-        if not isinstance(c, (int, Fraction)):
-            c = Fraction(c)
-        return _raw(m, (c.numerator,) + (0,) * (conductor_degree(m) - 1),
-                    c.denominator)
 
     @staticmethod
     def from_counts(m: int, counts) -> "Cyc":
         """The value sum a zeta_m^e of a root count."""
         return _raw(m, root_sum(m, counts), 1)
 
-    @staticmethod
-    def zeta(m: int, k: int = 1) -> "Cyc":
-        return Cyc.from_counts(m, ((k % m, 1),))
-
-    @staticmethod
-    def coerce(v, m: int = 1) -> "Cyc":
-        if isinstance(v, Cyc):
-            return v
-        return Cyc.from_rational(v, m)
-
-    # -- structure
-
-    @property
-    def coeffs(self) -> tuple:
-        """The power-basis coordinates as Fractions."""
-        den = self.den
-        return tuple(Fraction(c, den) for c in self.num)
-
-    def promote(self, big: int) -> "Cyc":
-        m = self.m
-        if big == m:
-            return self
-        if big % m:
-            raise ValueError(f"{big} is not a multiple of conductor {m}")
-        # zeta_m^i is zeta_big^(i * step); Z[zeta_big] meets Q(zeta_m) in
-        # Z[zeta_m], so no common factor appears
-        step = big // m
-        return _raw(big, root_sum(big, ((i * step, c) for i, c in
-                                        enumerate(self.num))), self.den)
-
-    def _common(self, other):
-        other = Cyc.coerce(other, 1)
-        if other.m == self.m:
-            return self, other, self.m
-        m = math.lcm(self.m, other.m)
-        return self.promote(m), other.promote(m), m
-
-    def __bool__(self):
-        return any(self.num)
-
-    def as_rational(self):
-        """The value as a Fraction, or None if it is irrational."""
-        if any(self.num[1:]):
-            return None
-        return Fraction(self.num[0], self.den)
-
-    # -- arithmetic
-
-    def __add__(self, other):
-        a, b, m = self._common(other)
-        da, db = a.den, b.den
-        if da == db:
-            return _make(m, [x + y for x, y in zip(a.num, b.num)], da)
-        g = math.gcd(da, db)
-        fa, fb = db // g, da // g
-        return _make(m, [x * fa + y * fb for x, y in zip(a.num, b.num)],
-                     da * fa)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return _raw(self.m, tuple([-c for c in self.num]), self.den)
-
-    def __sub__(self, other):
-        return self + (-Cyc.coerce(other, 1))
-
-    def __rsub__(self, other):
-        return (-self) + other
-
     def __mul__(self, other):
-        """A rational multiple.  A product of two Cyc values is never
-        formed: character products are taken on root counts."""
+        """A rational multiple, put in lowest terms."""
         if not isinstance(other, (int, Fraction)):
             return NotImplemented
         n = other.numerator
-        return _make(self.m, [c * n for c in self.num],
-                     self.den * other.denominator)
-
-    __rmul__ = __mul__
-
-    # -- comparison and rendering
-
-    def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = Cyc.from_rational(other)
-        if not isinstance(other, Cyc):
-            return NotImplemented
-        a, b, _ = self._common(other)
-        return a.den == b.den and a.num == b.num
-
-    __hash__ = None
+        num = [c * n for c in self.num]
+        den = self.den * other.denominator
+        g = math.gcd(den, *num)
+        return _raw(self.m, tuple([c // g for c in num]), den // g)
 
     def _lowest_terms(self):
         """(numerator, denominator) of each coordinate num[i]/den in lowest
         terms, as Fraction would give them (0 is 0/1)."""
-        den, out = self.den, []
+        den = self.den
+        if den == 1:
+            return [(c, 1) for c in self.num]
+        out = []
         for c in self.num:
             g = math.gcd(c, den)
             out.append((c // g, den // g))
         return out
-
-    def key(self):
-        """Deterministic sort key; values must share a conductor to be compared."""
-        return (self.m,) + tuple(self._lowest_terms())
 
     def to_json(self):
         pairs = self._lowest_terms()
@@ -308,11 +195,8 @@ class Cyc:
         }
 
     def __repr__(self):
-        coeffs = self.coeffs
-        if self.as_rational() is not None:
+        coeffs = [Fraction(c, self.den) for c in self.num]
+        if not any(coeffs[1:]):
             return f"Cyc({coeffs[0]})"
-        terms = []
-        for i, c in enumerate(coeffs):
-            if c:
-                terms.append(f"{c}*z{self.m}^{i}" if i else f"{c}")
-        return "Cyc(" + " + ".join(terms) + ")"
+        return "Cyc(" + " + ".join(f"{c}*z{self.m}^{i}" if i else f"{c}"
+                                   for i, c in enumerate(coeffs) if c) + ")"

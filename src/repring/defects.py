@@ -166,15 +166,9 @@ def gamma_element(bd: BrauerData, x) -> RkElement:
 def _phi_over(bd: BrauerData, k: int, c: int):
     """The reductions of Phi_S(x^-1) / c over the simples S, for x in
     the p-regular class at position k: gamma with c = |C_G(x)|, U with
-    c = |C_H(x)|.  For c prime to p the root counts reduce root by root;
-    otherwise each value is put in lowest terms as a Cyc, whose
-    denominator must then be prime to p."""
+    c = |C_H(x)|, which p may divide (see BrauerLift.reduce)."""
     inv = bd._inv_pos[k]
-    if c % bd.p:
-        return tuple(bd.lift.reduce_counts(P[inv], c) for P in bd.Phi_counts)
-    scale = Fraction(1, c)
-    return tuple(bd.lift.reduce(Cyc.from_counts(bd.m, P[inv]) * scale)
-                 for P in bd.Phi_counts)
+    return tuple(bd.lift.reduce(P[inv], c) for P in bd.Phi_counts)
 
 
 def _indicator_check(bd: BrauerData, G, x, csize, ind_vals):
@@ -207,8 +201,7 @@ def cartan_image_basis(bd: BrauerData):
         col = tuple(c % p for c in bd.cartan[t])
         acc = [0] * n
         for k, g in zip(zero_pos, gammas):
-            acc = F.axpy(acc, bd.lift.reduce_counts(bd.Phi_counts[t][k]),
-                         g.coeffs)
+            acc = F.axpy(acc, bd.lift.reduce(bd.Phi_counts[t][k]), g.coeffs)
         if tuple(acc) != col:
             raise InvariantViolated(
                 "defects", f"reduced Cartan column {t} is not the "
@@ -220,14 +213,16 @@ def cartan_image_basis(bd: BrauerData):
         csize = G.centralizer_order(x)
         cyc = G.generated_subgroup([x])
         o = cyc.order
-        vals = {h: Cyc.coerce(o if h == x else 0) for h in cyc.elements}
+        vals = {h: o if h == x else 0 for h in cyc.elements}
         ind = induce_class_function(G, cyc, vals,
                                     class_indices=bd.pregular)
         _indicator_check(bd, G, x, csize, ind)
-        # so ind is the integer csize at the class of x and 0 elsewhere
-        coeffs = bd.decompose([((0, csize),) if v else () for v in ind],
-                              require_integral=False)
-        lhs = tuple(bd.lift.reduce(c) for c in coeffs)
+        # so ind is the integer csize at the class of x and 0 elsewhere;
+        # each coefficient of its decomposition is a count over |G|
+        counts = bd._coefficient_counts(
+            [((0, csize),) if v else () for v in ind])
+        lhs = tuple(bd.lift.reduce(enumerate(acc), G.order)
+                    for acc in counts)
         if lhs != g.scale(csize % p).coeffs:
             raise InvariantViolated(
                 "defects", "reduced Cartan image of the induced indicator "

@@ -23,13 +23,13 @@ elements (config) raises ``FieldTooLarge`` before any of this runs.
 Polynomials are little-endian tuples with no trailing zeros; the zero
 polynomial is ``()``.  The ``poly_*`` routines take any field object
 with ``axpy``, ``neg``, ``inv`` and ``mul``: a GF, whose coefficients
-are codes, or ``cyclo.QQ``, whose coefficients are ints, Fractions and
-Cyc values.  ``irreducible_factors`` yields the distinct irreducible
-factors of a polynomial over a GF, smallest degree first, by
-distinct-degree and equal-degree splitting (Cantor-Zassenhaus) of the
-polynomial itself: it finds no multiplicities, and works out a degree
-only when its caller, the meataxe, asks past the one before.  The
-meataxe passes the random stream of its own seed.
+are codes, or ``cyclo.QQ``, whose coefficients are ints and Fractions.
+``irreducible_factors`` yields the distinct irreducible factors of a
+polynomial over a GF, smallest degree first, by distinct-degree and
+equal-degree splitting (Cantor-Zassenhaus) of the polynomial itself: it
+finds no multiplicities, and works out a degree only when its caller,
+the meataxe, asks past the one before.  The meataxe passes the random
+stream of its own seed.
 """
 
 import functools

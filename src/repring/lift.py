@@ -4,11 +4,15 @@ With q = p^d and m | q - 1, the cyclic group of m-th roots of unity in
 F_q* is generated by w = g^((q-1)/m) for the field's fixed primitive
 element g.  The lift pairs w^e with zeta_m^e, so an eigenvalue lifts to
 its exponent e, the unit of a root count (see cyclo).  The reduction map
-goes the other way, sending zeta_m to w and inverting denominators prime
-to p: a root count reduces root by root, and a Cyc value, which is
-reduced mod the cyclotomic polynomial, coordinate by coordinate.
+goes the other way: zeta_m -> w is a ring map on the p-local part of
+Z[zeta_m], so a root count over a positive integer c reduces by one
+route, whether or not p divides c: its power-basis numerators over c,
+in lowest terms, go to F_q coordinate by coordinate.
 """
 
+from math import gcd
+
+from .cyclo import root_sum
 from .errors import NonSplitCharPoly, NotPLocal
 from .gf import GF
 
@@ -34,24 +38,21 @@ class BrauerLift:
                 "unity; field is not a splitting field")
         return e
 
-    def reduce_counts(self, counts, c=1) -> int:
-        """Reduction of sum a zeta_m^e / c to F_q, over the (e, a) in a
-        root count, for an integer c prime to p: each zeta_m^e goes to
-        w^e, with no cyclotomic polynomial in between."""
+    def reduce(self, counts, c=1) -> int:
+        """Reduction to F_q of sum a zeta_m^e / c over the (e, a) in a
+        root count, for a positive integer c.  The count is reduced once
+        to its power-basis numerators; their common factor with c is
+        divided out, the denominator left must be prime to p (NotPLocal
+        otherwise), and each zeta_m^j goes to w^j."""
         F, p = self.F, self.F.p
+        num = root_sum(self.m, counts)
+        g = gcd(c, *num)
+        c //= g
+        if c % p == 0:
+            raise NotPLocal(f"denominator {c} divisible by p = {p}")
         out = 0
-        for e, a in counts:
-            a %= p
+        for code, a in zip(self.root_codes, num):
+            a = a // g % p
             if a:
-                out = F.add(out, F.mul(a, self.root_codes[e]))
+                out = F.add(out, F.mul(a, code))
         return F.mul(out, F.inv(c % p))
-
-    def reduce(self, v) -> int:
-        """Reduction of a Cyc value to F_q, which must be p-local: its
-        power-basis numerators are a root count over its denominator."""
-        if self.m % v.m:
-            raise ValueError(f"conductor {v.m} does not divide lift conductor {self.m}")
-        v = v.promote(self.m)
-        if v.den % self.F.p == 0:
-            raise NotPLocal(f"denominator {v.den} divisible by p = {self.F.p}")
-        return self.reduce_counts(enumerate(v.num), v.den)

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from repring import brauer, cyclo, linalg
+from repring import brauer, cyclo, defects, linalg
 from repring.brauer import (
     BrauerData,
     _block_idempotents,
@@ -16,7 +16,13 @@ from repring.brauer import (
     splitting_field,
 )
 from repring.cyclo import Cyc, root_product
+from repring.catalog import build_catalog
 from repring.config import CHOP_RESEEDS
+from repring.defects import (
+    _u_basis,
+    cartan_image_basis,
+    defect_classification,
+)
 from repring.errors import (
     ChopStalled,
     InvariantViolated,
@@ -49,18 +55,22 @@ from repring.meataxe import (
 from repring.verify import DEFAULT_CORPUS
 from cyclo_reference import (
     CYC,
+    RefCyc,
     cyc_row,
     decompose_by_dense_dot,
     dot,
     dual_table,
+    json_rows,
     mul,
 )
 from meataxe_reference import find_id_recipe, standard_form
 from test_defects import GOLDEN_ANALYZE
 
 
-def rational_rows(rows):
-    return [[v.as_rational() for v in row] for row in rows]
+def rational_rows(bd, rows):
+    """Rows of root counts as rationals, None where irrational."""
+    return [[RefCyc.from_counts(bd.m, c).as_rational() for c in row]
+            for row in rows]
 
 
 def test_splitting_fields():
@@ -83,8 +93,8 @@ def test_splitting_fields():
 def test_s3_mod2_tables():
     bd = BrauerData(symmetric_group(3), 2)
     assert [s.dim for s in bd.simples] == [1, 2]
-    assert rational_rows(bd.phi) == [[1, 1], [2, -1]]
-    assert rational_rows(bd.Phi) == [[2, 2], [2, -1]]
+    assert rational_rows(bd, bd.phi_counts) == [[1, 1], [2, -1]]
+    assert rational_rows(bd, bd.Phi_counts) == [[2, 2], [2, -1]]
     assert bd.cartan == ((2, 0), (0, 1))
     assert bd.elementary_divisors() == (1, 2)
     assert sorted(bd.centralizer_p_parts()) == [1, 2]
@@ -92,8 +102,8 @@ def test_s3_mod2_tables():
 
 def test_s3_mod3_tables():
     bd = BrauerData(symmetric_group(3), 3)
-    assert rational_rows(bd.phi) == [[1, 1], [1, -1]]
-    assert rational_rows(bd.Phi) == [[3, 1], [3, -1]]
+    assert rational_rows(bd, bd.phi_counts) == [[1, 1], [1, -1]]
+    assert rational_rows(bd, bd.Phi_counts) == [[3, 1], [3, -1]]
     assert bd.cartan == ((2, 1), (1, 2))
     assert bd.elementary_divisors() == (1, 3)
 
@@ -101,8 +111,8 @@ def test_s3_mod3_tables():
 def test_s4_mod2_tables():
     bd = BrauerData(symmetric_group(4), 2)
     assert [s.dim for s in bd.simples] == [1, 2]
-    assert rational_rows(bd.phi) == [[1, 1], [2, -1]]
-    assert rational_rows(bd.Phi) == [[8, 2], [8, -1]]
+    assert rational_rows(bd, bd.phi_counts) == [[1, 1], [2, -1]]
+    assert rational_rows(bd, bd.Phi_counts) == [[8, 2], [8, -1]]
     assert bd.cartan == ((4, 2), (2, 3))
     assert bd.elementary_divisors() == (1, 8)
     assert sorted(bd.centralizer_p_parts()) == [1, 8]
@@ -112,10 +122,10 @@ def test_s4_mod3_tables():
     bd = BrauerData(symmetric_group(4), 3)
     assert [s.dim for s in bd.simples] == [1, 1, 3, 3]
     # classes in column order: 1, (12)(34), (12), (1234)
-    assert rational_rows(bd.phi) == [[1, 1, 1, 1],
-                                     [1, 1, -1, -1],
-                                     [3, -1, 1, -1],
-                                     [3, -1, -1, 1]]
+    assert rational_rows(bd, bd.phi_counts) == [[1, 1, 1, 1],
+                                                 [1, 1, -1, -1],
+                                                 [3, -1, 1, -1],
+                                                 [3, -1, -1, 1]]
     assert bd.cartan == ((2, 1, 0, 0), (1, 2, 0, 0),
                          (0, 0, 1, 0), (0, 0, 0, 1))
     assert bd.elementary_divisors() == (1, 1, 1, 3)
@@ -125,17 +135,18 @@ def test_s4_mod3_tables():
 def test_a4_mod2_tables():
     bd = BrauerData(alternating_group(4), 2)
     assert [s.dim for s in bd.simples] == [1, 1, 1]
-    z, z2 = Cyc.zeta(3), Cyc.zeta(3, 2)
-    assert list(bd.phi[1]) == [Cyc.coerce(1), z, z2]
-    assert list(bd.phi[2]) == [Cyc.coerce(1), z2, z]
+    z, z2 = RefCyc.zeta(3).to_json(), RefCyc.zeta(3, 2).to_json()
+    one = RefCyc(3, [1, 0]).to_json()
+    assert json_rows(bd.phi[1:]) == [[one, z, z2], [one, z2, z]]
     assert bd.phi_counts[1] == (((0, 1),), ((1, 1),), ((2, 1),))
+    assert bd.phi_counts[2] == (((0, 1),), ((2, 1),), ((1, 1),))
     assert bd.cartan == ((2, 1, 1), (1, 2, 1), (1, 1, 2))
     assert bd.elementary_divisors() == (1, 1, 4)
 
 
 def test_a4_mod3_tables():
     bd = BrauerData(alternating_group(4), 3)
-    assert rational_rows(bd.phi) == [[1, 1], [3, -1]]
+    assert rational_rows(bd, bd.phi_counts) == [[1, 1], [3, -1]]
     assert bd.cartan == ((3, 0), (0, 1))
     assert bd.elementary_divisors() == (1, 3)
 
@@ -177,9 +188,9 @@ def test_structural_invariants(G, p):
     assert n == len(G.p_regular_classes(p))
     # trivial module sorts first
     assert bd.simples[0].dim == 1
-    assert all(v == 1 for v in bd.phi[0])
+    assert all(v == ((0, 1),) for v in bd.phi_counts[0])
     # identity column carries the dimensions
-    assert [row[0].as_rational() for row in bd.phi] == \
+    assert [row[0] for row in rational_rows(bd, bd.phi_counts)] == \
         [s.dim for s in bd.simples]
     # Cartan symmetric, SNF matches centralizer p-parts as multisets
     assert bd.cartan == tuple(tuple(bd.cartan[j][i] for j in range(n))
@@ -199,7 +210,8 @@ def test_decompose_table_is_phi_table_inverse(G, p):
     # inverse of the phi table by elimination
     bd = BrauerData(G, p)
     n = len(bd.simples)
-    want = gf_mat_inv(CYC, [[bd.phi[s][i] for i in range(n)]
+    phi = [cyc_row(bd.m, row) for row in bd.phi_counts]
+    want = gf_mat_inv(CYC, [[phi[s][i] for i in range(n)]
                             for s in range(n)])
     assert dual_table(bd) == want
 
@@ -213,8 +225,8 @@ def test_coprime_order_semisimple(G, p):
     n = len(bd.simples)
     assert bd.cartan == tuple(tuple(1 if i == j else 0 for j in range(n))
                               for i in range(n))
-    assert bd.Phi == bd.phi
     assert bd.Phi_counts == bd.phi_counts
+    assert json_rows(bd.Phi) == json_rows(bd.phi)
 
 
 def test_phi_reduces_to_trace():
@@ -226,8 +238,8 @@ def test_phi_reduces_to_trace():
             tr = 0
             for i in range(s.dim):
                 tr = F.add(tr, mat[i][i])
-            assert bd.lift.reduce(s.phi[k]) == tr
-            assert bd.lift.reduce_counts(bd.phi_counts[s.index][k]) == tr
+            assert bd.lift.reduce(bd.phi_counts[s.index][k]) == tr
+            assert RefCyc.of(s.phi[k]).reduce(bd.lift) == tr
 
 
 def test_class_reps_have_the_shortest_words():
@@ -292,10 +304,11 @@ def test_decompose_tensor_square():
 
 def test_decompose_rejects_non_integral():
     bd = BrauerData(symmetric_group(3), 2)
-    with pytest.raises(NonIntegralDecomposition):
+    # the indicator of the identity has coefficients 1/3 and 1/3
+    with pytest.raises(NonIntegralDecomposition, match=r"S1 is Cyc\(1/3\)"):
         bd.decompose([((0, 1),), ()])
-    loose = bd.decompose([((0, 1),), ()], require_integral=False)
-    assert [v.as_rational() for v in loose] == \
+    assert [RefCyc.from_counts(bd.m, enumerate(acc)) * Fraction(1, 6)
+            for acc in bd._coefficient_counts([((0, 1),), ()])] == \
         [Fraction(1, 3), Fraction(1, 3)]
 
 
@@ -309,18 +322,19 @@ def test_decompose_roundtrips_projectives():
 def test_induced_character_of_cyclic_line():
     S3 = symmetric_group(3)
     C3 = S3.generated_subgroup([(1, 2, 0)])
-    vals = {(0, 1, 2): Cyc.coerce(1), (1, 2, 0): Cyc.zeta(3),
-            (2, 0, 1): Cyc.zeta(3, 2)}
-    ind = induce_class_function(S3, C3, vals)
-    assert [v.as_rational() for v in ind] == [2, 0, -1]
+    vals = {(0, 1, 2): RefCyc(1, [1]), (1, 2, 0): RefCyc.zeta(3),
+            (2, 0, 1): RefCyc.zeta(3, 2)}
+    assert induce_class_function(S3, C3, vals) == [2, 0, -1]
+    # ints induce to rationals: the indicator of the 3-cycle (0 1 2)
+    ones = {h: int(h == (1, 2, 0)) for h in C3.elements}
+    assert induce_class_function(S3, C3, ones) == [0, 0, 1]
 
 
 def test_induce_requires_subgroup():
     with pytest.raises(NotSubgroup):
         induce_class_function(symmetric_group(4),
                               symmetric_group(3),
-                              {e: Cyc.coerce(1)
-                               for e in symmetric_group(3).elements})
+                              {e: 1 for e in symmetric_group(3).elements})
 
 
 @pytest.mark.parametrize("spec, p", GOLDEN_ANALYZE)
@@ -352,7 +366,8 @@ def test_phi_by_division_matches_factoring(spec, p):
             assert (_phi_value(bd.lift, F, gf_charpoly(F, mat))
                     == tuple(want) == counts)
             assert dot([n for _, n in want],
-                       [Cyc.zeta(bd.m, e) for e, _ in want]) == value
+                       [RefCyc.zeta(bd.m, e) for e, _ in want]) == \
+                RefCyc.of(value)
 
 
 @pytest.mark.parametrize("spec, p", GOLDEN_ANALYZE)
@@ -460,17 +475,23 @@ def projectives_by_inverse(bd):
     """(Phi, C): Phi by inverting the table of phi weighted by class
     sizes over the inverse classes, C by pairing the Phi rows."""
     n, order = len(bd.simples), bd.G.order
-    table = [[bd.phi[s][bd._inv_pos[i]] * Fraction(bd.class_sizes[i], order)
+    table = [[RefCyc.of(bd.phi[s][bd._inv_pos[i]])
+              * Fraction(bd.class_sizes[i], order)
               for s in range(n)] for i in range(n)]
-    Phi = [[Cyc.coerce(v) for v in row] for row in gf_mat_inv(CYC, table)]
+    Phi = [[RefCyc.of(v).promote(bd.m) for v in row]
+           for row in gf_mat_inv(CYC, table)]
 
-    def pairing(alpha, beta):
-        return dot([size * a for size, a in zip(bd.class_sizes, alpha)],
-                   [beta[j] for j in bd._inv_pos]) * Fraction(1, order)
-
-    cartan = tuple(tuple(pairing(Phi[t], Phi[s]).as_rational()
-                         for s in range(n)) for t in range(n))
-    return Phi, cartan
+    # <alpha, beta> = |G|^-1 sum_i |class i| alpha(x_i) beta(x_i^-1) is
+    # symmetric (x -> x^-1 permutes the classes), so each is formed once
+    weighted = [[size * a for size, a in zip(bd.class_sizes, row)]
+                for row in Phi]
+    at_inverse = [[row[j] for j in bd._inv_pos] for row in Phi]
+    cartan = [[None] * n for _ in range(n)]
+    for t in range(n):
+        for s in range(t, n):
+            c = dot(weighted[t], at_inverse[s]) * Fraction(1, order)
+            cartan[t][s] = cartan[s][t] = c.as_rational()
+    return Phi, tuple(map(tuple, cartan))
 
 
 def simples_by_standard_form(G, F, seed, count):
@@ -513,18 +534,19 @@ def simples_by_standard_form(G, F, seed, count):
     raise ChopStalled("reference closure stalled")
 
 
-def structure_by_decompose(bd):
-    """Every product of two simples multiplied over Cyc values.  The
-    product with a linear simple must be another simple's phi row, which
-    is what decomposing it would show, since the phi rows are a basis;
-    any other product is decomposed by the dense dot.  The Cyc product
-    is commutative, so (t, s) repeats (s, t)."""
-    n, dual = len(bd.simples), dual_table(bd)
-    rows = [list(row) for row in bd.phi]
+def structure_by_decompose(bd, dual=None):
+    """Every product of two simples multiplied over the printed phi
+    values, read as RefCyc values.  The product with a linear simple
+    must be another simple's phi row, which is what decomposing it would
+    show, since the phi rows are a basis; any other product is
+    decomposed by the dense dot against dual, dual_table(bd) when not
+    given.  The product is commutative, so (t, s) repeats (s, t)."""
+    n, dual = len(bd.simples), dual or dual_table(bd)
+    rows = [[RefCyc.of(v) for v in row] for row in bd.phi]
     table = [[None] * n for _ in range(n)]
     for s in range(n):
         for t in range(s, n):
-            values = [mul(a, b) for a, b in zip(bd.phi[s], bd.phi[t])]
+            values = [mul(a, b) for a, b in zip(rows[s], rows[t])]
             if bd.simples[s].dim == 1:
                 assert rows.count(values) == 1
                 coeffs = [int(row == values) for row in rows]
@@ -556,21 +578,31 @@ def test_brauer_data_matches_reference_routes(spec, p):
     G = parse_group_spec(spec)
     bd = BrauerData(G, p, seed=1)
     Phi, cartan = projectives_by_inverse(bd)
-    assert [list(row) for row in bd.Phi] == Phi
+    assert json_rows(bd.Phi) == json_rows(Phi)
     assert bd.cartan == cartan
     modules = simples_by_standard_form(G, bd.F, 1, len(bd.pregular))
-    rows = sorted(((mod.dim, cyc_row(bd.m, [
-                      _phi_value(bd.lift, bd.F, gf_charpoly(
-                          bd.F, mod.element_matrix(G, x)))
-                      for x in bd.class_reps])) for mod in modules),
+    rows = sorted(((mod.dim, [Cyc.from_counts(bd.m, _phi_value(
+                      bd.lift, bd.F, gf_charpoly(
+                          bd.F, mod.element_matrix(G, x))))
+                      for x in bd.class_reps]) for mod in modules),
                   key=lambda pair: (pair[0], _phi_sort_key(pair[1])))
-    assert [tuple(row) for _, row in rows] == list(bd.phi)
-    assert bd.structure_constants() == structure_by_decompose(bd)
-    # the root-count decompose gives the dense dot's values and conductors
+    assert json_rows(row for _, row in rows) == json_rows(bd.phi)
+    dual = dual_table(bd)
+    assert bd.structure_constants() == structure_by_decompose(bd, dual)
+    # each root count of decompose, over |G|, prints as the dense dot's
+    # value, and decompose returns it where it is an integer and raises
+    # where one is not
     for values in decompose_inputs(bd):
-        got = bd.decompose(values, require_integral=False)
-        want = decompose_by_dense_dot(bd, cyc_row(bd.m, values))
-        assert [c.to_json() for c in got] == [c.to_json() for c in want]
+        got = [Cyc.from_counts(bd.m, enumerate(acc)) * Fraction(1, G.order)
+               for acc in bd._coefficient_counts(values)]
+        want = decompose_by_dense_dot(bd, cyc_row(bd.m, values), dual)
+        assert json_rows([got]) == json_rows([want])
+        if all(c.as_rational() is not None
+               and c.as_rational().denominator == 1 for c in want):
+            assert bd.decompose(values) == [c.as_rational() for c in want]
+        else:
+            with pytest.raises(NonIntegralDecomposition):
+                bd.decompose(values)
 
 
 def linear_only(found, entry):
@@ -613,22 +645,36 @@ def test_irrational_gram_entry_raises_non_integral_cartan():
 
 
 def test_character_arithmetic_builds_no_cyc(monkeypatch):
-    """The Gram matrix, Cartan matrix, Phi, the integral decompositions
-    and the structure constants run on root counts: no Cyc value is
-    built, so none is multiplied."""
+    """The Gram matrix, Cartan matrix, Phi, the integral decompositions,
+    the structure constants, the gamma and U vectors and the checks of
+    cartan_image_basis run on root counts: no Cyc value is built but
+    each gamma's exact, so none is summed, compared or multiplied."""
     bd = BrauerData(alternating_group(5), 2, 1)
+    a = defect_classification(bd, build_catalog(2))
+    real, exact = cyclo._raw, []
 
     def refuse(*args):
-        raise AssertionError("a Cyc value was built")
+        frame = sys._getframe(1)
+        while frame and frame.f_code is not defects.gamma_element.__code__:
+            frame = frame.f_back
+        if frame is None:
+            raise AssertionError("a Cyc value was built")
+        exact.append(args)
+        return real(*args)
 
     monkeypatch.setattr(cyclo, "_raw", refuse)
-    monkeypatch.setattr(cyclo, "_make", refuse)
     assert bd._cartan_and_projectives() == (bd.cartan, bd.Phi_counts)
     regular = [((0, bd.G.order),)] + [()] * (len(bd.pregular) - 1)
     assert bd.decompose(regular) == list(bd.composition_multiplicities)
     bd.structure_constants()
+    assert len(_u_basis(a)) == len(bd.pregular)
+    assert not exact
+    gammas = cartan_image_basis(bd)
+    # from_counts and the rational multiple, per simple, per gamma
+    assert gammas and len(exact) == 2 * len(gammas) * len(bd.simples)
+    assert all(isinstance(v, Cyc) for g in gammas for v in g.exact)
     with pytest.raises(AssertionError, match="Cyc value was built"):
-        Cyc.zeta(3)
+        Cyc.from_counts(3, ((1, 1),))
 
 
 def test_linear_tensor_product_outside_the_simples_raises():

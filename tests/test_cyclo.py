@@ -18,7 +18,7 @@ from repring.cyclo import (
 from repring.errors import NotPLocal
 from repring.gf import gf_field, multiplicative_order, poly_mul
 from repring.lift import BrauerLift
-from cyclo_reference import dot, inverse, mul, power
+from cyclo_reference import RefCyc, dot, inverse, mul, power
 
 
 def test_cyclotomic_polys():
@@ -48,70 +48,69 @@ def test_cyclotomic_polys_multiply_to_x_m_minus_1():
                for c in cyclotomic_poly(m))
 
 
-def test_cyc_truthiness_is_nonzero():
-    z = Cyc.zeta(3)
-    assert not (mul(z, z) + z + 1)
-    assert not Cyc.from_rational(0, 12)
-    assert not (Cyc.zeta(4) - Cyc.zeta(4))
-    assert z and Cyc.from_rational(Fraction(-1, 7), 5)
-    assert [v for v in (z - z, z, 0 * z) if v] == [z]
-
-
 def test_zeta_relations():
-    z = Cyc.zeta(3)
+    z = RefCyc.zeta(3)
     assert power(z, 3) == 1
     assert power(z, 2) + z + 1 == 0
-    assert Cyc.zeta(2) == -1
-    assert power(Cyc.zeta(4), 2) == -1
-    # sum over all m-th roots vanishes for m > 1
+    assert RefCyc.zeta(2) == -1
+    assert power(RefCyc.zeta(4), 2) == -1
+    # sum over all m-th roots vanishes for m > 1, as a root count too
     for m in (2, 3, 4, 5, 6, 8):
-        total = sum((Cyc.zeta(m, k) for k in range(m)), Cyc.from_rational(0))
+        total = sum((RefCyc.zeta(m, k) for k in range(m)), RefCyc(1, [0]))
         assert total == 0
+        assert not any(root_sum(m, [(k, 1) for k in range(m)]))
 
 
 def test_promotion_consistency():
-    # zeta_3 = zeta_6^2
-    assert Cyc.zeta(3) == Cyc.zeta(6, 2)
-    assert Cyc.zeta(2) == Cyc.zeta(6, 3)
-    a = Cyc.zeta(3) + Cyc.zeta(4)
+    # zeta_3 = zeta_6^2: a root count read at a multiple of its conductor
+    assert RefCyc.zeta(3) == RefCyc.zeta(6, 2)
+    assert RefCyc.zeta(2) == RefCyc.zeta(6, 3)
+    assert root_sum(6, ((2, 1),)) == RefCyc.zeta(3).promote(6).coeffs
+    a = RefCyc.zeta(3) + RefCyc.zeta(4)
     assert a.m == 12
-    assert a - Cyc.zeta(4) == Cyc.zeta(3)
+    assert a - RefCyc.zeta(4) == RefCyc.zeta(3)
 
 
 def test_rational_detection():
-    z = Cyc.zeta(5)
+    z = RefCyc.zeta(5)
     s = z + power(z, 2) + power(z, 3) + power(z, 4)
     assert s.as_rational() == Fraction(-1)
     assert mul(z, inverse(z)).as_rational() == 1
-    assert Cyc.zeta(3).as_rational() is None
+    assert RefCyc.zeta(3).as_rational() is None
+    # one reduction of the root count shows the same
+    assert root_sum(5, ((1, 1), (2, 1), (3, 1), (4, 1))) == (-1, 0, 0, 0)
 
 
 def test_scalar_mix():
-    v = Fraction(1, 2) * Cyc.zeta(8) + 3
-    v = v - 3
-    v = v * 2
-    assert v == Cyc.zeta(8)
+    z8 = Cyc.from_counts(8, ((1, 1),))
+    v = z8 * Fraction(1, 2) * 2
+    assert (v.num, v.den) == (z8.num, z8.den)
+    assert v.to_json() == z8.to_json() == RefCyc.zeta(8).to_json()
+    assert (z8 * Fraction(3, 4)).to_json() == \
+        (RefCyc.zeta(8) * Fraction(3, 4)).to_json()
 
 
 def test_inverse_and_division():
     for m in (1, 3, 4, 5, 8, 12):
-        v = Cyc.zeta(m) + 2
+        v = RefCyc.zeta(m) + 2
         w = inverse(v)
         assert mul(v, w) == 1
         assert power(v, -1) == w
     with pytest.raises(ZeroDivisionError):
-        inverse(Cyc.from_rational(0))
-    # a rational multiple is the only product of the value type
+        inverse(RefCyc(1, [0]))
+    # a rational multiple is the only product of the printed value
+    z = Cyc.from_counts(3, ((1, 1),))
     with pytest.raises(TypeError):
-        Cyc.zeta(3) * Cyc.zeta(3)
+        z * z
 
 
 def test_json_roundtrip():
-    v = Fraction(2, 3) * Cyc.zeta(12, 5) - Fraction(1, 7)
+    counts = ((0, -3), (5, 14))
+    v = Cyc.from_counts(12, counts) * Fraction(1, 21)
     obj = v.to_json()
     assert obj["conductor"] == 12
-    assert Cyc(obj["conductor"], [Fraction(n, d) for n, d in
-                                  zip(obj["num"], obj["den"])]) == v
+    assert RefCyc.from_json(obj) == \
+        RefCyc.from_counts(12, counts) * Fraction(1, 21)
 
 
 small_conductors = st.sampled_from([1, 2, 3, 4, 5, 6, 8, 12])
@@ -121,11 +120,12 @@ small_fractions = st.fractions(min_value=-3, max_value=3, max_denominator=6)
 @settings(max_examples=60, deadline=None)
 @given(small_conductors, st.data())
 def test_cyc_ring_axioms(m, data):
+    """The reference value is a commutative ring with inverses."""
     deg = conductor_degree(m)
     vec = st.lists(small_fractions, min_size=deg, max_size=deg)
-    a = Cyc(m, data.draw(vec))
-    b = Cyc(m, data.draw(vec))
-    c = Cyc(m, data.draw(vec))
+    a = RefCyc(m, data.draw(vec))
+    b = RefCyc(m, data.draw(vec))
+    c = RefCyc(m, data.draw(vec))
     assert a + b == b + a
     assert mul(a, b) == mul(b, a)
     assert mul(a + b, c) == mul(a, c) + mul(b, c)
@@ -144,8 +144,7 @@ def test_lift_table_gf4():
     assert L.exponent(1) == 0
     assert L.exponent(L.root) == 1
     # omega + omega^2 = 1 in F_4 mirrors zeta + zeta^2 = -1 = 1 mod 2
-    s = Cyc.zeta(3) + Cyc.zeta(3, 2)
-    assert L.reduce(s) == 1
+    assert L.reduce(((1, 1), (2, 1))) == 1
 
 
 def test_lift_multiplicative():
@@ -161,108 +160,37 @@ def test_lift_multiplicative():
 def test_reduce_rationals():
     F3 = gf_field(3, 1)
     L = BrauerLift(F3, 1)
-    assert L.reduce(Cyc.from_rational(Fraction(1, 2))) == 2
-    assert L.reduce(Cyc.from_rational(7)) == 1
-    assert L.reduce_counts(((0, 7),)) == 1
-    assert L.reduce_counts(((0, 1),), 2) == 2
+    assert L.reduce(((0, 1),), 2) == 2
+    assert L.reduce(((0, 7),)) == 1
+    assert L.reduce(((0, 6),), 3) == 2  # p divides c, and cancels
     with pytest.raises(NotPLocal):
-        L.reduce(Cyc.from_rational(Fraction(1, 3)))
+        L.reduce(((0, 1),), 3)
+    with pytest.raises(NotPLocal):
+        L.reduce(((0, 3),), 9)
 
 
 def test_reduce_is_ring_hom():
     F = gf_field(2, 2)
     L = BrauerLift(F, 3)
-    vals = [Cyc.zeta(3), Cyc.zeta(3, 2) + 1, Cyc.from_rational(Fraction(1, 3)),
-            Cyc.zeta(3) * Fraction(5, 7)]
-    for u in vals:
-        for v in vals:
-            assert L.reduce(u + v) == F.add(L.reduce(u), L.reduce(v))
-            assert L.reduce(mul(u, v)) == F.mul(L.reduce(u), L.reduce(v))
+    vals = [(((1, 1),), 1), (((0, 1), (2, 1)), 1), (((0, 1),), 3),
+            (((1, 5),), 7), (((0, 2), (1, 4)), 6)]
+    for a, c in vals:
+        for b, d in vals:
+            # a/c + b/d = (d a + c b) / (c d), a/c * b/d = ab / (c d)
+            total = root_combination(((d, a), (c, b)))
+            assert L.reduce(total, c * d) == F.add(L.reduce(a, c),
+                                                   L.reduce(b, d))
+            assert L.reduce(root_product(3, a, b), c * d) == \
+                F.mul(L.reduce(a, c), L.reduce(b, d))
 
 
 def test_reduce_rejects_non_local():
     F = gf_field(2, 2)
     L = BrauerLift(F, 3)
     with pytest.raises(NotPLocal):
-        L.reduce(Cyc.from_rational(Fraction(3, 2)))
-
-
-# --- Fraction-coordinate reference: one Fraction per power-basis
-# coordinate, reduced by long division by the cyclotomic polynomial
-
-
-def ref_reduce(m, poly):
-    """Remainder of a rational polynomial mod the m-th cyclotomic one."""
-    phi = cyclotomic_poly(m)  # monic
-    deg = len(phi) - 1
-    poly = list(poly) + [Fraction(0)] * max(0, deg - len(poly))
-    for k in range(len(poly) - 1, deg - 1, -1):
-        c = poly[k]
-        if c:
-            for i in range(deg + 1):
-                poly[k - deg + i] -= c * phi[i]
-    return tuple(poly[:deg])
-
-
-class RefCyc:
-    def __init__(self, m, coeffs):
-        self.m = m
-        self.coeffs = tuple(Fraction(c) for c in coeffs)
-        assert len(self.coeffs) == conductor_degree(m)
-
-    @staticmethod
-    def of(v: Cyc) -> "RefCyc":
-        return RefCyc(v.m, [Fraction(n, v.den) for n in v.num])
-
-    def promote(self, big):
-        step = big // self.m
-        poly = [Fraction(0)] * big
-        for i, c in enumerate(self.coeffs):
-            poly[i * step] = c
-        return RefCyc(big, ref_reduce(big, poly))
-
-    def _common(self, other):
-        m = math.lcm(self.m, other.m)
-        return self.promote(m), other.promote(m), m
-
-    def __add__(self, other):
-        a, b, m = self._common(other)
-        return RefCyc(m, [x + y for x, y in zip(a.coeffs, b.coeffs)])
-
-    def __sub__(self, other):
-        a, b, m = self._common(other)
-        return RefCyc(m, [x - y for x, y in zip(a.coeffs, b.coeffs)])
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return RefCyc(self.m, [c * other for c in self.coeffs])
-        a, b, m = self._common(other)
-        prod = [Fraction(0)] * (2 * len(a.coeffs) - 1)
-        for i, x in enumerate(a.coeffs):
-            for j, y in enumerate(b.coeffs):
-                prod[i + j] += x * y
-        return RefCyc(m, ref_reduce(m, prod))
-
-    def __eq__(self, other):
-        a, b, _ = self._common(other)
-        return a.coeffs == b.coeffs
-
-    def to_json(self):
-        return {"conductor": self.m,
-                "num": [c.numerator for c in self.coeffs],
-                "den": [c.denominator for c in self.coeffs]}
-
-    def reduce(self, lift):
-        """The per-coefficient reduction, one Fraction at a time."""
-        F = lift.F
-        out = 0
-        for i, c in enumerate(self.promote(lift.m).coeffs):
-            if c:
-                if c.denominator % F.p == 0:
-                    raise NotPLocal(f"denominator {c.denominator}")
-                r = F.mul(c.numerator % F.p, F.inv(c.denominator % F.p))
-                out = F.add(out, F.mul(r, F.pow(lift.root, i)))
-        return out
+        L.reduce(((0, 3),), 2)
+    # 1 + z + z^2 = 0, so 0/2 reduces
+    assert L.reduce(((0, 1), (1, 1), (2, 1)), 2) == 0
 
 
 def assert_lowest_terms(v: Cyc):
@@ -273,154 +201,17 @@ def assert_lowest_terms(v: Cyc):
 
 
 def assert_matches(v: Cyc, ref: RefCyc):
+    """The printed value v is ref: same conductor, lowest terms, and the
+    same JSON as the one-Fraction-per-coordinate route."""
     assert_lowest_terms(v)
     assert v.m == ref.m
-    assert v.coeffs == ref.coeffs
+    assert RefCyc.of(v) == ref
     assert v.to_json() == ref.to_json()
-    assert Cyc(ref.m, ref.coeffs).num == v.num
 
 
 property_conductors = st.sampled_from([1, 2, 3, 4, 5, 6, 8, 12, 15])
 property_fractions = st.fractions(min_value=-4, max_value=4,
                                   max_denominator=12)
-
-
-@st.composite
-def cyc_values(draw, m=None):
-    if m is None:
-        m = draw(property_conductors)
-    deg = conductor_degree(m)
-    # sparse vectors too, so that rational and zero values turn up
-    coeffs = draw(st.lists(st.one_of(st.just(Fraction(0)),
-                                     property_fractions),
-                           min_size=deg, max_size=deg))
-    return Cyc(m, coeffs)
-
-
-@settings(max_examples=150, deadline=None)
-@given(cyc_values())
-@example(Cyc(4, [0, Fraction(-3, 6)]))
-@example(Cyc(6, [0, 0]))
-def test_json_and_key_match_the_fraction_route(v):
-    """to_json and key reduce each num[i]/den by one gcd; the Fraction
-    per coordinate they no longer build gives the same pairs, with a
-    zero coordinate as 0/1."""
-    coeffs = [Fraction(c, v.den) for c in v.num]
-    assert v.to_json() == {"conductor": v.m,
-                           "num": [c.numerator for c in coeffs],
-                           "den": [c.denominator for c in coeffs]}
-    assert v.key() == (v.m,) + tuple((c.numerator, c.denominator)
-                                     for c in coeffs)
-
-
-@settings(max_examples=150, deadline=None)
-@given(cyc_values(), cyc_values())
-def test_arithmetic_matches_fraction_reference(a, b):
-    ra, rb = RefCyc.of(a), RefCyc.of(b)
-    assert_matches(a, ra)
-    assert_matches(a + b, ra + rb)
-    assert_matches(a - b, ra - rb)
-    assert_matches(mul(a, b), ra * rb)
-    assert_matches(-a, RefCyc(a.m, [-c for c in ra.coeffs]))
-    assert (a == b) == (ra == rb)
-    assert a == a + 0 and a + b - b == a
-    if b:
-        q = mul(a, inverse(b))
-        assert_lowest_terms(q)
-        assert RefCyc.of(q) * rb == ra
-        assert_lowest_terms(inverse(b))
-
-
-@settings(max_examples=100, deadline=None)
-@given(cyc_values(), st.one_of(st.integers(-30, 30), property_fractions))
-def test_scalar_product_matches_reference(a, c):
-    assert_matches(a * c, RefCyc.of(a) * c)
-    assert_matches(c * a, RefCyc.of(a) * c)
-    assert (a.as_rational() == c) == (a == c)
-
-
-@settings(max_examples=100, deadline=None)
-@given(cyc_values(), property_conductors)
-def test_promote_matches_reference(a, k):
-    big = a.m * k
-    up = a.promote(big)
-    assert_matches(up, RefCyc.of(a).promote(big))
-    assert up == a
-
-
-@settings(max_examples=60, deadline=None)
-@given(st.lists(st.tuples(cyc_values(),
-                          st.one_of(cyc_values(), st.integers(-5, 5))),
-                max_size=5))
-def test_dot_matches_reference(pairs):
-    xs, ys = [x for x, _ in pairs], [y for _, y in pairs]
-    total = RefCyc(1, [0])
-    for x, y in pairs:
-        total = total + RefCyc.of(x) * (RefCyc.of(y) if isinstance(y, Cyc)
-                                        else y)
-    got = dot(xs, ys)
-    assert_lowest_terms(got)
-    assert RefCyc.of(got) == total
-    # the conductor is the lcm of the operands', as a running sum gives
-    assert got.m == math.lcm(1, *(v.m for v in xs + ys
-                                  if isinstance(v, Cyc)))
-
-
-def _lift(M, p):
-    return BrauerLift(gf_field(p, multiplicative_order(p, M)), M)
-
-
-@settings(max_examples=120, deadline=None)
-@given(st.sampled_from([(M, p) for M in (1, 2, 3, 4, 5, 6, 8, 12, 15)
-                        for p in (2, 3, 5, 7) if M % p]),
-       st.data())
-def test_lift_reduce_matches_reference(lift_at, data):
-    M, p = lift_at
-    m = data.draw(st.sampled_from([d for d in (1, 2, 3, 4, 5, 6, 8, 12, 15)
-                                   if M % d == 0]))
-    v = data.draw(cyc_values(m))
-    lift = _lift(M, p)
-    try:
-        want = RefCyc.of(v).reduce(lift)
-    except NotPLocal:
-        with pytest.raises(NotPLocal):
-            lift.reduce(v)
-    else:
-        assert lift.reduce(v) == want
-
-
-def test_lift_reduce_not_p_local_in_one_coordinate():
-    lift = _lift(15, 2)
-    v = Cyc(15, [1, 0, Fraction(1, 4)] + [0] * 5)
-    with pytest.raises(NotPLocal):
-        RefCyc.of(v).reduce(lift)
-    with pytest.raises(NotPLocal):
-        lift.reduce(v)
-    # a p-local value over the same denominators reduces
-    w = Cyc(15, [Fraction(1, 3), 0, Fraction(2, 5)] + [0] * 5)
-    assert lift.reduce(w) == RefCyc.of(w).reduce(lift)
-
-
-def test_lowest_terms_examples():
-    v = Cyc(4, [Fraction(1, 2), Fraction(3, 4)])
-    assert (v.num, v.den) == ((2, 3), 4)
-    zero = v - v
-    assert (zero.num, zero.den) == ((0, 0), 1)
-    assert (v * 4).den == 1 and (v * 4).num == (2, 3)
-    with pytest.raises(AttributeError):
-        v.coeffs = (1, 2)
-
-
-# --- root counts: character values as (exponent, multiplicity) pairs,
-# multiplied and summed in ints and reduced once, against the Cyc
-# products of cyclo_reference and the Fraction reference above
-
-COUNT_LIFTS = {1: 2, 3: 2, 4: 3, 12: 5, 15: 2, 60: 7}  # conductor: p
-
-
-@functools.lru_cache(maxsize=None)
-def _count_lift(m):
-    return _lift(m, COUNT_LIFTS[m])
 
 
 @st.composite
@@ -430,6 +221,169 @@ def root_counts(draw, m):
     return tuple(sorted(acc.items()))
 
 
+@st.composite
+def printed_values(draw, m=None):
+    """(Cyc, RefCyc) pairs of one value: a root count over a positive
+    integer, sparse too, so that rational and zero values turn up."""
+    if m is None:
+        m = draw(property_conductors)
+    counts = draw(root_counts(m))
+    c = draw(st.integers(1, 12))
+    return (Cyc.from_counts(m, counts) * Fraction(1, c),
+            RefCyc.from_counts(m, counts) * Fraction(1, c))
+
+
+@settings(max_examples=150, deadline=None)
+@given(printed_values())
+@example((Cyc.from_counts(4, ((1, -3),)) * Fraction(1, 6),
+          RefCyc(4, [0, Fraction(-3, 6)])))
+@example((Cyc.from_counts(6, ()), RefCyc(6, [0, 0])))
+def test_json_matches_the_fraction_route(pair):
+    """to_json reduces each num[i]/den by one gcd, and takes none when
+    den is 1; the Fraction per coordinate it does not build gives the
+    same pairs, with a zero coordinate as 0/1."""
+    v, ref = pair
+    coeffs = [Fraction(c, v.den) for c in v.num]
+    assert v.to_json() == {"conductor": v.m,
+                           "num": [c.numerator for c in coeffs],
+                           "den": [c.denominator for c in coeffs]}
+    assert v.to_json() == ref.to_json()
+
+
+@settings(max_examples=150, deadline=None)
+@given(property_conductors, st.data())
+def test_arithmetic_matches_fraction_reference(m, data):
+    """Sums, differences, negatives and products of root counts, printed,
+    are those of the Fraction reference."""
+    a, b = data.draw(root_counts(m)), data.draw(root_counts(m))
+    ra, rb = RefCyc.from_counts(m, a), RefCyc.from_counts(m, b)
+    assert_matches(Cyc.from_counts(m, a), ra)
+    assert_matches(Cyc.from_counts(m, root_combination(((1, a), (1, b)))),
+                   ra + rb)
+    assert_matches(Cyc.from_counts(m, root_combination(((1, a), (-1, b)))),
+                   ra - rb)
+    assert_matches(Cyc.from_counts(m, root_combination(((-1, a),))), -ra)
+    assert_matches(Cyc.from_counts(m, root_product(m, a, b)), mul(ra, rb))
+    if rb:
+        q = mul(ra, inverse(rb))
+        assert mul(q, rb) == ra
+
+
+@settings(max_examples=100, deadline=None)
+@given(printed_values(), st.one_of(st.integers(-30, 30), property_fractions))
+def test_scalar_product_matches_reference(pair, c):
+    v, ref = pair
+    assert_matches(v * c, ref * c)
+
+
+@settings(max_examples=100, deadline=None)
+@given(property_conductors, property_conductors, st.data())
+def test_promote_matches_reference(m, k, data):
+    """A root count of conductor m is one of conductor m k with its
+    exponents times k; reduced there, it is the promoted value."""
+    counts = data.draw(root_counts(m))
+    big = m * k
+    up = Cyc.from_counts(big, [(e * k, a) for e, a in counts])
+    assert_matches(up, RefCyc.from_counts(m, counts).promote(big))
+    assert RefCyc.of(up) == RefCyc.from_counts(m, counts)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.tuples(printed_values(),
+                          st.one_of(printed_values(), st.integers(-5, 5))),
+                max_size=5))
+def test_dot_matches_reference(pairs):
+    """The reference dot, reduced once, is the running sum of products,
+    each reduced, at the lcm of the operands' conductors."""
+    xs = [x for (_, x), _ in pairs]
+    ys = [y if isinstance(y, int) else y[1] for _, y in pairs]
+    total = RefCyc(1, [0])
+    for x, y in zip(xs, ys):
+        total = total + mul(x, y)
+    got = dot(xs, ys)
+    assert got == total
+    assert got.m == math.lcm(1, *(v.m for v in xs + ys
+                                  if isinstance(v, RefCyc)))
+
+
+def _lift(M, p):
+    return BrauerLift(gf_field(p, multiplicative_order(p, M)), M)
+
+
+LIFTS = [(M, p) for M in (1, 2, 3, 4, 5, 6, 8, 12, 15)
+         for p in (2, 3, 5, 7) if M % p]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(LIFTS), st.data())
+@example((15, 2), None)
+def test_lift_reduce_matches_reference(lift_at, data):
+    """BrauerLift.reduce(counts, c) is the per-coordinate reduction of
+    the reference, for a count of any conductor d dividing the lift's,
+    read at the lift's, and c prime to p or not; it raises NotPLocal
+    exactly when the reference does.  The counts are multiplied by p
+    at times, so that p in c may cancel."""
+    M, p = lift_at
+    lift = _lift(M, p)
+    if data is None:  # the two outcomes at a c that p divides
+        cases = [(15, ((0, 4), (2, 1)), 4), (15, ((0, 2), (1, 2)), 2)]
+    else:
+        d = data.draw(st.sampled_from([d for d in range(1, M + 1)
+                                       if M % d == 0]))
+        counts = data.draw(root_counts(d))
+        scale = data.draw(st.sampled_from([1, 1, p, p * p]))
+        c = data.draw(st.integers(1, 20)) * p ** data.draw(
+            st.integers(0, 2))
+        cases = [(d, tuple((e, a * scale) for e, a in counts), c)]
+    for d, counts, c in cases:
+        at_lift = [(e * (M // d), a) for e, a in counts]
+        try:
+            want = (RefCyc.from_counts(d, counts) * Fraction(1, c)
+                    ).reduce(lift)
+        except NotPLocal:
+            with pytest.raises(NotPLocal):
+                lift.reduce(at_lift, c)
+        else:
+            assert lift.reduce(at_lift, c) == want
+
+
+def test_lift_reduce_not_p_local_in_one_coordinate():
+    lift = _lift(15, 2)
+    # 1 + z^2/4: one coordinate's denominator is divisible by 2
+    counts, c = ((0, 4), (2, 1)), 4
+    with pytest.raises(NotPLocal):
+        (RefCyc.from_counts(15, counts) * Fraction(1, c)).reduce(lift)
+    with pytest.raises(NotPLocal):
+        lift.reduce(counts, c)
+    # 1/3 + 2 z^2/5, a p-local value over the same denominators
+    counts, c = ((0, 5), (2, 6)), 15
+    assert lift.reduce(counts, c) == \
+        (RefCyc.from_counts(15, counts) * Fraction(1, c)).reduce(lift)
+
+
+def test_lowest_terms_examples():
+    v = Cyc.from_counts(4, ((0, 2), (1, 3))) * Fraction(1, 4)
+    assert (v.num, v.den) == ((2, 3), 4)
+    zero = Cyc.from_counts(4, ())
+    assert (zero.num, zero.den) == ((0, 0), 1)
+    assert ((zero * 5).num, (zero * 5).den) == ((0, 0), 1)
+    assert (v * 4).den == 1 and (v * 4).num == (2, 3)
+    with pytest.raises(AttributeError):
+        v.num = (1, 2)
+
+
+# --- root counts: character values as (exponent, multiplicity) pairs,
+# multiplied and summed in ints and reduced once, against the products
+# of cyclo_reference
+
+COUNT_LIFTS = {1: 2, 3: 2, 4: 3, 12: 5, 15: 2, 60: 7}  # conductor: p
+
+
+@functools.lru_cache(maxsize=None)
+def _count_lift(m):
+    return _lift(m, COUNT_LIFTS[m])
+
+
 @settings(max_examples=150, deadline=None)
 @given(st.sampled_from(sorted(COUNT_LIFTS)), st.data())
 def test_root_counts_match_the_cyc_reference(m, data):
@@ -437,32 +391,53 @@ def test_root_counts_match_the_cyc_reference(m, data):
     xs, ys = data.draw(counts), data.draw(counts)
     weights = data.draw(st.lists(st.integers(-4, 60), min_size=len(xs),
                                  max_size=len(xs)))
-    cx = [Cyc.from_counts(m, a) for a in xs]
-    cy = [Cyc.from_counts(m, b) for b in ys]
+    cx = [RefCyc.from_counts(m, a) for a in xs]
+    cy = [RefCyc.from_counts(m, b) for b in ys]
     # one reduction of a root count is the value sum a zeta^e
     for a, v in zip(xs, cx):
-        poly = [Fraction(0)] * m
-        for e, c in a:
-            poly[e] += c
-        assert_matches(v, RefCyc(m, ref_reduce(m, poly)))
+        assert root_sum(m, a) == v.coeffs
+        assert_matches(Cyc.from_counts(m, a), v)
     # a product of counts is the product of the values
     for a, b, u, v in zip(xs, ys, cx, cy):
-        assert Cyc.from_counts(m, root_product(m, a, b)) == mul(u, v)
+        assert RefCyc.from_counts(m, root_product(m, a, b)) == mul(u, v)
     # an integer combination of counts is that of the values
-    total = Cyc.from_rational(0, m)
+    total = RefCyc(m, [0] * conductor_degree(m))
     for w, v in zip(weights, cx):
         total = total + v * w
-    assert Cyc.from_counts(m, root_combination(zip(weights, xs))) == total
+    assert RefCyc.from_counts(m, root_combination(zip(weights, xs))) == total
     # weighted products summed into one dense count, reduced once, are
     # the dot product of the values
     acc = [0] * m
     for w, a, b in zip(weights, xs, ys):
         convolve_into(acc, a, b, w)
     want = dot([v * w for w, v in zip(weights, cx)], cy)
-    assert Cyc.from_counts(m, enumerate(acc)) == want
-    assert tuple(want.promote(m).num) == root_sum(m, enumerate(acc))
-    # a count divided by c prime to p reduces root by root
+    assert root_sum(m, enumerate(acc)) == want.promote(m).coeffs
+    # a count over c reduces as the value over c does
     lift = _count_lift(m)
     c = data.draw(st.integers(1, 50).filter(lambda c: c % lift.F.p))
     for a, v in zip(xs, cx):
-        assert lift.reduce_counts(a, c) == lift.reduce(v * Fraction(1, c))
+        assert lift.reduce(a, c) == (v * Fraction(1, c)).reduce(lift)
+
+
+def test_a_verify_run_reaches_only_the_printing_methods_of_cyc(monkeypatch):
+    """A Cyc is only printed: verify at p = 2, 3 builds values from root
+    counts, scales gamma's by rationals and writes them, and reaches no
+    other method of the class."""
+    from repring.verify import run_verify
+
+    reached = set()
+
+    def recorded(name, f):
+        def call(*args, **kwargs):
+            reached.add(name)
+            return f(*args, **kwargs)
+        return call
+
+    for name, attr in list(vars(Cyc).items()):
+        if isinstance(attr, staticmethod):
+            monkeypatch.setattr(Cyc, name,
+                                staticmethod(recorded(name, attr.__func__)))
+        elif callable(attr):
+            monkeypatch.setattr(Cyc, name, recorded(name, attr))
+    assert run_verify(primes=[2, 3], seed=1)["all_pass"] is True
+    assert reached == {"from_counts", "__mul__", "to_json", "_lowest_terms"}

@@ -46,7 +46,13 @@ from repring.groups import (
 from repring.linalg import gf_rank
 from repring.report import analyze_report
 
-from cyclo_reference import decompose_by_dense_dot, mul
+from cyclo_reference import (
+    RefCyc,
+    decompose_by_dense_dot,
+    dot,
+    dual_table,
+    json_rows,
+)
 from group_reference import centralizer_of_subgroup, quotient_group
 
 
@@ -63,29 +69,37 @@ def analysis(G, p, cat):
     return defect_classification(BrauerData(G, p), cat)
 
 
-def u_by_quotient(a, x, R):
+def u_by_quotient(a, x, R, cache=None):
     """U_x by the definition: gamma of the image of x in the quotient
     H/R, H = R C_G(R), inflated to H and induced to G.  The reference
-    that defects._u_from's orthogonality sum is checked against."""
+    that defects._u_from's orthogonality sum is checked against.  A
+    cache dict, when given, keeps each quotient's Brauer data and the
+    dual of G's phi table across the calls of one test."""
     G, p, bd = a.G, a.p, a.bd
+    cache = {} if cache is None else cache
     CR = centralizer_of_subgroup(G, R)
     H = G.generated_subgroup(list(R.gens) + list(CR.gens))
-    Hbar, proj = quotient_group(H, R)
+    key = ("quotient", R.elements, H.elements)
+    if key not in cache:
+        Hbar, proj = quotient_group(H, R)
+        bq = BrauerData(Hbar, p, bd.seed)
+        columns = list(zip(*([RefCyc.of(v) for v in row] for row in bq.phi)))
+        cache[key] = Hbar, proj, bq, columns
+    Hbar, proj, bq, columns = cache[key]
     xbar = proj[tuple(x)]
     if Hbar.centralizer(xbar).order % p == 0:
         raise DefectNotZeroInQuotient("image of x has positive defect")
-    bq = BrauerData(Hbar, p, bd.seed)
-    gq = gamma_element(bq, xbar)
+    gamma = [RefCyc.of(v) for v in gamma_element(bq, xbar).exact]
     vals = {}
     for h in H.elements:
         if perm_order(h) % p:
             k = bq._pos[Hbar.class_index_of(proj[h])]
-            total = Cyc.from_rational(0)
-            for c, row in zip(gq.exact, bq.phi):
-                total = total + mul(c, row[k])
-            vals[h] = total
+            vals[h] = dot(gamma, columns[k])
     ind = induce_class_function(G, H, vals, class_indices=bd.pregular)
-    return tuple(bd.lift.reduce(c) for c in decompose_by_dense_dot(bd, ind))
+    if "dual" not in cache:
+        cache["dual"] = dual_table(bd)
+    return tuple(c.reduce(bd.lift)
+                 for c in decompose_by_dense_dot(bd, ind, cache["dual"]))
 
 
 def golden_analyze_cases():
@@ -146,11 +160,11 @@ def test_defect_sylow_is_of_centralizer():
 def test_gamma_s3_examples():
     g = gamma_element(BrauerData(symmetric_group(3), 2), (1, 2, 0))
     assert g.coeffs == (0, 1)
-    assert [v.as_rational() for v in g.exact] == \
+    assert [RefCyc.of(v).as_rational() for v in g.exact] == \
         [Fraction(2, 3), Fraction(-1, 3)]
     g = gamma_element(BrauerData(symmetric_group(3), 3), (1, 0, 2))
     assert g.coeffs == (2, 1)
-    assert [v.as_rational() for v in g.exact] == \
+    assert [RefCyc.of(v).as_rational() for v in g.exact] == \
         [Fraction(1, 2), Fraction(-1, 2)]
 
 
@@ -236,8 +250,10 @@ def test_u_independent_of_sylow_choice():
 def test_u_matches_quotient_route(spec, p):
     a = analysis(parse_group_spec(spec), p,
                  build_catalog(p))
+    cache = {}
     for r in a.rows:
-        assert u_element(a, r.rep).coeffs == u_by_quotient(a, r.rep, r.sylow)
+        assert u_element(a, r.rep).coeffs == \
+            u_by_quotient(a, r.rep, r.sylow, cache)
 
 
 def test_u_from_conjugates_by_the_centralizer_only(monkeypatch):
@@ -268,7 +284,8 @@ def u_by_scan(a, x, R):
     centre = set(cent).intersection(R.elements)
     c_h = R.order * len(cent) // len(centre) // len(orbit)
     inv = bd._inv_pos[a.row_of(x).position]
-    return tuple(bd.lift.reduce(P[inv] * Fraction(1, c_h)) for P in bd.Phi)
+    return tuple((RefCyc.from_counts(bd.m, P[inv]) * Fraction(1, c_h))
+                 .reduce(bd.lift) for P in bd.Phi_counts)
 
 
 def is_central(G, R):
@@ -549,11 +566,10 @@ def test_inflation_matches_direct_chop():
     bh = BrauerData(H, 2)
     bq = BrauerData(Hbar, 2)
     assert len(bh.simples) == len(bq.simples)
-    direct = [list(row) for row in bh.phi]
-    inflated = []
-    for row in bq.phi:
-        inflated.append([row[bq._pos[Hbar.class_index_of(proj[x])]]
-                         for x in bh.class_reps])
+    direct = json_rows(bh.phi)
+    inflated = json_rows(
+        [row[bq._pos[Hbar.class_index_of(proj[x])]] for x in bh.class_reps]
+        for row in bq.phi)
     for row in inflated:
         assert direct.count(row) == 1
 
@@ -593,7 +609,7 @@ def test_tampered_inputs_raise_invariant_violated():
     bd = BrauerData(G, 2)
     x = (1, 2, 0)  # a 3-cycle: centralizer C3, defect zero at p = 2
     cyc = G.generated_subgroup([x])
-    vals = {h: Cyc.coerce(3 if h == x else 0) for h in cyc.elements}
+    vals = {h: 3 if h == x else 0 for h in cyc.elements}
     ind = induce_class_function(G, cyc, vals, class_indices=bd.pregular)
     _indicator_check(bd, G, x, 3, ind)
     tampered = [v + 1 if k == 0 else v for k, v in enumerate(ind)]

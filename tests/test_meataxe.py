@@ -1,5 +1,6 @@
 import json
 import random
+import sys
 import time
 
 import pytest
@@ -486,9 +487,46 @@ def test_abelian_simples_use_no_random_stream(monkeypatch):
         assert len(simples(G, F)) == len(G.p_regular_classes(p))
 
 
+LINE_BOUND = 100_000
+
+
+def lines_run_in(function, call):
+    """call() and the number of lines that function, and the
+    comprehensions and generator expressions inside it, execute there;
+    AssertionError as soon as that passes LINE_BOUND.  The count is a
+    deterministic measure of work, where a wall time is not."""
+    code, count = function.__code__, [0]
+
+    def count_lines(frame, event, arg):
+        if event == "line":
+            count[0] += 1
+            if count[0] > LINE_BOUND:
+                raise AssertionError(f"{function.__name__} ran more than "
+                                     f"{LINE_BOUND} lines")
+        return count_lines
+
+    def on_call(frame, event, arg):
+        if frame.f_code is code or (frame.f_back is not None
+                                    and frame.f_back.f_code is code):
+            return count_lines
+        return None
+
+    previous = sys.gettrace()
+    sys.settrace(on_call)
+    try:
+        out = call()
+    finally:
+        sys.settrace(previous)
+    return out, count[0]
+
+
 def test_linear_characters_are_pruned_generator_by_generator():
     # C60 by g, g^2, ..., g^6: 60 * 30 * 20 * 15 * 12 * 10, about 6.5e7
-    # tuples of generator images, of which 60 are homomorphisms
+    # tuples of generator images, of which 60 are homomorphisms.  Pruned
+    # generator by generator, the 60 characters of the span so far are
+    # extended by 60 + 60 * (30 + 20 + 15 + 12 + 10) = 5280 candidate
+    # images in all, and linear_characters runs a few times that many
+    # lines; a search that forms the product first runs at least 6.5e7
     g = cyclic_group(60).gens[0]
     powers = [g]
     for _ in range(5):
@@ -497,9 +535,10 @@ def test_linear_characters_are_pruned_generator_by_generator():
         {"degree": 60, "generators": [[v + 1 for v in x] for x in powers]}))
     F = gf_field(7, 4)
     reps = pregular_reps(G, 7)
-    start = time.perf_counter()
-    mods = [m for m, _ in simple_modules(G, F, 1, reps)]
-    assert time.perf_counter() - start < 0.1
+    found, lines = lines_run_in(meataxe.linear_characters,
+                                lambda: simple_modules(G, F, 1, reps))
+    assert 5280 <= lines <= LINE_BOUND
+    mods = [m for m, _ in found]
     at_g = [m.mats[0][0][0] for m in mods]
     roots = {F.exp[k] for k in range(0, F.q - 1, (F.q - 1) // 60)}
     assert sorted(at_g) == sorted(roots)
