@@ -7,6 +7,7 @@ cyclotomic numbers, never floats.
 """
 
 from repring.brauer import BrauerData
+from repring.cyclo import value_text
 from repring.groups import symmetric_group
 
 G = symmetric_group(4)
@@ -21,12 +22,12 @@ for p in (2, 3):
     print(f"   simple dimensions: {[s.dim for s in bd.simples]}")
 
     print("   Brauer character table (rows = simples):")
-    for s in bd.simples:
-        print(f"     {s.name}: {[str(v) for v in s.phi]}")
+    for s, row in zip(bd.simples, bd.phi_counts):
+        print(f"     {s.name}: {[value_text(bd.m, v) for v in row]}")
 
     print("   projective characters:")
-    for t, row in enumerate(bd.Phi):
-        print(f"     Phi_{t + 1}: {[str(v) for v in row]}")
+    for t, row in enumerate(bd.Phi_counts):
+        print(f"     Phi_{t + 1}: {[value_text(bd.m, v) for v in row]}")
 
     print(f"   Cartan matrix: {[list(r) for r in bd.cartan]}")
     print(f"   elementary divisors: {list(bd.elementary_divisors())}")

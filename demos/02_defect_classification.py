@@ -9,7 +9,12 @@ p-local rationals.
 
 from repring.brauer import BrauerData
 from repring.catalog import build_catalog
-from repring.defects import cartan_image_basis, defect_classification
+from repring.cyclo import value_text
+from repring.defects import (
+    cartan_image_basis,
+    defect_classification,
+    gamma_exact,
+)
 from repring.groups import parse_group_spec
 
 for spec, p in [("S4", 2), ("A4", 2), ("S3xC2", 2), ("S3", 3)]:
@@ -30,7 +35,8 @@ for spec, p in [("S4", 2), ("A4", 2), ("S3xC2", 2), ("S3", 3)]:
         print(f"   gamma vectors over GF({bd.F.q}) "
               "(one per defect-zero class):")
         for r, g in zip(analysis.defect_zero_rows(), gammas):
-            exact = [str(v) for v in g.exact]
+            counts, c = gamma_exact(bd, r.rep)
+            exact = [value_text(bd.m, v, c) for v in counts]
             print(f"     class {r.class_index}: codes {list(g.coeffs)}, "
                   f"exact {exact}")
     else:

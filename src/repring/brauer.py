@@ -20,23 +20,25 @@ are Galois-invariant), its inverse over Q is C, and the projective
 characters Phi are the integer combinations of the phi rows that C
 gives.  Decompositions and structure constants pair root counts with
 Phi the same way.  A one-dimensional simple is a homomorphism G -> F^*,
-and tensoring with it permutes the simples.  Cyc values are built only
-for what a report prints or sorts by: the phi rows and, on first use,
-the Phi rows.
+and tensoring with it permutes the simples.  phi_counts and Phi_counts
+hold each character once; a report or demo prints their values through
+cyclo.value_json and cyclo.value_text.
+
+cartan_via_endomorphisms recomputes C in the regular algebra kG, whose
+coordinates follow G.elements, with no character theory.
 """
 
 from fractions import Fraction
-from functools import cached_property
 from math import lcm
 
 from .config import default_seed
 from .cyclo import (
     QQ,
-    Cyc,
     convolve_into,
     root_combination,
     root_product,
     root_sum,
+    value_text,
 )
 from .errors import (
     InvariantViolated,
@@ -47,7 +49,7 @@ from .errors import (
     SingularPhi,
 )
 from .gf import gf_field, multiplicative_order, poly_divmod
-from .groups import PermGroup, _cayley, p_part
+from .groups import PermGroup, p_part, perm_inv, perm_mul
 from .lift import BrauerLift
 from .linalg import (
     Echelon,
@@ -75,16 +77,16 @@ def splitting_field(G: PermGroup, p: int):
 
 
 class SimpleModule:
-    """A simple kG-module with its Brauer character."""
+    """A simple kG-module; its Brauer character is the row of
+    BrauerData.phi_counts at its index."""
 
-    __slots__ = ("name", "index", "module", "dim", "phi")
+    __slots__ = ("name", "index", "module", "dim")
 
-    def __init__(self, name, index, module, phi):
+    def __init__(self, name, index, module):
         self.name = name
         self.index = index
         self.module = module
         self.dim = module.dim
-        self.phi = tuple(phi)
 
     def __repr__(self):
         return f"SimpleModule({self.name}, dim={self.dim})"
@@ -125,11 +127,11 @@ def _phi_value(lift, F, f):
     return tuple(counts)
 
 
-def _phi_sort_key(row):
-    """Descending-lex on numerators.  Every phi value is a sum of m-th
-    roots of unity with integer coefficients, so all share the conductor
-    m and denominator 1, and their numerators are their coordinates."""
-    return tuple(tuple(-c for c in v.num) for v in row)
+def _phi_sort_key(m, row):
+    """Descending-lex on the power-basis numerators of a row of root
+    counts.  Every phi value is a sum of m-th roots of unity with
+    integer coefficients, so its numerators are its coordinates."""
+    return tuple(tuple(-c for c in root_sum(m, v)) for v in row)
 
 
 class BrauerData:
@@ -154,15 +156,11 @@ class BrauerData:
         found = simple_modules(G, self.F, seed, self.class_reps)
         counts = [tuple(_phi_value(self.lift, self.F, f) for f in key)
                   for _, key in found]
-        rows = [tuple(Cyc.from_counts(self.m, c) for c in row)
-                for row in counts]
         order = sorted(range(len(found)),
                        key=lambda i: (found[i][0].dim,
-                                      _phi_sort_key(rows[i])))
-        self.simples = tuple(
-            SimpleModule(f"S{k + 1}", k, found[i][0], rows[i])
-            for k, i in enumerate(order))
-        self.phi = tuple(s.phi for s in self.simples)
+                                      _phi_sort_key(self.m, counts[i])))
+        self.simples = tuple(SimpleModule(f"S{k + 1}", k, found[i][0])
+                             for k, i in enumerate(order))
         # phi_counts[s][k] is the root count of phi_s at class k
         self.phi_counts = tuple(counts[i] for i in order)
         self._structure = None
@@ -218,12 +216,6 @@ class BrauerData:
                   for k in range(len(self.pregular)))
             for row in cartan)
         return cartan, Phi
-
-    @cached_property
-    def Phi(self):
-        """The Phi rows as Cyc values, for the report; built on first use."""
-        return tuple(tuple(Cyc.from_counts(self.m, v) for v in row)
-                     for row in self.Phi_counts)
 
     def _check_invariants(self):
         G, n = self.G, len(self.simples)
@@ -316,14 +308,13 @@ class BrauerData:
         classes in table order.  A coefficient that is not an integer
         raises NonIntegralDecomposition."""
         m, order = self.m, self.G.order
-        scale = Fraction(1, order)
         coeffs = []
         for S, acc in zip(self.simples, self._coefficient_counts(values)):
             total = root_sum(m, enumerate(acc))
             if any(total[1:]) or total[0] % order:
-                value = Cyc.from_counts(m, enumerate(acc)) * scale
                 raise NonIntegralDecomposition(
-                    f"coefficient of {S.name} is {value!r}")
+                    f"coefficient of {S.name} is "
+                    f"{value_text(m, enumerate(acc), order)}")
             coeffs.append(total[0] // order)
         return coeffs
 
@@ -359,12 +350,12 @@ def _regular_algebra(G: PermGroup, F):
     """(alg_mul, times_element) on kG, whose coordinates follow
     G.elements: the product of two algebra elements, and an algebra
     element times the group element of a given index."""
-    n = G.order
-    table = _cayley(G)
-    mul_table = table.mul
+    n, elements, index = G.order, G.elements, G._index
+    # mul_table[i][j] is the index of elements[i] * elements[j]
+    mul_table = [[index[perm_mul(x, y)] for y in elements] for x in elements]
     # left translation by element i moves coordinate j to mul[i][j], so
     # its inverse reads coordinate k from row inv(i) of the table
-    shifts = [mul_table[row.index(table.identity)] for row in mul_table]
+    shifts = [mul_table[index[perm_inv(x)]] for x in elements]
 
     def alg_mul(a, b):
         out = [0] * n

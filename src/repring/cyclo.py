@@ -11,10 +11,11 @@ numerators over the power basis 1, z, ..., z^(phi(m)-1).  That is where
 a Gram entry or a decomposition shows whether it is rational, and where
 ``lift.BrauerLift.reduce`` starts.
 
-``Cyc`` is only printed.  It is built from a root count where a report
-writes a value, stored as the tuple ``num`` of integer numerators over
-one positive denominator ``den`` in lowest terms, and may be scaled by
-a rational; it has no sum, product, inverse or comparison.  No floating
+A value is printed only at the edge, from its root count over a
+positive integer denominator: ``value_json`` gives the report's
+{"conductor", "num", "den"} object, one numerator and denominator per
+power-basis coordinate in lowest terms, and ``value_text`` the
+``Cyc(...)`` text that demos and error messages show.  No floating
 point is involved anywhere.
 
 ``QQ`` is the field object of ints and Fractions, so the shared
@@ -136,67 +137,22 @@ def convolve_into(acc, a, b, w=1):
             acc[(e + f) % m] += wx * y
 
 
-_new = object.__new__
-_set = object.__setattr__
+def value_json(m: int, counts, den: int = 1) -> dict:
+    """The report object of sum a zeta_m^e / den over a root count, for
+    a positive integer den: each power-basis coordinate's numerator and
+    denominator in lowest terms, a zero coordinate as 0/1."""
+    num = root_sum(m, counts)
+    gs = [math.gcd(c, den) for c in num]
+    return {"conductor": m,
+            "num": [c // g for c, g in zip(num, gs)],
+            "den": [den // g for g in gs]}
 
 
-def _raw(m, num, den):
-    """The Cyc num/den of conductor m; num/den must be in lowest terms."""
-    v = _new(Cyc)
-    _set(v, "m", m)
-    _set(v, "num", num)
-    _set(v, "den", den)
-    return v
-
-
-class Cyc:
-    """A value of Q(zeta_m) as a report prints it; immutable.  It is
-    built from a root count and may be scaled by a rational, and it has
-    no other arithmetic."""
-
-    __slots__ = ("m", "num", "den")
-
-    def __setattr__(self, *a):
-        raise AttributeError("Cyc is immutable")
-
-    @staticmethod
-    def from_counts(m: int, counts) -> "Cyc":
-        """The value sum a zeta_m^e of a root count."""
-        return _raw(m, root_sum(m, counts), 1)
-
-    def __mul__(self, other):
-        """A rational multiple, put in lowest terms."""
-        if not isinstance(other, (int, Fraction)):
-            return NotImplemented
-        n = other.numerator
-        num = [c * n for c in self.num]
-        den = self.den * other.denominator
-        g = math.gcd(den, *num)
-        return _raw(self.m, tuple([c // g for c in num]), den // g)
-
-    def _lowest_terms(self):
-        """(numerator, denominator) of each coordinate num[i]/den in lowest
-        terms, as Fraction would give them (0 is 0/1)."""
-        den = self.den
-        if den == 1:
-            return [(c, 1) for c in self.num]
-        out = []
-        for c in self.num:
-            g = math.gcd(c, den)
-            out.append((c // g, den // g))
-        return out
-
-    def to_json(self):
-        pairs = self._lowest_terms()
-        return {
-            "conductor": self.m,
-            "num": [n for n, _ in pairs],
-            "den": [d for _, d in pairs],
-        }
-
-    def __repr__(self):
-        coeffs = [Fraction(c, self.den) for c in self.num]
-        if not any(coeffs[1:]):
-            return f"Cyc({coeffs[0]})"
-        return "Cyc(" + " + ".join(f"{c}*z{self.m}^{i}" if i else f"{c}"
-                                   for i, c in enumerate(coeffs) if c) + ")"
+def value_text(m: int, counts, den: int = 1) -> str:
+    """The same value as text: Cyc(r) for a rational r, else the sum of
+    its non-zero terms c*zm^i, the constant term printed bare."""
+    coeffs = [Fraction(c, den) for c in root_sum(m, counts)]
+    if not any(coeffs[1:]):
+        return f"Cyc({coeffs[0]})"
+    return "Cyc(" + " + ".join(f"{c}*z{m}^{i}" if i else f"{c}"
+                               for i, c in enumerate(coeffs) if c) + ")"

@@ -7,7 +7,9 @@ U_x, the induction to G of the gamma of x R_x in R_x C_G(R_x) / R_x,
 inflated.  By second orthogonality U_x is read off the projective
 characters of G (see _u_from), so no quotient group is built.  Spans
 of the U_x over prefixes of the p-group catalog give the dimensions of
-the subquotient functors evaluated at G.
+the subquotient functors evaluated at G.  An element of kR_k(G) holds
+field coefficients only: gamma_exact gives gamma's coefficients before
+reduction, root counts over |C_G(x)|, for a report or demo to print.
 
 An Analysis holds one group's Brauer data, catalog and defect rows at
 one prime and seed, and the U of its rows, built and checked to be
@@ -15,11 +17,8 @@ independent once, on it rather than in a module-level cache.  Every span
 below is a set of rows, so its dimension is a count of rows.
 """
 
-from fractions import Fraction
-
 from .brauer import BrauerData, induce_class_function
 from .catalog import PGroupCatalog
-from .cyclo import Cyc
 from .errors import (
     CatalogTooSmall,
     DefectNotZeroInQuotient,
@@ -34,18 +33,15 @@ from .linalg import gf_rank
 class RkElement:
     """A vector in kR_k(G): one field coefficient per simple module."""
 
-    __slots__ = ("bd", "coeffs", "exact")
+    __slots__ = ("bd", "coeffs")
 
-    def __init__(self, bd: BrauerData, coeffs, exact=None):
+    def __init__(self, bd: BrauerData, coeffs):
         if len(coeffs) != len(bd.simples):
             raise InvariantViolated(
                 "defects", f"{len(coeffs)} coefficients for "
                 f"{len(bd.simples)} simple modules")
         self.bd = bd
         self.coeffs = tuple(coeffs)
-        # pre-reduction cyclotomic vector, kept for diagnostics when the
-        # element came from an exact construction
-        self.exact = None if exact is None else tuple(exact)
 
     def _check(self, other):
         if self.bd is not other.bd:
@@ -144,9 +140,10 @@ def defect_classification(bd: BrauerData,
     return Analysis(bd, catalog, rows)
 
 
-def gamma_element(bd: BrauerData, x) -> RkElement:
-    """gamma_{G,x} for a defect-zero x: coefficient at S is the
-    reduction of Phi_S(x^-1) / |C_G(x)|."""
+def gamma_exact(bd: BrauerData, x):
+    """(counts, c) for a defect-zero x: the coefficient of gamma_{G,x}
+    at S, before reduction, is Phi_S(x^-1) / c with c = |C_G(x)|, and
+    counts holds the root counts of the Phi_S(x^-1) in simple order."""
     G, p = bd.G, bd.p
     x = tuple(x)
     ci = G.class_index_of(x)
@@ -156,17 +153,21 @@ def gamma_element(bd: BrauerData, x) -> RkElement:
     if csize % p == 0:
         raise NotDefectZero(
             f"class has defect of order {p_part(csize, p)}, not zero")
-    k = bd._pos[ci]
-    scale = Fraction(1, csize)
-    exact = tuple(Cyc.from_counts(bd.m, P[bd._inv_pos[k]]) * scale
-                  for P in bd.Phi_counts)
-    return RkElement(bd, _phi_over(bd, k, csize), exact=exact)
+    inv = bd._inv_pos[bd._pos[ci]]
+    return tuple(P[inv] for P in bd.Phi_counts), csize
+
+
+def gamma_element(bd: BrauerData, x) -> RkElement:
+    """gamma_{G,x} for a defect-zero x: coefficient at S is the
+    reduction of Phi_S(x^-1) / |C_G(x)|."""
+    counts, c = gamma_exact(bd, x)
+    return RkElement(bd, tuple(bd.lift.reduce(v, c) for v in counts))
 
 
 def _phi_over(bd: BrauerData, k: int, c: int):
     """The reductions of Phi_S(x^-1) / c over the simples S, for x in
-    the p-regular class at position k: gamma with c = |C_G(x)|, U with
-    c = |C_H(x)|, which p may divide (see BrauerLift.reduce)."""
+    the p-regular class at position k: U with c = |C_H(x)|, which p may
+    divide (see BrauerLift.reduce)."""
     inv = bd._inv_pos[k]
     return tuple(bd.lift.reduce(P[inv], c) for P in bd.Phi_counts)
 

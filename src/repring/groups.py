@@ -12,7 +12,7 @@ element order of each class is computed once, for that sort, and kept
 (class_orders).
 
 A group offers what an analysis uses: classes, centralizers, Sylow
-subgroups, a Cayley table and an isomorphism fingerprint.  There is no
+subgroups and an isomorphism fingerprint.  There is no Cayley table,
 quotient, normality test, center, isomorphism or embedding search: U is
 read off the projective characters (defects._u_from), the p-group
 catalog states its embeddings and tells its classes apart by
@@ -31,10 +31,9 @@ log2 of its order elements, not from all of its elements.  Where the
 group already gives the answer no search runs: the centralizer of a
 central element is G, and a p-group is its own Sylow p-subgroup.
 
-The Cayley table over ``elements`` is built once per group, and only
-for the regular algebra that cartan_via_endomorphisms works in.  The
-isomorphism fingerprint (sorted element orders, class sizes and p-th
-root counts) needs no table, so it decides catalog lookups at any order.
+The isomorphism fingerprint (sorted element orders, class sizes and
+p-th root counts) needs no table of products, so it decides catalog
+lookups at any order.
 
 The named builders (cyclic, dihedral, symmetric, alternating,
 Heisenberg, direct product) and product specs of named groups know their
@@ -178,7 +177,6 @@ class PermGroup:
         self._classes = None
         self._class_orders = None
         self._class_of = None
-        self._table = None
         self._fp = None
         self._sylow = {}
 
@@ -523,46 +521,7 @@ def parse_group_spec(spec) -> PermGroup:
 
 
 # ---------------------------------------------------------------------
-# the Cayley table and the isomorphism fingerprint
-
-
-class CayleyTable:
-    """A group in index form: element i is ``G.elements[i]``.
-
-    ``mul[i][j]`` is the index of elements[i] * elements[j] and
-    ``identity`` the identity's index.
-    """
-
-    def __init__(self, G: PermGroup):
-        index = G._index
-        n = G.order
-        self.identity = index[G.identity]
-        # column j holds i -> index(x_i * y_j).  The closure's words are in
-        # breadth-first order, so y_j = y_k * gens[t] with column k built.
-        right = {}
-        cols = [None] * n
-        for e, w in G.words.items():
-            if not w:
-                cols[index[e]] = list(range(n))
-                continue
-            t = w[-1]
-            g = G.gens[t]
-            if t not in right:
-                right[t] = [index[perm_mul(x, g)] for x in G.elements]
-            rt = right[t]
-            parent = cols[index[perm_mul(e, perm_inv(g))]]
-            cols[index[e]] = [rt[c] for c in parent]
-        self.mul = tuple(zip(*cols))
-
-
-def _cayley(G: PermGroup) -> CayleyTable:
-    """G's index layer, built on first use and kept on G.  The table has
-    |G|^2 entries; it serves brauer's regular algebra, which
-    cartan_via_endomorphisms, meant for small groups, already works in
-    at dimension |G|."""
-    if G._table is None:
-        G._table = CayleyTable(G)
-    return G._table
+# the isomorphism fingerprint
 
 
 def _fingerprint(G: PermGroup):

@@ -10,10 +10,12 @@ import json
 
 from .brauer import BrauerData
 from .catalog import build_catalog, enumerate_closed_sets, is_completely_prime
+from .cyclo import value_json
 from .defects import (
     cartan_image_basis,
     defect_classification,
     filtration_table,
+    gamma_exact,
     genk_basis,
     u_element,
 )
@@ -38,8 +40,8 @@ def require_prime(p):
     return p
 
 
-def _cyc_row(values):
-    return [v.to_json() for v in values]
+def _cyc_row(m, counts_row, den=1):
+    return [value_json(m, v, den) for v in counts_row]
 
 
 def analyze_report(spec, p: int, max_p_order=None, seed=None) -> dict:
@@ -73,7 +75,7 @@ def analyze_report(spec, p: int, max_p_order=None, seed=None) -> dict:
     gamma_json = [{
         "class_index": r.class_index,
         "coeffs": list(g.coeffs),
-        "exact": _cyc_row(g.exact),
+        "exact": _cyc_row(bd.m, *gamma_exact(bd, r.rep)),
     } for r, g in zip(zero_rows, gammas)]
 
     u_json = [{
@@ -111,8 +113,8 @@ def analyze_report(spec, p: int, max_p_order=None, seed=None) -> dict:
         "conductor": bd.m,
         "classes": classes,
         "simple_dimensions": [s.dim for s in bd.simples],
-        "phi": [_cyc_row(row) for row in bd.phi],
-        "Phi": [_cyc_row(row) for row in bd.Phi],
+        "phi": [_cyc_row(bd.m, row) for row in bd.phi_counts],
+        "Phi": [_cyc_row(bd.m, row) for row in bd.Phi_counts],
         "cartan": [list(row) for row in bd.cartan],
         "elementary_divisors": list(bd.elementary_divisors()),
         "cartan_rank_mod_p": int_mat_rank_mod_p(

@@ -1,8 +1,9 @@
 """Arithmetic in Q(zeta_m) and the dense decomposition, as references.
 
-The package keeps character values as root counts and builds
-``cyclo.Cyc`` values only to print them, so a Cyc has no sum, product,
-inverse or comparison.  ``RefCyc`` is the value that has them here: one
+The package keeps character values as root counts and turns them into
+power-basis coordinates only to print them (``cyclo.value_json`` and
+``cyclo.value_text``), so it has no cyclotomic value with a sum,
+product, inverse or comparison.  ``RefCyc`` is that value here: one
 rational per power-basis coordinate, reduced by long division by the
 cyclotomic polynomial, and reduced to F_q one coordinate at a time.  On
 it stand the references that the root-count route is checked against:
@@ -55,8 +56,8 @@ def _over(m, nums, den):
 class RefCyc:
     """An element of Q(zeta_m): one rational per power-basis coordinate,
     an int where it is integral and a Fraction otherwise.  It compares
-    only with RefCyc values, ints and Fractions; a package Cyc is read
-    in with ``of`` or ``from_json`` first."""
+    only with RefCyc values, ints and Fractions; a package root count is
+    read in with ``from_counts``, a report's value with ``from_json``."""
 
     __slots__ = ("m", "coeffs", "_integral")
 
@@ -68,12 +69,10 @@ class RefCyc:
 
     @staticmethod
     def of(v) -> "RefCyc":
-        """The value of an int, a Fraction, a RefCyc or a package Cyc."""
+        """The value of an int, a Fraction or a RefCyc."""
         if isinstance(v, RefCyc):
             return v
-        if isinstance(v, (int, Fraction)):
-            return RefCyc(1, [v])
-        return RefCyc(v.m, [Fraction(n, v.den) for n in v.num])
+        return RefCyc(1, [v])
 
     @staticmethod
     def from_json(obj) -> "RefCyc":
@@ -196,7 +195,7 @@ def _convolve_into(acc, an, bn, w):
 
 
 def mul(a, b) -> RefCyc:
-    """The product of two values (RefCyc, Cyc, int or Fraction)."""
+    """The product of two values (RefCyc, int or Fraction)."""
     return RefCyc.of(a) * RefCyc.of(b)
 
 
@@ -227,8 +226,8 @@ def power(v, e: int) -> RefCyc:
 
 
 def dot(xs, ys) -> RefCyc:
-    """Sum of x * y over paired entries (each a RefCyc, Cyc, int or
-    Fraction), at the lcm of all the conductors: the products are summed
+    """Sum of x * y over paired entries (each a RefCyc, int or Fraction),
+    at the lcm of all the conductors: the products are summed
     as integer polynomials over one common denominator and reduced
     once."""
     pairs = [(RefCyc.of(x), RefCyc.of(y)) for x, y in zip(xs, ys)]
@@ -271,9 +270,9 @@ def cyc_row(m, counts_row):
     return [RefCyc.from_counts(m, c) for c in counts_row]
 
 
-def json_rows(rows):
-    """Rows of package Cyc values as their to_json objects."""
-    return [[v.to_json() for v in row] for row in rows]
+def cyc_rows(m, rows):
+    """Rows of root counts as rows of RefCyc values."""
+    return [cyc_row(m, row) for row in rows]
 
 
 def dual_table(bd):

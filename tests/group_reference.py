@@ -11,9 +11,9 @@ checks and C4oD8 construction of scripts/make_pgroup_data.py, which
 writes each bundled row's embeddings into the table.
 
 The embedding search works on element indices.  A group that takes part
-(at most ISO_ORDER_BOUND elements) gets, once, a SearchTable over its
-Cayley table with its element orders and greedy generating sequence;
-the backtracking search then does integer lookups only.
+(at most ISO_ORDER_BOUND elements) gets, once, a SearchTable with its
+Cayley table, element orders and greedy generating sequence; the
+backtracking search then does integer lookups only.
 """
 
 from math import lcm
@@ -22,7 +22,6 @@ from weakref import WeakKeyDictionary
 from repring.errors import NotSubgroup, OrderBoundExceeded
 from repring.groups import (
     PermGroup,
-    _cayley,
     _fingerprint,
     perm_inv,
     perm_mul,
@@ -39,8 +38,8 @@ class NotNormal(ValueError):
 
 class SearchTable:
     """What the search reads of G, by element index (element i is
-    ``G.elements[i]``): ``mul`` and ``identity`` from G's Cayley table,
-    ``orders[i]`` the order of element i, and ``by_order``, which maps an
+    ``G.elements[i]``): ``mul[i][j]``, the index of elements[i] *
+    elements[j], ``identity``, the identity's index, ``orders[i]`` the order of element i, and ``by_order``, which maps an
     element order to its indices in ascending order.  ``gens``/``sizes``
     are the greedy generating sequence: each generator is the first
     index outside the span of the earlier ones, and ``sizes[t]`` is the
@@ -48,8 +47,10 @@ class SearchTable:
     """
 
     def __init__(self, G: PermGroup):
-        table = _cayley(G)
-        self.mul, self.identity = table.mul, table.identity
+        index = G._index
+        self.mul = tuple(tuple(index[perm_mul(x, y)] for y in G.elements)
+                         for x in G.elements)
+        self.identity = index[G.identity]
         n = G.order
         self.orders = orders = tuple(map(perm_order, G.elements))
         self.by_order = {}

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from repring import brauer, cyclo, defects, linalg
+from repring import brauer, linalg
 from repring.brauer import (
     BrauerData,
     _block_idempotents,
@@ -15,9 +15,10 @@ from repring.brauer import (
     induce_class_function,
     splitting_field,
 )
-from repring.cyclo import Cyc, root_product
+from repring.cyclo import root_product, value_json
 from repring.catalog import build_catalog
 from repring.config import CHOP_RESEEDS
+from repring import defects
 from repring.defects import (
     _u_basis,
     cartan_image_basis,
@@ -30,6 +31,7 @@ from repring.errors import (
     NonIntegralDecomposition,
     NonSplitCharPoly,
     NotSubgroup,
+    SingularPhi,
 )
 from repring.gf import gf_field
 from repring.groups import (
@@ -57,10 +59,10 @@ from cyclo_reference import (
     CYC,
     RefCyc,
     cyc_row,
+    cyc_rows,
     decompose_by_dense_dot,
     dot,
     dual_table,
-    json_rows,
     mul,
 )
 from meataxe_reference import find_id_recipe, standard_form
@@ -135,9 +137,9 @@ def test_s4_mod3_tables():
 def test_a4_mod2_tables():
     bd = BrauerData(alternating_group(4), 2)
     assert [s.dim for s in bd.simples] == [1, 1, 1]
-    z, z2 = RefCyc.zeta(3).to_json(), RefCyc.zeta(3, 2).to_json()
-    one = RefCyc(3, [1, 0]).to_json()
-    assert json_rows(bd.phi[1:]) == [[one, z, z2], [one, z2, z]]
+    z, z2 = RefCyc.zeta(3), RefCyc.zeta(3, 2)
+    one = RefCyc(3, [1, 0])
+    assert cyc_rows(bd.m, bd.phi_counts[1:]) == [[one, z, z2], [one, z2, z]]
     assert bd.phi_counts[1] == (((0, 1),), ((1, 1),), ((2, 1),))
     assert bd.phi_counts[2] == (((0, 1),), ((2, 1),), ((1, 1),))
     assert bd.cartan == ((2, 1, 1), (1, 2, 1), (1, 1, 2))
@@ -226,7 +228,6 @@ def test_coprime_order_semisimple(G, p):
     assert bd.cartan == tuple(tuple(1 if i == j else 0 for j in range(n))
                               for i in range(n))
     assert bd.Phi_counts == bd.phi_counts
-    assert json_rows(bd.Phi) == json_rows(bd.phi)
 
 
 def test_phi_reduces_to_trace():
@@ -238,8 +239,9 @@ def test_phi_reduces_to_trace():
             tr = 0
             for i in range(s.dim):
                 tr = F.add(tr, mat[i][i])
-            assert bd.lift.reduce(bd.phi_counts[s.index][k]) == tr
-            assert RefCyc.of(s.phi[k]).reduce(bd.lift) == tr
+            counts = bd.phi_counts[s.index][k]
+            assert bd.lift.reduce(counts) == tr
+            assert RefCyc.from_counts(bd.m, counts).reduce(bd.lift) == tr
 
 
 def test_class_reps_have_the_shortest_words():
@@ -347,8 +349,7 @@ def test_phi_by_division_matches_factoring(spec, p):
     bd = BrauerData(parse_group_spec(spec), p, seed=1)
     F = bd.F
     for s in bd.simples:
-        for x, counts, value in zip(bd.class_reps, bd.phi_counts[s.index],
-                                    s.phi):
+        for x, counts in zip(bd.class_reps, bd.phi_counts[s.index]):
             mat = s.module.element_matrix(bd.G, x)
             o = perm_order(x)
             assert (F.q - 1) % o == 0
@@ -367,16 +368,22 @@ def test_phi_by_division_matches_factoring(spec, p):
                     == tuple(want) == counts)
             assert dot([n for _, n in want],
                        [RefCyc.zeta(bd.m, e) for e, _ in want]) == \
-                RefCyc.of(value)
+                RefCyc.from_counts(bd.m, counts)
 
 
 @pytest.mark.parametrize("spec, p", GOLDEN_ANALYZE)
 def test_phi_values_have_conductor_m_and_denominator_1(spec, p):
     """Every phi value is a root of unity or an integer combination of
     them, so its conductor is m and its denominator 1: _phi_sort_key
-    compares numerators on that ground."""
+    compares numerators on that ground, and they are the coordinates."""
     bd = BrauerData(parse_group_spec(spec), p, seed=1)
-    assert {(v.m, v.den) for row in bd.phi for v in row} == {(bd.m, 1)}
+    assert all(0 <= e < bd.m and type(a) is int
+               for row in bd.phi_counts for v in row for e, a in v)
+    for row in bd.phi_counts:
+        coords = [RefCyc.from_counts(bd.m, v).coeffs for v in row]
+        assert all(type(c) is int for v in coords for c in v)
+        assert _phi_sort_key(bd.m, row) == tuple(
+            tuple(-c for c in v) for v in coords)
 
 
 def test_brauer_data_factors_charpolys_only_inside_simple_modules(
@@ -475,7 +482,7 @@ def projectives_by_inverse(bd):
     """(Phi, C): Phi by inverting the table of phi weighted by class
     sizes over the inverse classes, C by pairing the Phi rows."""
     n, order = len(bd.simples), bd.G.order
-    table = [[RefCyc.of(bd.phi[s][bd._inv_pos[i]])
+    table = [[RefCyc.from_counts(bd.m, bd.phi_counts[s][bd._inv_pos[i]])
               * Fraction(bd.class_sizes[i], order)
               for s in range(n)] for i in range(n)]
     Phi = [[RefCyc.of(v).promote(bd.m) for v in row]
@@ -535,14 +542,14 @@ def simples_by_standard_form(G, F, seed, count):
 
 
 def structure_by_decompose(bd, dual=None):
-    """Every product of two simples multiplied over the printed phi
-    values, read as RefCyc values.  The product with a linear simple
+    """Every product of two simples multiplied over the phi values, read
+    as RefCyc values.  The product with a linear simple
     must be another simple's phi row, which is what decomposing it would
     show, since the phi rows are a basis; any other product is
     decomposed by the dense dot against dual, dual_table(bd) when not
     given.  The product is commutative, so (t, s) repeats (s, t)."""
     n, dual = len(bd.simples), dual or dual_table(bd)
-    rows = [[RefCyc.of(v) for v in row] for row in bd.phi]
+    rows = cyc_rows(bd.m, bd.phi_counts)
     table = [[None] * n for _ in range(n)]
     for s in range(n):
         for t in range(s, n):
@@ -578,25 +585,26 @@ def test_brauer_data_matches_reference_routes(spec, p):
     G = parse_group_spec(spec)
     bd = BrauerData(G, p, seed=1)
     Phi, cartan = projectives_by_inverse(bd)
-    assert json_rows(bd.Phi) == json_rows(Phi)
+    assert cyc_rows(bd.m, bd.Phi_counts) == Phi
     assert bd.cartan == cartan
     modules = simples_by_standard_form(G, bd.F, 1, len(bd.pregular))
-    rows = sorted(((mod.dim, [Cyc.from_counts(bd.m, _phi_value(
+    rows = sorted(((mod.dim, [_phi_value(
                       bd.lift, bd.F, gf_charpoly(
-                          bd.F, mod.element_matrix(G, x))))
+                          bd.F, mod.element_matrix(G, x)))
                       for x in bd.class_reps]) for mod in modules),
-                  key=lambda pair: (pair[0], _phi_sort_key(pair[1])))
-    assert json_rows(row for _, row in rows) == json_rows(bd.phi)
+                  key=lambda pair: (pair[0], _phi_sort_key(bd.m, pair[1])))
+    assert cyc_rows(bd.m, (row for _, row in rows)) == \
+        cyc_rows(bd.m, bd.phi_counts)
     dual = dual_table(bd)
     assert bd.structure_constants() == structure_by_decompose(bd, dual)
     # each root count of decompose, over |G|, prints as the dense dot's
     # value, and decompose returns it where it is an integer and raises
     # where one is not
     for values in decompose_inputs(bd):
-        got = [Cyc.from_counts(bd.m, enumerate(acc)) * Fraction(1, G.order)
+        got = [value_json(bd.m, enumerate(acc), G.order)
                for acc in bd._coefficient_counts(values)]
         want = decompose_by_dense_dot(bd, cyc_row(bd.m, values), dual)
-        assert json_rows([got]) == json_rows([want])
+        assert got == [w.to_json() for w in want]
         if all(c.as_rational() is not None
                and c.as_rational().denominator == 1 for c in want):
             assert bd.decompose(values) == [c.as_rational() for c in want]
@@ -647,34 +655,39 @@ def test_irrational_gram_entry_raises_non_integral_cartan():
 def test_character_arithmetic_builds_no_cyc(monkeypatch):
     """The Gram matrix, Cartan matrix, Phi, the integral decompositions,
     the structure constants, the gamma and U vectors and the checks of
-    cartan_image_basis run on root counts: no Cyc value is built but
-    each gamma's exact, so none is summed, compared or multiplied."""
+    cartan_image_basis run on root counts: none of them prints a value
+    as Cyc text, which brauer does only for a non-integral coefficient,
+    and defects imports no printer."""
     bd = BrauerData(alternating_group(5), 2, 1)
     a = defect_classification(bd, build_catalog(2))
-    real, exact = cyclo._raw, []
 
     def refuse(*args):
-        frame = sys._getframe(1)
-        while frame and frame.f_code is not defects.gamma_element.__code__:
-            frame = frame.f_back
-        if frame is None:
-            raise AssertionError("a Cyc value was built")
-        exact.append(args)
-        return real(*args)
+        raise AssertionError("a value was printed")
 
-    monkeypatch.setattr(cyclo, "_raw", refuse)
+    monkeypatch.setattr(brauer, "value_text", refuse)
+    assert not {"value_text", "value_json"} & set(vars(defects))
     assert bd._cartan_and_projectives() == (bd.cartan, bd.Phi_counts)
     regular = [((0, bd.G.order),)] + [()] * (len(bd.pregular) - 1)
     assert bd.decompose(regular) == list(bd.composition_multiplicities)
     bd.structure_constants()
     assert len(_u_basis(a)) == len(bd.pregular)
-    assert not exact
-    gammas = cartan_image_basis(bd)
-    # from_counts and the rational multiple, per simple, per gamma
-    assert gammas and len(exact) == 2 * len(gammas) * len(bd.simples)
-    assert all(isinstance(v, Cyc) for g in gammas for v in g.exact)
-    with pytest.raises(AssertionError, match="Cyc value was built"):
-        Cyc.from_counts(3, ((1, 1),))
+    assert cartan_image_basis(bd)
+    with pytest.raises(AssertionError, match="value was printed"):
+        bd.decompose([((0, 1),)] + [()] * (len(bd.pregular) - 1))
+
+
+def test_duplicated_simple_raises_singular_phi(monkeypatch):
+    """A simple found twice, in place of one that is missing, makes the
+    phi table singular: its Gram matrix has no inverse."""
+    real = brauer.simple_modules
+
+    def duplicated(*args):
+        found = real(*args)
+        return found[:-1] + found[:1]
+
+    monkeypatch.setattr(brauer, "simple_modules", duplicated)
+    with pytest.raises(SingularPhi, match="singular"):
+        BrauerData(symmetric_group(4), 3)
 
 
 def test_linear_tensor_product_outside_the_simples_raises():

@@ -5,7 +5,7 @@ import re
 
 import pytest
 
-from group_reference import embeds_into
+from group_reference import _TABLES, embeds_into
 from repring import groups as groups_module
 from repring.catalog import (
     KNOWN_COUNTS,
@@ -350,8 +350,8 @@ def test_catalog_below_order_1_is_empty():
 
 def test_lookup_by_unique_fingerprint_runs_no_search():
     """A fingerprint that one entry of the complete catalog holds names
-    the class; the lookup builds no Cayley table, and the package has no
-    search to run."""
+    the class; the lookup builds no search table (a Cayley table), and
+    the package has no search to run."""
     assert not any(hasattr(groups_module, name) for name in SEARCH_NAMES)
     cat = build_catalog(2, 16)
     for P, label in ((symmetric_group(4).sylow_subgroup(2), "D8"),
@@ -360,7 +360,7 @@ def test_lookup_by_unique_fingerprint_runs_no_search():
                      (direct_product(cyclic_group(8), cyclic_group(2)),
                       "C8xC2")):
         assert cat.label(cat.index_of_isomorphic(P)) == label
-        assert P._table is None
+        assert P not in _TABLES
 
 
 # the order-16 pairs that element orders and class sizes alone do not

@@ -7,13 +7,14 @@ from hypothesis import example, given, settings, strategies as st
 
 from repring.cyclo import (
     QQ,
-    Cyc,
     conductor_degree,
     convolve_into,
     cyclotomic_poly,
     root_combination,
     root_product,
     root_sum,
+    value_json,
+    value_text,
 )
 from repring.errors import NotPLocal
 from repring.gf import gf_field, multiplicative_order, poly_mul
@@ -82,11 +83,10 @@ def test_rational_detection():
 
 
 def test_scalar_mix():
-    z8 = Cyc.from_counts(8, ((1, 1),))
-    v = z8 * Fraction(1, 2) * 2
-    assert (v.num, v.den) == (z8.num, z8.den)
-    assert v.to_json() == z8.to_json() == RefCyc.zeta(8).to_json()
-    assert (z8 * Fraction(3, 4)).to_json() == \
+    # a count times k over k prints as the count
+    z8 = value_json(8, ((1, 1),))
+    assert value_json(8, ((1, 2),), 2) == z8 == RefCyc.zeta(8).to_json()
+    assert value_json(8, ((1, 3),), 4) == \
         (RefCyc.zeta(8) * Fraction(3, 4)).to_json()
 
 
@@ -98,16 +98,11 @@ def test_inverse_and_division():
         assert power(v, -1) == w
     with pytest.raises(ZeroDivisionError):
         inverse(RefCyc(1, [0]))
-    # a rational multiple is the only product of the printed value
-    z = Cyc.from_counts(3, ((1, 1),))
-    with pytest.raises(TypeError):
-        z * z
 
 
 def test_json_roundtrip():
     counts = ((0, -3), (5, 14))
-    v = Cyc.from_counts(12, counts) * Fraction(1, 21)
-    obj = v.to_json()
+    obj = value_json(12, counts, 21)
     assert obj["conductor"] == 12
     assert RefCyc.from_json(obj) == \
         RefCyc.from_counts(12, counts) * Fraction(1, 21)
@@ -193,20 +188,34 @@ def test_reduce_rejects_non_local():
     assert L.reduce(((0, 1), (1, 1), (2, 1)), 2) == 0
 
 
-def assert_lowest_terms(v: Cyc):
-    assert type(v.den) is int and v.den > 0
-    assert all(type(c) is int for c in v.num)
-    assert len(v.num) == conductor_degree(v.m)
-    assert math.gcd(v.den, *v.num) == 1  # so zero has den == 1
+def text_coeffs(m, text):
+    """The power-basis coordinates that value_text's text names: a
+    rational r as Cyc(r), else the non-zero terms c*zm^i joined by +,
+    the constant term bare."""
+    assert text.startswith("Cyc(") and text.endswith(")")
+    out = [0] * conductor_degree(m)
+    terms = text[4:-1].split(" + ")
+    for term in terms:
+        c, _, i = term.partition(f"*z{m}^")
+        out[int(i or 0)] += Fraction(c)
+    assert len(terms) == max(1, sum(map(bool, out)))
+    return out
 
 
-def assert_matches(v: Cyc, ref: RefCyc):
-    """The printed value v is ref: same conductor, lowest terms, and the
-    same JSON as the one-Fraction-per-coordinate route."""
-    assert_lowest_terms(v)
-    assert v.m == ref.m
-    assert RefCyc.of(v) == ref
-    assert v.to_json() == ref.to_json()
+def assert_matches(m, counts, den, ref: RefCyc):
+    """sum a zeta_m^e / den over counts prints as ref: the report object
+    holds each coordinate in lowest terms, a zero as 0/1, and is ref's
+    JSON, one Fraction per coordinate; the text names ref's
+    coordinates."""
+    obj = value_json(m, counts, den)
+    assert obj["conductor"] == ref.m == m
+    assert len(obj["num"]) == len(obj["den"]) == conductor_degree(m)
+    for n, d in zip(obj["num"], obj["den"]):
+        assert type(n) is int and type(d) is int and d > 0
+        assert math.gcd(n, d) == 1  # so zero is 0/1
+    assert RefCyc.from_json(obj) == ref
+    assert obj == ref.to_json()
+    assert text_coeffs(m, value_text(m, counts, den)) == list(ref.coeffs)
 
 
 property_conductors = st.sampled_from([1, 2, 3, 4, 5, 6, 8, 12, 15])
@@ -223,31 +232,35 @@ def root_counts(draw, m):
 
 @st.composite
 def printed_values(draw, m=None):
-    """(Cyc, RefCyc) pairs of one value: a root count over a positive
-    integer, sparse too, so that rational and zero values turn up."""
+    """(m, counts, den, RefCyc) of one value: a root count over a
+    positive integer, sparse too, so that rational and zero values and
+    zero coordinates turn up."""
     if m is None:
         m = draw(property_conductors)
     counts = draw(root_counts(m))
-    c = draw(st.integers(1, 12))
-    return (Cyc.from_counts(m, counts) * Fraction(1, c),
-            RefCyc.from_counts(m, counts) * Fraction(1, c))
+    den = draw(st.integers(1, 12))
+    return m, counts, den, RefCyc.from_counts(m, counts) * Fraction(1, den)
 
 
 @settings(max_examples=150, deadline=None)
 @given(printed_values())
-@example((Cyc.from_counts(4, ((1, -3),)) * Fraction(1, 6),
-          RefCyc(4, [0, Fraction(-3, 6)])))
-@example((Cyc.from_counts(6, ()), RefCyc(6, [0, 0])))
-def test_json_matches_the_fraction_route(pair):
-    """to_json reduces each num[i]/den by one gcd, and takes none when
-    den is 1; the Fraction per coordinate it does not build gives the
-    same pairs, with a zero coordinate as 0/1."""
-    v, ref = pair
-    coeffs = [Fraction(c, v.den) for c in v.num]
-    assert v.to_json() == {"conductor": v.m,
-                           "num": [c.numerator for c in coeffs],
-                           "den": [c.denominator for c in coeffs]}
-    assert v.to_json() == ref.to_json()
+@example((4, ((1, -3),), 6, RefCyc(4, [0, Fraction(-3, 6)])))
+@example((6, (), 1, RefCyc(6, [0, 0])))
+@example((6, (), 5, RefCyc(6, [0, 0])))
+@example((12, ((0, 4), (3, 6)), 8,
+          RefCyc(12, [Fraction(1, 2), 0, 0, Fraction(3, 4)])))
+def test_json_matches_the_fraction_route(value):
+    """value_json reduces each coordinate over den by one gcd; the
+    Fraction per coordinate it does not build gives the same pairs,
+    with a zero coordinate as 0/1, and value_text names the same
+    coordinates."""
+    m, counts, den, ref = value
+    coeffs = [Fraction(c, den) for c in root_sum(m, counts)]
+    assert value_json(m, counts, den) == {
+        "conductor": m,
+        "num": [c.numerator for c in coeffs],
+        "den": [c.denominator for c in coeffs]}
+    assert_matches(m, counts, den, ref)
 
 
 @settings(max_examples=150, deadline=None)
@@ -257,13 +270,11 @@ def test_arithmetic_matches_fraction_reference(m, data):
     are those of the Fraction reference."""
     a, b = data.draw(root_counts(m)), data.draw(root_counts(m))
     ra, rb = RefCyc.from_counts(m, a), RefCyc.from_counts(m, b)
-    assert_matches(Cyc.from_counts(m, a), ra)
-    assert_matches(Cyc.from_counts(m, root_combination(((1, a), (1, b)))),
-                   ra + rb)
-    assert_matches(Cyc.from_counts(m, root_combination(((1, a), (-1, b)))),
-                   ra - rb)
-    assert_matches(Cyc.from_counts(m, root_combination(((-1, a),))), -ra)
-    assert_matches(Cyc.from_counts(m, root_product(m, a, b)), mul(ra, rb))
+    assert_matches(m, a, 1, ra)
+    assert_matches(m, root_combination(((1, a), (1, b))), 1, ra + rb)
+    assert_matches(m, root_combination(((1, a), (-1, b))), 1, ra - rb)
+    assert_matches(m, root_combination(((-1, a),)), 1, -ra)
+    assert_matches(m, root_product(m, a, b), 1, mul(ra, rb))
     if rb:
         q = mul(ra, inverse(rb))
         assert mul(q, rb) == ra
@@ -271,9 +282,12 @@ def test_arithmetic_matches_fraction_reference(m, data):
 
 @settings(max_examples=100, deadline=None)
 @given(printed_values(), st.one_of(st.integers(-30, 30), property_fractions))
-def test_scalar_product_matches_reference(pair, c):
-    v, ref = pair
-    assert_matches(v * c, ref * c)
+def test_scalar_product_matches_reference(value, c):
+    """A rational multiple n/d of a count over den prints as the count
+    times n over den d, in lowest terms."""
+    m, counts, den, ref = value
+    n, d = c.numerator, c.denominator
+    assert_matches(m, [(e, a * n) for e, a in counts], den * d, ref * c)
 
 
 @settings(max_examples=100, deadline=None)
@@ -283,9 +297,10 @@ def test_promote_matches_reference(m, k, data):
     exponents times k; reduced there, it is the promoted value."""
     counts = data.draw(root_counts(m))
     big = m * k
-    up = Cyc.from_counts(big, [(e * k, a) for e, a in counts])
-    assert_matches(up, RefCyc.from_counts(m, counts).promote(big))
-    assert RefCyc.of(up) == RefCyc.from_counts(m, counts)
+    up = [(e * k, a) for e, a in counts]
+    assert_matches(big, up, 1, RefCyc.from_counts(m, counts).promote(big))
+    assert RefCyc.from_json(value_json(big, up)) == \
+        RefCyc.from_counts(m, counts)
 
 
 @settings(max_examples=60, deadline=None)
@@ -295,8 +310,8 @@ def test_promote_matches_reference(m, k, data):
 def test_dot_matches_reference(pairs):
     """The reference dot, reduced once, is the running sum of products,
     each reduced, at the lcm of the operands' conductors."""
-    xs = [x for (_, x), _ in pairs]
-    ys = [y if isinstance(y, int) else y[1] for _, y in pairs]
+    xs = [x[-1] for x, _ in pairs]
+    ys = [y if isinstance(y, int) else y[-1] for _, y in pairs]
     total = RefCyc(1, [0])
     for x, y in zip(xs, ys):
         total = total + mul(x, y)
@@ -362,14 +377,27 @@ def test_lift_reduce_not_p_local_in_one_coordinate():
 
 
 def test_lowest_terms_examples():
-    v = Cyc.from_counts(4, ((0, 2), (1, 3))) * Fraction(1, 4)
-    assert (v.num, v.den) == ((2, 3), 4)
-    zero = Cyc.from_counts(4, ())
-    assert (zero.num, zero.den) == ((0, 0), 1)
-    assert ((zero * 5).num, (zero * 5).den) == ((0, 0), 1)
-    assert (v * 4).den == 1 and (v * 4).num == (2, 3)
-    with pytest.raises(AttributeError):
-        v.num = (1, 2)
+    cases = [
+        # (m, counts, den, json num, json den, text)
+        (4, ((0, 2), (1, 3)), 4, [1, 3], [2, 4], "Cyc(1/2 + 3/4*z4^1)"),
+        (4, ((0, 2), (1, 3)), 1, [2, 3], [1, 1], "Cyc(2 + 3*z4^1)"),
+        (4, (), 1, [0, 0], [1, 1], "Cyc(0)"),
+        (4, (), 5, [0, 0], [1, 1], "Cyc(0)"),
+        (4, ((1, 6),), 4, [0, 3], [1, 2], "Cyc(3/2*z4^1)"),
+        (3, ((0, 1), (1, 1)), 1, [1, 1], [1, 1], "Cyc(1 + 1*z3^1)"),
+        # 1 + z3 + z3^2 = 0, and -z3^2 = 1 + z3
+        (3, ((0, 1), (1, 1), (2, 1)), 7, [0, 0], [1, 1], "Cyc(0)"),
+        (3, ((2, -2),), 6, [1, 1], [3, 3], "Cyc(1/3 + 1/3*z3^1)"),
+        (1, ((0, 1),), 3, [1], [3], "Cyc(1/3)"),
+        (1, ((0, -6),), 4, [-3], [2], "Cyc(-3/2)"),
+    ]
+    for m, counts, den, num, dens, text in cases:
+        assert value_json(m, counts, den) == {"conductor": m, "num": num,
+                                              "den": dens}
+        assert value_text(m, counts, den) == text
+        ref = RefCyc.from_counts(m, counts) * Fraction(1, den)
+        assert value_json(m, counts, den) == ref.to_json()
+        assert text_coeffs(m, text) == list(ref.coeffs)
 
 
 # --- root counts: character values as (exponent, multiplicity) pairs,
@@ -396,7 +424,7 @@ def test_root_counts_match_the_cyc_reference(m, data):
     # one reduction of a root count is the value sum a zeta^e
     for a, v in zip(xs, cx):
         assert root_sum(m, a) == v.coeffs
-        assert_matches(Cyc.from_counts(m, a), v)
+        assert_matches(m, a, 1, v)
     # a product of counts is the product of the values
     for a, b, u, v in zip(xs, ys, cx, cy):
         assert RefCyc.from_counts(m, root_product(m, a, b)) == mul(u, v)
@@ -417,27 +445,3 @@ def test_root_counts_match_the_cyc_reference(m, data):
     c = data.draw(st.integers(1, 50).filter(lambda c: c % lift.F.p))
     for a, v in zip(xs, cx):
         assert lift.reduce(a, c) == (v * Fraction(1, c)).reduce(lift)
-
-
-def test_a_verify_run_reaches_only_the_printing_methods_of_cyc(monkeypatch):
-    """A Cyc is only printed: verify at p = 2, 3 builds values from root
-    counts, scales gamma's by rationals and writes them, and reaches no
-    other method of the class."""
-    from repring.verify import run_verify
-
-    reached = set()
-
-    def recorded(name, f):
-        def call(*args, **kwargs):
-            reached.add(name)
-            return f(*args, **kwargs)
-        return call
-
-    for name, attr in list(vars(Cyc).items()):
-        if isinstance(attr, staticmethod):
-            monkeypatch.setattr(Cyc, name,
-                                staticmethod(recorded(name, attr.__func__)))
-        elif callable(attr):
-            monkeypatch.setattr(Cyc, name, recorded(name, attr))
-    assert run_verify(primes=[2, 3], seed=1)["all_pass"] is True
-    assert reached == {"from_counts", "__mul__", "to_json", "_lowest_terms"}

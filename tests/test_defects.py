@@ -8,7 +8,6 @@ import pytest
 from repring import defects, groups
 from repring.brauer import BrauerData, induce_class_function
 from repring.catalog import build_catalog, enumerate_closed_sets
-from repring.cyclo import Cyc
 from repring.defects import (
     RkElement,
     _indicator_check,
@@ -18,6 +17,7 @@ from repring.defects import (
     defect_classification,
     filtration_table,
     gamma_element,
+    gamma_exact,
     genk_basis,
     product_group_check,
     rk_basis_element,
@@ -49,11 +49,17 @@ from repring.report import analyze_report
 from cyclo_reference import (
     RefCyc,
     decompose_by_dense_dot,
+    cyc_rows,
     dot,
     dual_table,
-    json_rows,
 )
 from group_reference import centralizer_of_subgroup, quotient_group
+
+
+def gamma_values(bd, x):
+    """gamma_{G,x} before reduction, as RefCyc values."""
+    counts, c = gamma_exact(bd, x)
+    return [RefCyc.from_counts(bd.m, v) * Fraction(1, c) for v in counts]
 
 
 CAT2 = build_catalog(2, 8)
@@ -83,13 +89,13 @@ def u_by_quotient(a, x, R, cache=None):
     if key not in cache:
         Hbar, proj = quotient_group(H, R)
         bq = BrauerData(Hbar, p, bd.seed)
-        columns = list(zip(*([RefCyc.of(v) for v in row] for row in bq.phi)))
+        columns = list(zip(*cyc_rows(bq.m, bq.phi_counts)))
         cache[key] = Hbar, proj, bq, columns
     Hbar, proj, bq, columns = cache[key]
     xbar = proj[tuple(x)]
     if Hbar.centralizer(xbar).order % p == 0:
         raise DefectNotZeroInQuotient("image of x has positive defect")
-    gamma = [RefCyc.of(v) for v in gamma_element(bq, xbar).exact]
+    gamma = gamma_values(bq, xbar)
     vals = {}
     for h in H.elements:
         if perm_order(h) % p:
@@ -160,11 +166,11 @@ def test_defect_sylow_is_of_centralizer():
 def test_gamma_s3_examples():
     g = gamma_element(BrauerData(symmetric_group(3), 2), (1, 2, 0))
     assert g.coeffs == (0, 1)
-    assert [RefCyc.of(v).as_rational() for v in g.exact] == \
+    assert [v.as_rational() for v in gamma_values(g.bd, (1, 2, 0))] == \
         [Fraction(2, 3), Fraction(-1, 3)]
     g = gamma_element(BrauerData(symmetric_group(3), 3), (1, 0, 2))
     assert g.coeffs == (2, 1)
-    assert [RefCyc.of(v).as_rational() for v in g.exact] == \
+    assert [v.as_rational() for v in gamma_values(g.bd, (1, 0, 2))] == \
         [Fraction(1, 2), Fraction(-1, 2)]
 
 
@@ -566,10 +572,10 @@ def test_inflation_matches_direct_chop():
     bh = BrauerData(H, 2)
     bq = BrauerData(Hbar, 2)
     assert len(bh.simples) == len(bq.simples)
-    direct = json_rows(bh.phi)
-    inflated = json_rows(
+    direct = cyc_rows(bh.m, bh.phi_counts)
+    inflated = cyc_rows(bq.m, (
         [row[bq._pos[Hbar.class_index_of(proj[x])]] for x in bh.class_reps]
-        for row in bq.phi)
+        for row in bq.phi_counts))
     for row in inflated:
         assert direct.count(row) == 1
 
@@ -595,13 +601,18 @@ def test_product_group_preconditions():
         product_group_check(cyclic_group(3), symmetric_group(3), 2, CAT2)
 
 
-def test_rk_element_exact_is_optional():
-    bd = BrauerData(symmetric_group(3), 2)
-    v = rk_basis_element(bd, 0)
-    assert v.exact is None
-    g = gamma_element(bd, (1, 2, 0))
-    assert g.exact is not None
-    assert all(isinstance(c, Cyc) for c in g.exact)
+def test_gamma_exact_reduces_to_gamma():
+    """gamma_exact gives the root counts and the denominator |C_G(x)|
+    whose reductions are gamma_element's coefficients, at every
+    defect-zero class."""
+    for spec, p in (("S3", 2), ("S4", 3), ("A5", 2), ("A5", 5)):
+        bd = BrauerData(parse_group_spec(spec), p, seed=1)
+        for x in bd.class_reps:
+            c = bd.G.centralizer_order(x)
+            if c % p:
+                assert gamma_exact(bd, x)[1] == c
+                assert tuple(v.reduce(bd.lift) for v in gamma_values(bd, x)) \
+                    == gamma_element(bd, x).coeffs
 
 
 def test_tampered_inputs_raise_invariant_violated():

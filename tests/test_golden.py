@@ -4,8 +4,11 @@ tests/golden/reports.json maps an op id to the sha256 of the canonical
 report that op prints, with its "seed" key removed; the exactness
 contract makes that digest the same at every seed.  A verify report
 also drops the detail of its "same seed" checks, a byte count that
-counts the seed's digits (as perfbench/digests.json does).  A change that is
-meant to alter a report regenerates the file with
+counts the seed's digits (as perfbench/digests.json does).
+tests/golden/demos.json maps each script under demos/ to the sha256 of
+what it prints, so a change in how a value prints shows there too.  A
+change that is meant to alter a report or a demo's output regenerates
+both files with
 
     PYTHONPATH=src python3 tests/test_golden.py
 """
@@ -13,15 +16,20 @@ meant to alter a report regenerates the file with
 import hashlib
 import json
 import os
+import subprocess
 import sys
 
 import pytest
 
+import repring
 from repring.report import analyze_report, lattice_report, to_canonical_json
 from repring.verify import run_verify
 
-GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)),
-                      "golden", "reports.json")
+HERE = os.path.dirname(os.path.abspath(__file__))
+GOLDEN = os.path.join(HERE, "golden", "reports.json")
+GOLDEN_DEMOS = os.path.join(HERE, "golden", "demos.json")
+DEMOS = os.path.join(os.path.dirname(HERE), "demos")
+DEMO_NAMES = sorted(n for n in os.listdir(DEMOS) if n.endswith(".py"))
 
 OPS = {
     **{f"analyze {g} p2": ("analyze", g, 2)
@@ -89,13 +97,37 @@ def report_digest(op_id, seed):
     return hashlib.sha256(to_canonical_json(report)).hexdigest()
 
 
-def _golden():
-    with open(GOLDEN, encoding="ascii") as fh:
+def demo_digest(name):
+    """sha256 of the stdout of demos/name, run in a fresh interpreter on
+    the repring package under test, with this one's -O level."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(repring.__file__)))
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ,
+               PYTHONPATH=src if not path else src + os.pathsep + path)
+    out = subprocess.run(
+        [sys.executable] + ["-O"] * sys.flags.optimize
+        + [os.path.join(DEMOS, name)],
+        env=env, stdout=subprocess.PIPE, check=True).stdout
+    return hashlib.sha256(out).hexdigest()
+
+
+def _golden(path=GOLDEN):
+    with open(path, encoding="ascii") as fh:
         return json.load(fh)
+
+
+def _write(path, digests):
+    with open(path, "w", encoding="ascii") as fh:
+        json.dump(digests, fh, indent=1, sort_keys=True)
+        fh.write("\n")
 
 
 def test_golden_covers_every_op():
     assert sorted(_golden()) == sorted(OPS)
+
+
+def test_golden_covers_every_demo():
+    assert sorted(_golden(GOLDEN_DEMOS)) == DEMO_NAMES
 
 
 @pytest.mark.parametrize("op_id", sorted(OPS))
@@ -108,9 +140,12 @@ def test_golden_report_seed_7(op_id):
     assert report_digest(op_id, 7) == _golden()[op_id]
 
 
+@pytest.mark.parametrize("name", DEMO_NAMES)
+def test_golden_demo_stdout(name):
+    assert demo_digest(name) == _golden(GOLDEN_DEMOS)[name]
+
+
 if __name__ == "__main__":
-    digests = {op_id: report_digest(op_id, 1) for op_id in sorted(OPS)}
-    with open(GOLDEN, "w", encoding="ascii") as fh:
-        json.dump(digests, fh, indent=1, sort_keys=True)
-        fh.write("\n")
+    _write(GOLDEN, {op_id: report_digest(op_id, 1) for op_id in sorted(OPS)})
+    _write(GOLDEN_DEMOS, {name: demo_digest(name) for name in DEMO_NAMES})
     sys.exit(0)
