@@ -25,7 +25,10 @@ hold each character once; a report or demo prints their values through
 cyclo.value_json and cyclo.value_text.
 
 cartan_via_endomorphisms recomputes C in the regular algebra kG, whose
-coordinates follow G.elements, with no character theory.
+coordinates follow G.elements, with no character theory.  kG acts on
+itself by left and right translations, each a permutation of
+coordinates; one rref gives a preimage of every block identity, and
+ranks of translated idempotents give the Hom dimensions.
 """
 
 from fractions import Fraction
@@ -54,9 +57,10 @@ from .lift import BrauerLift
 from .linalg import (
     Echelon,
     gf_mat_inv,
+    gf_matmul,
     gf_rank,
-    gf_solve,
-    gf_transpose,
+    gf_rref,
+    gf_vec_mat,
     smith_normal_form,
 )
 from .meataxe import simple_modules
@@ -346,68 +350,71 @@ def induce_class_function(G: PermGroup, H: PermGroup, values,
             for ci in class_indices]
 
 
-def _regular_algebra(G: PermGroup, F):
-    """(alg_mul, times_element) on kG, whose coordinates follow
-    G.elements: the product of two algebra elements, and an algebra
-    element times the group element of a given index."""
-    n, elements, index = G.order, G.elements, G._index
-    # mul_table[i][j] is the index of elements[i] * elements[j]
-    mul_table = [[index[perm_mul(x, y)] for y in elements] for x in elements]
-    # left translation by element i moves coordinate j to mul[i][j], so
-    # its inverse reads coordinate k from row inv(i) of the table
-    shifts = [mul_table[index[perm_inv(x)]] for x in elements]
+def _regular_algebra(G: PermGroup):
+    """(left, right) translation maps of kG, whose coordinates follow
+    G.elements: row g of left(a) is g a and row g of right(a) is a g.
 
-    def alg_mul(a, b):
-        out = [0] * n
-        for ai, shift in zip(a, shifts):
-            if ai:
-                out = F.axpy(out, ai, [b[j] for j in shift])
-        return out
+    Each row permutes a's coordinates, so building one takes no field
+    arithmetic, and a b is a times the matrix left(b)."""
+    elements, index = G.elements, G._index
+    # mul[i][j] is the index of elements[i] * elements[j]
+    mul = [[index[perm_mul(x, y)] for y in elements] for x in elements]
+    inv = [index[perm_inv(x)] for x in elements]
+    # g a reads coordinate k of a at g^-1 g_k, a g reads it at g_k g^-1
 
-    def times_element(a, g):
-        """coordinate i of a moves to the index of elements[i] * elements[g]"""
-        out = [0] * n
-        for i, ai in enumerate(a):
-            out[mul_table[i][g]] = ai
-        return out
+    def left(a):
+        return [[a[j] for j in mul[i]] for i in inv]
 
-    return alg_mul, times_element
+    def right(a):
+        return [[a[row[i]] for row in mul] for i in inv]
+
+    return left, right
 
 
-def _block_idempotents(bd: BrauerData, alg_mul):
+def _block_idempotents(bd: BrauerData, left):
     """One idempotent e_s of kG per simple S_s: a preimage of the
     identity of S_s's matrix block (zero on the other blocks), lifted
-    to a genuine idempotent."""
-    G, F = bd.G, bd.F
-    sims = [s.module for s in bd.simples]
-    dims = [s.dim for s in bd.simples]
-    # pi : kG -> sum of matrix blocks, one row per group element
+    to a genuine idempotent.
+
+    All preimages come from one rref.  It has one row per matrix entry
+    (s, i, j): the entry at each group element, then one indicator
+    column per block identity.  A pivot past the |G| group columns
+    names the first block identity that no element of kG maps to."""
+    G, F, n = bd.G, bd.F, bd.G.order
     words = [G.words[g] for g in G.elements]
-    pi = [[] for _ in words]
-    for mod in sims:
-        for row, mat in zip(pi, mod.word_matrices(words)):
-            for r in mat:
-                row.extend(r)
-    pit = gf_transpose(pi)
+    rows = []
+    for s, S in enumerate(bd.simples):
+        mats = S.module.word_matrices(words)
+        for i in range(S.dim):
+            for j in range(S.dim):
+                rows.append([mat[i][j] for mat in mats]
+                            + [int(i == j and t == s)
+                               for t in range(len(bd.simples))])
+    red, pivots = gf_rref(F, rows)
+    missing = [c - n for c in pivots if c >= n]
+    if missing:
+        raise InvariantViolated(
+            "brauer", f"the identity of {bd.simples[missing[0]].name}'s "
+            "matrix block has no preimage in kG")
+    passes = n.bit_length() + 1
     idems = []
-    for s in range(len(dims)):
-        target = []
-        for t, dt in enumerate(dims):
-            target.extend(1 if (t == s and i == j) else 0
-                          for i in range(dt) for j in range(dt))
-        e = gf_solve(F, pit, target)
-        if e is None:
-            raise InvariantViolated(
-                "brauer", f"the identity of simple {s}'s matrix block has "
-                "no preimage in kG")
+    for s, S in enumerate(bd.simples):
+        e = [0] * n
+        for row, c in zip(red, pivots):
+            e[c] = row[n + s]
         # lift to a genuine idempotent: e <- 3e^2 - 2e^3 squares the
-        # radical error term each pass
-        while True:
-            e2 = alg_mul(e, e)
+        # error e^2 - e, which lies in the radical J, and J^|G| = 0
+        for _ in range(passes):
+            times_e = left(e)
+            e2 = gf_vec_mat(F, e, times_e)
             if e2 == e:
                 break
-            e3 = alg_mul(e2, e)
-            e = F.axpy(F.axpy([0] * len(e), 3 % F.p, e2), (-2) % F.p, e3)
+            e3 = gf_vec_mat(F, e2, times_e)
+            e = F.axpy(F.axpy([0] * n, 3 % F.p, e2), (-2) % F.p, e3)
+        else:
+            raise InvariantViolated(
+                "brauer", f"the idempotent lift for {S.name} does not "
+                f"settle within {passes} passes")
         idems.append(e)
     return idems
 
@@ -417,28 +424,22 @@ def cartan_via_endomorphisms(bd: BrauerData):
     isotypic summands of the regular module, via lifted idempotents:
     c_(t,s) = dim(e_s kG e_t) / (dim S_s dim S_t).
 
-    Since e_s kG e_t = (e_s kG) e_t, each e_s kG is spanned once, from
-    the e_s g that are independent when met, and only those basis
-    vectors are multiplied by each e_t: the dimensions of the e_s kG
-    sum to |G|, so each e_t costs |G| algebra products in all.
-    Independent of the character-theoretic route; intended for small
-    groups (the regular algebra is |G|-dimensional).
+    e_s kG is the row space of right(e_s), whose rows are the e_s g,
+    and a basis of it times left(e_t) spans e_s kG e_t; left(e_t) is
+    built once per t.  Independent of the character-theoretic route;
+    intended for small groups (the regular algebra is |G|-dimensional).
     """
     F = bd.F
-    alg_mul, times_element = _regular_algebra(bd.G, F)
-    idems = _block_idempotents(bd, alg_mul)
+    left, right = _regular_algebra(bd.G)
+    idems = _block_idempotents(bd, left)
     dims = [s.dim for s in bd.simples]
-    spans = []
-    for e in idems:
-        ech = Echelon(F)
-        spans.append([v for v in (times_element(e, g)
-                                  for g in range(bd.G.order))
-                      if ech.add(v)])
+    spans = [Echelon(F, right(e)).rows for e in idems]
     out = []
     for t, et in enumerate(idems):
+        times_et = left(et)
         row = []
         for s, basis in enumerate(spans):
-            num = gf_rank(F, [alg_mul(b, et) for b in basis])
+            num = gf_rank(F, gf_matmul(F, basis, times_et))
             den = dims[s] * dims[t]
             if num % den:
                 raise InvariantViolated(

@@ -112,20 +112,6 @@ def gf_rank(F, rows) -> int:
     return len(gf_rref(F, rows)[1])
 
 
-def gf_solve(F, A, b):
-    """Solve A x = b over F; None if inconsistent."""
-    n = len(A)
-    ncols = len(A[0]) if n else 0
-    aug = [list(A[i]) + [b[i]] for i in range(n)]
-    red, pivots = gf_rref(F, aug)
-    if ncols in pivots:
-        return None
-    x = [0] * ncols
-    for r, c in enumerate(pivots):
-        x[c] = red[r][ncols]
-    return x
-
-
 def gf_right_kernel(F, A):
     """Basis of {x : A x = 0}, echelonized, deterministic."""
     n = len(A)

@@ -46,7 +46,13 @@ from repring.groups import (
     symmetric_group,
 )
 from repring.lift import BrauerLift
-from repring.linalg import gf_charpoly, gf_mat_inv, gf_rank
+from repring.linalg import (
+    gf_charpoly,
+    gf_mat_inv,
+    gf_matmul,
+    gf_rank,
+    gf_vec_mat,
+)
 from repring.meataxe import (
     Module,
     chop,
@@ -270,17 +276,17 @@ def test_endomorphism_route_matches_pairing_route():
 
 def cartan_all_pairs(bd):
     """Reference for cartan_via_endomorphisms: e_s kG e_t spanned by
-    e_s g e_t for all |G| elements g, separately for every pair (s, t)."""
-    F, n = bd.F, bd.G.order
-    alg_mul, times_element = _regular_algebra(bd.G, F)
-    idems = _block_idempotents(bd, alg_mul)
+    e_s g e_t for all |G| elements g, separately for every pair (s, t);
+    row g of right(e_s) is e_s g, and times left(e_t) it is e_s g e_t."""
+    F = bd.F
+    left, right = _regular_algebra(bd.G)
+    idems = _block_idempotents(bd, left)
     dims = [s.dim for s in bd.simples]
     out = []
     for t, et in enumerate(idems):
         row = []
         for s, es in enumerate(idems):
-            r = gf_rank(F, [alg_mul(times_element(es, g), et)
-                            for g in range(n)])
+            r = gf_rank(F, gf_matmul(F, right(es), left(et)))
             assert r % (dims[s] * dims[t]) == 0
             row.append(r // (dims[s] * dims[t]))
         out.append(tuple(row))
@@ -296,6 +302,47 @@ def test_endomorphism_route_matches_all_pairs_reference(p):
         bd = BrauerData(G, p)
         assert cartan_via_endomorphisms(bd) == cartan_all_pairs(bd) \
             == bd.cartan, spec
+
+
+def test_translations_multiply_like_the_group():
+    """left(b) and right(a) are the matrices of a -> a b and b -> a b on
+    the coordinates of G.elements: e_g e_h = e_gh either way."""
+    G = symmetric_group(3)
+    F = gf_field(5, 1)
+    left, right = _regular_algebra(G)
+    unit = [[int(i == j) for j in range(G.order)] for i in range(G.order)]
+    for h, y in enumerate(G.elements):
+        L, R = left(unit[h]), right(unit[h])
+        for g, x in enumerate(G.elements):
+            assert gf_vec_mat(F, unit[g], L) == L[g] \
+                == unit[G._index[perm_mul(x, y)]]
+            assert R[g] == unit[G._index[perm_mul(y, x)]]
+
+
+@pytest.mark.parametrize("spec, p", [("S4", 3), ("A4", 2), ("D8", 3),
+                                     ("C3xC3", 2)])
+def test_missing_simple_stops_the_idempotent_lift(spec, p):
+    """With the last simple dropped, the kernel of kG -> blocks is no
+    longer nilpotent, and the lift, which settles within
+    bit_length(|G|) + 1 passes on a full list, raises instead of
+    looping."""
+    bd = BrauerData(parse_group_spec(spec), p)
+    bd.simples = bd.simples[:-1]
+    with pytest.raises(InvariantViolated, match="does not settle"):
+        cartan_via_endomorphisms(bd)
+
+
+@pytest.mark.parametrize("spec, p, name", [("S3", 2, "S2"), ("S4", 3, "S4")])
+def test_repeated_simple_has_no_block_preimage(spec, p, name):
+    """Two copies of one simple take the same value at every group
+    element, so no element of kG is the identity on one copy and zero
+    on the other; the message names the simple as the report does."""
+    bd = BrauerData(parse_group_spec(spec), p)
+    bd.simples = bd.simples + bd.simples[-1:]
+    with pytest.raises(InvariantViolated,
+                       match=f"identity of {name}'s matrix block has no "
+                             "preimage"):
+        cartan_via_endomorphisms(bd)
 
 
 def test_decompose_tensor_square():

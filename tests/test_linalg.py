@@ -16,7 +16,6 @@ from repring.linalg import (
     gf_rank,
     gf_right_kernel,
     gf_rref,
-    gf_solve,
     gf_transpose,
     int_mat_rank_mod_p,
     smith_normal_form,
@@ -33,13 +32,6 @@ def test_mat_rref_fractions():
     red, pivots = gf_rref(QQ, A)
     assert pivots == [0, 1]
     assert red == [[1, 0], [0, 1]]
-
-
-def test_mat_solve_and_inconsistent():
-    A = [[Fraction(1), Fraction(1)], [Fraction(2), Fraction(2)]]
-    x = gf_solve(QQ, A, [Fraction(3), Fraction(6)])
-    assert x is not None and x[0] + x[1] == 3
-    assert gf_solve(QQ, A, [Fraction(3), Fraction(7)]) is None
 
 
 def test_mat_inv_cyclotomic():
@@ -88,18 +80,12 @@ def test_gf_rank_rref():
     assert red[0] == [1, 2]
 
 
-def test_gf_solve_and_kernel():
+def test_gf_right_kernel():
     F = gf_field(2, 1)
     A = [[1, 1, 0], [0, 1, 1]]
-    x = gf_solve(F, A, [1, 1])
-    assert x is not None
-    assert [F.add(F.mul(A[i][0], x[0]),
-                  F.add(F.mul(A[i][1], x[1]), F.mul(A[i][2], x[2])))
-            for i in range(2)] == [1, 1]
     ker = gf_right_kernel(F, A)
     assert len(ker) == 1
     assert ker[0] == [1, 1, 1]
-    assert gf_solve(F, [[1, 0], [1, 0]], [0, 1]) is None
 
 
 def test_gf_row_span_membership():
