@@ -699,6 +699,19 @@ def test_irrational_gram_entry_raises_non_integral_cartan():
         bd._cartan_and_projectives()
 
 
+@pytest.mark.parametrize("spec, p, s", [
+    ("S3", 2, 1), ("S4", 3, 2), ("A4", 2, 1), ("S4", 2, 1)])
+def test_rational_gram_with_non_integral_inverse_raises(spec, p, s):
+    """phi_s doubled keeps every Gram entry rational and the phi table
+    non-singular, but scales row and column s of Gram(phi)^-1 by 1/2
+    and its (s, s) entry by 1/4, so the Cartan matrix is not integral."""
+    bd = BrauerData(parse_group_spec(spec), p)
+    doubled = tuple(tuple((e, 2 * a) for e, a in v) for v in bd.phi_counts[s])
+    bd.phi_counts = bd.phi_counts[:s] + (doubled,) + bd.phi_counts[s + 1:]
+    with pytest.raises(NonIntegralCartan):
+        bd._cartan_and_projectives()
+
+
 def test_character_arithmetic_builds_no_cyc(monkeypatch):
     """The Gram matrix, Cartan matrix, Phi, the integral decompositions,
     the structure constants, the gamma and U vectors and the checks of
