@@ -14,15 +14,18 @@ matrix products); a linear one names its root.
 
 All character arithmetic runs on root counts in plain ints.  The Cartan
 matrix comes from Brauer's relations Phi = C phi and C = Gram(phi)^-1:
-each Gram entry of the phi rows under the p-regular pairing is a sum of
-products of root counts, reduced once; it must be rational (its entries
-are Galois-invariant), its inverse over Q is C, and the projective
-characters Phi are the integer combinations of the phi rows that C
-gives.  Decompositions and structure constants pair root counts with
-Phi the same way.  A one-dimensional simple is a homomorphism G -> F^*,
-and tensoring with it permutes the simples.  phi_counts and Phi_counts
-hold each character once; a report or demo prints their values through
-cyclo.value_json and cyclo.value_text.
+|G| times each Gram entry of the phi rows under the p-regular pairing
+is a sum of products of root counts, reduced once; it must be rational
+(its entries are Galois-invariant), so it is an integer.  C is |G|
+times the inverse of that integer matrix M, taken mod a prime
+ell > |G|, which bounds every entry, and certified by the exact integer
+product M C = |G| I.  The projective characters Phi are the integer
+combinations of the phi rows that C gives.  Decompositions and
+structure constants pair root counts with Phi the same way.  A
+one-dimensional simple is a homomorphism G -> F^*, and tensoring with
+it permutes the simples.  phi_counts and Phi_counts hold each character
+once; a report or demo prints their values through cyclo.value_json
+and cyclo.value_text.
 
 cartan_via_endomorphisms recomputes C in the regular algebra kG, whose
 coordinates follow G.elements, with no character theory.  kG acts on
@@ -36,7 +39,6 @@ from math import lcm
 
 from .config import default_seed
 from .cyclo import (
-    QQ,
     convolve_into,
     root_combination,
     root_product,
@@ -51,7 +53,13 @@ from .errors import (
     NotSubgroup,
     SingularPhi,
 )
-from .gf import gf_field, multiplicative_order, poly_divmod
+from .gf import (
+    _TABLE_MAX_Q,
+    _is_prime,
+    gf_field,
+    multiplicative_order,
+    poly_divmod,
+)
 from .groups import PermGroup, p_part, perm_inv, perm_mul
 from .lift import BrauerLift
 from .linalg import (
@@ -181,10 +189,16 @@ class BrauerData:
         pairing: Phi_t = sum_s c_ts phi_s is the dual basis of phi, so
         C Gram(phi) = I and C = Gram(phi)^-1.
 
-        |G| <phi_s, phi_t> = sum_k |class k| phi_s(x_k) phi_t(x_k^-1) is
-        summed as one root count over the classes and reduced once; an
-        irrational value raises NonIntegralCartan."""
-        n, m = len(self.simples), self.m
+        M = |G| Gram(phi) has the entries
+        sum_k |class k| phi_s(x_k) phi_t(x_k^-1), each summed as one root
+        count over the classes and reduced once; an irrational value
+        raises NonIntegralCartan.  C = |G| M^-1 is taken mod ell, the first
+        prime past |G| and the addition-table bound (one Zech-log field
+        for all |G| < 257), and lifted to [0, ell), which holds every
+        0 <= c_st <= dim P_t <= |G|; the exact product M C = |G| I
+        certifies the lift.  det M divides a power of |G| for correct
+        data, so only wrong data is singular mod ell."""
+        n, m, order = len(self.simples), self.m, self.G.order
         at_inverse = [[row[j] for j in self._inv_pos]
                       for row in self.phi_counts]
         gram = [[None] * n for _ in range(n)]
@@ -198,22 +212,27 @@ class BrauerData:
                 if any(v[1:]):
                     raise NonIntegralCartan(
                         f"<phi_{s}, phi_{t}> is irrational")
-                gram[s][t] = gram[t][s] = Fraction(v[0], self.G.order)
+                gram[s][t] = gram[t][s] = v[0]
+        ell = max(order, _TABLE_MAX_Q) + 1
+        while not _is_prime(ell):
+            ell += 1
         try:
-            inv = gf_mat_inv(QQ, gram)
+            inv = gf_mat_inv(gf_field(ell, 1),
+                             [[v % ell for v in row] for row in gram])
         except ZeroDivisionError as exc:
             raise SingularPhi(
                 "Brauer character table is singular; simples are "
                 "incomplete or duplicated") from exc
-        for t in range(n):
-            for s in range(n):
-                v = inv[t][s]
-                if v.denominator != 1 or v < 0:
+        cartan = tuple(tuple(order * v % ell for v in row) for row in inv)
+        for s in range(n):
+            for t in range(n):
+                v = sum(a * row[t] for a, row in zip(gram[s], cartan))
+                want = order * (s == t)
+                if v != want:
                     raise NonIntegralCartan(
-                        f"c_({t},{s}) = {v} is not a non-negative integer")
-                if v != inv[s][t]:
-                    raise NonIntegralCartan("Cartan matrix not symmetric")
-        cartan = tuple(tuple(int(v) for v in row) for row in inv)
+                        f"Gram(phi)^-1 is not integral: with M = |G| "
+                        f"Gram(phi) and C = |G| M^-1 lifted from GF({ell}),"
+                        f" entry ({s},{t}) of M C is {v}, not {want}")
         Phi = tuple(
             tuple(root_combination((c, self.phi_counts[s][k])
                                    for s, c in enumerate(row) if c)

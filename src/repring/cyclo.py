@@ -17,58 +17,33 @@ positive integer denominator: ``value_json`` gives the report's
 power-basis coordinate in lowest terms, and ``value_text`` the
 ``Cyc(...)`` text that demos and error messages show.  No floating
 point is involved anywhere.
-
-``QQ`` is the field object of ints and Fractions, so the shared
-elimination (``linalg.Echelon``) and polynomial routines (``gf.poly_*``)
-run over Q as they run over GF(q): the cyclotomic polynomials and the
-inverse of the Gram matrix are computed with it.
 """
 
 import functools
 import math
-from fractions import Fraction
-
-from .gf import poly_divmod
-
-
-class _Rationals:
-    """Q as a field object: the row kernel and the operations that
-    ``linalg.Echelon`` and ``gf.poly_*`` call, on ints and Fractions."""
-
-    @staticmethod
-    def axpy(y, a, x):
-        return [s + a * t for s, t in zip(y, x)]
-
-    @staticmethod
-    def neg(a):
-        return -a
-
-    @staticmethod
-    def inv(a):
-        # Fraction(1) keeps the inverse of an int exact
-        return Fraction(1) / a
-
-    @staticmethod
-    def mul(a, b):
-        return a * b
-
-
-QQ = _Rationals()
 
 
 @functools.lru_cache(maxsize=None)
 def cyclotomic_poly(m: int) -> tuple:
-    """Integer coefficients of the m-th cyclotomic polynomial (little endian)."""
+    """Integer coefficients of the m-th cyclotomic polynomial (little
+    endian): x^m - 1 divided by each monic cyclotomic polynomial of a
+    proper divisor of m, by long division in ints."""
     if m < 1:
         raise ValueError("conductor must be positive")
-    poly = (-1,) + (0,) * (m - 1) + (1,)  # x^m - 1
+    poly = [-1] + [0] * (m - 1) + [1]  # x^m - 1
     for d in range(1, m):
         if m % d == 0:
-            poly, rem = poly_divmod(QQ, poly, cyclotomic_poly(d))
-            if rem:
+            div = cyclotomic_poly(d)
+            k = len(div) - 1
+            quo = [0] * (len(poly) - k)
+            for i in range(len(quo) - 1, -1, -1):
+                c = quo[i] = poly[i + k]
+                for j, a in enumerate(div):
+                    poly[i + j] -= c * a
+            if any(poly):
                 raise ArithmeticError("non-exact polynomial division")
-    # monic divisors of an integer polynomial leave integer quotients
-    return tuple(int(c) for c in poly)
+            poly = quo
+    return tuple(poly)
 
 
 @functools.lru_cache(maxsize=None)
@@ -150,9 +125,12 @@ def value_json(m: int, counts, den: int = 1) -> dict:
 
 def value_text(m: int, counts, den: int = 1) -> str:
     """The same value as text: Cyc(r) for a rational r, else the sum of
-    its non-zero terms c*zm^i, the constant term printed bare."""
-    coeffs = [Fraction(c, den) for c in root_sum(m, counts)]
-    if not any(coeffs[1:]):
-        return f"Cyc({coeffs[0]})"
-    return "Cyc(" + " + ".join(f"{c}*z{m}^{i}" if i else f"{c}"
-                               for i, c in enumerate(coeffs) if c) + ")"
+    its non-zero terms c*zm^i, the constant term printed bare; each
+    coordinate n/d of value_json prints as n/d, or as n when d = 1."""
+    obj = value_json(m, counts, den)
+    coeffs = [(n, f"{n}/{d}" if d != 1 else f"{n}")
+              for n, d in zip(obj["num"], obj["den"])]
+    if not any(n for n, _ in coeffs[1:]):
+        return f"Cyc({coeffs[0][1]})"
+    return "Cyc(" + " + ".join(f"{c}*z{m}^{i}" if i else c
+                               for i, (n, c) in enumerate(coeffs) if n) + ")"

@@ -20,12 +20,10 @@ element is the smallest code g with g^((q-1)/r) != 1 mod f for each
 prime r dividing q - 1.  A field of more than ``FIELD_ORDER_BOUND``
 elements (config) raises ``FieldTooLarge`` before any of this runs.
 
-Polynomials are little-endian tuples with no trailing zeros; the zero
-polynomial is ``()``.  The ``poly_*`` routines take any field object
-with ``axpy``, ``neg``, ``inv`` and ``mul``: a GF, whose coefficients
-are codes, or ``cyclo.QQ``, whose coefficients are ints and Fractions.
-``irreducible_factors`` yields the distinct irreducible factors of a
-polynomial over a GF, smallest degree first, by distinct-degree and
+Polynomials are little-endian tuples of codes with no trailing zeros;
+the zero polynomial is ``()``.  The ``poly_*`` routines take the GF
+first.  ``irreducible_factors`` yields the distinct irreducible factors
+of a polynomial, smallest degree first, by distinct-degree and
 equal-degree splitting (Cantor-Zassenhaus) of the polynomial itself: it
 finds no multiplicities, and works out a degree only when its caller,
 the meataxe, asks past the one before.  The meataxe passes the random
@@ -328,8 +326,8 @@ def multiplicative_order(p: int, m: int) -> int:
 
 
 # ---------------------------------------------------------------------
-# polynomials over any field object F (a GF or cyclo.QQ): little-endian
-# tuples of F's elements, no trailing zeros
+# polynomials over a GF F: little-endian tuples of codes, no trailing
+# zeros
 
 
 def poly_trim(a):

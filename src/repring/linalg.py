@@ -1,12 +1,11 @@
 """Exact linear algebra.
 
 Two flavours live here:
-  * elimination over any field object: a finite field ``gf.GF``, whose
-    elements are int codes, or ``cyclo.QQ``, whose elements are ints
-    and Fractions.  All of it is built on one incremental row-echelon
-    basis, `Echelon`, and every row operation here, and every product
-    with a matrix, is one call of the field's row kernel ``F.axpy``,
-    never a field call per coordinate;
+  * elimination over a finite field ``gf.GF``, whose elements are int
+    codes.  All of it is built on one incremental row-echelon basis,
+    `Echelon`, and every row operation here, and every product with a
+    matrix, is one call of the field's row kernel ``F.axpy``, never a
+    field call per coordinate;
   * integer Smith normal form.
 All routines are deterministic, and all but `Echelon` are pure.
 """

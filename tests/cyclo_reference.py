@@ -10,15 +10,42 @@ it stand the references that the root-count route is checked against:
 ``mul``, ``power``, ``inverse`` and ``dot``, the field object ``CYC``
 that runs ``linalg.Echelon`` over RefCyc values, and
 ``decompose_by_dense_dot``, which decomposes a class function by one
-dot over every class against the dual of the phi table.
+dot over every class against the dual of the phi table.  ``QQ`` is the
+field object of ints and Fractions, so ``linalg`` and ``gf.poly_*`` run
+over Q too, as the references here and in the tests use them.
 """
 
 import math
 from fractions import Fraction
 
-from repring.cyclo import QQ, conductor_degree, cyclotomic_poly
+from repring.cyclo import conductor_degree, cyclotomic_poly
 from repring.errors import NotPLocal
 from repring.gf import poly_divmod, poly_mul, poly_sub, poly_trim
+
+
+class _Rationals:
+    """Q as a field object: the row kernel and the operations that
+    ``linalg.Echelon`` and ``gf.poly_*`` call, on ints and Fractions."""
+
+    @staticmethod
+    def axpy(y, a, x):
+        return [s + a * t for s, t in zip(y, x)]
+
+    @staticmethod
+    def neg(a):
+        return -a
+
+    @staticmethod
+    def inv(a):
+        # Fraction(1) keeps the inverse of an int exact
+        return Fraction(1) / a
+
+    @staticmethod
+    def mul(a, b):
+        return a * b
+
+
+QQ = _Rationals()
 
 
 def ref_reduce(m, poly):

@@ -6,7 +6,6 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from repring.cyclo import (
-    QQ,
     conductor_degree,
     convolve_into,
     cyclotomic_poly,
@@ -19,7 +18,7 @@ from repring.cyclo import (
 from repring.errors import NotPLocal
 from repring.gf import gf_field, multiplicative_order, poly_mul
 from repring.lift import BrauerLift
-from cyclo_reference import RefCyc, dot, inverse, mul, power
+from cyclo_reference import QQ, RefCyc, dot, inverse, mul, power
 
 
 def test_cyclotomic_polys():
@@ -242,6 +241,15 @@ def printed_values(draw, m=None):
     return m, counts, den, RefCyc.from_counts(m, counts) * Fraction(1, den)
 
 
+def fraction_text(m, counts, den):
+    """value_text's text built from one Fraction per coordinate."""
+    coeffs = [Fraction(c, den) for c in root_sum(m, counts)]
+    if not any(coeffs[1:]):
+        return f"Cyc({coeffs[0]})"
+    return "Cyc(" + " + ".join(f"{c}*z{m}^{i}" if i else f"{c}"
+                               for i, c in enumerate(coeffs) if c) + ")"
+
+
 @settings(max_examples=150, deadline=None)
 @given(printed_values())
 @example((4, ((1, -3),), 6, RefCyc(4, [0, Fraction(-3, 6)])))
@@ -250,16 +258,16 @@ def printed_values(draw, m=None):
 @example((12, ((0, 4), (3, 6)), 8,
           RefCyc(12, [Fraction(1, 2), 0, 0, Fraction(3, 4)])))
 def test_json_matches_the_fraction_route(value):
-    """value_json reduces each coordinate over den by one gcd; the
-    Fraction per coordinate it does not build gives the same pairs,
-    with a zero coordinate as 0/1, and value_text names the same
-    coordinates."""
+    """value_json and value_text reduce each coordinate over den by one
+    gcd; the Fraction per coordinate they do not build gives the same
+    pairs, with a zero coordinate as 0/1, and the same text."""
     m, counts, den, ref = value
     coeffs = [Fraction(c, den) for c in root_sum(m, counts)]
     assert value_json(m, counts, den) == {
         "conductor": m,
         "num": [c.numerator for c in coeffs],
         "den": [c.denominator for c in coeffs]}
+    assert value_text(m, counts, den) == fraction_text(m, counts, den)
     assert_matches(m, counts, den, ref)
 
 

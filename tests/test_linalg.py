@@ -5,7 +5,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 import pytest
 
-from repring.cyclo import QQ, conductor_degree
+from repring.cyclo import conductor_degree
 from repring.gf import gf_field
 from repring.linalg import (
     Echelon,
@@ -20,11 +20,11 @@ from repring.linalg import (
     int_mat_rank_mod_p,
     smith_normal_form,
 )
-from cyclo_reference import CYC, RefCyc
+from cyclo_reference import CYC, QQ, RefCyc
 
 
 # the elimination over QQ (Fractions) and over cyclotomic values, the
-# field object of the test reference cyclo_reference
+# field objects of the test reference cyclo_reference
 
 
 def test_mat_rref_fractions():
